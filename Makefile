@@ -7,7 +7,10 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test-fast test bench-smoke parity stream-smoke net-smoke net-strict persist-smoke chaos-smoke fleet-smoke scenario-smoke store-smoke clean
+.PHONY: test-fast test bench-smoke parity stream-smoke net-smoke net-strict persist-smoke chaos-smoke fleet-smoke scenario-smoke store-smoke bench bench-compare bench-harness clean
+
+## where `make bench` writes its results
+OUT ?= bench-results.json
 
 ## Fast suite: everything but the slow-marked benchmarks/sweeps (~35 s).
 test-fast:
@@ -82,6 +85,21 @@ store-smoke:
 ## a leaked never-awaited coroutine in transport shutdown fails here.
 net-strict:
 	$(PYTEST) -q -W error::RuntimeWarning tests/net tests/fleet
+
+## The repo's one benchmark (bench/README.md): every workload, timed
+## and traced, three repeats (~25 min).  A perf PR runs it on the parent
+## commit and on the change and compares the two files.
+bench:
+	$(PYTHON) -m bench.run --repeats 3 --out $(OUT)
+
+bench-compare:
+	$(PYTHON) -m bench.run --compare $(BEFORE) $(AFTER)
+
+## The harness itself, on its smallest workload: one traced run, so a
+## function bench/layers.py wraps that moved, or a payload digest that
+## changed, fails in CI and not in the next perf PR.
+bench-harness:
+	$(PYTHON) -m bench.run --workload ctl_toy_tcp_wal --seconds 6 --trace 1
 
 clean:
 	rm -rf src/repro_atom.egg-info build .pytest_cache

@@ -285,6 +285,27 @@ class CiphertextBatch:
         (nparts,) = _U32.unpack_from(self._buf, self._starts[i])
         return nparts
 
+    # -- flat part access (the shape :class:`PartBuffer` shares, so a
+    # mix step reads and writes either kind of buffer) -----------------
+
+    def load(self, indices: Iterable[int]):
+        """``(parts, counts)``: the decoded parts of the listed vectors
+        in one flat list, and how many each vector contributed."""
+        parts: List[AtomCiphertext] = []
+        counts: List[int] = []
+        for i in indices:
+            vec = self.vector(i).parts
+            parts.extend(vec)
+            counts.append(len(vec))
+        return parts, counts
+
+    def store(self, parts: Sequence[AtomCiphertext], counts: Iterable[int]) -> None:
+        """Append vectors: ``parts`` cut into runs of ``counts``."""
+        end = 0
+        for count in counts:
+            self.append(CiphertextVector(tuple(parts[end: end + count])))
+            end += count
+
     # -- zero-copy structure ops ------------------------------------------
 
     def slice(self, i: int, j: int) -> "CiphertextBatch":
@@ -356,3 +377,71 @@ class CiphertextBatch:
             f"CiphertextBatch({self.group.params.name}, "
             f"n={len(self._starts)}, {len(self._buf)} bytes)"
         )
+
+
+class PartBuffer:
+    """The working buffer between the server steps of one
+    ``GroupContext.mix_batch`` call: ciphertext parts at a fixed width,
+    elements in the group's *uncompressed* codec::
+
+        part := u8(Y present) R c Y        (Y zero-filled when absent)
+
+    The first step of a call reads the wire batch (the only place a
+    curve point pays its square root) and the last one writes a wire
+    batch; every step in between reads one of these by vector index —
+    fixed width makes a shuffle's random access an offset computation —
+    and writes the next through the same ``load`` / ``store`` /
+    ``parts_count`` a :class:`CiphertextBatch` offers.  Never
+    serialized anywhere: ``from_uncompressed`` trusts what
+    ``to_uncompressed`` wrote.
+    """
+
+    __slots__ = ("group", "_buf", "_starts")
+
+    def __init__(self, group: Group):
+        self.group = group
+        self._buf = bytearray()
+        #: index of vector i's first part; one trailing end marker
+        self._starts: List[int] = [0]
+
+    def __len__(self) -> int:
+        return len(self._starts) - 1
+
+    def parts_count(self, i: int) -> int:
+        return self._starts[i + 1] - self._starts[i]
+
+    def load(self, indices: Iterable[int]):
+        """``(parts, counts)``, as :meth:`CiphertextBatch.load`."""
+        buf = self._buf
+        starts = self._starts
+        element = self.group.from_uncompressed
+        w = self.group.uncompressed_bytes
+        size = 1 + 3 * w
+        parts: List[AtomCiphertext] = []
+        counts: List[int] = []
+        for i in indices:
+            counts.append(starts[i + 1] - starts[i])
+            for pos in range(starts[i] * size + 1, starts[i + 1] * size, size):
+                parts.append(
+                    AtomCiphertext(
+                        element(buf[pos: pos + w]),
+                        element(buf[pos + w: pos + 2 * w]),
+                        element(buf[pos + 2 * w: pos + 3 * w]) if buf[pos - 1] else None,
+                    )
+                )
+        return parts, counts
+
+    def store(self, parts: Sequence[AtomCiphertext], counts: Iterable[int]) -> None:
+        """Append vectors, as :meth:`CiphertextBatch.store`."""
+        buf = self._buf
+        raw = self.group.to_uncompressed
+        no_y = bytes(self.group.uncompressed_bytes)
+        for part in parts:
+            if part.Y is None:
+                buf += b"\x00" + raw(part.R) + raw(part.c) + no_y
+            else:
+                buf += b"\x01" + raw(part.R) + raw(part.c) + raw(part.Y)
+        end = self._starts[-1]
+        for count in counts:
+            end += count
+            self._starts.append(end)

@@ -45,11 +45,16 @@ from repro.crypto.vector import (
     VectorShuffleProof,
     prove_vector_shuffle,
     reencrypt_vector,
-    rerandomize_vector,
     shuffle_vectors,
     verify_vector_shuffle,
 )
 from repro.topology.base import route_batches
+
+
+#: ciphertext parts one ``mix_batch`` kernel call works on: large enough
+#: to amortize the shared inversions, small enough that the decoded
+#: objects stay a constant on top of the two working buffers
+MIX_CHUNK_PARTS = 256
 
 
 class ProtocolAbort(RuntimeError):
@@ -295,30 +300,36 @@ class GroupContext:
            index order over the whole buffer, so ReEnc streams without
            materializing per-successor lists.
 
-        Records are decoded one at a time and re-encoded into a fresh
-        output buffer, so peak memory is two serialized buffers (plus
-        one vector), never an object graph of the whole round.  Gated
-        by :meth:`streaming_safe` — callers route instrumented groups
-        and the NIZK variant through the object path.
+        Between the ``2k`` server steps the parts live in fixed-width,
+        uncompressed :class:`~repro.core.batch.PartBuffer` s: only the
+        first step reads the wire batch and only the last writes one,
+        and every step runs ``MIX_CHUNK_PARTS`` parts at a time through
+        the scheme's batch kernels — so peak memory is two buffers plus
+        one chunk of objects, never an object graph of the whole round,
+        and a curve point pays one square root per call, not one per
+        step.  Gated by :meth:`streaming_safe` — callers route
+        instrumented groups and the NIZK variant through the object
+        path.
         """
-        from repro.core.batch import CiphertextBatch
+        from repro.core.batch import CiphertextBatch, PartBuffer
 
         audit = MixAudit(gid=self.gid)
         participants = self.participants()
         beta = len(next_keys)
         if not beta:
             raise ValueError("need at least one successor key")
-        current = (
-            batch
-            if isinstance(batch, CiphertextBatch)
-            else CiphertextBatch.from_vectors(self.group, batch)
-        )
-        n = len(current)
+        if not isinstance(batch, CiphertextBatch):
+            batch = CiphertextBatch.from_vectors(self.group, batch)
+        n = len(batch)
         if n % beta:
             raise ValueError(
                 f"group {self.gid}: {n} ciphertexts do not divide "
                 f"into {beta} batches"
             )
+        current = batch
+        # vectors per kernel call, sized by the first vector (a round's
+        # payloads are all padded to one size)
+        step = max(1, MIX_CHUNK_PARTS // max(1, batch.parts_count(0))) if n else 1
 
         # Step 1 — Shuffle, each participant in order.
         for _position in participants:
@@ -332,22 +343,19 @@ class GroupContext:
                     j = _secrets.randbelow(i + 1)
                     perm[i], perm[j] = perm[j], perm[i]
             rands = [
-                [
-                    self.group.random_scalar(rng)
-                    for _ in range(current.parts_count(perm[i]))
-                ]
-                for i in range(n)
+                self.group.random_scalar(rng)
+                for i in perm
+                for _ in range(current.parts_count(i))
             ]
-            out = CiphertextBatch(self.group)
-            for i in range(n):
-                out.append(
-                    rerandomize_vector(
-                        self.scheme,
-                        self.public_key,
-                        current.vector(perm[i]),
-                        rands[i],
-                    )
+            out = PartBuffer(self.group)
+            drawn = 0
+            for lo in range(0, n, step):
+                parts, counts = current.load(perm[lo: lo + step])
+                parts = self.scheme.rerandomize_many(
+                    self.public_key, parts, rands[drawn: drawn + len(parts)]
                 )
+                drawn += len(parts)
+                out.store(parts, counts)
             current = out
 
         # Steps 2+3 — Divide + Decrypt-and-Reencrypt, streamed in index
@@ -357,23 +365,24 @@ class GroupContext:
             secret = self.effective_secret(position, participants)
             last = index == len(participants) - 1
             # Appendix A: the last server sets Y' = ⊥ before forwarding
-            # (fused per vector — with_y_bot draws no randomness)
+            # (fused per part — with_y_bot draws no randomness)
             strip_y = last and next_keys[0] is not None
-            out = CiphertextBatch(self.group)
-            for i in range(n):
-                vec = reencrypt_vector(
-                    self.scheme, secret, next_keys[i // per],
-                    current.vector(i), rng,
-                )
-                if strip_y:
-                    vec = vec.with_y_bot()
-                out.append(vec)
+            out = CiphertextBatch(self.group) if last else PartBuffer(self.group)
+            for k, next_key in enumerate(next_keys):
+                for lo in range(k * per, (k + 1) * per, step):
+                    parts, counts = current.load(
+                        range(lo, min(lo + step, (k + 1) * per))
+                    )
+                    parts = self.scheme.reencrypt_many(secret, next_key, parts, rng)
+                    if strip_y:
+                        parts = [part.with_y_bot() for part in parts]
+                    out.store(parts, counts)
             current = out
 
-        parts = current.split(beta)
-        for part in parts:
+        outgoing = current.split(beta)
+        for part in outgoing:
             audit.bytes_sent += part.size_bytes_total()
-        return parts, audit
+        return outgoing, audit
 
     def mix_with_reenc_proofs(
         self,

@@ -37,6 +37,8 @@ TAG_PLAIN = b"P"
 TAG_DUMMY = b"D"
 
 TRAP_NONCE_BYTES = 16
+#: nonce of a cover dummy (``TAG_DUMMY`` + nonce must fit any payload)
+DUMMY_NONCE_BYTES = 12
 
 
 class MessageFormatError(ValueError):
@@ -56,7 +58,10 @@ def inner_payload_size(group: Group, message_size: int) -> int:
 
 
 def plain_payload_size(message_size: int) -> int:
-    return 4 + 1 + message_size
+    """Payload bytes for a tagged ``message_size``-byte message — never
+    less than a cover dummy needs, so padding a round cannot fail on
+    short messages."""
+    return 4 + 1 + max(message_size, DUMMY_NONCE_BYTES)
 
 
 @dataclass(frozen=True)

@@ -595,22 +595,15 @@ class AtomDeployment:
             self.spec.payload_size,
             self.config.message_size,
         )
-        if not trap_sub.verify(self.group, ctx.public_key):
-            raise ValueError("submission proofs failed verification")
-        user_id = self._accept(
-            rnd, entry_gid, list(trap_sub.pair), trap_sub.trap_commitment
-        )
-        rnd.trap_submissions[user_id] = (entry_gid, trap_sub)
-        return user_id
+        return self.inject_trap_submission(rnd, entry_gid, trap_sub)
 
     def inject_trap_submission(
         self, rnd: Round, entry_gid: int, trap_sub: TrapSubmission
     ) -> int:
         """Submit a pre-built (possibly malicious) trap submission —
-        used by tests exercising §4.6 blame."""
-        ctx = rnd.context(entry_gid)
-        if not trap_sub.verify(self.group, ctx.public_key):
-            raise ValueError("submission proofs failed verification")
+        used by tests exercising §4.6 blame.  The entry node is the one
+        verifier of its EncProofs: a forged proof comes back from
+        :meth:`_accept` as ``ValueError``."""
         user_id = self._accept(
             rnd, entry_gid, list(trap_sub.pair), trap_sub.trap_commitment
         )
@@ -682,7 +675,9 @@ class AtomDeployment:
                     self.submit_trap(rnd, filler[: cfg.message_size], gid, client)
                 else:
                     nonce = (
-                        rng.randbytes(12) if rng is not None else _secrets.token_bytes(12)
+                        rng.randbytes(fmt.DUMMY_NONCE_BYTES)
+                        if rng is not None
+                        else _secrets.token_bytes(fmt.DUMMY_NONCE_BYTES)
                     )
                     payload = self.spec.build_dummy(nonce)
                     submission = client._submit_payload(

@@ -24,6 +24,13 @@ arithmetic:
   ``JacobianOps.finish_tables``), so the hot comb/Straus loops use the
   cheaper Jacobian+affine formulas.
 - ``a = -3`` doubling shortcut (standard for the NIST curves).
+- **Free negation** (``JacobianOps.neg``) gives the fixed-base comb
+  signed digits: 43 mixed additions per exponentiation.
+- **One variable-base routine**, :func:`_scalar_mult_many`: width-5
+  wNAF recoded once per scalar, odd-multiple tables of all bases in a
+  call normalized together.  ``EcPoint.__pow__`` is its list-of-one.
+- **Batch kernels** (``EcGroup.pow_mul_many`` / ``div_pow_many``) keep
+  whole lists Jacobian and pay one inversion per list, not per point.
 
 Element serialization is SEC1 compressed: 33 bytes (``02``/``03`` ‖
 x-coordinate); the integer ``value`` of a point is that byte string as
@@ -68,18 +75,16 @@ _INF: Tuple[int, int, int] = (1, 1, 0)
 
 
 def _jdbl(pt: Tuple[int, int, int]) -> Tuple[int, int, int]:
-    """Point doubling, dbl-2001-b formulas for ``a = -3``."""
+    """Point doubling for ``a = -3`` (``3x^2 + aZ^4`` factors)."""
     X1, Y1, Z1 = pt
     if not Z1:
         return _INF
-    delta = Z1 * Z1 % P
-    gamma = Y1 * Y1 % P
-    beta = X1 * gamma % P
-    alpha = 3 * (X1 - delta) * (X1 + delta) % P
-    X3 = (alpha * alpha - 8 * beta) % P
-    Z3 = ((Y1 + Z1) * (Y1 + Z1) - gamma - delta) % P
-    Y3 = (alpha * (4 * beta - X3) - 8 * gamma * gamma) % P
-    return (X3, Y3, Z3)
+    ZZ = Z1 * Z1 % P
+    YY = Y1 * Y1 % P
+    S = 4 * X1 * YY % P
+    M = 3 * (X1 - ZZ) * (X1 + ZZ) % P
+    X3 = (M * M - 2 * S) % P
+    return (X3, (M * (S - X3) - 8 * YY * YY) % P, 2 * Y1 * Z1 % P)
 
 
 def _jadd(p1: Tuple[int, int, int], p2: Tuple[int, int, int]) -> Tuple[int, int, int]:
@@ -108,27 +113,24 @@ def _jadd(p1: Tuple[int, int, int], p2: Tuple[int, int, int]) -> Tuple[int, int,
 
 
 def _madd(p1: Tuple[int, int, int], p2: Tuple[int, int, int]) -> Tuple[int, int, int]:
-    """Mixed addition: ``p1`` Jacobian + ``p2`` affine (Z2 = 1),
-    madd-2007-bl — 3 field multiplications cheaper than :func:`_jadd`."""
+    """Mixed addition: ``p1`` Jacobian (not the identity) + ``p2``
+    affine (Z2 = 1) — 4 field multiplications cheaper than
+    :func:`_jadd`.  ``H`` and ``R`` stay unreduced (possibly negative):
+    they only feed products that are reduced anyway."""
     X1, Y1, Z1 = p1
     X2, Y2, _ = p2
-    Z1Z1 = Z1 * Z1 % P
-    U2 = X2 * Z1Z1 % P
-    S2 = Y2 * Z1 * Z1Z1 % P
-    H = (U2 - X1) % P
+    ZZ = Z1 * Z1 % P
+    H = X2 * ZZ % P - X1
+    R = Y2 * Z1 * ZZ % P - Y1
     if not H:
-        if S2 == Y1:
+        if not R:
             return _jdbl(p1)
         return _INF
     HH = H * H % P
-    I = 4 * HH % P
-    J = H * I % P
-    r = 2 * (S2 - Y1) % P
-    V = X1 * I % P
-    X3 = (r * r - J - 2 * V) % P
-    Y3 = (r * (V - X3) - 2 * Y1 * J) % P
-    Z3 = ((Z1 + H) * (Z1 + H) - Z1Z1 - HH) % P
-    return (X3, Y3, Z3)
+    HHH = HH * H % P
+    V = X1 * HH % P
+    X3 = (R * R - HHH - 2 * V) % P
+    return (X3, (R * (V - X3) - Y1 * HHH) % P, Z1 * H % P)
 
 
 def _jmul(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> Tuple[int, int, int]:
@@ -143,6 +145,11 @@ def _jmul(a: Tuple[int, int, int], b: Tuple[int, int, int]) -> Tuple[int, int, i
     if a[2] == 1:
         return _madd(b, a)
     return _jadd(a, b)
+
+
+def _jneg(pt: Tuple[int, int, int]) -> Tuple[int, int, int]:
+    """The inverse point: ``(X, -Y, Z)`` in any coordinates."""
+    return (pt[0], P - pt[1], pt[2])
 
 
 def _batch_to_affine(points: Sequence[Tuple[int, int, int]]) -> List[Tuple[int, int, int]]:
@@ -195,6 +202,8 @@ class JacobianOps:
     one = _INF
     mul = staticmethod(_jmul)
     sqr = staticmethod(_jdbl)
+    #: free inverses: fixed-base combs over these ops use signed digits
+    neg = staticmethod(_jneg)
 
     @staticmethod
     def finish_tables(rows: List[list]) -> List[list]:
@@ -209,23 +218,67 @@ class JacobianOps:
 JAC_OPS = JacobianOps()
 
 
-def _scalar_mult(point: Tuple[int, int, int], scalar: int) -> Tuple[int, int, int]:
-    """Generic 4-bit windowed scalar multiplication (uncached bases)."""
+def _wnaf(e: int) -> List[int]:
+    """Width-5 non-adjacent form of ``e >= 0``, least significant digit
+    first: odd digits in ``[-15, 15]``, each followed by at least four
+    zeros, so a 256-bit scalar has ~43 non-zero digits."""
+    digits = []
+    while e:
+        d = 0
+        if e & 1:
+            d = e & 31
+            if d > 16:
+                d -= 32
+            e -= d
+        digits.append(d)
+        e >>= 1
+    return digits
+
+
+def _scalar_mult_many(
+    points: Sequence[Tuple[int, int, int]], scalar: int
+) -> List[Tuple[int, int, int]]:
+    """``scalar * pt`` for every affine (or infinite) ``pt``, as Jacobian
+    points: the variable-base routine.
+
+    The scalar is recoded once (:func:`_wnaf`); every point's odd
+    multiples ``1P, 3P .. 15P`` are normalized to affine together with
+    one shared inversion, so the main loop is doublings plus mixed
+    additions."""
     e = scalar % N
-    if not e or not point[2]:
-        return _INF
-    # Digit table 1..15; built with mixed adds when the base is affine.
-    table = [_INF, point]
-    for _ in range(14):
-        table.append(_jmul(table[-1], point))
-    acc = _INF
-    for shift in range(e.bit_length() - e.bit_length() % 4, -4, -4):
-        if acc is not _INF:
-            acc = _jdbl(_jdbl(_jdbl(_jdbl(acc))))
-        digit = (e >> shift) & 0xF
-        if digit:
-            acc = _jmul(acc, table[digit])
-    return acc
+    live = [pt for pt in points if pt[2]]
+    if not e or not live:
+        return [_INF] * len(points)
+    digits = _wnaf(e)
+    odd: List[Tuple[int, int, int]] = []
+    for pt in live:
+        twice = _jdbl(pt)
+        odd.append(pt)
+        for _ in range(7):
+            pt = _jmul(pt, twice)
+            odd.append(pt)
+    odd = _batch_to_affine(odd)
+    # Top digit first.  It is positive, and a running multiple m < N of
+    # a point of prime order N is never the identity, so the chain can
+    # use the bare mixed addition (which handles acc == +-entry itself).
+    top = digits.pop() >> 1
+    digits.reverse()
+    out: List[Tuple[int, int, int]] = []
+    row = 0
+    for pt in points:
+        if not pt[2]:
+            out.append(_INF)
+            continue
+        acc = odd[row + top]
+        for d in digits:
+            acc = _jdbl(acc)
+            if d > 0:
+                acc = _madd(acc, odd[row + (d >> 1)])
+            elif d:
+                acc = _madd(acc, _jneg(odd[row + (-d >> 1)]))
+        out.append(acc)
+        row += 8
+    return out
 
 
 # -- the element and group classes ------------------------------------------
@@ -318,11 +371,11 @@ class EcPoint:
 
     def __pow__(self, exponent: int) -> "EcPoint":
         # Hot bases (g, group public keys) have a comb table on the
-        # group; everything else takes the generic windowed path.
+        # group; everything else takes the variable-base wNAF path.
         table = self.group._table_hit(self.value)
         if table is not None:
             return self.group._wrap_raw(table.pow(exponent))
-        return self.group._wrap_raw(_scalar_mult(self._jac(), exponent))
+        return self.group._wrap_raw(_scalar_mult_many([self._jac()], exponent)[0])
 
     def inverse(self) -> "EcPoint":
         if self.x is None:
@@ -388,6 +441,37 @@ class EcGroup(GroupBackend):
             return self.identity
         return EcPoint(self, affine[0], affine[1])
 
+    def _wrap_many(self, raws: Sequence[Tuple[int, int, int]]) -> List[EcPoint]:
+        """:meth:`_wrap_raw` for a list, sharing one field inversion."""
+        identity = self.identity
+        return [
+            EcPoint(self, pt[0], pt[1]) if pt[2] else identity
+            for pt in _batch_to_affine(raws)
+        ]
+
+    def pow_mul_many(self, base, scalars, elements) -> List[EcPoint]:
+        """Each comb chain starts from its element and stays Jacobian;
+        the whole list is normalized with one inversion.  A base enters
+        the table cache exactly when the per-element path would have
+        promoted it: ``g`` always, any other base once one call alone
+        uses it more than ``FIXED_PROMOTE_AFTER`` times."""
+        table = self._table_hit(base.value)
+        if table is None:
+            if base != self.g and len(scalars) <= self.FIXED_PROMOTE_AFTER:
+                return super().pow_mul_many(base, scalars, elements)
+            table = self.fixed_base(base)
+        return self._wrap_many(
+            [table.pow(s, el._jac()) for s, el in zip(scalars, elements)]
+        )
+
+    def div_pow_many(self, elements, bases, scalar: int) -> List[EcPoint]:
+        """One wNAF recoding and one shared table normalization for all
+        bases, one more inversion for all results."""
+        powers = _scalar_mult_many([b._jac() for b in bases], scalar)
+        return self._wrap_many(
+            [_jmul(_jneg(pw), el._jac()) for pw, el in zip(powers, elements)]
+        )
+
     def multiexp(self, bases, exponents, window: int = 0) -> EcPoint:
         """Straus multi-exponentiation in Jacobian coordinates."""
         jbases = [
@@ -417,6 +501,25 @@ class EcGroup(GroupBackend):
         if (y & 1) != (prefix & 1):
             y = P - y
         return EcPoint(self, x, y)
+
+    @property
+    def uncompressed_bytes(self) -> int:
+        return 64
+
+    def to_uncompressed(self, element: EcPoint) -> bytes:
+        """``x || y``, 32 bytes each; all zero (not a curve point) for
+        the identity."""
+        if element.x is None:
+            return bytes(64)
+        return ((element.x << 256) | element.y).to_bytes(64, "big")
+
+    def from_uncompressed(self, data) -> EcPoint:
+        """Invert :meth:`to_uncompressed` — no curve check, no square
+        root: only for bytes this process wrote itself."""
+        xy = int.from_bytes(data, "big")
+        if not xy:
+            return self.identity
+        return EcPoint(self, xy >> 256, xy & _XMASK)
 
     def element_from_affine(self, x: int, y: int) -> EcPoint:
         """Wrap affine coordinates, validating the curve equation."""

@@ -121,6 +121,21 @@ class AtomElGamal:
             Y=None,
         )
 
+    def rerandomize_many(
+        self,
+        public_key: GroupElement,
+        ciphertexts: Sequence[AtomCiphertext],
+        randomness: Sequence[int],
+    ) -> List[AtomCiphertext]:
+        """``[rerandomize(X, ct, randomness=r) for ct, r in ...]``
+        through the group's batch kernels."""
+        if any(ct.Y is not None for ct in ciphertexts):
+            raise ValueError("Shuffle requires Y = ⊥")
+        group = self.group
+        Rs = group.pow_mul_many(group.g, randomness, [ct.R for ct in ciphertexts])
+        cs = group.pow_mul_many(public_key, randomness, [ct.c for ct in ciphertexts])
+        return [AtomCiphertext(R, c) for R, c in zip(Rs, cs)]
+
     def shuffle(
         self,
         public_key: GroupElement,
@@ -144,10 +159,9 @@ class AtomElGamal:
                 j = _secrets.randbelow(i + 1)
                 perm[i], perm[j] = perm[j], perm[i]
         rands = [self.group.random_scalar(rng) for _ in range(n)]
-        shuffled = [
-            self.rerandomize(public_key, ciphertexts[perm[i]], randomness=rands[i])
-            for i in range(n)
-        ]
+        shuffled = self.rerandomize_many(
+            public_key, [ciphertexts[i] for i in perm], rands
+        )
         return shuffled, perm, rands
 
     # -- ReEnc (out-of-order decrypt-and-reencrypt) ------------------------
@@ -179,14 +193,26 @@ class AtomElGamal:
             Y=Y,
         )
 
-    def reencrypt_batch(
+    def reencrypt_many(
         self,
         secret: int,
         next_public_key: Optional[GroupElement],
-        batch: Sequence[AtomCiphertext],
+        ciphertexts: Sequence[AtomCiphertext],
         rng: Optional[DeterministicRng] = None,
     ) -> List[AtomCiphertext]:
-        return [self.reencrypt(secret, next_public_key, ct, rng) for ct in batch]
+        """``[reencrypt(x, X', ct, rng) for ct in ciphertexts]`` through
+        the group's batch kernels; randomness is drawn in list order,
+        exactly as that loop would."""
+        group = self.group
+        # Y = ⊥ marks a ciphertext entering the group: its R becomes Y.
+        Ys = [ct.R if ct.Y is None else ct.Y for ct in ciphertexts]
+        Rs = [group.identity if ct.Y is None else ct.R for ct in ciphertexts]
+        cs = group.div_pow_many([ct.c for ct in ciphertexts], Ys, secret)
+        if next_public_key is not None:
+            randomness = [group.random_scalar(rng) for _ in ciphertexts]
+            Rs = group.pow_mul_many(group.g, randomness, Rs)
+            cs = group.pow_mul_many(next_public_key, randomness, cs)
+        return [AtomCiphertext(R, c, Y) for R, c, Y in zip(Rs, cs, Ys)]
 
     # -- Convenience for tests / apps --------------------------------------
 

@@ -21,7 +21,10 @@ backends (see ``repro.crypto.groups``).  A backend supplies a tiny
   cheaper doubling (elliptic-curve points),
 - ``ops.finish_tables(rows)`` (optional) — post-process freshly built
   precomputation rows (the curve backend batch-normalizes Jacobian
-  entries to affine here so the hot loops use cheap mixed additions).
+  entries to affine here so the hot loops use cheap mixed additions),
+- ``ops.neg(a)`` (optional) — a *cheap* inverse (free on a curve:
+  ``(x, -y)``); its presence switches :class:`FixedBaseComb` to signed
+  digits.
 
 The Schnorr-group backend works on plain integers mod p
 (:class:`ModIntOps`); the P-256 backend works on Jacobian-coordinate
@@ -37,7 +40,9 @@ Algorithms (see DESIGN.md, "Fast-exponentiation layer"):
   ``j`` stores ``base^(d * 2^(w*j))`` for every digit ``d``; an
   exponentiation is then at most ``ceil(b/w)`` group operations and
   **zero** squarings, roughly a ``5-15x`` win over generic ``pow``
-  once the table is amortized.  :class:`FixedBaseExp` is its integer
+  once the table is amortized.  Where inverses are free the digits are
+  signed, which halves each row and buys a two-bit wider window for
+  about the same table.  :class:`FixedBaseExp` is its integer
   specialization with the modular multiply inlined.
 - :func:`multiexp_ops` — Straus/Shamir interleaved multi-exponentiation
   ``prod_i base_i^{e_i}``: one shared squaring chain for all bases plus
@@ -79,52 +84,68 @@ class FixedBaseComb:
     """Windowed fixed-base exponentiation table over abstract group ops.
 
     Exponents are reduced modulo ``order`` (the group order ``q``),
-    matching ``GroupElement.__pow__``.  Table size is
-    ``ceil(bits(order)/w) * 2^w`` elements; building it costs about the
-    same as six generic exponentiations, so it pays for itself almost
-    immediately on a hot base.
+    matching ``GroupElement.__pow__``.  Without ``ops.neg`` the table
+    holds ``ceil(bits/w)`` rows of digits ``1 .. 2^w - 1``.  With it
+    the digits are recoded to ``-2^(w-1) < d <= 2^(w-1)``: a row keeps
+    only ``1 .. 2^(w-1)``, a digit above that borrows ``2^w`` from the
+    next window and uses the negated entry, and the window is two bits
+    wider (``floor(bits/w) + 1`` rows — the extra row takes the final
+    borrow when ``w`` divides ``bits``).  Building either table costs
+    about as much as six generic exponentiations, so it pays for itself
+    almost immediately on a hot base.
     """
 
-    __slots__ = ("ops", "order", "base", "window", "_table")
+    __slots__ = ("ops", "order", "base", "window", "_table", "_neg")
 
     def __init__(self, ops, order: int, base, window: int = 0):
         self.ops = ops
         self.order = order
         self.base = base
-        self.window = window or auto_window(order.bit_length())
-        w = self.window
-        radix = 1 << w
-        blocks = (order.bit_length() + w - 1) // w
+        self._neg = neg = getattr(ops, "neg", None)
+        bits = order.bit_length()
+        self.window = w = window or auto_window(bits) + (2 if neg else 0)
+        if neg is None:
+            top, blocks = (1 << w) - 1, (bits + w - 1) // w
+        else:
+            top, blocks = 1 << (w - 1), bits // w + 1
         mul = ops.mul
         one = ops.one
         table: List[list] = []
         b = base
         for _ in range(blocks):
-            row = [one] * radix
-            row[1] = b
-            for d in range(2, radix):
-                row[d] = mul(row[d - 1], b)
+            row = [one, b]
+            for _ in range(top - 1):
+                row.append(mul(row[-1], b))
             table.append(row)
-            b = mul(row[radix - 1], b)  # b^(2^w): next window's base
+            # b^(2^w), the next window's base: one past the last digit,
+            # or twice the largest signed one
+            b = mul(row[top], b if neg is None else row[top])
         finish = getattr(ops, "finish_tables", None)
         if finish is not None:
             table = finish(table)
         self._table = table
 
-    def pow(self, exponent: int):
-        """``base^exponent`` with the exponent reduced mod ``order``."""
+    def pow(self, exponent: int, acc=None):
+        """``acc * base^exponent`` (``acc`` defaults to the identity) in
+        the ops' raw representation, exponent reduced mod ``order``."""
         e = exponent % self.order
         mul = self.ops.mul
-        acc = self.ops.one
+        neg = self._neg
+        if acc is None:
+            acc = self.ops.one
         w = self.window
         mask = (1 << w) - 1
+        half = mask if neg is None else 1 << (w - 1)
         table = self._table
         block = 0
         while e:
             digit = e & mask
-            if digit:
-                acc = mul(acc, table[block][digit])
             e >>= w
+            if digit > half:  # signed tables only: borrow 2^w
+                e += 1
+                acc = mul(acc, neg(table[block][mask + 1 - digit]))
+            elif digit:
+                acc = mul(acc, table[block][digit])
             block += 1
         return acc
 
@@ -146,10 +167,9 @@ class FixedBaseExp(FixedBaseComb):
         self.modulus = modulus
         super().__init__(ModIntOps(modulus), order, base, window)
 
-    def pow(self, exponent: int) -> int:
-        """``base^exponent mod modulus`` with exponent reduced mod order."""
+    def pow(self, exponent: int, acc: int = 1) -> int:
+        """``acc * base^exponent mod modulus``, exponent reduced mod order."""
         e = exponent % self.order
-        acc = 1
         w = self.window
         mask = (1 << w) - 1
         modulus = self.modulus

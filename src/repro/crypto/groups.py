@@ -187,8 +187,12 @@ class GroupBackend:
     integers.
 
     This base class supplies the shared machinery: scalar sampling,
-    Fiat-Shamir hashing, chunked message encoding, and the fixed-base
-    table cache with its LRU/promotion policy.
+    Fiat-Shamir hashing, chunked message encoding, the fixed-base
+    table cache with its LRU/promotion policy, and per-element defaults
+    for the batch kernels (``pow_mul_many`` / ``div_pow_many``) and the
+    uncompressed element codec, which a backend overrides when a list
+    can share work (the curve backend: one inversion per list, no
+    square root per decode).
     """
 
     #: fixed-base tables kept at most this many per group (a MODP2048
@@ -267,6 +271,45 @@ class GroupBackend:
             self._fixed_counts.clear()
         self._fixed_counts[value] = seen
         return base ** exponent
+
+    # -- batch kernels (one mixing step over many ciphertext parts) ----
+    #
+    # Defaults loop over the single-element operations above; a backend
+    # whose results need a per-element normalization (an inversion per
+    # curve point) overrides them to share it across the list.
+
+    def pow_mul_many(self, base, scalars, elements) -> list:
+        """``[base^s * el for s, el in zip(scalars, elements)]`` for a
+        hot ``base`` (the generator or a group public key) — the
+        rerandomization kernel."""
+        if base == self.g:
+            return [self.g_pow(s) * el for s, el in zip(scalars, elements)]
+        pow_cached = self.pow_cached
+        return [pow_cached(base, s) * el for s, el in zip(scalars, elements)]
+
+    def div_pow_many(self, elements, bases, scalar: int) -> list:
+        """``[el / b^scalar for el, b in zip(elements, bases)]`` for
+        arbitrary ``bases`` and one ``scalar`` — the decryption kernel
+        (a server strips its layer from many ciphertexts at once)."""
+        return [el / b ** scalar for el, b in zip(elements, bases)]
+
+    # -- uncompressed element codec ------------------------------------
+    #
+    # A fixed-width encoding that decodes without arithmetic, for
+    # buffers a process writes and reads back itself (the mix step's
+    # working buffers).  Never a wire format: ``from_uncompressed``
+    # trusts its input.  Here it is simply ``to_bytes``; the curve
+    # backend stores both coordinates to skip the square root.
+
+    @property
+    def uncompressed_bytes(self) -> int:
+        return self.element_bytes
+
+    def to_uncompressed(self, element) -> bytes:
+        return element.to_bytes()
+
+    def from_uncompressed(self, data):
+        return self.element(int.from_bytes(data, "big"))
 
     # -- randomness ---------------------------------------------------
 

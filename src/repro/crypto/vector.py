@@ -87,7 +87,7 @@ def reencrypt_vector(
 ) -> CiphertextVector:
     """Element-wise out-of-order ReEnc."""
     return CiphertextVector(
-        tuple(scheme.reencrypt(secret, next_public_key, p, rng) for p in vector.parts)
+        tuple(scheme.reencrypt_many(secret, next_public_key, vector.parts, rng))
     )
 
 
@@ -104,10 +104,7 @@ def rerandomize_vector(
     if len(randomness) != len(vector.parts):
         raise ValueError("randomness arity mismatch")
     return CiphertextVector(
-        tuple(
-            scheme.rerandomize(public_key, p, randomness=r)
-            for p, r in zip(vector.parts, randomness)
-        )
+        tuple(scheme.rerandomize_many(public_key, vector.parts, randomness))
     )
 
 
@@ -128,13 +125,18 @@ def shuffle_vectors(
         for i in range(n - 1, 0, -1):
             j = _secrets.randbelow(i + 1)
             perm[i], perm[j] = perm[j], perm[i]
-    rands = [
-        [scheme.group.random_scalar(rng) for _ in vectors[perm[i]].parts]
-        for i in range(n)
-    ]
+    sources = [vectors[i] for i in perm]
+    rands = [[scheme.group.random_scalar(rng) for _ in vec.parts] for vec in sources]
+    # One kernel call over every part of every vector, cut back to size.
+    parts = iter(
+        scheme.rerandomize_many(
+            public_key,
+            [part for vec in sources for part in vec.parts],
+            [r for vec_rands in rands for r in vec_rands],
+        )
+    )
     shuffled = [
-        rerandomize_vector(scheme, public_key, vectors[perm[i]], rands[i])
-        for i in range(n)
+        CiphertextVector(tuple(next(parts) for _ in vec.parts)) for vec in sources
     ]
     return shuffled, perm, rands
 

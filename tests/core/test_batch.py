@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.batch import (
     BatchFormatError,
     CiphertextBatch,
+    PartBuffer,
     encode_vector_records,
     vector_fingerprint,
 )
@@ -158,6 +159,27 @@ class TestRoundTrip:
             grown.extend(view)
             grown.append(flat[0])
             assert list(grown) == flat + [flat[0]]
+
+    @COMMON
+    @given(data=st.data())
+    def test_part_buffer_round_trip(self, backend, data):
+        # mix_batch's uncompressed working buffer: wire batch -> parts
+        # -> PartBuffer -> parts (any vector order) -> wire batch loses
+        # nothing, through the load/store shape both buffers share.
+        vectors = data.draw(vectors_st(backend))
+        batch = CiphertextBatch.from_vectors(get_group(backend), vectors)
+        order = list(reversed(range(len(vectors))))
+        parts, counts = batch.load(order)
+        assert counts == [len(vectors[i].parts) for i in order]
+        assert parts == [part for i in order for part in vectors[i].parts]
+        work = PartBuffer(batch.group)
+        work.store(parts, counts)
+        assert len(work) == len(vectors)
+        assert [work.parts_count(i) for i in range(len(work))] == counts
+        assert work.load(order) == batch.load(range(len(vectors)))
+        again = CiphertextBatch(batch.group)
+        again.store(*work.load(order))
+        assert again == batch
 
     @COMMON
     @given(data=st.data())

@@ -71,6 +71,24 @@ class TestPadRoundBasic:
         assert len(set(counts.values())) == 1
         assert next(iter(counts.values())) % beta == 0
 
+    @pytest.mark.parametrize("variant", ["basic", "nizk"])
+    @pytest.mark.parametrize("message_size", [1, 8, 12])
+    def test_short_messages_leave_room_for_a_dummy(self, variant, message_size):
+        # Regression: 6 users x 8-byte messages used to die mid-round in
+        # pad_round ("payload of 13 bytes does not fit in 13 bytes").
+        dep = AtomDeployment(
+            config(variant=variant, message_size=message_size, nizk_rounds=4)
+        )
+        assert dep.spec.payload_size >= 4 + 1 + fmt.DUMMY_NONCE_BYTES
+        rnd = dep.start_round(0)
+        msgs = [bytes([65 + i]) * message_size for i in range(6)]
+        for i, m in enumerate(msgs):
+            dep.submit_plain(rnd, m, entry_gid=i % 2)
+        assert dep.pad_round(rnd) == 2
+        result = dep.run_round(rnd)
+        assert result.ok
+        assert sorted(result.messages) == sorted(msgs)
+
     def test_nizk_variant_padding(self):
         dep = AtomDeployment(config(variant="nizk", nizk_rounds=4, iterations=2))
         rnd = dep.start_round(0)

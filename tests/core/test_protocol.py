@@ -110,6 +110,42 @@ class TestSubmissionValidation:
         with pytest.raises(ValueError):
             dep._accept(rnd, 0, [sub], None)
 
+    def test_forged_proof_rejected_by_the_entry_node(self, monkeypatch):
+        """The entry node is the only EncProof verifier: a pair whose
+        proofs belong to other ciphertexts is refused there, and an
+        honest pair is verified exactly once per part."""
+        import repro.core.client as client_module
+        from repro.core.client import Submission
+
+        dep = AtomDeployment(small_config(variant="trap"))
+        rnd = dep.start_round(0)
+        client = Client(dep.group)
+        args = (
+            rnd.contexts[0].public_key, rnd.trustees.public_key,
+            0, dep.spec.payload_size, dep.config.message_size,
+        )
+        sub, _ = client.prepare_trap_pair(b"evil", *args)
+        first, second = sub.pair
+        forged = TrapSubmission(
+            pair=(Submission(first.vector, second.proofs), second),
+            trap_commitment=sub.trap_commitment,
+            gid=0,
+        )
+        with pytest.raises(ValueError, match="EncProof"):
+            dep.inject_trap_submission(rnd, 0, forged)
+        assert not rnd.holdings[0] and not rnd.trap_submissions
+
+        calls = []
+        verify = client_module.verify_encryption
+
+        def counting(*args):
+            calls.append(1)
+            return verify(*args)
+
+        monkeypatch.setattr(client_module, "verify_encryption", counting)
+        dep.submit_trap(rnd, b"ok", entry_gid=0)
+        assert len(calls) == 2 * dep.spec.elements_per_message
+
     def test_wrong_variant_submission(self):
         dep = AtomDeployment(small_config(variant="trap"))
         rnd = dep.start_round(0)

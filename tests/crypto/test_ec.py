@@ -7,8 +7,11 @@ cannot hide behind itself.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.ec import (
+    _INF,
     B,
     GX,
     GY,
@@ -20,8 +23,11 @@ from repro.crypto.ec import (
     _batch_to_affine,
     _jdbl,
     _jmul,
+    _jneg,
+    _scalar_mult_many,
     _to_affine,
 )
+from repro.crypto.fastexp import FixedBaseComb, ModIntOps
 from repro.crypto.groups import DeterministicRng, EncodingError, get_group
 
 GROUP = get_group("P256")
@@ -61,9 +67,10 @@ def _ref_add(p1, p2):
     return (x3, (lam * (x1 - x3) - y1) % P)
 
 
-def _ref_mult(k):
-    """Double-and-add reference scalar multiplication of the generator."""
-    acc, addend = None, (GX, GY)
+def _ref_mult(k, base=(GX, GY)):
+    """Double-and-add reference scalar multiplication (of the generator
+    unless another affine ``base`` — or ``None``, the identity — is given)."""
+    acc, addend = None, base
     while k:
         if k & 1:
             acc = _ref_add(acc, addend)
@@ -125,6 +132,163 @@ class TestPointArithmetic:
         normalized = _batch_to_affine(jacs)
         for jac, norm in zip(jacs, normalized):
             assert _to_affine(jac) == _to_affine(norm)
+
+
+EDGE_SCALARS = [0, 1, 2, 15, 16, 17, 31, 32, 33, N - 1, N, N + 1, 2 ** 256 - 1]
+scalars = st.one_of(st.sampled_from(EDGE_SCALARS), st.integers(0, 2 ** 256 - 1))
+kernel_settings = settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+#: an affine point that is not the generator, plus its Jacobian form
+_Q = _ref_mult(0xC0FFEE)
+_QJ = (_Q[0], _Q[1], 1)
+_Q_COMB = FixedBaseComb(JAC_OPS, N, _QJ)
+_G_COMB = FixedBaseComb(JAC_OPS, N, (GX, GY, 1))
+
+
+class TestSignedComb:
+    """The signed-digit fixed-base comb against double-and-add."""
+
+    def test_table_shape(self):
+        # 256-bit order, w = 6: 256 // 6 + 1 rows of digits 1..32 (+ the
+        # unused 0 slot), every entry affine after finish_tables.
+        assert _G_COMB.window == 6
+        assert len(_G_COMB._table) == 43
+        assert all(len(row) == 33 for row in _G_COMB._table)
+        assert all(pt[2] == 1 for row in _G_COMB._table for pt in row[1:])
+
+    @given(scalars)
+    @kernel_settings
+    def test_matches_reference(self, k):
+        assert _to_affine(_G_COMB.pow(k)) == _ref_mult(k % N)
+        assert _to_affine(_Q_COMB.pow(k)) == _ref_mult(k % N, _Q)
+
+    @given(scalars, st.integers(0, N - 1))
+    @kernel_settings
+    def test_accumulator_is_multiplied_in(self, k, a):
+        acc = _ref_mult(a)
+        start = _INF if acc is None else (acc[0], acc[1], 1)
+        assert _to_affine(_G_COMB.pow(k, start)) == _ref_mult((a + k) % N)
+
+    @pytest.mark.parametrize("block", [0, 1, 42])
+    @pytest.mark.parametrize("digit", [1, 31, 32, 33, 63])
+    def test_accumulator_equal_to_plus_or_minus_the_entry(self, block, digit):
+        # The first addition hits acc == +-entry: the H == 0 branches of
+        # the mixed addition (doubling, and cancellation to identity).
+        k = (digit << (6 * block)) % N
+        point = _ref_mult(k)
+        jac = (point[0], point[1], 1)
+        assert _to_affine(_G_COMB.pow(k, jac)) == _ref_mult(2 * k % N)
+        assert _to_affine(_G_COMB.pow(k, _jneg(jac))) is None
+
+    def test_known_multiples_through_the_comb(self):
+        fresh = EcGroup()
+        for k, xy in KNOWN_MULTIPLES.items():
+            point = fresh.g_pow(k)
+            assert (point.x, point.y) == xy
+
+    @pytest.mark.parametrize("window", [3, 7, 9])
+    def test_generic_signed_recoding_and_carry_row(self, window):
+        # Any ops with a ``neg`` get signed digits.  TOY's order has 63
+        # bits, so w in (3, 7, 9) divides it and the final borrow lands
+        # in the extra row.
+        toy = get_group("TOY")
+
+        class SignedModOps(ModIntOps):
+            def neg(self, a):
+                return pow(a, -1, self.modulus)
+
+        table = FixedBaseComb(SignedModOps(toy.p), toy.q, toy.params.g, window)
+        assert len(table._table) == 63 // window + 1
+        assert len(table._table[0]) == (1 << (window - 1)) + 1
+        for e in (0, 1, toy.q - 1, toy.q, (1 << 63) - 1, 0x5A5A5A5A5A5A5A5A):
+            assert table.pow(e) == pow(toy.params.g, e % toy.q, toy.p)
+            assert table.pow(e, 5) == 5 * pow(toy.params.g, e % toy.q, toy.p) % toy.p
+
+
+class TestVariableBase:
+    """``_scalar_mult_many`` (width-5 wNAF, shared table normalization)
+    in list and single form."""
+
+    @given(scalars)
+    @kernel_settings
+    def test_single_matches_reference(self, k):
+        (out,) = _scalar_mult_many([_QJ], k)
+        assert _to_affine(out) == _ref_mult(k % N, _Q)
+
+    @given(scalars)
+    @kernel_settings
+    def test_list_mixing_affine_identity_and_repeats(self, k):
+        minus_q = _jneg(_QJ)
+        points = [_QJ, _INF, (GX, GY, 1), _QJ, minus_q, _INF]
+        expected = [_Q, None, (GX, GY), _Q, (_Q[0], P - _Q[1]), None]
+        got = _scalar_mult_many(points, k)
+        assert [_to_affine(pt) for pt in got] == [
+            _ref_mult(k % N, base) for base in expected
+        ]
+
+    def test_empty_and_all_identity(self):
+        assert _scalar_mult_many([], 5) == []
+        assert _scalar_mult_many([_INF, _INF], 5) == [_INF, _INF]
+
+    def test_known_multiples_through_wnaf(self):
+        fresh = EcGroup()  # no table for g: ``**`` takes the wNAF path
+        for k, xy in KNOWN_MULTIPLES.items():
+            point = fresh.g ** k
+            assert (point.x, point.y) == xy
+        assert fresh._fixed_cache == {}
+
+    @given(scalars)
+    @kernel_settings
+    def test_point_pow_matches_reference(self, k):
+        point = EcPoint(GROUP, *_Q) ** k
+        expected = _ref_mult(k % N, _Q)
+        assert (point.x, point.y) == (expected or (None, None))
+
+
+class TestBatchKernels:
+    """``EcGroup.pow_mul_many`` / ``div_pow_many`` equal the generic
+    per-element defaults they override."""
+
+    def _elements(self, seed):
+        rng = DeterministicRng(seed)
+        return [GROUP.random_element(rng) for _ in range(4)] + [GROUP.identity]
+
+    def test_pow_mul_many(self):
+        rng = DeterministicRng(b"ec-pow-mul")
+        elements = self._elements(b"ec-pow-mul-el")
+        scalars_ = [0, N - 1] + [GROUP.random_scalar(rng) for _ in range(3)]
+        for base in (GROUP.g, GROUP.random_element(rng)):
+            got = GROUP.pow_mul_many(base, scalars_, elements)
+            assert got == [base ** s * el for s, el in zip(scalars_, elements)]
+
+    def test_pow_mul_many_promotes_like_pow_cached(self):
+        fresh = EcGroup()
+        base = fresh.g ** 7
+        few = [3, 4]
+        assert fresh.pow_mul_many(base, few, [fresh.g, fresh.g]) == [
+            base ** 3 * fresh.g, base ** 4 * fresh.g
+        ]
+        assert base.value not in fresh._fixed_cache  # 2 uses: counted, not built
+        fresh.pow_mul_many(base, [5, 6, 7], [fresh.g] * 3)
+        assert base.value in fresh._fixed_cache
+        fresh.pow_mul_many(fresh.g, [1], [fresh.identity])
+        assert fresh.g.value in fresh._fixed_cache  # g: always
+
+    def test_div_pow_many(self):
+        elements = self._elements(b"ec-div-el")
+        bases = self._elements(b"ec-div-base")
+        bases[1] = bases[0]  # repeated base
+        for scalar in (0, 1, N - 1, 0xDEADBEEF << 200):
+            got = GROUP.div_pow_many(elements, bases, scalar)
+            assert got == [el / b ** scalar for el, b in zip(elements, bases)]
+
+    def test_uncompressed_round_trip(self):
+        for el in self._elements(b"ec-raw"):
+            raw = GROUP.to_uncompressed(el)
+            assert len(raw) == GROUP.uncompressed_bytes == 64
+            assert GROUP.from_uncompressed(raw) == el
 
 
 class TestSerialization:

@@ -171,7 +171,7 @@ class TestOutOfOrderReEnc:
         kp, kp2 = scheme.keygen(), scheme.keygen()
         ms = [toy_group.encode(bytes([i])) for i in range(5)]
         cts = [scheme.encrypt(kp.public, m)[0] for m in ms]
-        out = scheme.reencrypt_batch(kp.secret, kp2.public, cts)
+        out = scheme.reencrypt_many(kp.secret, kp2.public, cts)
         out = [ct.with_y_bot() for ct in out]
         got = [scheme.decrypt(kp2.secret, ct) for ct in out]
         assert got == ms
