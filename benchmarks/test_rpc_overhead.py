@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import print_table
+from conftest import paired_best, print_table
 from repro.core import AtomDeployment, Client, DeploymentConfig
 from repro.crypto.groups import DeterministicRng
 from repro.net.envelopes import COORDINATOR, CommitLayer, wrap
@@ -61,15 +61,6 @@ def _run_round(resilience: bool) -> None:
         assert result.ok and len(result.messages) == 8
 
 
-def _best_of(fn, repeat: int) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 class _SinkTransport(Transport):
     """Absorbs requests instantly: isolates the wrapper's own cost."""
 
@@ -87,14 +78,16 @@ class _SinkTransport(Transport):
 
 @pytest.mark.slow
 def test_rpc_overhead(benchmark):
-    # Warm both paths (fixed-base tables, imports) before timing;
-    # best-of-5 min-vs-min cancels scheduler noise on 1-CPU runners
-    # (same protocol as the wal_overhead benchmark).
+    # Warm both paths (fixed-base tables, imports) before timing, then
+    # compare interleaved best-of-5 minima (conftest.paired_best).
     _run_round(resilience=False)
     _run_round(resilience=True)
 
-    bare_s = _best_of(lambda: _run_round(resilience=False), 5)
-    rpc_s = _best_of(lambda: _run_round(resilience=True), 5)
+    rpc_s, bare_s = paired_best(
+        lambda: _run_round(resilience=True),
+        lambda: _run_round(resilience=False),
+        OVERHEAD_LIMIT,
+    )
     ratio = rpc_s / bare_s
 
     # Raw wrapper cost per request on the success path (no retries).

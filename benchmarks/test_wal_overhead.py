@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import print_table
+from conftest import paired_best, print_table
 from repro.core import AtomDeployment, Client, DeploymentConfig
 from repro.crypto.groups import DeterministicRng
 from repro.store.segments import LogDir
@@ -60,28 +60,17 @@ def _run_round(state_dir=None) -> None:
         assert result.ok and len(result.messages) == 8
 
 
-def _best_of(fn, repeat: int) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 @pytest.mark.slow
 def test_wal_overhead(benchmark, tmp_path_factory):
-    # Warm both paths (fixed-base tables, imports) before timing;
-    # best-of-5 min-vs-min cancels scheduler noise on 1-CPU runners
-    # (same protocol as the envelope_overhead benchmark).
+    # Warm both paths (fixed-base tables, imports) before timing, then
+    # compare interleaved best-of-5 minima (conftest.paired_best).
     _run_round()
     _run_round(tmp_path_factory.mktemp("warm"))
 
     def store_round():
         _run_round(tmp_path_factory.mktemp("wal"))
 
-    null_s = _best_of(_run_round, 5)
-    store_s = _best_of(store_round, 5)
+    store_s, null_s = paired_best(store_round, _run_round, OVERHEAD_LIMIT)
     ratio = store_s / null_s
 
     # Absolute log footprint + raw append cost of one durable round

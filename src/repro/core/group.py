@@ -37,12 +37,13 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.server import AtomServer, Behavior
 from repro.crypto.elgamal import AtomElGamal, ElGamalKeyPair
 from repro.crypto.groups import DeterministicRng, Group, GroupElement
-from repro.crypto.nizk import prove_reencryption, verify_reencryption
+from repro.crypto.nizk import ReEncryptor
 from repro.crypto.secret_sharing import DvssProtocol
 from repro.crypto.threshold import ThresholdElGamal
 from repro.crypto.vector import (
     CiphertextVector,
     VectorShuffleProof,
+    cut_like,
     prove_vector_shuffle,
     reencrypt_vector,
     shuffle_vectors,
@@ -213,33 +214,8 @@ class GroupContext:
                 f"into {beta} batches"
             )
 
-        current = list(vectors)
-
         # Step 1 — Shuffle, each participant in order (Algorithm 1/2, step 1).
-        for position in participants:
-            server = self.servers[position]
-            shuffled, perm, rands = shuffle_vectors(
-                self.scheme, self.public_key, current, rng
-            )
-            if verify:
-                proof = prove_vector_shuffle(
-                    self.scheme, self.public_key, current, shuffled, perm, rands,
-                    rounds=self.nizk_rounds, rng=rng,
-                )
-                audit.shuffles_proved += 1
-                audit.bytes_sent += proof.size_bytes
-            tampered = self._maybe_tamper_shuffle(server, shuffled, audit)
-            if verify:
-                # Every other member verifies the (possibly tampered) output.
-                ok = verify_vector_shuffle(
-                    self.scheme, self.public_key, current, tampered, proof,
-                    rounds=self.nizk_rounds,
-                )
-                audit.shuffles_verified += len(participants) - 1
-                if not ok:
-                    raise ProtocolAbort(self.gid, server.server_id, "shuffle")
-                audit.final_shuffle_proof = proof
-            current = tampered
+        current = self._shuffle_in_turn(list(vectors), participants, audit, rng, verify)
 
         # Step 2 — Divide (Algorithm 1/2, step 2).
         batches = route_batches(current, beta)
@@ -384,6 +360,43 @@ class GroupContext:
             audit.bytes_sent += part.size_bytes_total()
         return outgoing, audit
 
+    def _shuffle_in_turn(
+        self,
+        current: List[CiphertextVector],
+        participants: Sequence[int],
+        audit: MixAudit,
+        rng: Optional[DeterministicRng],
+        verify: bool,
+    ) -> List[CiphertextVector]:
+        """Step 1 of Algorithm 1/2: each participant shuffles in order;
+        with ``verify`` every shuffle carries a vector ShufProof that
+        the other members check."""
+        for position in participants:
+            server = self.servers[position]
+            shuffled, perm, rands = shuffle_vectors(
+                self.scheme, self.public_key, current, rng
+            )
+            if verify:
+                proof = prove_vector_shuffle(
+                    self.scheme, self.public_key, current, shuffled, perm, rands,
+                    rounds=self.nizk_rounds, rng=rng,
+                )
+                audit.shuffles_proved += 1
+                audit.bytes_sent += proof.size_bytes
+            tampered = self._maybe_tamper_shuffle(server, shuffled, audit)
+            if verify:
+                # Every other member verifies the (possibly tampered) output.
+                ok = verify_vector_shuffle(
+                    self.scheme, self.public_key, current, tampered, proof,
+                    rounds=self.nizk_rounds,
+                )
+                audit.shuffles_verified += len(participants) - 1
+                if not ok:
+                    raise ProtocolAbort(self.gid, server.server_id, "shuffle")
+                audit.final_shuffle_proof = proof
+            current = tampered
+        return current
+
     def mix_with_reenc_proofs(
         self,
         vectors: Sequence[CiphertextVector],
@@ -392,10 +405,14 @@ class GroupContext:
     ) -> Tuple[List[List[CiphertextVector]], MixAudit]:
         """Algorithm 2 with explicit per-step ReEnc proofs.
 
-        A slower, fully verified path used by the NIZK variant: each
+        The fully verified path used by the NIZK variant: each
         participant's ReEnc of each ciphertext part is proved with a
-        Chaum-Pedersen NIZK and verified by the other members.  Shuffle
-        proofs are as in :meth:`mix`.
+        Chaum-Pedersen NIZK, and the other members check a
+        participant's whole step as one identity
+        (:class:`~repro.crypto.nizk.ReEncryptor`).  Shuffle proofs are
+        as in :meth:`mix`.  The round's ``rng`` is drawn exactly as a
+        per-part loop would draw it; verifier weights come from
+        ``secrets``.
         """
         audit = MixAudit(gid=self.gid)
         participants = self.participants()
@@ -403,68 +420,36 @@ class GroupContext:
         if len(vectors) % beta:
             raise ValueError("ciphertexts do not divide into batches")
 
-        current = list(vectors)
-
         # Step 1 — verified shuffles.
-        for position in participants:
-            server = self.servers[position]
-            shuffled, perm, rands = shuffle_vectors(
-                self.scheme, self.public_key, current, rng
-            )
-            proof = prove_vector_shuffle(
-                self.scheme, self.public_key, current, shuffled, perm, rands,
-                rounds=self.nizk_rounds, rng=rng,
-            )
-            audit.shuffles_proved += 1
-            audit.bytes_sent += proof.size_bytes
-            tampered = self._maybe_tamper_shuffle(server, shuffled, audit)
-            ok = verify_vector_shuffle(
-                self.scheme, self.public_key, current, tampered, proof,
-                rounds=self.nizk_rounds,
-            )
-            audit.shuffles_verified += len(participants) - 1
-            if not ok:
-                raise ProtocolAbort(self.gid, server.server_id, "shuffle")
-            audit.final_shuffle_proof = proof
-            current = tampered
+        current = self._shuffle_in_turn(list(vectors), participants, audit, rng, True)
 
         # Step 2 — divide.
         batches = route_batches(current, beta)
 
-        # Step 3 — proved ReEnc.
-        for index, position in enumerate(participants):
+        # Step 3 — proved ReEnc, one kernel call per participant.
+        reencryptor = ReEncryptor(self.group)
+        for position in participants:
             server = self.servers[position]
             secret = self.effective_secret(position, participants)
-            server_public = self.group.g ** secret
-            last = index == len(participants) - 1
-            new_batches = []
-            for batch, next_key in zip(batches, next_keys):
-                out_batch = []
-                for vec in batch:
-                    out_parts = []
-                    for part in vec.parts:
-                        r = (
-                            None
-                            if next_key is None
-                            else self.group.random_scalar(rng)
-                        )
-                        after = self.scheme.reencrypt(secret, next_key, part, randomness=r)
-                        proof = prove_reencryption(
-                            self.group, secret, r, next_key, part, after
-                        )
-                        audit.reencs_proved += 1
-                        audit.bytes_sent += proof.size_bytes
-                        if not verify_reencryption(
-                            self.group, server_public, next_key, part, after, proof
-                        ):
-                            raise ProtocolAbort(self.gid, server.server_id, "reenc")
-                        audit.reencs_verified += len(participants) - 1
-                        out_parts.append(after)
-                    out_batch.append(CiphertextVector(tuple(out_parts)))
-                new_batches.append(out_batch)
-            batches = new_batches
-            if last and next_keys[0] is not None:
-                batches = [[vec.with_y_bot() for vec in batch] for batch in batches]
+            step = [
+                (next_key, [part for vec in batch for part in vec.parts])
+                for batch, next_key in zip(batches, next_keys)
+            ]
+            outputs, proofs = reencryptor.reencrypt_and_prove(secret, step, rng)
+            count = sum(len(parts) for _, parts in step)
+            audit.reencs_proved += count
+            audit.bytes_sent += sum(
+                proof.size_bytes for batch_proofs in proofs for proof in batch_proofs
+            )
+            if not reencryptor.verify_batch(
+                self.group.g_pow(secret), step, outputs, proofs
+            ):
+                raise ProtocolAbort(self.gid, server.server_id, "reenc")
+            audit.reencs_verified += (len(participants) - 1) * count
+            batches = [cut_like(batch, parts) for batch, parts in zip(batches, outputs)]
+        if next_keys[0] is not None:
+            # Appendix A: the last server sets Y' = ⊥ before forwarding.
+            batches = [[vec.with_y_bot() for vec in batch] for batch in batches]
 
         # A tampering server cannot forge the ReEnc proof, so under this
         # path tampering surfaces as an abort above; outgoing tampering

@@ -25,7 +25,8 @@ arithmetic:
   cheaper Jacobian+affine formulas.
 - ``a = -3`` doubling shortcut (standard for the NIST curves).
 - **Free negation** (``JacobianOps.neg``) gives the fixed-base comb
-  signed digits: 43 mixed additions per exponentiation.
+  signed digits (43 mixed additions per exponentiation) and the Straus
+  chain wNAF digits over 4-entry tables.
 - **One variable-base routine**, :func:`_scalar_mult_many`: width-5
   wNAF recoded once per scalar, odd-multiple tables of all bases in a
   call normalized together.  ``EcPoint.__pow__`` is its list-of-one.
@@ -51,7 +52,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.crypto.fastexp import FixedBaseComb, jacobi, multiexp_ops
+from repro.crypto.fastexp import (
+    FixedBaseComb,
+    jacobi,
+    multiexp_ops,
+    odd_multiples,
+    wnaf,
+)
 from repro.crypto.groups import EncodingError, GroupBackend
 
 # -- curve constants (SEC2 / FIPS 186-4, secp256r1) -------------------------
@@ -202,7 +209,8 @@ class JacobianOps:
     one = _INF
     mul = staticmethod(_jmul)
     sqr = staticmethod(_jdbl)
-    #: free inverses: fixed-base combs over these ops use signed digits
+    #: free inverses: combs and Straus chains over these ops use signed
+    #: digits
     neg = staticmethod(_jneg)
 
     @staticmethod
@@ -218,51 +226,34 @@ class JacobianOps:
 JAC_OPS = JacobianOps()
 
 
-def _wnaf(e: int) -> List[int]:
-    """Width-5 non-adjacent form of ``e >= 0``, least significant digit
-    first: odd digits in ``[-15, 15]``, each followed by at least four
-    zeros, so a 256-bit scalar has ~43 non-zero digits."""
-    digits = []
-    while e:
-        d = 0
-        if e & 1:
-            d = e & 31
-            if d > 16:
-                d -= 32
-            e -= d
-        digits.append(d)
-        e >>= 1
-    return digits
-
-
 def _scalar_mult_many(
     points: Sequence[Tuple[int, int, int]], scalar: int
 ) -> List[Tuple[int, int, int]]:
     """``scalar * pt`` for every affine (or infinite) ``pt``, as Jacobian
     points: the variable-base routine.
 
-    The scalar is recoded once (:func:`_wnaf`); every point's odd
-    multiples ``1P, 3P .. 15P`` are normalized to affine together with
-    one shared inversion, so the main loop is doublings plus mixed
-    additions."""
+    The scalar is recoded once (width-5
+    :func:`~repro.crypto.fastexp.wnaf`: ~43 non-zero digits in 257);
+    every point's odd multiples ``1P, 3P .. 15P`` are normalized to
+    affine together with one shared inversion, so the main loop is
+    doublings plus mixed additions."""
     e = scalar % N
     live = [pt for pt in points if pt[2]]
     if not e or not live:
         return [_INF] * len(points)
-    digits = _wnaf(e)
-    odd: List[Tuple[int, int, int]] = []
-    for pt in live:
-        twice = _jdbl(pt)
-        odd.append(pt)
-        for _ in range(7):
-            pt = _jmul(pt, twice)
-            odd.append(pt)
-    odd = _batch_to_affine(odd)
+    terms = wnaf(e)
+    odd = _batch_to_affine(
+        [multiple for pt in live for multiple in odd_multiples(JAC_OPS, pt, 8)]
+    )
     # Top digit first.  It is positive, and a running multiple m < N of
     # a point of prime order N is never the identity, so the chain can
     # use the bare mixed addition (which handles acc == +-entry itself).
-    top = digits.pop() >> 1
+    top_at, top = terms.pop()
+    digits = [0] * top_at  # one doubling per position below the top
+    for at, d in terms:
+        digits[at] = d
     digits.reverse()
+    top >>= 1
     out: List[Tuple[int, int, int]] = []
     row = 0
     for pt in points:

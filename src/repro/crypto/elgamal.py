@@ -199,17 +199,19 @@ class AtomElGamal:
         next_public_key: Optional[GroupElement],
         ciphertexts: Sequence[AtomCiphertext],
         rng: Optional[DeterministicRng] = None,
+        randomness: Optional[Sequence[int]] = None,
     ) -> List[AtomCiphertext]:
         """``[reencrypt(x, X', ct, rng) for ct in ciphertexts]`` through
         the group's batch kernels; randomness is drawn in list order,
-        exactly as that loop would."""
+        exactly as that loop would, unless given."""
         group = self.group
         # Y = ⊥ marks a ciphertext entering the group: its R becomes Y.
         Ys = [ct.R if ct.Y is None else ct.Y for ct in ciphertexts]
         Rs = [group.identity if ct.Y is None else ct.R for ct in ciphertexts]
         cs = group.div_pow_many([ct.c for ct in ciphertexts], Ys, secret)
         if next_public_key is not None:
-            randomness = [group.random_scalar(rng) for _ in ciphertexts]
+            if randomness is None:
+                randomness = [group.random_scalar(rng) for _ in ciphertexts]
             Rs = group.pow_mul_many(group.g, randomness, Rs)
             cs = group.pow_mul_many(next_public_key, randomness, cs)
         return [AtomCiphertext(R, c, Y) for R, c, Y in zip(Rs, cs, Ys)]

@@ -23,8 +23,8 @@ backends (see ``repro.crypto.groups``).  A backend supplies a tiny
   precomputation rows (the curve backend batch-normalizes Jacobian
   entries to affine here so the hot loops use cheap mixed additions),
 - ``ops.neg(a)`` (optional) — a *cheap* inverse (free on a curve:
-  ``(x, -y)``); its presence switches :class:`FixedBaseComb` to signed
-  digits.
+  ``(x, -y)``); its presence switches :class:`FixedBaseComb` and
+  :func:`multiexp_ops` to signed digits.
 
 The Schnorr-group backend works on plain integers mod p
 (:class:`ModIntOps`); the P-256 backend works on Jacobian-coordinate
@@ -48,13 +48,24 @@ Algorithms (see DESIGN.md, "Fast-exponentiation layer"):
   ``prod_i base_i^{e_i}``: one shared squaring chain for all bases plus
   per-base digit tables.  With the short (128-bit) weights used by
   batch proof verification the shared chain is only 128 squarings no
-  matter how many bases are combined.  :func:`multiexp_ints` is the
-  integer wrapper, :func:`multiexp` the group-element front end.
+  matter how many bases are combined.  Where inverses are free the
+  digits are width-``w`` wNAF (:func:`wnaf`) over odd-multiple tables
+  (:func:`odd_multiples`) a quarter the size.  :func:`multiexp_ints`
+  is the integer wrapper, :func:`multiexp` the group-element front end.
+- :func:`rlc_pays` / :func:`batch_weights` — when folding many
+  equations into one random-linear-combination identity is cheaper than
+  recomputing them, and the verifier's weights for it.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import secrets
+from typing import List, Sequence, Tuple
+
+#: Bit length of the random weights in batched verification; a false
+#: equation survives a random-linear-combination identity with
+#: probability at most 2^-(WEIGHT_BITS-1).
+WEIGHT_BITS = 128
 
 
 def auto_window(exponent_bits: int) -> int:
@@ -64,6 +75,37 @@ def auto_window(exponent_bits: int) -> int:
     if exponent_bits <= 512:
         return 4
     return 5
+
+
+def rlc_pays(exponent_bits: int) -> bool:
+    """Whether checking ``base^r * A == B`` equations (``base`` with a
+    comb table) as one random-linear-combination identity beats
+    recomputing each left side.
+
+    Recomputing costs one fixed-base exponentiation per equation:
+    ``exponent_bits / w`` multiplications, no squarings.  Folding costs
+    two *variable-base* ``WEIGHT_BITS``-bit terms per equation in a
+    Straus chain — a digit table each plus ``WEIGHT_BITS / w``
+    multiplications — so it wins only when exponents are several times
+    longer than the weights.  Measured per ``verify_vector_shuffle``
+    (6 rounds, n = 4 / 32; DESIGN.md has the table): MODP2048 (2047
+    bits) folds 3.4x / 3.6x faster than it recomputes; P-256 (256)
+    recomputes 1.2x / 1.05x and TOY (63) 2.5x faster than they fold.
+    """
+    return exponent_bits > 4 * WEIGHT_BITS
+
+
+def batch_weights(count: int, order: int, rng=None) -> List[int]:
+    """``count`` verifier-chosen non-zero weights of ``WEIGHT_BITS``
+    bits (fewer on a group whose order is shorter than that, so a
+    weight is never ``0 mod order``).  Fresh ``secrets`` randomness
+    unless a ``DeterministicRng`` is passed for reproducible tests;
+    never derived from the transcript, so a prover cannot grind them.
+    """
+    bits = min(WEIGHT_BITS, order.bit_length() - 1)
+    if rng is not None:
+        return [rng.randint(1, (1 << bits) - 1) for _ in range(count)]
+    return [secrets.randbits(bits) | 1 for _ in range(count)]
 
 
 class ModIntOps:
@@ -184,6 +226,40 @@ class FixedBaseExp(FixedBaseComb):
         return acc
 
 
+def wnaf(e: int, width: int = 5) -> List[Tuple[int, int]]:
+    """Width-``width`` non-adjacent form of ``e >= 0`` as ``(bit
+    position, digit)`` pairs, lowest first: odd digits below
+    ``2^(width-1)`` in magnitude, at least ``width`` positions apart,
+    so about one position in ``width + 1`` carries one."""
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    terms = []
+    at = 0
+    while e:
+        zeros = (e & -e).bit_length() - 1
+        at += zeros
+        e >>= zeros
+        d = e & mask
+        if d > half:
+            d -= mask + 1
+        terms.append((at, d))
+        e -= d  # now a multiple of 2^width: the next digit is that far up
+    return terms
+
+
+def odd_multiples(ops, base, count: int) -> list:
+    """``[base, base^3, .. base^(2*count-1)]``: the table a wNAF digit
+    ``d`` indexes at ``|d| >> 1`` (one squaring, ``count - 1``
+    multiplications)."""
+    mul = ops.mul
+    sqr = getattr(ops, "sqr", None)
+    twice = sqr(base) if sqr is not None else mul(base, base)
+    row = [base]
+    for _ in range(count - 1):
+        row.append(mul(row[-1], twice))
+    return row
+
+
 def multiexp_ops(
     ops,
     order: int,
@@ -195,43 +271,55 @@ def multiexp_ops(
 
     Computes ``prod_i bases[i]^(exponents[i] % order)`` with one shared
     squaring chain (``max-bits`` squarings total) and a small digit
-    table per base.
+    table per base: all ``2^w - 1`` digits, or — with ``ops.neg`` —
+    the ``2^(w-2)`` odd multiples a width-``w`` wNAF needs (for
+    ``w = 4``: 4 operations per table instead of 14, one addition per
+    5 exponent bits instead of one per 4.3).
     """
     if len(bases) != len(exponents):
         raise ValueError("bases and exponents length mismatch")
     exps = [e % order for e in exponents]
     one = ops.one
-    if not bases:
-        return one
-    maxbits = max(e.bit_length() for e in exps)
+    maxbits = max((e.bit_length() for e in exps), default=0)
     if maxbits == 0:
         return one
     w = window or (4 if maxbits <= 512 else 5)
-    radix = 1 << w
-    mask = radix - 1
     mul = ops.mul
     sqr = getattr(ops, "sqr", None) or (lambda a: mul(a, a))
-    tables: List[list] = []
-    for base in bases:
-        row = [one] * radix
-        row[1] = base
-        for d in range(2, radix):
-            row[d] = mul(row[d - 1], base)
-        tables.append(row)
+    neg = getattr(ops, "neg", None)
+    if neg is None:
+        radix = 1 << w
+        tables: List[list] = []
+        for base in bases:
+            row = [one] * radix
+            row[1] = base
+            for d in range(2, radix):
+                row[d] = mul(row[d - 1], base)
+            tables.append(row)
+    else:
+        tables = [odd_multiples(ops, base, 1 << (w - 2)) for base in bases]
     finish = getattr(ops, "finish_tables", None)
     if finish is not None:
         tables = finish(tables)
-    blocks = (maxbits + w - 1) // w
+    # chain[k]: the table entries to multiply in once the accumulator
+    # has been squared down to bit k (a wNAF can be one digit longer
+    # than the exponent)
+    chain: List[list] = [[] for _ in range(maxbits + 1)]
+    for row, e in zip(tables, exps):
+        if neg is None:
+            for k in range(0, e.bit_length(), w):
+                digit = (e >> k) & (radix - 1)
+                if digit:
+                    chain[k].append(row[digit])
+        else:
+            for k, d in wnaf(e, w):
+                chain[k].append(row[d >> 1] if d > 0 else neg(row[-d >> 1]))
     acc = one
-    for block in range(blocks - 1, -1, -1):
+    for entries in reversed(chain):
         if acc is not one:
-            for _ in range(w):
-                acc = sqr(acc)
-        shift = block * w
-        for row, e in zip(tables, exps):
-            digit = (e >> shift) & mask
-            if digit:
-                acc = mul(acc, row[digit])
+            acc = sqr(acc)
+        for entry in entries:
+            acc = mul(acc, entry)
     return acc
 
 
@@ -275,13 +363,15 @@ def jacobi(a: int, n: int) -> int:
     while a:
         # Strip all factors of two at once: (2/n) = -1 iff n = ±3 mod 8,
         # applied tz times, flips the sign only when tz is odd.
+        # (residues mod 8 and mod 4 read off the low bits: ``%`` would
+        # divide a number thousands of bits long)
         tz = (a & -a).bit_length() - 1
         if tz:
             a >>= tz
-            if tz & 1 and n % 8 in (3, 5):
+            if tz & 1 and n & 7 in (3, 5):
                 result = -result
         a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
+        if a & 3 == 3 and n & 3 == 3:
             result = -result
         a %= n
     return result if n == 1 else 0

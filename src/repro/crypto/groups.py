@@ -220,6 +220,11 @@ class GroupBackend:
             self._fixed_cache[value] = table
         return table
 
+    def has_table(self, base) -> bool:
+        """Whether ``base ** e`` runs through a cached fixed-base table
+        (callers batching many bases send the others to ``multiexp``)."""
+        return base.value in self._fixed_cache
+
     def fixed_base(self, base):
         """Return (building and caching if needed) the fixed-base comb
         table for ``base`` (an element, or its integer ``value``).

@@ -18,16 +18,20 @@ registered public key ``X_s = g^x``: knowledge of ``(x, r')`` with
 
 For the final-layer case (``X' = ⊥``) the third row degenerates to the
 classic Chaum-Pedersen equality ``c / c' = Y^x`` and ``r'`` is absent.
+
+:class:`ReEncryptor` is the server-step form: one server's ReEnc of
+everything its group holds, proved per part and verified as one
+identity (``sigma.verify_many``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto import sigma
 from repro.crypto.elgamal import AtomCiphertext, AtomElGamal
-from repro.crypto.groups import GroupBackend as Group, GroupElement
+from repro.crypto.groups import DeterministicRng, GroupBackend as Group, GroupElement
 from repro.crypto.sigma import SigmaProof
 
 
@@ -121,7 +125,8 @@ def _reenc_rows(
     rows = [
         (server_public, [group.g, group.identity]),
         (after.R / r_eff, [group.identity, group.g]),
-        (before.c / after.c, [y_eff, next_public_key.inverse()]),
+        # X'^-r' is computed as X' ** -r': X' has a comb table
+        (before.c / after.c, [y_eff, sigma.InverseOf(next_public_key)]),
     ]
     return rows, False
 
@@ -133,16 +138,38 @@ def prove_reencryption(
     next_public_key: Optional[GroupElement],
     before: AtomCiphertext,
     after: AtomCiphertext,
+    server_public: Optional[GroupElement] = None,
 ) -> ReEncProof:
     """Prove that ``after == ReEnc(secret, next_public_key, before)``.
 
-    ``randomness`` is the ``r'`` used (``None`` for the final layer).
+    ``randomness`` is the ``r'`` used (``None`` for the final layer);
+    ``server_public`` is ``g^secret`` when the caller already has it.
     """
-    server_public = group.g_pow(secret)
+    if server_public is None:
+        server_public = group.g_pow(secret)
     rows, final = _reenc_rows(group, server_public, next_public_key, before, after)
     witness = [secret] if final else [secret, randomness]
     context = _reenc_context(before, after, next_public_key)
     return ReEncProof(sigma.prove(group, rows, witness, context), final)
+
+
+def _reenc_statement(
+    group: Group,
+    server_public: GroupElement,
+    next_public_key: Optional[GroupElement],
+    before: AtomCiphertext,
+    after: AtomCiphertext,
+    proof: ReEncProof,
+):
+    """``(rows, sigma proof, context)`` to verify, or ``None`` when
+    ``after`` cannot be a ReEnc of ``before`` at this layer."""
+    try:
+        rows, final = _reenc_rows(group, server_public, next_public_key, before, after)
+    except ValueError:
+        return None
+    if final != proof.final_layer:
+        return None
+    return rows, proof.proof, _reenc_context(before, after, next_public_key)
 
 
 def verify_reencryption(
@@ -154,14 +181,10 @@ def verify_reencryption(
     proof: ReEncProof,
 ) -> bool:
     """Verify a ``ReEncProof`` against the server's registered key."""
-    try:
-        rows, final = _reenc_rows(group, server_public, next_public_key, before, after)
-    except ValueError:
-        return False
-    if final != proof.final_layer:
-        return False
-    context = _reenc_context(before, after, next_public_key)
-    return sigma.verify(group, rows, proof.proof, context)
+    statement = _reenc_statement(
+        group, server_public, next_public_key, before, after, proof
+    )
+    return statement is not None and sigma.verify(group, *statement)
 
 
 def _reenc_context(
@@ -173,11 +196,16 @@ def _reenc_context(
     return b"repro.reencproof.v1|" + before.to_bytes() + after.to_bytes() + next_bytes
 
 
-class ReEncryptor:
-    """Convenience bundle: perform ReEnc on a batch and prove each step.
+#: one server's turn over its group's holding: per outgoing batch, the
+#: successor group's key (``None`` on the final layer) and the batch's
+#: ciphertext parts
+ReEncStep = Sequence[Tuple[Optional[GroupElement], Sequence[AtomCiphertext]]]
 
-    Used by the NIZK variant of the group protocol (Algorithm 2,
-    step 3a): ``(B'_i, pi_i) = ReEncProof(sk_s, pk_i, B_i)``.
+
+class ReEncryptor:
+    """The server-step kernels of the NIZK variant (Algorithm 2, step
+    3a): ``(B'_i, pi_i) = ReEncProof(sk_s, pk_i, B_i)`` for every batch
+    ``i`` of a step at once, and the other members' check of all of it.
     """
 
     def __init__(self, group: Group):
@@ -187,30 +215,49 @@ class ReEncryptor:
     def reencrypt_and_prove(
         self,
         secret: int,
-        next_public_key: Optional[GroupElement],
-        batch: list,
-    ) -> Tuple[list, list]:
-        outputs = []
-        proofs = []
-        for ct in batch:
-            r = None if next_public_key is None else self.group.random_scalar()
-            out = self.scheme.reencrypt(secret, next_public_key, ct, randomness=r)
-            proof = prove_reencryption(self.group, secret, r, next_public_key, ct, out)
-            outputs.append(out)
-            proofs.append(proof)
+        step: ReEncStep,
+        rng: Optional[DeterministicRng] = None,
+    ) -> Tuple[List[List[AtomCiphertext]], List[List[ReEncProof]]]:
+        """ReEnc every part of ``step`` and prove each; outputs and
+        proofs are shaped like the step's batches.  ``r'`` is drawn
+        from ``rng`` in batch, then part order."""
+        group = self.group
+        server_public = group.g_pow(secret)
+        outputs, proofs = [], []
+        for next_key, parts in step:
+            if next_key is None:
+                rands = [None] * len(parts)
+            else:
+                rands = [group.random_scalar(rng) for _ in parts]
+            after = self.scheme.reencrypt_many(secret, next_key, parts, randomness=rands)
+            outputs.append(after)
+            proofs.append([
+                prove_reencryption(group, secret, r, next_key, b, a, server_public)
+                for r, b, a in zip(rands, parts, after)
+            ])
         return outputs, proofs
 
     def verify_batch(
         self,
         server_public: GroupElement,
-        next_public_key: Optional[GroupElement],
-        before: list,
-        after: list,
-        proofs: list,
+        step: ReEncStep,
+        after: Sequence[Sequence[AtomCiphertext]],
+        proofs: Sequence[Sequence[ReEncProof]],
+        weight_rng: Optional[DeterministicRng] = None,
     ) -> bool:
-        if not (len(before) == len(after) == len(proofs)):
+        """Whether every proof of a step verifies, as one folded
+        identity over the whole step (the batches' keys may differ)."""
+        if not len(step) == len(after) == len(proofs):
             return False
-        return all(
-            verify_reencryption(self.group, server_public, next_public_key, b, a, p)
-            for b, a, p in zip(before, after, proofs)
-        )
+        statements = []
+        for (next_key, before), outs, batch_proofs in zip(step, after, proofs):
+            if not len(before) == len(outs) == len(batch_proofs):
+                return False
+            for b, a, proof in zip(before, outs, batch_proofs):
+                statement = _reenc_statement(
+                    self.group, server_public, next_key, b, a, proof
+                )
+                if statement is None:
+                    return False
+                statements.append(statement)
+        return sigma.verify_many(self.group, statements, weight_rng)

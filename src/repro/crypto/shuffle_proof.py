@@ -29,29 +29,98 @@ bit-1 opening possible without revealing the witness.
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.elgamal import AtomCiphertext, AtomElGamal
-from repro.crypto.fastexp import multiexp
+from repro.crypto.fastexp import batch_weights, multiexp, rlc_pays
 from repro.crypto.groups import DeterministicRng, GroupBackend
 
 #: Default number of cut-and-choose rounds (soundness 2^-16 for tests;
 #: a deployment would use 64+).  Benchmarks sweep this as an ablation.
 DEFAULT_ROUNDS = 16
 
-#: Bit length of the random weights in batched verification; a cheating
-#: round survives the random-linear-combination check with probability
-#: at most 2^-(WEIGHT_BITS-1).
-WEIGHT_BITS = 128
+#: One opened rerandomization: ``target == Rerand(source, rho)``.
+Link = Tuple[AtomCiphertext, AtomCiphertext, int]
 
 
-def _batch_weights(n: int, rng: Optional[DeterministicRng] = None) -> List[int]:
-    """Verifier-chosen random weights in ``[1, 2^WEIGHT_BITS)``."""
-    if rng is not None:
-        return [rng.randint(1, (1 << WEIGHT_BITS) - 1) for _ in range(n)]
-    return [secrets.randbits(WEIGHT_BITS) | 1 for _ in range(n)]
+def recompute_links(
+    scheme: AtomElGamal, public_key, links: Sequence[Link]
+) -> bool:
+    """Whether every link holds, by rerandomizing every source (one
+    batch-kernel call) and comparing: deterministic, and the reference
+    semantics by construction."""
+    if not links:
+        return True
+    sources, targets, rands = zip(*links)
+    if any(src.Y is not None for src in sources):
+        return False
+    return scheme.rerandomize_many(public_key, sources, rands) == list(targets)
+
+
+def fold_links(
+    scheme: AtomElGamal,
+    public_key,
+    links: Sequence[Link],
+    weight_rng: Optional[DeterministicRng] = None,
+) -> bool:
+    """Whether every link holds, as ONE random-linear-combination
+    identity (the small-exponent batching test; see DESIGN.md).
+
+    Link ``k`` is two equations, ``T_k.R == g^rho_k * S_k.R`` and
+    ``T_k.c == pk^rho_k * S_k.c``.  With independent ~128-bit weights
+    ``a_k`` and ``b_k`` for them,
+
+        prod_k T_k.R^a_k * T_k.c^b_k
+            == g^(sum a_k rho_k) * pk^(sum b_k rho_k) * prod_k S_k.R^a_k * S_k.c^b_k
+
+    fails except with probability ``2^-127`` when any one equation is
+    violated.  A point that occurs in several links (every bit-0 round
+    of a proof draws its sources from the same inputs) enters its side
+    once, under the sum of its weights: that is the same product,
+    regrouped.
+
+    The bound holds in a prime-order group.  A Schnorr ``GroupElement``
+    only guarantees membership in ``Z_p^* = QR x {+-1}``, and an
+    order-2 factor (a sign-flipped component, ``x -> p - x``) cancels
+    whenever its weight is even, so any point outside the prime-order
+    subgroup sends the whole check to :func:`recompute_links`.
+    """
+    group = scheme.group
+    if any(src.Y is not None or tgt.Y is not None for src, tgt, _ in links):
+        return False
+    weights = iter(batch_weights(2 * len(links), group.q, weight_rng))
+    lhs: dict = {}
+    rhs: dict = {}
+    g_exp = pk_exp = 0
+    for (src, tgt, rho), a, b in zip(links, weights, weights):
+        g_exp += a * rho
+        pk_exp += b * rho
+        for side, ct in ((lhs, tgt), (rhs, src)):
+            side[ct.R] = side.get(ct.R, 0) + a
+            side[ct.c] = side.get(ct.c, 0) + b
+    if not all(group.is_prime_order(point) for point in {*lhs, *rhs}):
+        return recompute_links(scheme, public_key, links)
+    return multiexp(group, list(lhs), list(lhs.values())) == (
+        group.g_pow(g_exp)
+        * group.pow_cached(public_key, pk_exp)
+        * multiexp(group, list(rhs), list(rhs.values()))
+    )
+
+
+def check_links(
+    scheme: AtomElGamal,
+    public_key,
+    links: Sequence[Link],
+    weight_rng: Optional[DeterministicRng] = None,
+) -> bool:
+    """Whether every link holds, by the cheaper sound algorithm for the
+    group at hand (``fastexp.rlc_pays``): recompute where exponents are
+    short next to the weights (P-256, TOY), fold where they are long
+    (MODP2048)."""
+    if rlc_pays(scheme.group.q.bit_length()):
+        return fold_links(scheme, public_key, links, weight_rng)
+    return recompute_links(scheme, public_key, links)
 
 
 def batch_rerand_check(
@@ -62,46 +131,63 @@ def batch_rerand_check(
     rands: Sequence[int],
     rng: Optional[DeterministicRng] = None,
 ) -> bool:
-    """Batched check that ``targets[i] == Rerand(sources[i], rands[i])``.
-
-    Folds the ``2n`` per-element equations into two multi-exponentiation
-    identities with random ~128-bit weights ``w_i`` (the small-exponent
-    batching test; see DESIGN.md):
-
-        prod_i targets[i].R^{w_i} == g^{sum w_i r_i} * prod_i sources[i].R^{w_i}
-        prod_i targets[i].c^{w_i} == pk^{sum w_i r_i} * prod_i sources[i].c^{w_i}
-
-    Any violated element equation makes the identities fail except with
-    probability ~2^-WEIGHT_BITS over the weights.
-
-    Every component must lie in the prime-order subgroup, enforced
-    below via ``group.is_prime_order``.  A Schnorr ``GroupElement``
-    only guarantees membership in ``Z_p^* = QR x {±1}``, and an
-    order-2 factor (a sign-flipped component, ``x -> p - x``) would
-    survive the linear combination whenever its weight is even —
-    degrading soundness to ~1/2 per round — while the element-wise
-    reference path rejects it always.  Restricting to the prime-order
-    subgroup restores the Schwartz-Zippel bound.  (On P-256 the check
-    is structural: the curve has prime order, so every representable
-    point qualifies.)
-    """
-    for src, tgt in zip(sources, targets):
-        if src.Y is not None or tgt.Y is not None:
-            return False
-        for component in (src.R, src.c, tgt.R, tgt.c):
-            if not group.is_prime_order(component):
-                return False
-    weights = _batch_weights(len(sources), rng)
-    s = sum(w * r for w, r in zip(weights, rands)) % group.q
-    lhs_r = multiexp(group, [t.R for t in targets], weights)
-    rhs_r = group.g_pow(s) * multiexp(group, [c.R for c in sources], weights)
-    if lhs_r != rhs_r:
-        return False
-    lhs_c = multiexp(group, [t.c for t in targets], weights)
-    rhs_c = group.pow_cached(public_key, s) * multiexp(
-        group, [c.c for c in sources], weights
+    """Folded check that ``targets[i] == Rerand(sources[i], rands[i])``
+    for one list of ciphertexts: :func:`fold_links` on one round."""
+    return fold_links(
+        AtomElGamal(group), public_key, list(zip(sources, targets, rands)), rng
     )
-    return lhs_c == rhs_c
+
+
+def verify_proof(
+    scheme: AtomElGamal,
+    public_key,
+    inputs: Sequence,
+    outputs: Sequence,
+    proof,
+    rounds: int,
+    challenge_bits: Callable[..., List[int]],
+    links_of: Callable[..., Optional[Iterable[Link]]],
+    batched: bool,
+    weight_rng: Optional[DeterministicRng],
+) -> bool:
+    """The verification the scalar and the vector proof share: check
+    shape, round count and Fiat-Shamir bits (``challenge_bits`` is the
+    proof kind's hash), reduce every round's opening to flat
+    :data:`Link` triples — ``links_of(source item, target item, opened
+    rand)`` yields an item's, or ``None`` if their shapes disagree —
+    and check them all at once.  ``batched=False`` is the per-part
+    oracle: one ``rerandomize`` per link."""
+    n = len(inputs)
+    if len(outputs) != n:
+        return False
+    if len(proof.rounds) != rounds or len(proof.challenge_bits) != rounds:
+        return False
+    bits = challenge_bits(
+        scheme.group, public_key, inputs, outputs,
+        [rnd.intermediate for rnd in proof.rounds], rounds,
+    )
+    if list(proof.challenge_bits) != bits:
+        return False
+    links: List[Link] = []
+    for rnd, bit in zip(proof.rounds, bits):
+        if not len(rnd.intermediate) == len(rnd.opened_perm) == len(rnd.opened_rands) == n:
+            return False
+        if sorted(rnd.opened_perm) != list(range(n)):
+            return False
+        source = inputs if bit == 0 else rnd.intermediate
+        target = rnd.intermediate if bit == 0 else outputs
+        for i, at in enumerate(rnd.opened_perm):
+            item_links = links_of(source[at], target[i], rnd.opened_rands[i])
+            if item_links is None:
+                return False
+            links.extend(item_links)
+    if batched:
+        return check_links(scheme, public_key, links, weight_rng)
+    return all(
+        src.Y is None
+        and scheme.rerandomize(public_key, src, randomness=rho) == tgt
+        for src, tgt, rho in links
+    )
 
 
 @dataclass(frozen=True)
@@ -213,53 +299,12 @@ def verify_shuffle(
 ) -> bool:
     """Verify a :class:`ShuffleProof`.
 
-    The default path batch-verifies each round's ``2n`` rerandomization
-    equations as two random-linear-combination multi-exponentiations
-    (collapsing ``2 * rounds * n`` full exponentiations into a handful
-    of multi-exps); ``batched=False`` keeps the element-wise reference
-    path used by benchmarks and differential tests.
+    All rounds' openings are checked in one go (:func:`check_links`);
+    ``batched=False`` keeps the element-wise reference path used by
+    benchmarks and differential tests.
     """
-    scheme = AtomElGamal(group)
-    n = len(inputs)
-    if len(outputs) != n:
-        return False
-    if len(proof.rounds) != rounds or len(proof.challenge_bits) != rounds:
-        return False
-
-    intermediates = [r.intermediate for r in proof.rounds]
-    expected_bits = _challenge_bits(
-        group, public_key, inputs, outputs, intermediates, rounds
+    return verify_proof(
+        AtomElGamal(group), public_key, inputs, outputs, proof, rounds,
+        _challenge_bits, lambda src, tgt, rho: ((src, tgt, rho),),
+        batched, weight_rng,
     )
-    if list(proof.challenge_bits) != expected_bits:
-        return False
-
-    for rnd, bit in zip(proof.rounds, expected_bits):
-        if len(rnd.intermediate) != n or len(rnd.opened_perm) != n:
-            return False
-        if len(rnd.opened_rands) != n:
-            return False
-        if sorted(rnd.opened_perm) != list(range(n)):
-            return False
-        source = inputs if bit == 0 else rnd.intermediate
-        target = rnd.intermediate if bit == 0 else outputs
-        if batched:
-            if not batch_rerand_check(
-                group,
-                public_key,
-                [source[rnd.opened_perm[i]] for i in range(n)],
-                target,
-                rnd.opened_rands,
-                weight_rng,
-            ):
-                return False
-            continue
-        for i in range(n):
-            src = source[rnd.opened_perm[i]]
-            if src.Y is not None:
-                return False
-            expect = scheme.rerandomize(
-                public_key, src, randomness=rnd.opened_rands[i]
-            )
-            if expect != target[i]:
-                return False
-    return True

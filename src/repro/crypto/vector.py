@@ -24,11 +24,11 @@ This module lifts :mod:`repro.crypto.elgamal` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.elgamal import AtomCiphertext, AtomElGamal
 from repro.crypto.groups import DeterministicRng, GroupBackend as Group, GroupElement
-from repro.crypto.shuffle_proof import batch_rerand_check
+from repro.crypto.shuffle_proof import verify_proof
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,17 @@ class CiphertextVector:
     @property
     def size_bytes(self) -> int:
         return sum(p.size_bytes for p in self.parts)
+
+
+def cut_like(
+    vectors: Sequence[CiphertextVector], parts: Iterable[AtomCiphertext]
+) -> List[CiphertextVector]:
+    """A flat run of parts (vector, then part order) cut into vectors
+    of the same part counts as ``vectors``."""
+    parts = iter(parts)
+    return [
+        CiphertextVector(tuple(next(parts) for _ in vec.parts)) for vec in vectors
+    ]
 
 
 def encrypt_vector(
@@ -128,16 +139,14 @@ def shuffle_vectors(
     sources = [vectors[i] for i in perm]
     rands = [[scheme.group.random_scalar(rng) for _ in vec.parts] for vec in sources]
     # One kernel call over every part of every vector, cut back to size.
-    parts = iter(
+    shuffled = cut_like(
+        sources,
         scheme.rerandomize_many(
             public_key,
             [part for vec in sources for part in vec.parts],
             [r for vec_rands in rands for r in vec_rands],
-        )
+        ),
     )
-    shuffled = [
-        CiphertextVector(tuple(next(parts) for _ in vec.parts)) for vec in sources
-    ]
     return shuffled, perm, rands
 
 
@@ -242,6 +251,14 @@ def prove_vector_shuffle(
     return VectorShuffleProof(rounds=tuple(proof_rounds), challenge_bits=tuple(bits))
 
 
+def _part_links(source: CiphertextVector, target: CiphertextVector, rands):
+    """A vector's opened rerandomization as per-part links, or ``None``
+    when the part counts disagree."""
+    if not len(source.parts) == len(target.parts) == len(rands):
+        return None
+    return zip(source.parts, target.parts, rands)
+
+
 def verify_vector_shuffle(
     scheme: AtomElGamal,
     public_key: GroupElement,
@@ -254,61 +271,12 @@ def verify_vector_shuffle(
 ) -> bool:
     """Verify a :class:`VectorShuffleProof`.
 
-    By default each round's per-part rerandomization equations (over
-    all ``n * parts`` ciphertext parts) are folded into one batched
-    random-linear-combination check (two multi-exponentiations); pass
+    The per-part rerandomization equations of all rounds (``rounds * n
+    * parts`` of them) are checked in one go
+    (:func:`~repro.crypto.shuffle_proof.check_links`); pass
     ``batched=False`` for the element-wise reference path.
     """
-    group = scheme.group
-    n = len(inputs)
-    if len(outputs) != n:
-        return False
-    if len(proof.rounds) != rounds or len(proof.challenge_bits) != rounds:
-        return False
-
-    intermediates = [r.intermediate for r in proof.rounds]
-    expected = _vector_challenge_bits(
-        group, public_key, inputs, outputs, intermediates, rounds
+    return verify_proof(
+        scheme, public_key, inputs, outputs, proof, rounds,
+        _vector_challenge_bits, _part_links, batched, weight_rng,
     )
-    if list(proof.challenge_bits) != expected:
-        return False
-
-    for rnd, bit in zip(proof.rounds, expected):
-        if len(rnd.intermediate) != n or len(rnd.opened_perm) != n:
-            return False
-        if len(rnd.opened_rands) != n:
-            return False
-        if sorted(rnd.opened_perm) != list(range(n)):
-            return False
-        source = inputs if bit == 0 else rnd.intermediate
-        target = rnd.intermediate if bit == 0 else outputs
-        for i in range(n):
-            src = source[rnd.opened_perm[i]]
-            if len(rnd.opened_rands[i]) != len(src.parts) or len(
-                target[i].parts
-            ) != len(src.parts):
-                return False
-        if batched:
-            flat_sources, flat_targets, flat_rands = [], [], []
-            for i in range(n):
-                flat_sources.extend(source[rnd.opened_perm[i]].parts)
-                flat_targets.extend(target[i].parts)
-                flat_rands.extend(rnd.opened_rands[i])
-            if not batch_rerand_check(
-                group, public_key, flat_sources, flat_targets, flat_rands, weight_rng
-            ):
-                return False
-            continue
-        for i in range(n):
-            src = source[rnd.opened_perm[i]]
-            if any(p.Y is not None for p in src.parts):
-                return False
-            try:
-                expect = rerandomize_vector(
-                    scheme, public_key, src, randomness=rnd.opened_rands[i]
-                )
-            except ValueError:
-                return False
-            if expect != target[i]:
-                return False
-    return True

@@ -150,7 +150,9 @@ class TestAlgorithm2:
         assert audit.reencs_proved > 0
 
     def test_bad_shuffle_detected(self, toy_group):
-        ctx = make_group(toy_group, size=2)
+        # 16 rounds: a swap slips through with probability 2^-32 (at 4
+        # rounds this test failed one run in 256)
+        ctx = make_group(toy_group, size=2, nizk_rounds=16)
         ctx.servers[0].behavior = Behavior.BAD_SHUFFLE
         payloads = [bytes([i]) * 4 for i in range(4)]
         vectors = encrypt_to(toy_group, ctx, payloads)
@@ -178,7 +180,9 @@ class TestAlgorithm2:
         assert sorted(decrypt_final(ctx, batches)) == sorted(payloads)
 
     def test_bad_shuffle_detected_in_verify_mode(self, toy_group):
-        ctx = make_group(toy_group, size=2)
+        # 16 rounds: a swap slips through with probability 2^-32 (at 4
+        # rounds this test failed one run in 256)
+        ctx = make_group(toy_group, size=2, nizk_rounds=16)
         ctx.servers[1].behavior = Behavior.BAD_SHUFFLE
         payloads = [bytes([i]) * 4 for i in range(4)]
         vectors = encrypt_to(toy_group, ctx, payloads)

@@ -11,7 +11,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.elgamal import AtomElGamal, ElGamalKeyPair
-from repro.crypto.fastexp import FixedBaseExp, jacobi, multiexp, multiexp_ints
+from repro.crypto.fastexp import (
+    FixedBaseExp,
+    ModIntOps,
+    jacobi,
+    multiexp,
+    multiexp_ints,
+    multiexp_ops,
+    odd_multiples,
+    wnaf,
+)
 from repro.crypto.groups import DeterministicRng, get_group
 from repro.crypto.shuffle_proof import ShuffleRound, prove_shuffle, verify_shuffle
 from repro.crypto.vector import (
@@ -104,6 +113,77 @@ class TestMultiexp:
         for b, e in zip(bases, exps):
             expected = expected * pow(b, e, MODP.p) % MODP.p
         assert multiexp_ints(MODP.p, MODP.q, bases, exps) == expected
+
+
+class _SignedModOps(ModIntOps):
+    """Integers mod p with an inverse on offer, so that the generic
+    code takes its signed-digit paths where ``pow`` can check them."""
+
+    def neg(self, a):
+        return pow(a, -1, self.modulus)
+
+
+edge_scalars = st.one_of(
+    toy_scalars,
+    st.sampled_from([0, 1, TOY.q - 1, TOY.q, TOY.q + 1, (1 << 63) - 1, 1 << 62]),
+)
+
+
+class TestSignedStraus:
+    """``multiexp_ops`` with free inverses (wNAF digits over odd-multiple
+    tables) == without (all digits) == the product of ``pow``s."""
+
+    @given(
+        st.lists(st.tuples(toy_bases, edge_scalars), min_size=0, max_size=6),
+        st.sampled_from([0, 3, 4, 5]),
+    )
+    @settings_fast
+    def test_signed_equals_unsigned_equals_pow(self, pairs, window):
+        bases = [b for b, _ in pairs]
+        exps = [e for _, e in pairs]
+        expected = 1
+        for b, e in pairs:
+            expected = expected * pow(b, e % TOY.q, TOY.p) % TOY.p
+        signed = multiexp_ops(_SignedModOps(TOY.p), TOY.q, bases, exps, window)
+        unsigned = multiexp_ops(ModIntOps(TOY.p), TOY.q, bases, exps, window)
+        assert signed == unsigned == expected
+
+    def test_mixed_lengths_and_repeated_bases(self):
+        ops = _SignedModOps(TOY.p)
+        bases = [4, 9, 4, 25, 9]
+        exps = [TOY.q - 1, 1, (1 << 20) + 1, 0, 3]
+        expected = 1
+        for b, e in zip(bases, exps):
+            expected = expected * pow(b, e, TOY.p) % TOY.p
+        assert multiexp_ops(ops, TOY.q, bases, exps) == expected
+
+    def test_on_the_curve(self, rng):
+        p256 = get_group("P256")
+        bases = [p256.random_element(rng) for _ in range(4)] + [p256.identity]
+        for exps in (
+            [rng.randint(0, p256.q - 1) for _ in bases],
+            [0, p256.q - 1, 1, rng.randint(1, (1 << 128) - 1), 5],
+            [0] * len(bases),
+        ):
+            expected = p256.identity
+            for b, e in zip(bases, exps):
+                expected = expected * b ** e
+            assert p256.multiexp(bases, exps) == expected
+
+    @given(st.integers(min_value=0, max_value=1 << 70), st.sampled_from([2, 3, 4, 5, 6]))
+    @settings_fast
+    def test_wnaf_digits(self, e, width):
+        terms = wnaf(e, width)
+        assert sum(d << at for at, d in terms) == e
+        assert all(d & 1 and abs(d) < 1 << (width - 1) for _, d in terms)
+        positions = [at for at, _ in terms]
+        assert all(b - a >= width for a, b in zip(positions, positions[1:]))
+        assert not terms or terms[-1][1] > 0
+
+    def test_odd_multiples(self):
+        ops = _SignedModOps(TOY.p)
+        assert odd_multiples(ops, 3, 4) == [pow(3, k, TOY.p) for k in (1, 3, 5, 7)]
+        assert odd_multiples(ops, 3, 1) == [3]
 
 
 class TestJacobi:
