@@ -29,13 +29,15 @@ bench-smoke:
 	$(PYTEST) -q -s benchmarks/test_fastexp_speedup.py \
 		benchmarks/test_streaming_rss.py
 
-## Cross-backend parity plus the proof layers over it (quick confidence
-## after touching crypto/).
+## Cross-backend parity plus the proof layers over it, and the inner
+## envelope + payload framing (quick confidence after touching crypto/
+## or core/messages.py).
 parity:
 	$(PYTEST) -q tests/crypto/test_backend_parity.py tests/crypto/test_ec.py \
 		tests/crypto/test_nizk.py tests/crypto/test_shuffle_proof.py \
 		tests/crypto/test_shuffle_checks.py tests/crypto/test_vector.py \
-		tests/crypto/test_fastexp.py
+		tests/crypto/test_fastexp.py tests/crypto/test_aead_kem.py \
+		tests/core/test_messages.py
 
 ## End-to-end stream on the paper's curve with the demo fault schedule,
 ## then a short spilling stream proving --spill-threshold end to end.
@@ -99,13 +101,14 @@ bench:
 bench-compare:
 	$(PYTHON) -m bench.run --compare $(BEFORE) $(AFTER)
 
-## The harness itself, on its smallest workload and on the NIZK path:
-## one traced run each, so a function bench/layers.py wraps that moved,
-## or a payload digest that changed, fails in CI and not in the next
-## perf PR.
+## The harness itself, on its smallest workload and on the NIZK and
+## trap paths: one traced run each, so a function bench/layers.py wraps
+## that moved, or a payload digest that changed, fails in CI and not in
+## the next perf PR.
 bench-harness:
 	$(PYTHON) -m bench.run --workload ctl_toy_tcp_wal --seconds 6 --trace 1
 	$(PYTHON) -m bench.run --workload nizk_p256_inproc --seconds 6 --trace 1
+	$(PYTHON) -m bench.run --workload trap_p256_inproc --seconds 6 --trace 1
 
 clean:
 	rm -rf src/repro_atom.egg-info build .pytest_cache

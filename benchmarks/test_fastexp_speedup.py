@@ -401,8 +401,8 @@ def test_envelope_overhead(benchmark):
             for gid in sorted(holdings):
                 for vec in holdings[gid]:
                     payload = plaintext_of(rnd.context(gid).scheme, vec)
-                    if not fmt.is_dummy_payload(payload):
-                        messages.append(fmt.parse_plain_payload(payload))
+                    if not fmt.PayloadSpec.is_dummy(payload):
+                        messages.append(fmt.PayloadSpec.parse_plain(payload))
             assert len(messages) == 8
 
     # Warm both paths (fixed-base tables, pyc) before timing, then

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.elgamal import AtomElGamal, ElGamalKeyPair
 from repro.crypto.groups import DeterministicRng, GroupBackend as Group
-from repro.crypto.kem import cca2_decrypt, cca2_encrypt
+from repro.crypto.kem import Cca2Ciphertext, cca2_decrypt, cca2_encrypt
 
 #: Table 12: Vuvuzela dials a million users in ~0.5 minutes.
 PAPER_VUVUZELA_MILLION_MINUTES = 0.5
@@ -48,11 +48,6 @@ class VuvuzelaChain:
             onion = cca2_encrypt(self.group, server.public, onion, self.rng).to_bytes()
         return onion
 
-    def _parse(self, raw: bytes):
-        from repro.core.messages import deserialize_cca2
-
-        return deserialize_cca2(self.group, raw)
-
     def run_round(self, onions: Sequence[bytes]) -> List[bytes]:
         """Each server peels a layer, injects noise, and shuffles."""
         import secrets as _secrets
@@ -62,9 +57,8 @@ class VuvuzelaChain:
             peeled = []
             for onion in current:
                 try:
-                    peeled.append(
-                        cca2_decrypt(self.group, server.secret, self._parse(onion))
-                    )
+                    layer = Cca2Ciphertext.from_bytes(self.group, onion)
+                    peeled.append(cca2_decrypt(self.group, server.secret, layer))
                 except Exception:
                     continue  # drop malformed (noise from previous hops)
             noise = self._noise_onions(depth)

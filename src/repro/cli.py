@@ -69,7 +69,9 @@ def cmd_round(args: argparse.Namespace) -> int:
                 deployment.submit_plain(rnd, message, entry_gid=i % args.groups)
         result = deployment.run_round(rnd, mix_rng)
     print(f"round: {'ok' if result.ok else 'ABORTED: ' + result.abort_reason} "
-          f"({args.transport} transport)")
+          f"({args.transport} transport) "
+          f"payload={deployment.spec.payload_size}B x "
+          f"{deployment.spec.elements_per_message} elements")
     _print_round_result(result)
     return 0 if result.ok else 1
 
@@ -130,9 +132,10 @@ def cmd_run_stream(args: argparse.Namespace) -> int:
             schedule.events = [ev for ev in schedule.events if ev.action != "user"]
             print(f"(dropping user-attack events: {args.variant} variant)")
         # Default seed chosen so the demo schedule's round-5 tampering
-        # is caught by the traps (an honest coin otherwise evades
-        # w.p. 1/2); the flag itself defaults to None uniformly.
-        seed = args.seed if args.seed is not None else "atom-rpc"
+        # is caught by the traps, on the default group and on p256 (an
+        # honest coin otherwise evades w.p. 1/2); the flag itself
+        # defaults to None uniformly.
+        seed = args.seed if args.seed is not None else "atom-48b"
         engine = StreamEngine(
             config,
             schedule,

@@ -97,7 +97,7 @@ class Client:
         verify commitments; a real client keeps it private).
         """
         spec = fmt.PayloadSpec.sized(payload_size)
-        padded_msg = spec.pad(message, 4 + message_size)
+        padded_msg = spec.pad_message(message, message_size)
         inner = cca2_encrypt(self.group, trustee_key, padded_msg, self.rng)
         inner_payload = spec.build_inner(self.group, inner)
 

@@ -5,18 +5,19 @@ payload so that traps and real messages are indistinguishable until the
 tag is read at the exit:
 
 - real (trap-variant inner): ``M`` tag + serialized IND-CCA2 ciphertext
+  (``R || tag || body``) of the length-prefixed, padded user message
 - trap: ``T`` tag + 4-byte entry gid + 16-byte nonce
-- plain (basic/NIZK variants): ``P`` tag + length-prefixed user message
+- plain (basic/NIZK variants): ``P`` tag + user message
+- dummy: ``D`` tag + 12-byte nonce
 
-All payloads are padded to the same ``payload_size`` before entering
-the network.  ``payload_size`` is a deployment constant derived from
-the application message size, and :class:`PayloadSpec` — the object
-every deployment already carries — is the codec: builders are methods
-that close over the spec's sizing, parsers and predicates are static
-(they read sizes out of the payload itself).
-
-The original free functions remain as thin deprecated aliases; new
-code should call the :class:`PayloadSpec` methods.
+Each is length-prefixed with a big-endian u16 and zero-padded to the
+same ``payload_size`` before entering the network (DESIGN.md, "Payload
+layout and ciphertext expansion").  ``payload_size`` is a deployment
+constant derived from the application message size, and
+:class:`PayloadSpec` — the object every deployment already carries —
+is the codec: builders are methods that close over the spec's sizing,
+parsers and predicates are static (they read sizes out of the payload
+itself).
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ import struct
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.crypto.aead import NONCE_BYTES, TAG_BYTES, AeadCiphertext
 from repro.crypto.groups import GroupBackend as Group
-from repro.crypto.kem import Cca2Ciphertext
+from repro.crypto.kem import Cca2Ciphertext, cca2_size
 
 TAG_MESSAGE = b"M"
 TAG_TRAP = b"T"
@@ -35,6 +35,10 @@ TAG_PLAIN = b"P"
 #: dummy cover messages (§3: the butterfly analysis needs a constant
 #: fraction of dummies; uneven entry loads are padded with them too)
 TAG_DUMMY = b"D"
+
+#: every padded field starts with a big-endian u16 byte count
+LENGTH_BYTES = 2
+MAX_PAYLOAD_BYTES = 0xFFFF
 
 TRAP_NONCE_BYTES = 16
 #: nonce of a cover dummy (``TAG_DUMMY`` + nonce must fit any payload)
@@ -52,16 +56,14 @@ def inner_payload_size(group: Group, message_size: int) -> int:
     """Payload bytes needed to carry an inner ciphertext of a
     ``message_size``-byte application message (plus tag and padding
     header)."""
-    width = group.element_bytes
-    cca2 = width + NONCE_BYTES + TAG_BYTES + (4 + message_size)  # body carries padded msg
-    return 4 + 1 + cca2
+    return LENGTH_BYTES + 1 + cca2_size(group, LENGTH_BYTES + message_size)
 
 
 def plain_payload_size(message_size: int) -> int:
     """Payload bytes for a tagged ``message_size``-byte message — never
     less than a cover dummy needs, so padding a round cannot fail on
     short messages."""
-    return 4 + 1 + max(message_size, DUMMY_NONCE_BYTES)
+    return LENGTH_BYTES + 1 + max(message_size, DUMMY_NONCE_BYTES)
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,11 @@ class PayloadSpec:
             if trap_variant
             else plain_payload_size(message_size)
         )
+        if size > MAX_PAYLOAD_BYTES:
+            raise MessageFormatError(
+                f"a {message_size}-byte message needs a {size}-byte payload; "
+                f"the u16 length prefix carries at most {MAX_PAYLOAD_BYTES}"
+            )
         return cls(
             payload_size=size,
             elements_per_message=group.elements_for_size(size),
@@ -103,21 +110,28 @@ class PayloadSpec:
         """Length-prefix and zero-pad ``payload`` to exactly ``size``
         bytes (default: this spec's ``payload_size``)."""
         size = size or self.payload_size
-        if len(payload) + 4 > size:
+        if len(payload) + LENGTH_BYTES > size or size > MAX_PAYLOAD_BYTES:
             raise MessageFormatError(
                 f"payload of {len(payload)} bytes does not fit in {size} bytes"
             )
-        return struct.pack(">I", len(payload)) + payload + b"\x00" * (size - 4 - len(payload))
+        return len(payload).to_bytes(LENGTH_BYTES, "big") + payload.ljust(
+            size - LENGTH_BYTES, b"\x00"
+        )
+
+    def pad_message(self, message: bytes, message_size: int) -> bytes:
+        """The plaintext of an inner ciphertext: ``message`` padded to
+        the deployment's ``message_size``."""
+        return self.pad(message, LENGTH_BYTES + message_size)
 
     @staticmethod
     def unpad(padded: bytes) -> bytes:
         """Invert :meth:`pad`."""
-        if len(padded) < 4:
+        if len(padded) < LENGTH_BYTES:
             raise MessageFormatError("padded payload too short")
-        (length,) = struct.unpack(">I", padded[:4])
-        if length + 4 > len(padded):
+        end = LENGTH_BYTES + int.from_bytes(padded[:LENGTH_BYTES], "big")
+        if end > len(padded):
             raise MessageFormatError("declared length exceeds payload")
-        return padded[4: 4 + length]
+        return padded[LENGTH_BYTES:end]
 
     # -- plain payloads (basic / NIZK variants) -------------------------
 
@@ -174,22 +188,12 @@ class PayloadSpec:
     # -- inner-ciphertext payloads (trap variant) ------------------------
 
     @staticmethod
-    def cca2_to_bytes(group: Group, ciphertext: Cca2Ciphertext) -> bytes:
-        return ciphertext.to_bytes()
-
-    @staticmethod
     def cca2_from_bytes(group: Group, raw: bytes) -> Cca2Ciphertext:
-        """Parse ``R || nonce || tag || body`` back into a ciphertext."""
-        width = group.element_bytes
-        if len(raw) < width + NONCE_BYTES + TAG_BYTES:
-            raise MessageFormatError("CCA2 ciphertext too short")
-        r_value = int.from_bytes(raw[:width], "big")
+        """Parse ``R || tag || body`` back into a ciphertext."""
         try:
-            R = group.element(r_value)
+            return Cca2Ciphertext.from_bytes(group, raw)
         except ValueError as exc:
-            raise MessageFormatError("invalid encapsulation element") from exc
-        body = AeadCiphertext.from_bytes(raw[width:])
-        return Cca2Ciphertext(R=R, body=body)
+            raise MessageFormatError(f"bad inner ciphertext: {exc}") from exc
 
     def build_inner(self, group: Group, ciphertext: Cca2Ciphertext) -> bytes:
         """``cM = EncCCA2(pkT, m)‖M``."""
@@ -209,85 +213,3 @@ class PayloadSpec:
         except MessageFormatError:
             return False
         return body.startswith(TAG_MESSAGE)
-
-
-# -- deprecated free-function aliases ----------------------------------------
-#
-# The pre-PayloadSpec codec surface.  Each is a thin delegation kept so
-# external callers and old notebooks keep working; new code should use
-# the PayloadSpec methods above.  Builders that used to take an
-# explicit size construct a throwaway spec — payload sizing has no
-# other state.
-
-
-_spec = PayloadSpec.sized
-
-
-def pad_payload(payload: bytes, size: int) -> bytes:
-    """Deprecated alias for :meth:`PayloadSpec.pad`."""
-    return _spec(size).pad(payload)
-
-
-def unpad_payload(padded: bytes) -> bytes:
-    """Deprecated alias for :meth:`PayloadSpec.unpad`."""
-    return PayloadSpec.unpad(padded)
-
-
-def build_plain_payload(message: bytes, payload_size: int) -> bytes:
-    """Deprecated alias for :meth:`PayloadSpec.build_plain`."""
-    return _spec(payload_size).build_plain(message)
-
-
-def parse_plain_payload(payload: bytes) -> bytes:
-    """Deprecated alias for :meth:`PayloadSpec.parse_plain`."""
-    return PayloadSpec.parse_plain(payload)
-
-
-def build_dummy_payload(nonce: bytes, payload_size: int) -> bytes:
-    """Deprecated alias for :meth:`PayloadSpec.build_dummy`."""
-    return _spec(payload_size).build_dummy(nonce)
-
-
-def is_dummy_payload(payload: bytes) -> bool:
-    """Deprecated alias for :meth:`PayloadSpec.is_dummy`."""
-    return PayloadSpec.is_dummy(payload)
-
-
-def build_trap_payload(gid: int, nonce: bytes, payload_size: int) -> bytes:
-    """Deprecated alias for :meth:`PayloadSpec.build_trap`."""
-    return _spec(payload_size).build_trap(gid, nonce)
-
-
-def parse_trap_payload(payload: bytes) -> Tuple[int, bytes]:
-    """Deprecated alias for :meth:`PayloadSpec.parse_trap`."""
-    return PayloadSpec.parse_trap(payload)
-
-
-def is_trap_payload(payload: bytes) -> bool:
-    """Deprecated alias for :meth:`PayloadSpec.is_trap`."""
-    return PayloadSpec.is_trap(payload)
-
-
-def serialize_cca2(group: Group, ciphertext: Cca2Ciphertext) -> bytes:
-    """Deprecated alias for :meth:`PayloadSpec.cca2_to_bytes`."""
-    return ciphertext.to_bytes()
-
-
-def deserialize_cca2(group: Group, raw: bytes) -> Cca2Ciphertext:
-    """Deprecated alias for :meth:`PayloadSpec.cca2_from_bytes`."""
-    return PayloadSpec.cca2_from_bytes(group, raw)
-
-
-def build_inner_payload(group: Group, ciphertext: Cca2Ciphertext, payload_size: int) -> bytes:
-    """Deprecated alias for :meth:`PayloadSpec.build_inner`."""
-    return _spec(payload_size).build_inner(group, ciphertext)
-
-
-def parse_inner_payload(group: Group, payload: bytes) -> Cca2Ciphertext:
-    """Deprecated alias for :meth:`PayloadSpec.parse_inner`."""
-    return PayloadSpec.parse_inner(group, payload)
-
-
-def is_inner_payload(payload: bytes) -> bool:
-    """Deprecated alias for :meth:`PayloadSpec.is_inner`."""
-    return PayloadSpec.is_inner(payload)

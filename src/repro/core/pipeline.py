@@ -534,7 +534,7 @@ class StreamEngine:
             # A double-write: two sybil users share one inner ciphertext,
             # so the exit's global de-duplication (and §4.6 blame) must
             # name both.
-            padded = spec.pad(b"double-write", 4 + msg_size)
+            padded = spec.pad_message(b"double-write", msg_size)
             inner = cca2_encrypt(
                 dep.group, rnd.trustees.public_key, padded, self.rng
             )

@@ -198,7 +198,7 @@ class InnerPayloadForger:
         from repro.crypto.kem import cca2_encrypt
 
         spec = fmt.PayloadSpec.sized(self.payload_size)
-        filler = spec.pad(_secrets.token_bytes(8), 4 + self.message_size)
+        filler = spec.pad_message(_secrets.token_bytes(8), self.message_size)
         inner = cca2_encrypt(self.group, self.trustee_public, filler)
         return spec.build_inner(self.group, inner)
 

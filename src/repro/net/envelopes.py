@@ -14,7 +14,7 @@ group elements travel as the fixed-width big-endian integers that
 backend contract, so the same envelope bytes work on Schnorr groups
 and on P-256), scalars as ``q``-width integers, and routed payloads as
 the :mod:`repro.core.messages` fixed-size byte layouts, length-prefixed
-like :func:`repro.core.messages.pad_payload`.
+like :meth:`repro.core.messages.PayloadSpec.pad`.
 
 Transports decide how envelopes move: the in-process transport passes
 the typed objects through untouched (zero copy), the TCP transport
@@ -43,8 +43,11 @@ from repro.crypto.vector import (
 )
 
 #: bump when the header or any codec changes incompatibly
-#: (v2: u64 request id in the header for idempotent RPC delivery)
-WIRE_VERSION = 2
+#: (v2: u64 request id in the header for idempotent RPC delivery;
+#: v3: routed payloads use the 48-byte inner envelope and u16 framing
+#: of :mod:`repro.core.messages` — payload bytes are opaque here, so
+#: only the version keeps an old peer or journal from being adopted)
+WIRE_VERSION = 3
 MAGIC = b"AT"
 
 #: well-known logical node addresses (server nodes use their gid >= 0)

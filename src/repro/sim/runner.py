@@ -39,11 +39,15 @@ from repro.sim.mixnet import GroupMixModel, group_setup_latency
 from repro.sim.network import NetworkModel
 
 #: Group-element payload capacity used for sizing (31 bytes/element,
-#: matching P-256 point embedding).
+#: matching P-256 point embedding) — the paper's; the live embedding
+#: carries 29 B/element, see tests/sim/test_simulator.py
+#: (``TestSizingMatchesTheLiveSpec``).
 ELEMENT_PAYLOAD_BYTES = 31
 #: Wire size of one (R, c, Y) ciphertext element.
 ELEMENT_WIRE_BYTES = 3 * 33
-#: IND-CCA2 envelope overhead for trap-variant inner ciphertexts.
+#: IND-CCA2 envelope overhead for trap-variant inner ciphertexts — the
+#: paper's (32 B point + 16 B MAC); the live envelope is 54 B on P-256
+#: (33 B point, 16 B tag, 1 B kind, 2 + 2 B lengths), see the same test.
 CCA2_OVERHEAD_BYTES = 48
 #: Calibration factor: systems overhead over the analytic model, fit to
 #: the paper's 1M-message / 1,024-server / 28-minute point (§6.2).

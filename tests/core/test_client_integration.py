@@ -66,7 +66,7 @@ class TestClientTrapPair:
             b"msg", ctx.public_key, trustees.public_key, 0, spec.payload_size, 16
         )
         assert verify_commitment(sub.trap_commitment, trap_payload)
-        gid, nonce = fmt.parse_trap_payload(trap_payload)
+        gid, nonce = fmt.PayloadSpec.parse_trap(trap_payload)
         assert gid == 0 and len(nonce) == 16
 
     def test_pair_payloads_same_size(self, toy_group, trap_setup):

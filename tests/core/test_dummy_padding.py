@@ -22,19 +22,21 @@ def config(**overrides):
 
 
 class TestDummyPayloadFormat:
+    SPEC = fmt.PayloadSpec.sized(64)
+
     def test_build_and_detect(self):
-        payload = fmt.build_dummy_payload(b"n" * 12, 64)
-        assert fmt.is_dummy_payload(payload)
-        assert not fmt.is_trap_payload(payload)
-        assert not fmt.is_inner_payload(payload)
+        payload = self.SPEC.build_dummy(b"n" * 12)
+        assert fmt.PayloadSpec.is_dummy(payload)
+        assert not fmt.PayloadSpec.is_trap(payload)
+        assert not fmt.PayloadSpec.is_inner(payload)
 
     def test_same_size_as_plain(self):
-        assert len(fmt.build_dummy_payload(b"n" * 12, 64)) == len(
-            fmt.build_plain_payload(b"msg", 64)
+        assert len(self.SPEC.build_dummy(b"n" * 12)) == len(
+            self.SPEC.build_plain(b"msg")
         )
 
     def test_garbage_is_not_dummy(self):
-        assert not fmt.is_dummy_payload(b"\xff" * 10)
+        assert not fmt.PayloadSpec.is_dummy(b"\xff" * 10)
 
 
 class TestPadRoundBasic:
@@ -79,7 +81,7 @@ class TestPadRoundBasic:
         dep = AtomDeployment(
             config(variant=variant, message_size=message_size, nizk_rounds=4)
         )
-        assert dep.spec.payload_size >= 4 + 1 + fmt.DUMMY_NONCE_BYTES
+        assert dep.spec.payload_size >= fmt.LENGTH_BYTES + 1 + fmt.DUMMY_NONCE_BYTES
         rnd = dep.start_round(0)
         msgs = [bytes([65 + i]) * message_size for i in range(6)]
         for i, m in enumerate(msgs):

@@ -248,9 +248,9 @@ class TestAdversarialStream:
                 "r1:tamper-group:1:0:replace_one;r2:user:duplicate_inner@1"
             ),
             # seed chosen so the round-1 tampering trips a trap (the
-            # honest coin evades with probability 1/2; re-picked for the
-            # envelope engine's per-(layer, group) sub-seed draw order)
-            StreamConfig(rounds=4, users_per_round=4, seed=b"atom-net"),
+            # honest coin evades with probability 1/2; re-picked when
+            # wire version 3 changed the client's rng draw count)
+            StreamConfig(rounds=4, users_per_round=4, seed=b"atom-v3"),
         )
         report = engine.run()
         assert report.ok, [s.abort_reasons for s in report.rounds]

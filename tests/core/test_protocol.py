@@ -290,11 +290,9 @@ class TestBlame:
         for i in range(3):
             dep.submit_trap(rnd, f"m{i}".encode(), entry_gid=i % 2)
         # Build a malicious pair: two traps.
-        from repro.core import messages as fmt
-
         ctx = rnd.contexts[1]
-        t1 = fmt.build_trap_payload(1, b"a" * 16, dep.spec.payload_size)
-        t2 = fmt.build_trap_payload(1, b"b" * 16, dep.spec.payload_size)
+        t1 = dep.spec.build_trap(1, b"a" * 16)
+        t2 = dep.spec.build_trap(1, b"b" * 16)
         s1 = client._submit_payload(t1, ctx.public_key, 1)
         s2 = client._submit_payload(t2, ctx.public_key, 1)
         malicious = TrapSubmission(pair=(s1, s2), trap_commitment=commit(t1), gid=1)

@@ -365,6 +365,22 @@ class TestWireErrors:
         with pytest.raises(WireFormatError, match="version"):
             Envelope.from_bytes(raw, toy_group)
 
+    def test_header_pins_wire_version_3(self, toy_group):
+        # v3: the routed payload layout (48-byte inner envelope, u16
+        # framing) is part of the wire version — DESIGN.md.
+        assert ev.WIRE_VERSION == 3
+        raw = wrap(ev.SubmitOk(1), 7, ev.COORDINATOR, 0).to_bytes(toy_group)
+        assert raw[:4] == b"AT\x03" + bytes([int(Kind.SUBMIT_OK)])
+
+    def test_version_2_envelope_rejected_not_adopted(self, toy_group):
+        """Payload bytes are opaque to the codec, so a peer still on the
+        pre-v3 payload layout would otherwise only fail at exit-time
+        parsing; the header version refuses it at the door."""
+        env = wrap(ev.ExitPayloads(payloads=(b"old-layout payload",)), 0, 0, ev.COORDINATOR)
+        env.version = 2
+        with pytest.raises(WireFormatError, match="version 2 .speaking 3."):
+            Envelope.from_bytes(env.to_bytes(toy_group), toy_group)
+
     def test_truncated_body_rejected(self, toy_group):
         env = wrap(ev.ExitPayloads(payloads=(b"payload",)), 0, 0, ev.COORDINATOR)
         raw = env.to_bytes(toy_group)

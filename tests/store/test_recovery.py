@@ -7,11 +7,16 @@ padding, canonical result bytes): recovery is held to the same standard
 the transports are — it must not influence the crypto at all.
 """
 
+import dataclasses
+from unittest import mock
+
 import pytest
 
 from repro.core import AtomDeployment, Client, DeploymentConfig
 from repro.crypto.groups import DeterministicRng, get_group
+from repro.net.envelopes import WireFormatError
 from repro.store.recovery import RecoveryError, RecoveryManager
+from repro.store.store import DurableStore
 from tests.net.test_transport_parity import _canonical
 
 ITERATIONS = 3
@@ -271,3 +276,22 @@ def test_checkpoint_cadence_re_mixes_missing_layers(tmp_path):
     manager = RecoveryManager(tmp_path)
     resumed = manager.complete_round()
     assert _canonical(group, resumed) == _canonical(group, baseline)
+
+
+def test_journal_of_version_2_envelopes_is_refused(tmp_path):
+    """Wire version 3 changed the routed payload layout, which the
+    envelope codec cannot see; a state dir journaled by a version-2
+    build must fail on resume, not replay payloads it would misparse at
+    the exit (no migration path: ROADMAP 2c, "dirs nobody has")."""
+    journal = DurableStore.envelope_accepted
+
+    def journal_as_v2(self, env, group):
+        journal(self, dataclasses.replace(env, version=2), group)
+
+    with mock.patch.object(DurableStore, "envelope_accepted", journal_as_v2):
+        _drive_round(_config(tmp_path), stop_after_layers=1)
+
+    manager = RecoveryManager(tmp_path)
+    assert manager.needs_recovery()
+    with pytest.raises(WireFormatError, match="wire version 2"):
+        manager.complete_round()
