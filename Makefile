@@ -87,8 +87,7 @@ scenario-smoke:
 store-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/store_smoke.py
 
-## tests/net and tests/fleet with RuntimeWarnings promoted to errors:
-## a leaked never-awaited coroutine in transport shutdown fails here.
+## tests/net and tests/fleet with RuntimeWarnings promoted to errors.
 net-strict:
 	$(PYTEST) -q -W error::RuntimeWarning tests/net tests/fleet
 

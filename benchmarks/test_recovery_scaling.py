@@ -58,7 +58,7 @@ def _make_journal(root: Path, rounds: int) -> None:
     worst realistic history: one live round atop a long dead prefix.
     No rotation/compaction: this is the *unsharded* O(history) layout a
     replacement would otherwise replay."""
-    log = LogDir(root, fsync_every=0, legacy_name="fleet.wal")
+    log = LogDir(root, fsync_every=0)
     for r in range(rounds):
         log.append(
             REC_OPEN,
@@ -86,7 +86,7 @@ def _restore_s(root: Path) -> float:
     best = float("inf")
     for _ in range(REPEAT):
         start = time.perf_counter()
-        scan = LogDir.scan_dir(root, "fleet.wal")
+        scan = LogDir.scan_dir(root)
         fleet_liveness(scan.records)
         best = min(best, time.perf_counter() - start)
     assert not scan.truncated
@@ -95,22 +95,20 @@ def _restore_s(root: Path) -> float:
 
 @pytest.mark.slow
 def test_recovery_scaling(tmp_path):
-    shipper = CheckpointShipper(
-        liveness=fleet_liveness, legacy_name="fleet.wal", kind="fleet"
-    )
+    shipper = CheckpointShipper(liveness=fleet_liveness, kind="fleet")
     rows = []
     record = {}
     for rounds in HISTORIES:
         source = tmp_path / f"history-{rounds}"
         _make_journal(source, rounds)
         replay_s = _restore_s(source)
-        replay_bytes = LogDir.scan_dir(source, "fleet.wal").disk_bytes
+        replay_bytes = LogDir.scan_dir(source).disk_bytes
 
         bundle = shipper.build(source)
         installed = tmp_path / f"shipped-{rounds}"
         shipper.install(installed, bundle)
         shipped_s = _restore_s(installed)
-        shipped_bytes = LogDir.scan_dir(installed, "fleet.wal").disk_bytes
+        shipped_bytes = LogDir.scan_dir(installed).disk_bytes
 
         rows.append(
             (

@@ -110,10 +110,10 @@ def main() -> int:
             controller.kill("p1")
             shipped.append(controller.replace("p1"))
             spec = plan.process("p1")
-            from repro.fleet.server import FLEET_WAL, fleet_log_root
+            from repro.fleet.server import fleet_log_root
 
             root = fleet_log_root(spec.state_dir)
-            scan = LogDir.scan_dir(root, FLEET_WAL)
+            scan = LogDir.scan_dir(root)
             assert scan.segments_read == ["wal-000001.seg"], (
                 "replacement journal must hold only the shipped segment"
             )

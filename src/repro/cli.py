@@ -266,26 +266,23 @@ def cmd_store(args: argparse.Namespace) -> int:
     from repro.store.segments import LogDir, LogDirError
 
     root = Path(args.state_dir)
+    liveness = deployment_liveness
     if args.fleet:
-        legacy, liveness = "fleet.wal", fleet_liveness
-        # the process journal lives in its own subdirectory (a legacy
-        # top-level fleet.wal is migrated in by the same helper the
-        # server uses)
-        if (root / "fleet-log").exists() or (root / "fleet.wal").exists():
-            from repro.fleet.server import fleet_log_root
-
-            root = fleet_log_root(root)
-    else:
-        legacy, liveness = "atom.wal", deployment_liveness
-    if not LogDir.present(root, legacy):
-        print(f"error: no log under {root}", file=sys.stderr)
+        # the process journal lives in its own subdirectory
+        root, liveness = root / "fleet-log", fleet_liveness
+    try:
+        if not LogDir.present(root):
+            print(f"error: no log under {root}", file=sys.stderr)
+            return 2
+        if args.action == "info":
+            scan = LogDir.scan_dir(root)
+        else:
+            # compact — single-writer: only safe with the owning process down
+            stats = compact_state_dir(root, liveness)
+    except LogDirError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.action == "info":
-        try:
-            scan = LogDir.scan_dir(root, legacy)
-        except LogDirError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         print(f"{root}:")
         for name, count in scan.counts:
             size = (root / name).stat().st_size
@@ -298,12 +295,6 @@ def cmd_store(args: argparse.Namespace) -> int:
             f"{scan.disk_bytes:,} bytes ({state})"
         )
         return 0
-    # compact — single-writer: only safe with the owning process down
-    try:
-        stats = compact_state_dir(root, liveness, legacy_name=legacy)
-    except LogDirError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if stats.ran:
         print(
             f"compacted {root}: dropped {stats.dropped}/{stats.examined} "
@@ -436,7 +427,7 @@ def cmd_list_transports(args: argparse.Namespace) -> int:
 
     descriptions = {
         "inproc": "zero-copy in-process dispatch (default)",
-        "tcp": "each node behind a loopback asyncio TCP socket",
+        "tcp": "every node behind one loopback TCP socket",
         "fleet": "groups hosted by separate OS processes "
                  "(DeploymentConfig.fleet_plan; `repro fleet up`)",
     }

@@ -726,9 +726,9 @@ class StreamEngine:
             self.deployment.store.round_settled(stats, self.rng)
             # The round is settled; drop its retained submissions so
             # a sustained stream holds O(1) rounds of intake, not
-            # O(rounds), and release its node endpoints so the TCP
-            # transport does not accumulate one listener set per
-            # round.  (Attack uids stay: they are a few ints per
+            # O(rounds), and release its node endpoints so the
+            # transport does not accumulate one node set per round
+            # (and fleet processes drop theirs).  (Attack uids stay: they are a few ints per
             # *scheduled* event, and tests read them post-run.)
             self._honest.pop(r, None)
             if rnd.coordinator is not None:

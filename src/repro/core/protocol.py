@@ -25,10 +25,10 @@ group objects directly: every round gets a
 :class:`~repro.net.transport.Transport` (``DeploymentConfig.transport``:
 zero-copy in-process by default, loopback TCP for the real service
 boundary).  ``submit_*`` builds the client-side submission and ships it
-as a SUBMIT envelope; :class:`MixingRun` is a thin adapter that steps
-the coordinator layer by layer so the stream engine's recovery hooks
-keep working.  The instrumented byte counters feed the bandwidth
-analysis of §6.2.
+as a SUBMIT envelope; :meth:`AtomDeployment.begin_mixing` hands back
+the round's coordinator, which the stream engine steps layer by layer
+so its recovery hooks can run in between.  The instrumented byte
+counters feed the bandwidth analysis of §6.2.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class DeploymentConfig:
     #: (1 = serial, the paper's horizontal-scaling claim of Fig. 7)
     parallelism: int = 1
     #: how envelopes move between nodes: "inproc" (zero-copy direct
-    #: dispatch), "tcp" (each node behind a loopback asyncio socket) or
+    #: dispatch), "tcp" (every node behind one loopback socket) or
     #: "fleet" (groups hosted by separate OS processes per `fleet_plan`)
     transport: str = "inproc"
     #: path to a repro.fleet.plan.DeploymentPlan JSON; required (and
@@ -320,7 +320,7 @@ class AtomDeployment:
         #: repeated run_round calls don't pay process startup each time
         self._pool = None
         #: lazily-created transport, shared by every round's coordinator
-        #: (TCP keeps its event loop and sockets warm across a stream)
+        #: (TCP keeps its listener and connection across a stream)
         self._transport = None
         #: lazily-created scratch directory for spill segments
         self._spill_dir: Optional[str] = None
@@ -691,14 +691,19 @@ class AtomDeployment:
 
     def begin_mixing(
         self, rnd: Round, rng: Optional[DeterministicRng] = None
-    ) -> "MixingRun":
-        """Start the T mixing iterations as a stepwise :class:`MixingRun`.
+    ) -> "Coordinator":
+        """Start the T mixing iterations: the round's
+        :class:`~repro.net.coordinator.Coordinator`, ready to step.
 
-        The stream engine drives the run layer by layer so fault events
-        can fire and next-round intake can interleave between layers;
-        :meth:`run_round` drives it straight through.
+        The stream engine calls ``run_layer`` layer by layer so fault
+        events can fire and next-round intake can interleave between
+        layers; :meth:`run_round` drives it straight through.
         """
-        return MixingRun(self, rnd, rng)
+        counts = rnd.coordinator.intake_counts()
+        if len(set(counts.values())) > 1:
+            raise ValueError(f"unbalanced entry load: {counts}")
+        rnd.coordinator.rng = rng
+        return rnd.coordinator
 
     def run_round(self, rnd: Round, rng: Optional[DeterministicRng] = None) -> RoundResult:
         """Execute T mixing iterations and the exit protocol."""
@@ -715,79 +720,3 @@ class AtomDeployment:
     def blame(self, rnd: Round) -> BlameReport:
         """Run §4.6 malicious-user identification after an aborted round."""
         return identify_malicious_users(rnd.contexts, rnd.trap_submissions)
-
-
-class MixingRun:
-    """Stepwise driver of one round's T mixing iterations.
-
-    A thin adapter over the round's
-    :class:`~repro.net.coordinator.Coordinator`: one :meth:`run_layer`
-    call mixes one layer of the permutation network over envelopes.
-    Node holdings advance only when a layer commits, so a layer that
-    raises :class:`GroupStalled` leaves every node untouched — the
-    caller can recover the stalled group through its buddies (§4.5),
-    swap the restored context into ``rnd.contexts``, and call
-    :meth:`run_layer` again to retry the same layer (the coordinator
-    re-syncs node contexts at every layer start).  After the final
-    layer, :meth:`finish` runs the exit protocol.
-    """
-
-    def __init__(
-        self,
-        deployment: AtomDeployment,
-        rnd: Round,
-        rng: Optional[DeterministicRng] = None,
-    ):
-        counts = rnd.coordinator.intake_counts()
-        if len(set(counts.values())) > 1:
-            raise ValueError(f"unbalanced entry load: {counts}")
-        self.deployment = deployment
-        self.rnd = rnd
-        self.rng = rng
-        self.coordinator = rnd.coordinator
-        self.coordinator.rng = rng
-        self.result = self.coordinator.result
-
-    @property
-    def layer(self) -> int:
-        return self.coordinator.layer
-
-    @property
-    def done(self) -> bool:
-        return self.coordinator.done
-
-    @property
-    def remaining_layers(self) -> int:
-        return self.coordinator.remaining_layers
-
-    def run_layer(self) -> None:
-        """Mix one layer across all groups (Algorithm 1/2).
-
-        Raises :class:`ProtocolAbort` or :class:`GroupStalled` without
-        advancing state; audits and holdings commit only on success.
-        Tamper budgets spent inside a failed layer are restored too —
-        the layer's outputs are discarded, so a tampering that happened
-        in them must not silently count as used.  (Budget bookkeeping
-        is control-plane test instrumentation: node objects share this
-        process even under the TCP transport.)
-        """
-        budgets = [
-            (server, server.tamper_budget)
-            for ctx in self.rnd.contexts
-            for server in ctx.servers
-            if server.is_malicious
-        ]
-        try:
-            self.coordinator.run_layer()
-        except (ProtocolAbort, GroupStalled):
-            for server, budget in budgets:
-                server.tamper_budget = budget
-            raise
-
-    def abort(self, failure: RuntimeError) -> RoundResult:
-        """Record an unrecovered :class:`ProtocolAbort`/:class:`GroupStalled`."""
-        return self.coordinator.abort(failure)
-
-    def finish(self) -> RoundResult:
-        """Run the exit protocol over the fully mixed holdings."""
-        return self.coordinator.finish()

@@ -28,7 +28,6 @@ import enum
 import json
 import os
 import signal
-import socket
 import subprocess
 import sys
 import time
@@ -39,8 +38,11 @@ from typing import Dict, List, Optional
 from repro.crypto.groups import get_group
 from repro.fleet.plan import DeploymentPlan, ProcessSpec
 from repro.net import envelopes as ev
-from repro.net.envelopes import Envelope
-from repro.net.transport import _LEN
+from repro.net.framing import (
+    FramedConnection,
+    RetryableTransportError,
+    TransportError,
+)
 
 
 class FleetError(RuntimeError):
@@ -167,41 +169,35 @@ class FleetController:
         timeout: Optional[float] = None,
     ):
         """One control RPC on a throwaway connection; returns the reply
-        payload, raising on the wrong reply kind (a Fault's message is
-        surfaced verbatim)."""
-        env = ev.wrap(payload, 0, ev.COORDINATOR, ev.CONTROL)
-        frame = env.to_bytes(self.group)
+        payload.  An unreachable process raises
+        :class:`~repro.net.framing.RetryableTransportError`; one that
+        answered with a fault or the wrong kind raises
+        :class:`FleetError` quoting it."""
+        conn = FramedConnection(
+            (spec.host, spec.port), self.group, f"fleet process {spec.name!r}"
+        )
         if timeout is None:
             timeout = self.plan.health.probe_timeout_s
-        with socket.create_connection(
-            (spec.host, spec.port), timeout=timeout
-        ) as conn:
-            conn.sendall(_LEN.pack(len(frame)) + frame)
-            (count,) = _LEN.unpack(_recv_exact(conn, _LEN.size))
-            replies = []
-            for _ in range(count):
-                (length,) = _LEN.unpack(_recv_exact(conn, _LEN.size))
-                replies.append(
-                    Envelope.from_bytes(
-                        _recv_exact(conn, length), self.group
-                    )
-                )
-        if not replies or replies[0].kind is not expect:
-            got = replies[0] if replies else None
-            detail = (
-                got.payload.message
-                if got is not None and got.kind is ev.Kind.FAULT
-                else (got.kind.name if got is not None else "nothing")
+        try:
+            replies = conn.request(
+                ev.wrap(payload, 0, ev.COORDINATOR, ev.CONTROL), timeout
             )
+        except RetryableTransportError:
+            raise
+        except TransportError as exc:
+            raise FleetError(str(exc)) from exc
+        finally:
+            conn.drop()
+        if not replies or replies[0].kind is not expect:
+            got = replies[0].kind.name if replies else "nothing"
             raise FleetError(
                 f"process {spec.name!r} answered {payload.kind.name} "
-                f"with {detail}"
+                f"with {got}"
             )
         return replies[0].payload
 
     def _probe(self, spec: ProcessSpec):
-        """One FLEET_STATUS RPC; returns the FleetStatusReply payload
-        or raises OSError-family errors."""
+        """One FLEET_STATUS RPC; returns the FleetStatusReply payload."""
         return self._rpc(spec, ev.FleetStatus(), ev.Kind.FLEET_STATUS_REPLY)
 
     def _wait_ready(self, spec: ProcessSpec) -> None:
@@ -227,7 +223,7 @@ class FleetController:
                             "is another fleet using this port?"
                         )
                     return
-            except (OSError, ev.WireFormatError):
+            except RetryableTransportError:
                 pass  # not up yet (conn refused / partial) — keep polling
             if time.monotonic() > deadline:
                 raise FleetError(
@@ -277,7 +273,7 @@ class FleetController:
                         ),
                     )
                 )
-            except (OSError, ev.WireFormatError) as exc:
+            except RetryableTransportError as exc:
                 procs.append(
                     ProcessStatus(
                         spec.name,
@@ -319,7 +315,7 @@ class FleetController:
         bundle = None
         if spec.state_dir is not None:
             root = fleet_log_root(spec.state_dir)
-            if LogDir.present(root, "fleet.wal"):
+            if LogDir.present(root):
                 bundle = fleet_shipper().build(root)
                 # Archive the dead layout: the fresh process must start
                 # empty (restoring from the bundle, never from a full
@@ -337,13 +333,12 @@ class FleetController:
         self._wait_ready(spec)
         if bundle is None:
             return 0
-        reply = self._rpc(
+        self._rpc(
             spec,
             ev.BundleInstall(data=bundle.to_bytes()),
             ev.Kind.CONTROL_OK,
             timeout=max(30.0, self.plan.health.timeout_s),
         )
-        assert reply is not None
         return len(bundle.records)
 
     def _stop_process(self, spec: ProcessSpec, timeout_s: float = 10.0):
@@ -352,17 +347,8 @@ class FleetController:
         # Socket-level drain first (portable flush of in-flight work),
         # then SIGTERM for processes we cannot reach.
         try:
-            env = ev.wrap(
-                ev.FleetShutdown(), 0, ev.COORDINATOR, ev.CONTROL
-            )
-            frame = env.to_bytes(self.group)
-            with socket.create_connection(
-                (spec.host, spec.port),
-                timeout=self.plan.health.probe_timeout_s,
-            ) as conn:
-                conn.sendall(_LEN.pack(len(frame)) + frame)
-                _recv_exact(conn, _LEN.size)  # wait for the ack count
-        except OSError:
+            self._rpc(spec, ev.FleetShutdown(), ev.Kind.CONTROL_OK)
+        except (TransportError, FleetError):
             pass
         if pid is not None:
             try:
@@ -413,13 +399,3 @@ def _pid_alive(pid: int) -> bool:
     except OSError:
         return True
     return True
-
-
-def _recv_exact(conn: socket.socket, n: int) -> bytes:
-    chunks = bytearray()
-    while len(chunks) < n:
-        chunk = conn.recv(n - len(chunks))
-        if not chunk:
-            raise OSError("connection closed mid-frame")
-        chunks += chunk
-    return bytes(chunks)

@@ -2,9 +2,10 @@
 
 A serve process hosts the :class:`~repro.net.nodes.ServerNode` objects
 for the group ids its :class:`~repro.fleet.plan.ProcessSpec` assigns,
-all multiplexed behind a single listening TCP socket (framing identical
-to :class:`~repro.net.transport.TcpTransport`: ``u32 length ||
-envelope``, replies as ``u32 count`` + frames).  Envelopes addressed to
+all multiplexed behind a single listening TCP socket served by
+:func:`repro.net.framing.serve` (the same accept loop and frame format
+as the loopback :class:`~repro.net.transport.TcpTransport`).  Envelopes
+addressed to
 :data:`~repro.net.envelopes.CONTROL` drive the process itself; every
 other destination dispatches to the node registered under
 ``(round_id, dest)``.
@@ -22,8 +23,8 @@ discarded.
 **Durability.** With a ``state_dir`` the process journals ROUND_OPEN /
 ROUND_CLOSE and every *accepted* intake envelope to its own segmented
 log under ``<state_dir>/fleet-log/`` (fleet-local record types,
-ignored by the coordinator-side store's scanner; a pre-sharding
-``fleet.wal`` migrates in on first open).  A respawned process replays
+ignored by the coordinator-side store's scanner).  A respawned process
+replays
 the log — re-deriving contexts from the journaled mark and re-handling
 the intake envelopes under their original request ids, which also
 repopulates the idempotency dedup cache — and rejoins the stream
@@ -53,9 +54,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.protocol import AtomDeployment
 from repro.crypto.groups import DeterministicRng
 from repro.net import envelopes as ev
+from repro.net import framing
 from repro.net.envelopes import Envelope
 from repro.net.nodes import ServerNode
-from repro.net.transport import _LEN
 from repro.store.compact import Compactor, fleet_liveness
 from repro.store.segments import LogDir
 from repro.store.ship import CheckpointShipper
@@ -71,30 +72,19 @@ REC_OPEN = 21
 REC_CLOSE = 22
 REC_ENVELOPE = 23
 
-#: legacy single-file journal name (pre-sharding process dirs)
-FLEET_WAL = "fleet.wal"
-
 
 def fleet_log_root(state_dir) -> Path:
     """The process journal's segmented log directory,
     ``<state_dir>/fleet-log/`` — its own directory so it can never
-    collide with a coordinator store sharing the state dir.  A legacy
-    top-level ``fleet.wal`` is moved inside (where :class:`LogDir`
-    migrates it to segment 1 on open)."""
-    state_dir = Path(state_dir)
-    root = state_dir / "fleet-log"
+    collide with a coordinator store sharing the state dir."""
+    root = Path(state_dir) / "fleet-log"
     root.mkdir(parents=True, exist_ok=True)
-    legacy = state_dir / FLEET_WAL
-    if legacy.exists() and not LogDir.present(root, FLEET_WAL):
-        legacy.replace(root / FLEET_WAL)
     return root
 
 
 def fleet_shipper() -> CheckpointShipper:
     """The bundle builder/installer for fleet intake journals."""
-    return CheckpointShipper(
-        liveness=fleet_liveness, legacy_name=FLEET_WAL, kind="fleet"
-    )
+    return CheckpointShipper(liveness=fleet_liveness, kind="fleet")
 
 
 class _IntakeStore(Store):
@@ -202,18 +192,20 @@ class FleetServer:
         if self.spec.state_dir is None:
             return
         root = fleet_log_root(self.spec.state_dir)
-        existed = LogDir.present(root, FLEET_WAL)
-        if existed:
-            self._replay(LogDir.scan_dir(root, FLEET_WAL))
-        self.wal = LogDir(
+        self._attach_wal(root, fresh=not LogDir.present(root))
+
+    def _attach_wal(self, root: Path, fresh: bool) -> None:
+        """Replay the journal under ``root`` (unless starting fresh)
+        and keep appending to it."""
+        if not fresh:
+            self._replay_records(LogDir.scan_dir(root).records)
+        self.wal = self.store.wal = LogDir(
             root,
             fsync_every=self.config.wal_fsync_every,
-            fresh=not existed,
+            fresh=fresh,
             segment_bytes=self.config.wal_segment_bytes,
             segment_records=self.config.wal_segment_records,
-            legacy_name=FLEET_WAL,
         )
-        self.store.wal = self.wal
 
     def _truncate_closed(self) -> None:
         """ROUND_CLOSE made a round's journal records dead: seal the
@@ -252,7 +244,7 @@ class FleetServer:
         root = fleet_log_root(self.spec.state_dir)
         # wipe the fresh (empty or superseded) layout: the bundle is
         # the authoritative state now
-        for name in ("wal.manifest", "wal.manifest.tmp", FLEET_WAL):
+        for name in ("wal.manifest", "wal.manifest.tmp"):
             path = root / name
             if path.exists():
                 path.unlink()
@@ -261,16 +253,7 @@ class FleetServer:
         bundle = shipper.install(root, data)
         self.nodes.clear()
         self.epoch = None
-        self._replay(LogDir.scan_dir(root, FLEET_WAL))
-        self.wal = LogDir(
-            root,
-            fsync_every=self.config.wal_fsync_every,
-            fresh=False,
-            segment_bytes=self.config.wal_segment_bytes,
-            segment_records=self.config.wal_segment_records,
-            legacy_name=FLEET_WAL,
-        )
-        self.store.wal = self.wal
+        self._attach_wal(root, fresh=False)
         return len(bundle.records)
 
     def _build_bundle(self) -> Tuple[bytes, int]:
@@ -280,9 +263,6 @@ class FleetServer:
         self.wal.sync()
         bundle = fleet_shipper().build(fleet_log_root(self.spec.state_dir))
         return bundle.to_bytes(), len(bundle.records)
-
-    def _replay(self, scan) -> None:
-        self._replay_records(scan.records)
 
     def _replay_records(self, records) -> None:
         """Rebuild per-round state from the journal: for every round
@@ -327,14 +307,6 @@ class FleetServer:
 
     # -- dispatch ------------------------------------------------------
 
-    def _fault(self, request: Envelope, message: str) -> Envelope:
-        return ev.wrap(
-            ev.Fault(code="transport-error", message=message),
-            request.round_id,
-            request.dest,
-            ev.COORDINATOR,
-        )
-
     def _handle_control(self, env: Envelope) -> List[Envelope]:
         kind = env.kind
         if kind is ev.Kind.ROUND_OPEN:
@@ -366,21 +338,17 @@ class FleetServer:
             self._drop_round(env.round_id)
             self._truncate_closed()
             return [self._ok(env)]
+        # (a handler that raises is answered with a transport-error
+        # FAULT carrying its repr: framing.serve)
         if kind is ev.Kind.BUNDLE_INSTALL:
-            try:
-                count = self._install_bundle(env.payload.data)
-            except Exception as exc:
-                return [self._fault(env, f"bundle install failed: {exc!r}")]
+            count = self._install_bundle(env.payload.data)
             logger.info(
                 "%s: installed checkpoint bundle (%d live records)",
                 self.spec.name, count,
             )
             return [self._ok(env)]
         if kind is ev.Kind.BUNDLE_FETCH:
-            try:
-                data, records = self._build_bundle()
-            except Exception as exc:
-                return [self._fault(env, f"bundle build failed: {exc!r}")]
+            data, records = self._build_bundle()
             return [
                 ev.wrap(
                     ev.BundleData(data=data, records=records),
@@ -399,64 +367,33 @@ class FleetServer:
         if kind is ev.Kind.FLEET_SHUTDOWN:
             self._start_drain("FLEET_SHUTDOWN")
             return [self._ok(env)]
-        return [self._fault(env, f"unexpected control kind {kind.name}")]
+        raise ValueError(f"unexpected control kind {kind.name}")
 
     @staticmethod
     def _ok(env: Envelope) -> Envelope:
         return ev.wrap(ev.ControlOk(), env.round_id, ev.CONTROL, env.sender)
 
     def _dispatch(self, env: Envelope) -> List[Envelope]:
-        if env.dest == ev.CONTROL:
-            return self._handle_control(env)
-        node = self.nodes.get((env.round_id, env.dest))
-        if node is None:
-            return [
-                self._fault(
-                    env,
-                    f"no node {env.dest} open for round {env.round_id} "
-                    f"on process {self.spec.name!r}",
-                )
-            ]
-        try:
+        with self.lock:
+            if env.dest == ev.CONTROL:
+                return self._handle_control(env)
+            node = self.nodes.get((env.round_id, env.dest))
+            if node is None:
+                return [
+                    framing.transport_fault(
+                        env,
+                        f"no node {env.dest} open for round {env.round_id} "
+                        f"on process {self.spec.name!r}",
+                    )
+                ]
             return node.handle(env)
-        except Exception as exc:  # crossed-wire: no raising back
-            return [self._fault(env, repr(exc))]
 
     # -- socket loop ---------------------------------------------------
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        try:
-            while not self.draining.is_set():
-                head = _recv_exact(conn, _LEN.size)
-                if head is None:
-                    return
-                (length,) = _LEN.unpack(head)
-                raw = _recv_exact(conn, length)
-                if raw is None:
-                    return
-                env = Envelope.from_bytes(raw, self.group)
-                with self.lock:
-                    replies = self._dispatch(env)
-                out = [r.to_bytes(self.group) for r in replies]
-                conn.sendall(
-                    _LEN.pack(len(out))
-                    + b"".join(_LEN.pack(len(f)) + f for f in out)
-                )
-        except OSError:
-            pass  # peer vanished; nothing to clean beyond the socket
-        finally:
-            conn.close()
 
     def _start_drain(self, why: str) -> None:
         if not self.draining.is_set():
             logger.info("%s: draining (%s)", self.spec.name, why)
-            self.draining.set()
-            listener = self._listener
-            if listener is not None:
-                try:
-                    listener.close()
-                except OSError:
-                    pass
+            framing.stop_serving(self._listener, self.draining)
 
     def serve_forever(self) -> int:
         try:
@@ -468,9 +405,7 @@ class FleetServer:
             )
             return 2
         try:
-            listener = socket.create_server(
-                (self.spec.host, self.spec.port), reuse_port=False
-            )
+            listener = socket.create_server((self.spec.host, self.spec.port))
         except OSError as exc:
             print(
                 f"[serve:{self.spec.name}] cannot bind "
@@ -489,32 +424,13 @@ class FleetServer:
             f"pid={os.getpid()}",
             flush=True,
         )
-        while not self.draining.is_set():
-            try:
-                conn, _ = listener.accept()
-            except OSError:
-                break  # listener closed by drain
-            threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
-            ).start()
-        # Let any in-flight request finish, then seal the journal.
-        with self.lock:
-            if self.wal is not None:
-                self.wal.close()
+        # Returns once drained: in-flight requests have been answered.
+        framing.serve(listener, self.group, self._dispatch, self.draining)
+        if self.wal is not None:
+            self.wal.close()
         self.pool.shutdown(wait=False, cancel_futures=True)
         print(f"[serve:{self.spec.name}] drained, exiting", flush=True)
         return 0
-
-
-def _recv_exact(conn: socket.socket, n: int) -> Optional[bytes]:
-    """Blocking exact read; None on clean EOF (peer closed)."""
-    chunks = bytearray()
-    while len(chunks) < n:
-        chunk = conn.recv(n - len(chunks))
-        if not chunk:
-            return None
-        chunks += chunk
-    return bytes(chunks)
 
 
 def run_server(plan_path: str, name: str) -> int:

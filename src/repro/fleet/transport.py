@@ -2,9 +2,8 @@
 
 :class:`FleetTransport` routes each envelope by destination: group ids
 assigned in the :class:`~repro.fleet.plan.DeploymentPlan` go over a
-persistent TCP connection to the owning ``repro serve`` process (same
-``u32 length || envelope`` framing and error taxonomy as
-:class:`~repro.net.transport.TcpTransport`), everything else — the
+persistent :class:`~repro.net.framing.FramedConnection` to the owning
+``repro serve`` process, everything else — the
 trustee, unassigned groups, buddy-recovered groups re-homed into the
 coordinator — dispatches to locally registered nodes, zero-copy.
 
@@ -25,39 +24,21 @@ requests.
 from __future__ import annotations
 
 import logging
-import socket
 import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.groups import GroupBackend as Group
 from repro.net import envelopes as ev
 from repro.net.envelopes import Envelope
+from repro.net.framing import FramedConnection
 from repro.net.transport import (
-    _LEN,
-    _is_error_reply,
+    NodeKey,
     RetryableTransportError,
-    RpcTimeout,
     Transport,
     TransportError,
 )
 
 logger = logging.getLogger(__name__)
-
-NodeKey = Tuple[int, int]
-
-
-def _send_frames(conn: socket.socket, parts: List[bytes]) -> None:
-    """Gathered send (``writev``) of a header + body frame list,
-    tolerating short writes — avoids concatenating a large envelope
-    just to prepend its length prefix."""
-    views = [memoryview(p) for p in parts if p]
-    while views:
-        sent = conn.sendmsg(views)
-        while views and sent >= len(views[0]):
-            sent -= len(views[0])
-            views.pop(0)
-        if sent:
-            views[0] = views[0][sent:]
 
 
 class FleetTransport(Transport):
@@ -70,20 +51,23 @@ class FleetTransport(Transport):
     _CONTROL_TIMEOUT_S = 30.0
 
     def __init__(self, group: Group, plan):
-        self.group = group
         self.plan = plan
         #: gid -> owning process name
         self.placement: Dict[int, str] = plan.placement
-        self._specs = {p.name: p for p in plan.processes}
+        #: process name -> its (lazily dialled) connection
+        self._conns: Dict[str, FramedConnection] = {
+            p.name: FramedConnection(
+                (p.host, p.port), group, f"fleet process {p.name!r}"
+            )
+            for p in plan.processes
+        }
         #: gids taken over by the coordinator after buddy recovery of a
         #: dead process — later rounds host them locally from the start
         self.rehomed: set = set()
         self._local: Dict[NodeKey, object] = {}
-        self._conns: Dict[str, socket.socket] = {}
         #: (epoch_round, seed, counter) — the rng mark remote processes
         #: re-derive the current contexts from; refreshed on fresh opens
         self._epoch: Optional[Tuple[int, bytes, int]] = None
-        self._closed = False
 
     # -- registry ------------------------------------------------------
 
@@ -106,7 +90,7 @@ class FleetTransport(Transport):
         close = ev.wrap(
             ev.RoundClose(), round_id, ev.COORDINATOR, ev.CONTROL
         )
-        for name in self._specs:
+        for name in self._conns:
             try:
                 self._control(name, close)
             except TransportError as exc:
@@ -138,7 +122,7 @@ class FleetTransport(Transport):
         payload = ev.RoundOpen(
             fresh=fresh, epoch_round=epoch_round, seed=seed, counter=counter
         )
-        for name in self._specs:
+        for name in self._conns:
             env = ev.wrap(payload, round_id, ev.COORDINATOR, ev.CONTROL)
             try:
                 self._control(name, env)
@@ -157,7 +141,7 @@ class FleetTransport(Transport):
         to its (dead) owner so nothing reuses the stale socket."""
         name = self.placement.get(gid)
         if name is not None:
-            self._drop_connection(name)
+            self._conns[name].drop()
 
     # -- request path --------------------------------------------------
 
@@ -174,72 +158,7 @@ class FleetTransport(Transport):
             raise TransportError(
                 f"no node {env.dest} registered for round {env.round_id}"
             )
-        return self._rpc(name, env, timeout)
-
-    def _connection(self, name: str) -> socket.socket:
-        conn = self._conns.get(name)
-        if conn is None:
-            spec = self._specs[name]
-            try:
-                conn = socket.create_connection((spec.host, spec.port))
-            except OSError as exc:
-                raise RetryableTransportError(
-                    f"cannot reach fleet process {name!r} at "
-                    f"{spec.host}:{spec.port}: {exc}"
-                ) from exc
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._conns[name] = conn
-        return conn
-
-    def _drop_connection(self, name: str) -> None:
-        conn = self._conns.pop(name, None)
-        if conn is not None:
-            conn.close()
-
-    def _rpc(self, name: str, env: Envelope, timeout=None) -> List[Envelope]:
-        conn = self._connection(name)
-        conn.settimeout(timeout)
-        frame = env.to_bytes(self.group)
-        replies: List[Envelope] = []
-        try:
-            # writev: a multi-megabyte MIX_BATCH frame ships without
-            # being copied once more just to prepend its 4-byte length
-            _send_frames(conn, [_LEN.pack(len(frame)), frame])
-            (count,) = _LEN.unpack(self._recv_exact(conn, _LEN.size))
-            for _ in range(count):
-                (length,) = _LEN.unpack(self._recv_exact(conn, _LEN.size))
-                replies.append(
-                    Envelope.from_bytes(
-                        self._recv_exact(conn, length), self.group
-                    )
-                )
-        except socket.timeout as exc:
-            self._drop_connection(name)
-            raise RpcTimeout(
-                f"request to fleet process {name!r} timed out "
-                f"after {timeout}s"
-            ) from exc
-        except (OSError, ev.WireFormatError, TransportError) as exc:
-            self._drop_connection(name)
-            raise RetryableTransportError(
-                f"request to fleet process {name!r} failed: {exc}"
-            ) from exc
-        for reply in replies:
-            if _is_error_reply(reply):
-                raise TransportError(
-                    f"fleet process {name!r} failed: {reply.payload.message}"
-                )
-        return replies
-
-    @staticmethod
-    def _recv_exact(conn: socket.socket, n: int) -> bytes:
-        chunks = bytearray()
-        while len(chunks) < n:
-            chunk = conn.recv(n - len(chunks))
-            if not chunk:
-                raise RetryableTransportError("connection closed mid-frame")
-            chunks += chunk
-        return bytes(chunks)
+        return self._conns[name].request(env, timeout)
 
     # -- control plane -------------------------------------------------
 
@@ -252,8 +171,10 @@ class FleetTransport(Transport):
             if attempt:
                 time.sleep(self._CONTROL_BACKOFF_S * attempt)
             try:
-                return self._rpc(name, env, timeout=self._CONTROL_TIMEOUT_S)
-            except (RetryableTransportError, RpcTimeout) as exc:
+                return self._conns[name].request(
+                    env, timeout=self._CONTROL_TIMEOUT_S
+                )
+            except RetryableTransportError as exc:
                 last = exc
         raise TransportError(
             f"control RPC {env.kind.name} to fleet process {name!r} "
@@ -263,9 +184,6 @@ class FleetTransport(Transport):
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        if self._closed:
-            return
-        for name in list(self._conns):
-            self._drop_connection(name)
+        for conn in self._conns.values():
+            conn.drop()
         self._local.clear()
-        self._closed = True

@@ -5,6 +5,8 @@
 - :mod:`repro.net.transport` — the :class:`Transport` contract with
   the zero-copy :class:`InProcessTransport` and the socket-backed
   :class:`TcpTransport`.
+- :mod:`repro.net.framing` — the one framed-RPC socket link (client
+  connection, accept loop, size caps) every socket user shares.
 - :mod:`repro.net.nodes` — :class:`ServerNode` / :class:`TrusteeNode`
   services exposing ``handle(envelope) -> [envelope]``.
 - :mod:`repro.net.coordinator` — the :class:`Coordinator` that drives

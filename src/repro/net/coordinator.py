@@ -5,11 +5,10 @@ The :class:`Coordinator` re-implements the round sequence that
 intake, T mixing layers, exit, trap checks, trustee key release —
 purely in terms of :mod:`repro.net.envelopes` messages moved by a
 :mod:`repro.net.transport`.  One coordinator drives one round; the
-stream engine creates one per round and the deployment's ``MixingRun``
-adapter drives it layer by layer so fault recovery and pipelined
-intake keep working unchanged.
+stream engine steps it layer by layer (:meth:`Coordinator.run_layer`)
+so fault recovery and pipelined intake can run in between.
 
-Layer protocol (two-phase, preserving the old ``MixingRun`` atomicity):
+Layer protocol (two-phase, so a failed layer changes nothing):
 
 1. ``MIX`` to every group that holds ciphertexts, in gid order.  A
    node replies with its ``MIX_BATCH``/``MIX_SUMMARY`` set, with
@@ -97,15 +96,8 @@ class Coordinator:
         #: whole round is local and direct node access suffices
         self._view: Optional[Dict[int, List]] = {} if self._remote else None
 
-        pool = deployment._mixing_pool() if len(rnd.contexts) > 1 else None
         self.nodes: Dict[int, ServerNode] = {
-            ctx.gid: ServerNode(
-                ctx, rnd.round_id, deployment.config.variant, pool=pool,
-                store=self.store,
-                data_plane=deployment.config.data_plane,
-                spill_threshold=deployment.config.spill_threshold,
-                spill_dir=deployment.spill_dir(),
-            )
+            ctx.gid: self._new_node(ctx)
             for ctx in rnd.contexts
             if ctx.gid not in self._remote
         }
@@ -123,6 +115,17 @@ class Coordinator:
         )
 
     # -- plumbing ------------------------------------------------------
+
+    def _new_node(self, ctx) -> ServerNode:
+        deployment, cfg = self.deployment, self.deployment.config
+        return ServerNode(
+            ctx, self.round_id, cfg.variant,
+            pool=deployment._mixing_pool() if len(self.rnd.contexts) > 1 else None,
+            store=self.store,
+            data_plane=cfg.data_plane,
+            spill_threshold=cfg.spill_threshold,
+            spill_dir=deployment.spill_dir(),
+        )
 
     def _send(self, payload, dest: int, req_id: int = 0) -> List[Envelope]:
         return self.transport.request(
@@ -144,7 +147,7 @@ class Coordinator:
 
     def release(self) -> None:
         """Drop this round's endpoints (idempotent; streams call it
-        once a round settles so transports don't accumulate sockets)."""
+        once a round settles so transports don't accumulate nodes)."""
         if not self._released:
             self._released = True
             self.transport.unregister_round(self.round_id)
@@ -240,7 +243,10 @@ class Coordinator:
             return
 
     def run_layer(self) -> None:
-        """Mix one layer across all groups (Algorithm 1/2) atomically."""
+        """Mix one layer across all groups (Algorithm 1/2) atomically:
+        a layer that raises leaves every node untouched, so after §4.5
+        recovery of a :class:`GroupStalled` group (restored context in
+        ``rnd.contexts``) calling this again retries the same layer."""
         if self.done:
             raise RuntimeError("all mixing layers already complete")
         if self.layer == 0:
@@ -274,6 +280,12 @@ class Coordinator:
         batches: List[Envelope] = []
         audits = []
         pending: List[int] = []
+        budgets = [  # control plane, see the module docstring
+            (server, server.tamper_budget)
+            for ctx in rnd.contexts
+            for server in ctx.servers
+            if server.is_malicious
+        ]
         try:
             for gid in active:
                 if last:
@@ -301,6 +313,10 @@ class Coordinator:
                 self._sort_mix_replies(replies, batches, audits)
         except Exception:
             self._abort_layer(layer)
+            # The layer's outputs are discarded, so a tampering that
+            # happened in them must not silently count as used.
+            for server, budget in budgets:
+                server.tamper_budget = budget
             raise
 
         # Whole layer succeeded: deliver hand-offs, then commit.  A
@@ -401,17 +417,7 @@ class Coordinator:
         if self._fleet is None or gid not in self._remote:
             return
         rnd = self.rnd
-        deployment = self.deployment
-        pool = (
-            deployment._mixing_pool() if len(rnd.contexts) > 1 else None
-        )
-        node = ServerNode(
-            rnd.contexts[gid], self.round_id, deployment.config.variant,
-            pool=pool, store=self.store,
-            data_plane=deployment.config.data_plane,
-            spill_threshold=deployment.config.spill_threshold,
-            spill_dir=deployment.spill_dir(),
-        )
+        node = self._new_node(rnd.contexts[gid])
         view = self._holdings_view(gid)
         if isinstance(node.holdings, list):
             node.holdings = list(view)
@@ -455,7 +461,7 @@ class Coordinator:
         finally:
             # The round is settled: drop its endpoints so repeated
             # run_round calls on one deployment don't accumulate node
-            # registrations (and, under TCP, listener sockets).
+            # registrations.
             self.release()
 
     def _plain_exit(self, payloads_by_gid: Dict[int, List[bytes]]):

@@ -9,8 +9,8 @@ its ``Round`` — holdings, the duplicate-submission filter, trap
 commitments — and mutate it only through envelopes, so a node can sit
 behind any :class:`~repro.net.transport.Transport`.
 
-Layer atomicity mirrors the old ``MixingRun`` contract: a ``MIX``
-request computes outgoing batches but does **not** advance holdings;
+Layer atomicity: a ``MIX`` request computes outgoing batches but
+does **not** advance holdings;
 the coordinator delivers ``MIX_BATCH`` envelopes and then commits the
 layer with ``COMMIT_LAYER`` only once every group succeeded, so a
 failed layer leaves every node at its pre-layer snapshot and can be

@@ -20,49 +20,33 @@ Two implementations:
   refactored round pays only envelope construction over the old direct
   calls.
 
-- :class:`TcpTransport` — every registered node gets its own asyncio
-  server on a loopback socket; ``request`` frames
-  ``envelope.to_bytes()`` over a persistent connection to the node's
-  port and decodes the framed replies.  This is the real service
-  boundary: everything a round needs crosses the wire as bytes, which
-  is what future multi-process sharding builds on.
+- :class:`TcpTransport` — all registered nodes sit behind one
+  loopback listening socket; ``request`` frames ``envelope.to_bytes()``
+  over one persistent connection and decodes the framed replies.  This
+  is the real service boundary: everything a round needs crosses the
+  wire as bytes, exactly as it does between ``repro serve`` processes.
 
-Frame format (TCP): ``u32 length || envelope bytes``; a request is one
-frame, a response is ``u32 count`` followed by ``count`` frames.
+The socket work (frame format, size caps, accept loop, error taxonomy)
+is :mod:`repro.net.framing`, shared with the fleet.
 """
 
 from __future__ import annotations
 
 import abc
-import asyncio
-import inspect
-import logging
 import socket
-import struct
 import threading
-from typing import Awaitable, Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.crypto.groups import GroupBackend as Group
-from repro.net.envelopes import Envelope, WireFormatError
-
-logger = logging.getLogger(__name__)
+from repro.net import framing
+from repro.net.envelopes import Envelope
+from repro.net.framing import (  # noqa: F401  (the contract's errors)
+    RetryableTransportError,
+    RpcTimeout,
+    TransportError,
+)
 
 NodeKey = Tuple[int, int]  # (round_id, node_id)
-
-
-class TransportError(RuntimeError):
-    """Routing or connection failure at the transport layer."""
-
-
-class RetryableTransportError(TransportError):
-    """A failure where the request may not have been processed — the
-    connection dropped, the peer reset, the reply was garbled.  The
-    resilience layer may retry these (idempotency via request IDs makes
-    the retry safe); a plain :class:`TransportError` is terminal."""
-
-
-class RpcTimeout(RetryableTransportError):
-    """The peer did not answer within the caller's deadline."""
 
 
 class Transport(abc.ABC):
@@ -120,286 +104,68 @@ class InProcessTransport(Transport):
         self._nodes.clear()
 
 
-_LEN = struct.Struct(">I")
-
-
 class TcpTransport(Transport):
-    """Loopback TCP: each node behind its own asyncio socket server.
+    """Loopback TCP: every node behind one listening socket.
 
-    The asyncio event loop runs in a daemon thread; ``register`` binds
-    a fresh server per node key and ``request`` talks to it over a
-    persistent blocking client connection.  Handlers dispatch on the
-    envelope header, so swapping the node behind a key (stream rekey)
-    needs no rebind.  Unexpected handler exceptions are returned to the
-    caller as a :class:`TransportError` carrying the repr — protocol
-    failures proper travel as FAULT envelopes, not exceptions.
+    One :func:`~repro.net.framing.serve` accept loop (in a daemon
+    thread) and one :class:`~repro.net.framing.FramedConnection` live
+    as long as the transport; handlers dispatch on the envelope header
+    ``(round_id, dest)``, so registering a round, or swapping the node
+    behind a key (stream rekey), binds nothing.  A handler exception
+    comes back as a :class:`TransportError` carrying its repr —
+    protocol failures proper travel as FAULT envelopes.
     """
 
     name = "tcp"
 
     def __init__(self, group: Group, host: str = "127.0.0.1"):
-        self.group = group
-        self.host = host
         self._nodes: Dict[NodeKey, object] = {}
-        self._servers: Dict[NodeKey, Tuple[object, int]] = {}  # (server, port)
-        self._conns: Dict[NodeKey, socket.socket] = {}
-        self._loop = None
-        self._thread = None
-        self._closed = False
-
-    # -- event loop ----------------------------------------------------
-
-    def _ensure_loop(self) -> asyncio.AbstractEventLoop:
-        if self._loop is None:
-            if self._closed:
-                raise TransportError("transport is closed")
-            loop = asyncio.new_event_loop()
-            thread = threading.Thread(
-                target=loop.run_forever, name="atom-tcp-transport", daemon=True
-            )
-            thread.start()
-            self._loop, self._thread = loop, thread
-        return self._loop
-
-    def _run(self, coro):
-        return asyncio.run_coroutine_threadsafe(coro, self._ensure_loop()).result()
-
-    # -- server side ---------------------------------------------------
-
-    async def _serve_connection(self, reader, writer) -> None:
-        try:
-            while True:
-                try:
-                    head = await reader.readexactly(_LEN.size)
-                except asyncio.IncompleteReadError:
-                    return
-                except (asyncio.CancelledError, ConnectionResetError):
-                    return  # transport shutdown / peer vanished
-                (length,) = _LEN.unpack(head)
-                raw = await reader.readexactly(length)
-                env = Envelope.from_bytes(raw, self.group)
-                node = self._nodes.get((env.round_id, env.dest))
-                if node is None:
-                    out = [self._fault_frame(env, "no such node")]
-                else:
-                    try:
-                        replies = node.handle(env)
-                        out = [r.to_bytes(self.group) for r in replies]
-                    except Exception as exc:  # crossed-wire: no raising back
-                        out = [self._fault_frame(env, repr(exc))]
-                writer.write(_LEN.pack(len(out)))
-                for frame in out:
-                    writer.write(_LEN.pack(len(frame)) + frame)
-                await writer.drain()
-        finally:
-            writer.close()
-
-    async def _start_server(self):
-        server = await asyncio.start_server(
-            self._serve_connection, host=self.host, port=0
+        #: handlers run one at a time even when a timed-out request's
+        #: handler is still busy as its retry arrives on a new connection
+        self._lock = threading.Lock()
+        self._stopping = threading.Event()
+        self._listener = socket.create_server((host, 0))
+        self._conn = framing.FramedConnection(
+            self._listener.getsockname()[:2], group, "loopback"
         )
-        port = server.sockets[0].getsockname()[1]
-        return server, port
+        self._thread = threading.Thread(
+            target=framing.serve,
+            args=(self._listener, group, self._dispatch, self._stopping),
+            name="atom-rpc-accept",
+            daemon=True,
+        )
+        self._thread.start()
 
-    # -- registry ------------------------------------------------------
+    def _dispatch(self, env: Envelope) -> List[Envelope]:
+        with self._lock:
+            node = self._nodes.get((env.round_id, env.dest))
+            if node is None:
+                return [framing.transport_fault(env, "no such node")]
+            return node.handle(env)
 
     def register(self, round_id: int, node_id: int, node) -> None:
-        key = (round_id, node_id)
-        self._nodes[key] = node
-        if key not in self._servers:
-            self._servers[key] = self._run(self._start_server())
+        if self._stopping.is_set():
+            raise TransportError("transport is closed")
+        self._nodes[(round_id, node_id)] = node
 
     def unregister_round(self, round_id: int) -> None:
-        for key in [k for k in list(self._servers) if k[0] == round_id]:
-            server, _ = self._servers.pop(key)
-            self._run(self._stop_server(server))
-            conn = self._conns.pop(key, None)
-            if conn is not None:
-                conn.close()
-            self._nodes.pop(key, None)
-
-    @staticmethod
-    async def _stop_server(server) -> None:
-        server.close()
-        await server.wait_closed()
-
-    def _fault_frame(self, request: Envelope, message: str) -> bytes:
-        """A serialized FAULT envelope reporting a server-side failure
-        that is not part of the protocol (unexpected exception, routing
-        miss) — surfaced client-side as :class:`TransportError`."""
-        from repro.net.envelopes import COORDINATOR, Fault, wrap
-
-        env = wrap(
-            Fault(code="transport-error", message=message),
-            request.round_id, request.dest, COORDINATOR,
-        )
-        return env.to_bytes(self.group)
-
-    # -- client side ---------------------------------------------------
-
-    def _connection(self, key: NodeKey) -> socket.socket:
-        conn = self._conns.get(key)
-        if conn is None:
-            try:
-                _, port = self._servers[key]
-            except KeyError:
-                raise TransportError(
-                    f"no node {key[1]} registered for round {key[0]}"
-                ) from None
-            conn = socket.create_connection((self.host, port))
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._conns[key] = conn
-        return conn
-
-    def _drop_connection(self, key: NodeKey) -> None:
-        """Discard a connection whose stream state is no longer trusted
-        (timeout mid-frame, reset, garbled frame): the next request
-        dials fresh instead of reading a stale half-reply."""
-        conn = self._conns.pop(key, None)
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - close on a dead socket
-                pass
+        for key in [k for k in self._nodes if k[0] == round_id]:
+            del self._nodes[key]
 
     def request(self, env: Envelope, timeout=None) -> List[Envelope]:
-        key = (env.round_id, env.dest)
-        conn = self._connection(key)
-        raw = env.to_bytes(self.group)
-        conn.settimeout(timeout)
-        try:
-            conn.sendall(_LEN.pack(len(raw)) + raw)
-            count = _LEN.unpack(self._recv_exact(conn, _LEN.size))[0]
-            replies = []
-            for _ in range(count):
-                length = _LEN.unpack(self._recv_exact(conn, _LEN.size))[0]
-                replies.append(
-                    Envelope.from_bytes(self._recv_exact(conn, length), self.group)
-                )
-        except socket.timeout as exc:
-            self._drop_connection(key)
-            raise RpcTimeout(
-                f"request to node {key} timed out after {timeout}s"
-            ) from exc
-        except (OSError, WireFormatError, TransportError) as exc:
-            self._drop_connection(key)
-            raise RetryableTransportError(
-                f"request to node {key} failed: {exc}"
-            ) from exc
-        for reply in replies:
-            if _is_error_reply(reply):
-                # The node *did* process the request and crashed doing
-                # so; retrying would re-execute the failure, so this
-                # stays non-retryable.
-                raise TransportError(
-                    f"node {key} failed: {reply.payload.message}"
-                )
-        return replies
-
-    @staticmethod
-    def _recv_exact(conn: socket.socket, n: int) -> bytes:
-        chunks = bytearray()
-        while len(chunks) < n:
-            chunk = conn.recv(n - len(chunks))
-            if not chunk:
-                raise RetryableTransportError("connection closed mid-frame")
-            chunks += chunk
-        return bytes(chunks)
-
-    # -- lifecycle -----------------------------------------------------
-
-    #: Bound on every wait during close(); a wedged loop must surface
-    #: as an error, not hang the caller.  Class attribute so tests can
-    #: shrink it instead of sleeping out real 5 s timeouts.
-    _CLOSE_TIMEOUT_S = 5.0
-
-    def _run_on_loop(self, coro_fn: Callable[[], Awaitable], what: str) -> None:
-        """Run ``coro_fn()`` on the loop thread, waiting a bounded time.
-
-        The failure modes here used to be an ``except Exception: pass``
-        pair, which both swallowed real shutdown errors and leaked the
-        coroutine object un-awaited (the ``coroutine ... was never
-        awaited`` RuntimeWarning at GC) whenever the loop had stopped
-        before the callback ran.  Now the coroutine is closed
-        explicitly on every path where it never got to run, and any
-        failure is logged at warning level instead of vanishing.
-        """
-        coro = coro_fn()
-        try:
-            future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        except RuntimeError as exc:
-            # Loop already closed: the coroutine was never scheduled.
-            coro.close()
-            logger.warning("tcp close: could not schedule %s: %s", what, exc)
-            return
-        try:
-            future.result(timeout=self._CLOSE_TIMEOUT_S)
-        except TimeoutError:
-            # Loop stopped (or wedged) before running the callback.  If
-            # cancel() wins, the coroutine will never be awaited — close
-            # it so it cannot warn at GC; if it lost, the loop owns it.
-            cancelled = future.cancel()
-            if cancelled and (
-                inspect.getcoroutinestate(coro) == inspect.CORO_CREATED
-            ):
-                coro.close()
-            logger.warning(
-                "tcp close: %s did not finish within %.0fs",
-                what,
-                self._CLOSE_TIMEOUT_S,
+        if (env.round_id, env.dest) not in self._nodes:
+            raise TransportError(
+                f"no node {env.dest} registered for round {env.round_id}"
             )
-        except Exception:
-            # The coroutine ran and raised: shutdown continues, but the
-            # failure must be visible.
-            logger.warning("tcp close: %s failed", what, exc_info=True)
+        return self._conn.request(env, timeout)
 
     def close(self) -> None:
-        if self._closed:
-            return
-        for conn in self._conns.values():
-            conn.close()
-        self._conns.clear()
-        if self._loop is not None:
-            if self._thread.is_alive():
-                for server, _ in self._servers.values():
-                    self._run_on_loop(
-                        lambda server=server: self._stop_server(server),
-                        "server shutdown",
-                    )
-                self._run_on_loop(self._drain_tasks, "connection drain")
-                self._loop.call_soon_threadsafe(self._loop.stop)
-                self._thread.join(timeout=self._CLOSE_TIMEOUT_S)
-            self._servers.clear()
-            if self._thread.is_alive():
-                # The loop thread is wedged.  Closing a still-running
-                # loop raises from inside it and the thread (plus its
-                # sockets) would leak silently; keep the refs so a
-                # retry can try again, and make the failure loud.
-                raise TransportError(
-                    "tcp transport event-loop thread did not stop within 5s"
-                )
-            self._loop.close()
-            self._loop = self._thread = None
+        """Hang up, stop the accept loop and join its threads
+        (idempotent); the port is free when this returns."""
+        self._conn.drop()
+        framing.stop_serving(self._listener, self._stopping)
+        self._thread.join()
         self._nodes.clear()
-        self._closed = True
-
-    @staticmethod
-    async def _drain_tasks() -> None:
-        """Cancel lingering connection handlers before the loop stops."""
-        tasks = [
-            t for t in asyncio.all_tasks() if t is not asyncio.current_task()
-        ]
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-
-
-def _is_error_reply(reply: Envelope) -> bool:
-    from repro.net.envelopes import Fault, Kind
-
-    return reply.kind is Kind.FAULT and isinstance(reply.payload, Fault) and (
-        reply.payload.code == "transport-error"
-    )
 
 
 TRANSPORTS = ("inproc", "tcp")

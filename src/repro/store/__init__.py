@@ -6,8 +6,8 @@ servers can *rejoin*; this package makes the reproduction restartable:
 - :mod:`repro.store.wal` — the append-only, CRC-framed record framing
   with a torn-tail-tolerant reader and an fsync-batching knob.
 - :mod:`repro.store.segments` — :class:`LogDir`: the sharded on-disk
-  layout (``wal-<seq>.seg`` rotation under an atomic manifest, legacy
-  single-file migration, orphan collection, crash-test failpoints).
+  layout (``wal-<seq>.seg`` rotation under an atomic manifest, orphan
+  collection, crash-test failpoints).
 - :mod:`repro.store.compact` — :class:`Compactor`: rewrites sealed
   segments down to the records a restore can still need (safe-point =
   durable round boundaries).

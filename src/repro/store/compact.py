@@ -221,13 +221,11 @@ class Compactor:
 def compact_state_dir(
     root: Union[str, Path],
     liveness: LivenessFn = deployment_liveness,
-    legacy_name: str = "atom.wal",
 ) -> CompactionStats:
-    """Offline compaction (CLI / tooling): open the dir for append —
-    which migrates a legacy single-file log in place — seal the current
-    active segment, compact, and close.  Must only run when no server
-    process owns the directory."""
-    log = LogDir(root, fsync_every=0, fresh=False, legacy_name=legacy_name)
+    """Offline compaction (CLI / tooling): open the dir for append,
+    seal the current active segment, compact, and close.  Must only
+    run when no server process owns the directory."""
+    log = LogDir(root, fsync_every=0, fresh=False)
     try:
         log.rotate()
         return Compactor(liveness).compact(log)

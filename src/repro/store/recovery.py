@@ -69,11 +69,9 @@ class RecoveryManager:
 
     def __init__(self, state_dir: Union[str, Path]):
         self.state_dir = Path(state_dir)
-        if not LogDir.present(self.state_dir, DurableStore.WAL_NAME):
+        if not LogDir.present(self.state_dir):
             raise RecoveryError(f"no write-ahead log under {self.state_dir}")
-        self.scan: LogScan = LogDir.scan_dir(
-            self.state_dir, DurableStore.WAL_NAME
-        )
+        self.scan: LogScan = LogDir.scan_dir(self.state_dir)
         #: segment files the restore actually read (test instrumentation
         #: for "a shipped restore never touches pre-safe-point history")
         self.segments_read = list(self.scan.segments_read)

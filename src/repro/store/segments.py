@@ -27,16 +27,17 @@ Crash-safety invariants:
 - A crash *between* creating a new segment file and swapping the
   manifest leaves an orphan ``wal-*.seg``; the next open-for-append
   garbage-collects any ``wal-*.seg`` not named by the manifest.  Only
-  that glob is eligible: ``.spill`` scratch segments, backups, and the
-  legacy single-file log are never touched.
+  that glob is eligible: ``.spill`` scratch segments and backups are
+  never touched.
 - Only the **active** (last) segment may carry a torn tail; a damaged
   record in a *sealed* segment conservatively ends the scan (replay
   must not skip holes — later records can depend on earlier ones),
   exactly like mid-file corruption in the single-file reader.
 
-Legacy single-file state dirs stay readable and writable: opening one
-for append migrates ``atom.wal`` in place (rename to segment 1, write
-a manifest) so every pre-sharding state dir upgrades on first touch.
+A directory holding a non-empty ``*.wal`` and no manifest is the
+single-file layout of a build whose wire version no current reader
+accepts: every entry point refuses it by name (:class:`LogDirError`)
+rather than start a fresh log over it.
 
 The module-level :data:`FAILPOINT` hook exists for crash testing: the
 rotation/compaction code calls :func:`hit` at each named point between
@@ -109,10 +110,27 @@ def _fsync_dir(root: Path) -> None:
         os.close(fd)
 
 
-def _read_manifest(root: Path) -> Optional[dict]:
+def write_manifest(root: Path, segments: List[str], next_seq: int) -> None:
+    """Atomically publish ``segments`` as the log under ``root`` — the
+    commit point of every layout change."""
+    tmp = root / (MANIFEST_NAME + ".tmp")
+    with open(tmp, "w") as fh:
+        json.dump(
+            {
+                "version": MANIFEST_VERSION,
+                "next_seq": next_seq,
+                "segments": segments,
+            },
+            fh,
+        )
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, root / MANIFEST_NAME)
+    _fsync_dir(root)
+
+
+def _read_manifest(root: Path) -> dict:
     path = root / MANIFEST_NAME
-    if not path.exists():
-        return None
     try:
         obj = json.loads(path.read_text())
     except (ValueError, OSError) as exc:
@@ -137,42 +155,22 @@ class LogDir:
         fresh: bool = True,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         segment_records: int = 0,
-        legacy_name: str = "atom.wal",
     ):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.fsync_every = fsync_every
         self.segment_bytes = max(0, int(segment_bytes))
         self.segment_records = max(0, int(segment_records))
-        self.legacy_name = legacy_name
         self._closed = False
         self._active: Optional[WriteAheadLog] = None
         self._active_bytes = 0
         self._active_records = 0
-        manifest = None if fresh else _read_manifest(self.root)
-        if fresh:
-            # Mirror the single-file writer's "wb" truncation: a fresh
-            # log supersedes whatever segmented/legacy layout remained
-            # (callers that must preserve it rotate aside first).
-            for seg in self.root.glob(SEGMENT_GLOB):
-                seg.unlink()
-            for stale in (MANIFEST_NAME, MANIFEST_NAME + ".tmp", legacy_name):
-                p = self.root / stale
-                if p.exists():
-                    p.unlink()
-            self.segments: List[str] = []
-            self.next_seq = 1
-            self._open_next_segment()
-        elif manifest is None:
-            legacy = self.root / legacy_name
-            if legacy.exists() and legacy.stat().st_size > 0:
-                self._migrate_legacy(legacy)
-            else:
-                self.segments = []
-                self.next_seq = 1
-                self._open_next_segment()
-        else:
-            self.segments = list(manifest["segments"])
+        # present() refuses a single-file log; a segmented layout is
+        # superseded by a fresh one, unread (callers that must preserve
+        # it rotate aside first), like the single-file writer's "wb".
+        if LogDir.present(self.root) and not fresh:
+            manifest = _read_manifest(self.root)
+            self.segments: List[str] = list(manifest["segments"])
             self.next_seq = int(manifest["next_seq"])
             self._collect_orphans()
             active = self.root / self.segments[-1]
@@ -183,27 +181,18 @@ class LogDir:
             )
             self._active_bytes = active.stat().st_size
             self._active_records = len(WriteAheadLog.read(active).records)
+        else:
+            for seg in self.root.glob(SEGMENT_GLOB):
+                seg.unlink()
+            for stale in (MANIFEST_NAME, MANIFEST_NAME + ".tmp"):
+                p = self.root / stale
+                if p.exists():
+                    p.unlink()
+            self.segments = []
+            self.next_seq = 1
+            self._open_next_segment()
 
     # -- layout plumbing ----------------------------------------------
-
-    def _migrate_legacy(self, legacy: Path) -> None:
-        """Upgrade a pre-sharding single-file dir in place: the old
-        ``atom.wal`` becomes segment 1 (tail damage truncated exactly
-        as the single-file reopen would) and appends continue into it."""
-        scan = WriteAheadLog.read(legacy)
-        if scan.truncated:
-            with open(legacy, "r+b") as fh:
-                fh.truncate(scan.end_offset)
-        name = segment_name(1)
-        legacy.replace(self.root / name)
-        self.segments = [name]
-        self.next_seq = 2
-        self._write_manifest()
-        self._active = WriteAheadLog(
-            self.root / name, fsync_every=self.fsync_every, fresh=False
-        )
-        self._active_bytes = (self.root / name).stat().st_size
-        self._active_records = len(scan.records)
 
     def _collect_orphans(self) -> None:
         """Unlink ``wal-*.seg`` files the manifest does not name (and a
@@ -220,20 +209,7 @@ class LogDir:
             tmp.unlink()
 
     def _write_manifest(self) -> None:
-        tmp = self.root / (MANIFEST_NAME + ".tmp")
-        with open(tmp, "w") as fh:
-            json.dump(
-                {
-                    "version": MANIFEST_VERSION,
-                    "next_seq": self.next_seq,
-                    "segments": self.segments,
-                },
-                fh,
-            )
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.root / MANIFEST_NAME)
-        _fsync_dir(self.root)
+        write_manifest(self.root, self.segments, self.next_seq)
 
     def _open_next_segment(self) -> None:
         name = segment_name(self.next_seq)
@@ -312,34 +288,31 @@ class LogDir:
     # -- read side -----------------------------------------------------
 
     @staticmethod
-    def present(root: Union[str, Path], legacy_name: str = "atom.wal") -> bool:
+    def present(root: Union[str, Path]) -> bool:
+        """Whether ``root`` holds a segmented log; a directory holding
+        a single-file one instead is refused, whoever asks."""
         root = Path(root)
         if (root / MANIFEST_NAME).exists():
             return True
-        return (root / legacy_name).exists()
+        for path in sorted(root.glob("*.wal")):
+            if path.stat().st_size > 0:
+                raise LogDirError(
+                    f"{path} is a single-file log from a pre-segmented "
+                    "build (wire version <= 2), which cannot be resumed; "
+                    "move it away to start a fresh log here"
+                )
+        return False
 
     @staticmethod
-    def scan_dir(
-        root: Union[str, Path], legacy_name: str = "atom.wal"
-    ) -> LogScan:
-        """Read the logical log: every manifest segment in order (or
-        the legacy single file).  Only the last segment tolerates a
-        torn tail; damage anywhere else conservatively ends the scan."""
+    def scan_dir(root: Union[str, Path]) -> LogScan:
+        """Read the logical log: every manifest segment in order.  Only
+        the last segment tolerates a torn tail; damage anywhere else
+        conservatively ends the scan."""
         root = Path(root)
+        if not LogDir.present(root):
+            raise LogDirError(f"no log manifest under {root}")
         manifest = _read_manifest(root)
         scan = LogScan()
-        if manifest is None:
-            legacy = root / legacy_name
-            if not legacy.exists():
-                raise LogDirError(f"no log (manifest or {legacy_name}) under {root}")
-            inner = WriteAheadLog.read(legacy)
-            scan.records = inner.records
-            scan.truncated = inner.truncated
-            scan.reason = inner.reason
-            scan.segments_read = [legacy_name]
-            scan.counts = [(legacy_name, len(inner.records))]
-            scan.disk_bytes = legacy.stat().st_size
-            return scan
         names = manifest["segments"]
         for i, name in enumerate(names):
             path = root / name
@@ -367,19 +340,17 @@ class LogDir:
     # -- backup rotation (crashed-run protection) ----------------------
 
     @staticmethod
-    def rotate_aside(
-        root: Union[str, Path], legacy_name: str = "atom.wal"
-    ) -> Optional[Path]:
-        """Move a *resumable* log layout (segments + manifest, or the
-        legacy single file) into a ``wal-bak``/``wal-bakN`` subdirectory
-        instead of letting a fresh run truncate the only copy of the
-        journaled state.  Returns the backup dir (None when there was
-        nothing worth keeping)."""
+    def rotate_aside(root: Union[str, Path]) -> Optional[Path]:
+        """Move a *resumable* log layout (segments + manifest) into a
+        ``wal-bak``/``wal-bakN`` subdirectory instead of letting a
+        fresh run truncate the only copy of the journaled state.
+        Returns the backup dir (None when there was nothing worth
+        keeping)."""
         root = Path(root)
-        if not LogDir.present(root, legacy_name):
+        if not LogDir.present(root):
             return None
         try:
-            scan = LogDir.scan_dir(root, legacy_name)
+            scan = LogDir.scan_dir(root)
         except Exception:
             return None  # not a log at all; overwriting loses nothing
         if not scan.records or scan.clean_shutdown:
@@ -390,10 +361,7 @@ class LogDir:
             backup = root / f"wal-bak{n}"
             n += 1
         backup.mkdir()
-        for name in (MANIFEST_NAME, legacy_name):
-            path = root / name
-            if path.exists():
-                path.replace(backup / name)
+        (root / MANIFEST_NAME).replace(backup / MANIFEST_NAME)
         for seg in sorted(root.glob(SEGMENT_GLOB)):
             seg.replace(backup / seg.name)
         return backup

@@ -28,7 +28,6 @@ tests assert it.
 from __future__ import annotations
 
 import json
-import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -38,8 +37,8 @@ from typing import List, Union
 from repro.store.compact import LivenessFn, deployment_liveness
 from repro.store.segments import (
     LogDir,
-    MANIFEST_NAME,
     segment_name,
+    write_manifest,
     write_segment_file,
 )
 from repro.store.wal import MAGIC as WAL_MAGIC
@@ -124,29 +123,26 @@ def _scan_image(image: bytes) -> List[WalRecord]:
 
 class CheckpointShipper:
     """Builds and installs bundles for one log family (deployment by
-    default; the fleet passes its own liveness policy and legacy
-    name)."""
+    default; the fleet passes its own liveness policy)."""
 
     def __init__(
         self,
         liveness: LivenessFn = deployment_liveness,
-        legacy_name: str = "atom.wal",
         kind: str = "deployment",
     ):
         self.liveness = liveness
-        self.legacy_name = legacy_name
         self.kind = kind
 
     # -- build ---------------------------------------------------------
 
     def build(self, state_dir: Union[str, Path]) -> Bundle:
         """Read a (possibly dead-process) state directory and distill
-        the live suffix.  Works on segmented and legacy layouts; the
-        source dir is only read, never modified."""
+        the live suffix.  The source dir is only read, never
+        modified."""
         state_dir = Path(state_dir)
-        if not LogDir.present(state_dir, self.legacy_name):
+        if not LogDir.present(state_dir):
             raise BundleError(f"no log under {state_dir}")
-        scan = LogDir.scan_dir(state_dir, self.legacy_name)
+        scan = LogDir.scan_dir(state_dir)
         keep = self.liveness(scan.records)
         live = [rec for rec, k in zip(scan.records, keep) if k]
         return Bundle(
@@ -176,21 +172,11 @@ class CheckpointShipper:
             )
         state_dir = Path(state_dir)
         state_dir.mkdir(parents=True, exist_ok=True)
-        if LogDir.present(state_dir, self.legacy_name):
+        if LogDir.present(state_dir):
             raise BundleError(
                 f"{state_dir} already holds a log; refusing to overwrite"
             )
         name = segment_name(1)
         write_segment_file(state_dir / name, bundle.records)
-        tmp = state_dir / (MANIFEST_NAME + ".tmp")
-        with open(tmp, "w") as fh:
-            json.dump({"version": 1, "next_seq": 2, "segments": [name]}, fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, state_dir / MANIFEST_NAME)
-        fd = os.open(state_dir, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        write_manifest(state_dir, [name], next_seq=2)
         return bundle

@@ -11,8 +11,7 @@ even build its snapshot argument).
 
 :class:`DurableStore` appends the events to a segmented
 :class:`~repro.store.segments.LogDir` under the deployment's state
-directory (``wal-*.seg`` + manifest; a legacy single-file ``atom.wal``
-migrates in place on reopen).  ``replaying`` suppresses journaling
+directory (``wal-*.seg`` + manifest).  ``replaying`` suppresses journaling
 while :class:`~repro.store.recovery.RecoveryManager` re-executes
 logged events, so recovery never duplicates records (and a crash
 *during* recovery leaves the log byte-identical — recovery is
@@ -95,9 +94,6 @@ class DurableStore(Store):
 
     enabled = True
 
-    #: legacy single-file log name (pre-sharding dirs migrate from it)
-    WAL_NAME = "atom.wal"
-
     def __init__(
         self,
         state_dir: Union[str, Path],
@@ -123,14 +119,13 @@ class DurableStore(Store):
             # `repro resume`) rotates the old layout aside (into
             # wal-bak/) rather than truncating the only copy of the
             # journaled state.
-            LogDir.rotate_aside(self.state_dir, self.WAL_NAME)
+            LogDir.rotate_aside(self.state_dir)
         self.wal = LogDir(
             self.state_dir,
             fsync_every=fsync_every,
             fresh=fresh,
             segment_bytes=segment_bytes,
             segment_records=segment_records,
-            legacy_name=self.WAL_NAME,
         )
         if fresh and config is not None:
             self._append(RecordType.META, ck.encode_meta(config))

@@ -1,8 +1,8 @@
 """Append-only, CRC-framed write-ahead log.
 
-The durability layer's single on-disk artifact is one log file per
-state directory (``atom.wal``).  Everything the protocol needs to come
-back from a crash is appended to it in arrival order: accepted intake
+One log file: the record framing every segment of a
+:class:`~repro.store.segments.LogDir` uses.  Everything the protocol
+needs to come back from a crash is appended in arrival order: accepted intake
 envelopes (PR 4's versioned wire bytes, reused verbatim as the
 serialization substrate), store-local records (rng marks, layer
 commits, checkpoints, round boundaries), and lifecycle markers.

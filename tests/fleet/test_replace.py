@@ -53,14 +53,14 @@ class TestReplace:
             controller.kill("p1")
             shipped.append(controller.replace("p1"))
             spec = plan.process("p1")
-            from repro.fleet.server import FLEET_WAL, fleet_log_root
+            from repro.fleet.server import fleet_log_root
 
             log_root = fleet_log_root(spec.state_dir)
             # The dead layout was archived, and the fresh journal holds
             # exactly one segment: the shipped bundle.  A restore that
             # reads this dir *cannot* replay pre-safe-point history.
             assert log_root.with_name("fleet-log-replaced").exists()
-            scan = LogDir.scan_dir(log_root, FLEET_WAL)
+            scan = LogDir.scan_dir(log_root)
             assert scan.segments_read == ["wal-000001.seg"]
             pid_after = {
                 p.name: p.pid for p in controller.status().processes

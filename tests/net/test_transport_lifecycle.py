@@ -1,23 +1,17 @@
 """TcpTransport lifecycle: close() must not leak threads or sockets.
 
-The original close() joined the event-loop thread with a 5 s timeout
-and then unconditionally closed the loop and dropped the references —
-a wedged thread was silently abandoned (and closing a running loop
-raises inside it).  Now a failed join surfaces a TransportError and
-keeps the refs so the caller can retry; the success path still tears
-everything down, repeatably.
+The transport owns one accept thread and one connection thread (see
+:mod:`repro.net.framing`); ``close()`` joins both and releases the
+listening port, repeatably.
 """
 
 import gc
-import logging
+import socket
 import threading
 import warnings
 
-import pytest
-
-from repro.crypto.groups import get_group
 from repro.net.envelopes import COORDINATOR, SubmitOk, wrap
-from repro.net.transport import TcpTransport, TransportError
+from repro.net.transport import TcpTransport
 
 
 class _EchoNode:
@@ -25,22 +19,27 @@ class _EchoNode:
         return [wrap(SubmitOk(accepted=1), env.round_id, env.dest, COORDINATOR)]
 
 
-def _loop_threads():
+def _rpc_threads():
     return [
-        t for t in threading.enumerate() if t.name == "atom-tcp-transport"
+        t for t in threading.enumerate() if t.name.startswith("atom-rpc-")
     ]
 
 
+def _round_trip(transport, round_id=0):
+    transport.register(round_id, 0, _EchoNode())
+    env = wrap(SubmitOk(accepted=1), round_id, COORDINATOR, 0)
+    assert transport.request(env)[0].payload.accepted == 1
+
+
 class TestClose:
-    def test_close_joins_loop_thread(self, toy_group):
+    def test_close_joins_its_threads(self, toy_group):
         transport = TcpTransport(toy_group)
-        transport.register(0, 0, _EchoNode())
-        env = wrap(SubmitOk(accepted=1), 0, COORDINATOR, 0)
-        assert transport.request(env)[0].payload.accepted == 1
-        assert len(_loop_threads()) == 1
+        _round_trip(transport)
+        assert sorted(t.name for t in _rpc_threads()) == [
+            "atom-rpc-accept", "atom-rpc-conn",
+        ]
         transport.close()
-        assert _loop_threads() == []
-        assert transport._loop is None and transport._thread is None
+        assert _rpc_threads() == []
 
     def test_close_is_idempotent(self, toy_group):
         transport = TcpTransport(toy_group)
@@ -52,124 +51,24 @@ class TestClose:
         baseline = threading.active_count()
         for i in range(5):
             transport = TcpTransport(toy_group)
-            transport.register(i, 0, _EchoNode())
-            env = wrap(SubmitOk(accepted=1), i, COORDINATOR, 0)
-            transport.request(env)
+            _round_trip(transport, round_id=i)
+            address = transport._listener.getsockname()
             transport.close()
-        assert _loop_threads() == []
+            # the port is released: nobody is listening any more
+            probe = socket.socket()
+            try:
+                assert probe.connect_ex(address) != 0
+            finally:
+                probe.close()
+        assert _rpc_threads() == []
         assert threading.active_count() <= baseline
-
-    def test_wedged_loop_thread_surfaces_transport_error(
-        self, toy_group, monkeypatch
-    ):
-        transport = TcpTransport(toy_group)
-        transport.register(0, 0, _EchoNode())
-        real_thread = transport._thread
-        real_loop = transport._loop
-
-        class _WedgedThread:
-            def join(self, timeout=None):
-                pass  # simulate a join that times out
-
-            def is_alive(self):
-                return True
-
-        transport._thread = _WedgedThread()
-        with pytest.raises(TransportError, match="did not stop"):
-            transport.close()
-        # The refs survive the failure (a retry is possible) and the
-        # still-running loop was NOT closed out from under its thread.
-        assert transport._thread is not None
-        assert transport._loop is real_loop
-        assert not transport._closed
-        assert not real_loop.is_closed()
-        # Swap the real thread back: the retry now succeeds cleanly.
-        transport._thread = real_thread
-        transport.close()
-        assert _loop_threads() == []
-        assert transport._closed
-
-
-class _ZombieThread:
-    """Reports alive forever, so close() takes the scheduling path."""
-
-    def join(self, timeout=None):
-        pass
-
-    def is_alive(self):
-        return True
-
-
-class TestCloseWarnings:
-    """close() must neither leak never-awaited coroutines nor swallow
-    shutdown failures silently (ISSUE 7 satellite bugs)."""
 
     def test_close_emits_no_runtime_warnings(self, toy_group):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("error", ResourceWarning)
             transport = TcpTransport(toy_group)
-            transport.register(0, 0, _EchoNode())
-            env = wrap(SubmitOk(accepted=1), 0, COORDINATOR, 0)
-            transport.request(env)
+            _round_trip(transport)
             transport.close()
+            del transport
             gc.collect()
-
-    def test_close_after_loop_stopped_does_not_leak_coroutines(
-        self, toy_group, monkeypatch, caplog
-    ):
-        """The original bug: when the loop stops before close() gets to
-        schedule ``_stop_server``/``_drain_tasks``, the futures time
-        out and the coroutine objects were abandoned un-awaited —
-        Python warns ``coroutine ... was never awaited`` at GC.  Now
-        the coroutines are closed explicitly and the timeouts are
-        logged instead of swallowed."""
-        transport = TcpTransport(toy_group)
-        transport.register(0, 0, _EchoNode())
-        real_thread = transport._thread
-        transport._loop.call_soon_threadsafe(transport._loop.stop)
-        real_thread.join(timeout=5)
-        assert not real_thread.is_alive()
-
-        monkeypatch.setattr(TcpTransport, "_CLOSE_TIMEOUT_S", 0.05)
-        transport._thread = _ZombieThread()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with caplog.at_level(logging.WARNING, "repro.net.transport"):
-                with pytest.raises(TransportError, match="did not stop"):
-                    transport.close()
-            gc.collect()
-        assert any(
-            "did not finish" in rec.getMessage() for rec in caplog.records
-        ), "abandoned close futures must be logged, not silent"
-        # Clean up for real: the dead thread lets close() finish.
-        transport._thread = real_thread
-        transport.close()
-        assert transport._closed
-
-    def test_failing_stop_server_is_logged_not_eaten(
-        self, toy_group, monkeypatch, caplog
-    ):
-        """A raising _stop_server used to vanish into ``except
-        Exception: pass``; it must now surface in the logs while close
-        still completes."""
-        transport = TcpTransport(toy_group)
-        transport.register(0, 0, _EchoNode())
-
-        async def _boom(server):
-            raise ValueError("server refused to stop")
-
-        monkeypatch.setattr(TcpTransport, "_stop_server", staticmethod(_boom))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with caplog.at_level(logging.WARNING, "repro.net.transport"):
-                transport.close()
-            gc.collect()
-        assert transport._closed
-        assert _loop_threads() == []
-        failures = [
-            rec
-            for rec in caplog.records
-            if "server shutdown failed" in rec.getMessage()
-        ]
-        assert failures, "the _stop_server failure must be visible"
-        assert "server refused to stop" in str(failures[0].exc_info[1])

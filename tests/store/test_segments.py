@@ -1,5 +1,5 @@
 """LogDir unit coverage: rotation thresholds, manifest atomicity,
-legacy migration, orphan collection, and backup rotation.
+single-file-log refusal, orphan collection, and backup rotation.
 
 These tests drive the segmented layout directly (no deployment on
 top): every manifest-visible state the appender can leave behind must
@@ -161,42 +161,29 @@ class TestManifestDiscipline:
             LogDir.scan_dir(tmp_path)
 
 
-class TestLegacyMigration:
-    def test_single_file_log_migrates_in_place_on_append(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "atom.wal", fresh=True)
-        for i in range(5):
-            wal.append(RecordType.ENVELOPE, b"legacy-%d" % i)
-        wal.close()
-        log = LogDir(tmp_path, segment_records=100, fresh=False)
-        log.append(RecordType.ENVELOPE, b"post-migration")
-        log.close()
-        assert not (tmp_path / "atom.wal").exists()
-        assert _manifest(tmp_path)["segments"] == [segment_name(1)]
-        assert _payloads(LogDir.scan_dir(tmp_path)) == [
-            b"legacy-%d" % i for i in range(5)
-        ] + [b"post-migration"]
-
-    def test_migration_truncates_a_torn_legacy_tail(self, tmp_path):
-        path = tmp_path / "atom.wal"
-        wal = WriteAheadLog(path, fresh=True)
-        for i in range(3):
-            wal.append(RecordType.ENVELOPE, b"legacy-%d" % i)
-        wal.close()
-        path.write_bytes(path.read_bytes()[:-2])
-        log = LogDir(tmp_path, fresh=False)
-        log.append(RecordType.ENVELOPE, b"after")
-        log.close()
-        scan = LogDir.scan_dir(tmp_path)
-        assert not scan.truncated
-        assert _payloads(scan) == [b"legacy-0", b"legacy-1", b"after"]
-
-    def test_scan_dir_reads_unmigrated_legacy_file(self, tmp_path):
+class TestSingleFileLogRefused:
+    def test_wal_file_without_manifest_is_refused_by_name(self, tmp_path):
+        """A dir holding only ``atom.wal`` was written by a build whose
+        wire version recovery refuses: every entry point must say so,
+        naming the file, and none may start a fresh log over it."""
         wal = WriteAheadLog(tmp_path / "atom.wal", fresh=True)
         wal.append(RecordType.ENVELOPE, b"old-world")
         wal.close()
-        scan = LogDir.scan_dir(tmp_path)
-        assert _payloads(scan) == [b"old-world"]
-        assert scan.segments_read == ["atom.wal"]
+        before = (tmp_path / "atom.wal").read_bytes()
+        for entry in (
+            lambda: LogDir(tmp_path, fresh=False),
+            lambda: LogDir(tmp_path, fresh=True),
+            lambda: LogDir.scan_dir(tmp_path),
+            lambda: LogDir.present(tmp_path),
+            lambda: LogDir.rotate_aside(tmp_path),
+        ):
+            with pytest.raises(LogDirError, match=r"atom\.wal is a single-file"):
+                entry()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["atom.wal"]
+        assert (tmp_path / "atom.wal").read_bytes() == before
+        # an empty leftover is nobody's state: a log starts beside it
+        (tmp_path / "atom.wal").write_bytes(b"")
+        LogDir(tmp_path, fresh=False).close()
         assert LogDir.present(tmp_path)
 
 
