@@ -81,8 +81,9 @@ scenario-smoke:
 		black-friday-tamper-churn --seed atom-rpc --transport tcp
 
 ## Sharded log store end to end: a long multi-process stream with tiny
-## WAL segments — rotation + compaction keep the journal under a fixed
-## disk ceiling, one process is SIGKILLed and rebuilt via checkpoint
+## WAL segments — rotation + compaction keep the coordinator journal
+## under a fixed disk ceiling and every serve journal within its
+## retention bound, one process is SIGKILLed and rebuilt via checkpoint
 ## shipping, and the stream stays byte-identical to in-process.
 store-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/store_smoke.py
@@ -100,14 +101,16 @@ bench:
 bench-compare:
 	$(PYTHON) -m bench.run --compare $(BEFORE) $(AFTER)
 
-## The harness itself, on its smallest workload and on the NIZK and
-## trap paths: one traced run each, so a function bench/layers.py wraps
-## that moved, or a payload digest that changed, fails in CI and not in
-## the next perf PR.
+## The harness itself, on its smallest workload, on the NIZK and trap
+## paths, and on the fleet (the only workload with serve-side spans:
+## fleet.close_round, store.compact, serve-process mixing): one traced
+## run each, so a function bench/layers.py wraps that moved, or a
+## payload digest that changed, fails in CI and not in the next perf PR.
 bench-harness:
 	$(PYTHON) -m bench.run --workload ctl_toy_tcp_wal --seconds 6 --trace 1
 	$(PYTHON) -m bench.run --workload nizk_p256_inproc --seconds 6 --trace 1
 	$(PYTHON) -m bench.run --workload trap_p256_inproc --seconds 6 --trace 1
+	$(PYTHON) -m bench.run --workload trap_p256_fleet2 --seconds 6 --trace 1
 
 clean:
 	rm -rf src/repro_atom.egg-info build .pytest_cache

@@ -10,6 +10,9 @@ fires for real:
   times over) and **auto-compacts** (retention bound holds for the
   whole run, with the manifest-accounted disk footprint staying under a
   fixed ceiling instead of growing with the stream),
+- every serve process's intake journal obeys the same retention rule:
+  the process that is never replaced keeps its manifest within
+  ``RETAIN + 2`` segments at every settle,
 - one serve process is **SIGKILLed** mid-stream and rebuilt via
   **checkpoint shipping** (``FleetController.replace``): its journal is
   distilled to the live suffix, archived, and the respawned process
@@ -32,6 +35,7 @@ from repro.core import DeploymentConfig
 from repro.core.pipeline import StreamConfig, StreamEngine
 from repro.fleet.controller import FleetController
 from repro.fleet.plan import DeploymentPlan
+from repro.fleet.server import fleet_log_root
 from repro.store.segments import LogDir
 
 ROUNDS = 6
@@ -95,6 +99,7 @@ def main() -> int:
     controller = FleetController(plan, runtime_dir=str(tmp / "run"))
 
     segment_counts = []
+    fleet_counts = []
     disk_sizes = []
     max_seq = [0]
     shipped = []
@@ -102,6 +107,8 @@ def main() -> int:
     def watch_and_replace(r):
         manifest = json.loads((coord_dir / "wal.manifest").read_text())
         segment_counts.append(len(manifest["segments"]))
+        p0 = fleet_log_root(plan.process("p0").state_dir) / "wal.manifest"
+        fleet_counts.append(len(json.loads(p0.read_text())["segments"]))
         disk_sizes.append(LogDir.scan_dir(coord_dir).disk_bytes)
         max_seq[0] = max(max_seq[0], manifest["next_seq"])
         if r == 1:
@@ -109,10 +116,7 @@ def main() -> int:
             t = time.monotonic()
             controller.kill("p1")
             shipped.append(controller.replace("p1"))
-            spec = plan.process("p1")
-            from repro.fleet.server import fleet_log_root
-
-            root = fleet_log_root(spec.state_dir)
+            root = fleet_log_root(plan.process("p1").state_dir)
             scan = LogDir.scan_dir(root)
             assert scan.segments_read == ["wal-000001.seg"], (
                 "replacement journal must hold only the shipped segment"
@@ -142,7 +146,8 @@ def main() -> int:
     print(
         f"[store-smoke] coordinator journal: segments per settle "
         f"{segment_counts}, bytes per settle {disk_sizes}, "
-        f"highest segment seq {max_seq[0]}"
+        f"highest segment seq {max_seq[0]}; p0 intake journal: "
+        f"segments per settle {fleet_counts}"
     )
 
     if not report.ok:
@@ -165,6 +170,12 @@ def main() -> int:
         print(
             f"[store-smoke] FAIL: manifest grew to {max(segment_counts)} "
             f"segments (retention bound is {RETAIN + 2})"
+        )
+        return 1
+    if max(fleet_counts) > RETAIN + 2:
+        print(
+            f"[store-smoke] FAIL: p0's intake journal grew to "
+            f"{max(fleet_counts)} segments (retention bound is {RETAIN + 2})"
         )
         return 1
     if max(disk_sizes) > DISK_CEILING:

@@ -31,12 +31,12 @@ repopulates the idempotency dedup cache — and rejoins the stream
 mid-flight.  This is what makes ``repro fleet roll`` (drain → SIGTERM
 → respawn → recover → rejoin) safe between rounds.
 
-The journal stays bounded: every ROUND_CLOSE seals the active segment
-and compacts — a closed round's OPEN/ENVELOPE/CLOSE records are all
-dead (restart replays open rounds only), so long streams carry just
-the open rounds' intake on disk.  And a replacement process restores
-from a shipped checkpoint bundle (BUNDLE_INSTALL) instead of a full
-history replay: O(state), not O(history).
+Every ROUND_CLOSE applies the coordinator journal's retention rule
+(:func:`~repro.store.compact.enforce_retention` with ``fleet_liveness``:
+a closed round is dead), bounding disk by ``(retain + 2) ·
+segment_bytes`` plus the open rounds' intake; a close below the
+thresholds is one append and one fsync, no layout change.  A
+replacement restores from a shipped bundle (BUNDLE_INSTALL): O(state).
 """
 
 from __future__ import annotations
@@ -57,20 +57,19 @@ from repro.net import envelopes as ev
 from repro.net import framing
 from repro.net.envelopes import Envelope
 from repro.net.nodes import ServerNode
-from repro.store.compact import Compactor, fleet_liveness
-from repro.store.segments import LogDir
-from repro.store.ship import CheckpointShipper
+from repro.store.compact import (
+    REC_CLOSE,
+    REC_ENVELOPE,
+    REC_OPEN,
+    enforce_retention,
+    fleet_liveness,
+)
+from repro.store.segments import LogDir, LogDirError
+from repro.store.ship import Bundle, CheckpointShipper
 from repro.store.store import Store
+from repro.store.wal import WalError
 
 logger = logging.getLogger(__name__)
-
-#: fleet-local WAL record types — deliberately disjoint from
-#: repro.store.checkpoint.RecordType (1..13); unknown types survive
-#: either side's scanner, so the framing layer is shared verbatim.
-#: (repro.store.compact mirrors these values for its liveness policy.)
-REC_OPEN = 21
-REC_CLOSE = 22
-REC_ENVELOPE = 23
 
 
 def fleet_log_root(state_dir) -> Path:
@@ -207,50 +206,28 @@ class FleetServer:
             segment_records=self.config.wal_segment_records,
         )
 
-    def _truncate_closed(self) -> None:
-        """ROUND_CLOSE made a round's journal records dead: seal the
-        active segment and compact, so the disk footprint tracks the
-        *open* rounds (bounded) rather than the stream length."""
-        if self.wal is None:
-            return
-        try:
-            self.wal.rotate()
-            Compactor(fleet_liveness).compact(self.wal)
-        except Exception:
-            # Compaction is a disk-footprint optimization; a failure
-            # must not fail the ROUND_CLOSE that triggered it.
-            logger.exception("%s: journal truncation failed", self.spec.name)
-
     def _install_bundle(self, data: bytes) -> int:
         """BUNDLE_INSTALL: replace whatever journal this (fresh)
         process holds with the shipped live suffix, then replay it.
         Returns the number of restored records."""
-        shipper = fleet_shipper()
+        bundle = Bundle.from_bytes(data)
         if self.spec.state_dir is None:
             # no disk: restore in memory only (still byte-identical —
             # replay is a pure function of the records)
-            from repro.store.ship import Bundle
-
-            bundle = data if isinstance(data, Bundle) else Bundle.from_bytes(data)
             if bundle.kind != "fleet":
                 raise ValueError(f"bundle kind {bundle.kind!r} is not 'fleet'")
-            scan_records = bundle.records
-            self._replay_records(scan_records)
-            return len(scan_records)
+            self._replay_records(bundle.records)
+            return len(bundle.records)
         if self.wal is not None:
             self.wal.close()
-            self.wal = None
-            self.store.wal = None
+            self.wal = self.store.wal = None
         root = fleet_log_root(self.spec.state_dir)
         # wipe the fresh (empty or superseded) layout: the bundle is
         # the authoritative state now
-        for name in ("wal.manifest", "wal.manifest.tmp"):
-            path = root / name
-            if path.exists():
-                path.unlink()
-        for seg in root.glob("wal-*.seg"):
-            seg.unlink()
-        bundle = shipper.install(root, data)
+        for path in [root / "wal.manifest", root / "wal.manifest.tmp",
+                     *root.glob("wal-*.seg")]:
+            path.unlink(missing_ok=True)
+        fleet_shipper().install(root, bundle)
         self.nodes.clear()
         self.epoch = None
         self._attach_wal(root, fresh=False)
@@ -268,9 +245,12 @@ class FleetServer:
         """Rebuild per-round state from the journal: for every round
         still open, re-derive contexts from its (latest) journaled mark
         and re-handle the accepted intake envelopes under their
-        original request ids."""
+        original request ids — decoding only what ``fleet_liveness``
+        keeps, never a closed round's envelopes."""
         rounds: Dict[int, dict] = {}
-        for rec in records:
+        for rec, live in zip(records, fleet_liveness(records)):
+            if not live:
+                continue
             if rec.type == REC_OPEN:
                 meta = json.loads(rec.payload)
                 rid = meta["round_id"]
@@ -334,9 +314,19 @@ class FleetServer:
                 self.wal.append(
                     REC_CLOSE, json.dumps({"round_id": env.round_id}).encode()
                 )
-                self.wal.sync()
+                self.wal.sync()  # the close itself must be durable
+                try:
+                    enforce_retention(
+                        self.wal, self.config.wal_retain_segments,
+                        fleet_liveness,
+                    )
+                except (OSError, LogDirError, WalError):
+                    # disk-footprint upkeep never fails the close; a
+                    # programming error propagates as a FAULT
+                    logger.exception(
+                        "%s: journal compaction failed", self.spec.name
+                    )
             self._drop_round(env.round_id)
-            self._truncate_closed()
             return [self._ok(env)]
         # (a handler that raises is answered with a transport-error
         # FAULT carrying its repr: framing.serve)

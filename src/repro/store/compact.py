@@ -42,6 +42,11 @@ segments (same collector).  No intermediate state loses a record.
 Liveness is computed over the *whole* logical log — boundary records
 in the active segment settle rounds whose bodies live in sealed
 segments — but only sealed records are rewritten.
+
+Both online writers apply one rule at round boundaries,
+:func:`enforce_retention`; below its threshold a boundary changes no
+layout (a manifest swap or segment unlink frees blocks: 20–60 ms each
+on ext4 mounted with ``discard``).
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from repro.net import envelopes as ev
 from repro.store.segments import LogDir, hit, segment_name, write_segment_file
@@ -58,7 +63,7 @@ from repro.store.wal import RecordType, WalRecord, WriteAheadLog
 
 _U32 = struct.Struct(">I")
 
-#: fleet intake-journal record types (mirrors repro.fleet.server; kept
+#: fleet intake-journal record types (``repro serve`` writes them; kept
 #: numerically disjoint from RecordType so either scanner survives the
 #: other's records)
 REC_OPEN = 21
@@ -173,10 +178,10 @@ class Compactor:
         The active segment is never read for rewrite and never
         replaced; with fewer than two manifest segments there is
         nothing to do."""
-        stats = CompactionStats(bytes_before=log.disk_bytes())
+        before = log.disk_bytes()
+        stats = CompactionStats(bytes_before=before, bytes_after=before)
         sealed = log.sealed_names()
         if not sealed:
-            stats.bytes_after = stats.bytes_before
             return stats
 
         sealed_records: List[WalRecord] = []
@@ -185,18 +190,16 @@ class Compactor:
             if inner.truncated:
                 # a damaged sealed segment cannot be safely rewritten
                 # (records past the damage are unreachable anyway)
-                stats.bytes_after = stats.bytes_before
                 return stats
             sealed_records.extend(inner.records)
         active_records = WriteAheadLog.read(log.root / log.active_name).records
 
-        keep = self.liveness(list(sealed_records) + list(active_records))
+        keep = self.liveness(sealed_records + active_records)
         keep = keep[: len(sealed_records)]
         stats.examined = len(sealed_records)
         stats.kept = sum(keep)
         stats.dropped = stats.examined - stats.kept
         if stats.dropped == 0:
-            stats.bytes_after = stats.bytes_before
             return stats
 
         live = [rec for rec, k in zip(sealed_records, keep) if k]
@@ -204,18 +207,26 @@ class Compactor:
         log.next_seq += 1
         write_segment_file(log.root / base, live)
         hit("compact:written")
-        old = list(sealed)
         log.segments = [base, log.active_name]
         log._write_manifest()
         hit("compact:swapped")
-        for name in old:
-            path = log.root / name
-            if path.exists():
-                path.unlink()
+        for name in sealed:
+            (log.root / name).unlink(missing_ok=True)
         hit("compact:cleaned")
-        stats.segments_removed = len(old)
+        stats.segments_removed = len(sealed)
         stats.bytes_after = log.disk_bytes()
         return stats
+
+
+def enforce_retention(
+    log: LogDir, retain: int, liveness: LivenessFn = deployment_liveness
+) -> Optional[CompactionStats]:
+    """Compact ``log`` once its sealed backlog exceeds ``retain``
+    segments (0 disables).  Call only at a round boundary of an open
+    log, never during replay; returns None when not due."""
+    if retain <= 0 or len(log.sealed_names()) <= retain:
+        return None
+    return Compactor(liveness).compact(log)
 
 
 def compact_state_dir(

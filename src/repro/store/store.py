@@ -17,11 +17,10 @@ logged events, so recovery never duplicates records (and a crash
 *during* recovery leaves the log byte-identical — recovery is
 idempotent).
 
-Disk stays bounded: segments rotate at the configured size/record
-thresholds, and once the sealed-segment count exceeds
-``retain_segments`` the store compacts at the next round boundary
-(round settle / round end — the durable points whose records make
-earlier history dead; see :mod:`repro.store.compact`).
+Disk stays bounded: at every round boundary (round settle / round end
+— the durable points whose records make earlier history dead) the
+store applies :func:`repro.store.compact.enforce_retention`, the rule
+the fleet intake journal shares.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from typing import Optional, Union
 
 from repro.crypto.groups import GroupBackend as Group
 from repro.store import checkpoint as ck
+from repro.store.compact import enforce_retention
 from repro.store.segments import DEFAULT_SEGMENT_BYTES, LogDir
 from repro.store.wal import RecordType
 
@@ -134,17 +134,10 @@ class DurableStore(Store):
         if not self.replaying and not self._closed:
             self.wal.append(rtype, payload)
 
-    def _maybe_compact(self) -> None:
-        """Round boundaries are the safe points: once the sealed
-        backlog exceeds the retention bound, rewrite it down to the
-        live suffix (never during replay — recovery must leave the log
-        byte-identical)."""
-        if self.replaying or self._closed or not self.retain_segments:
-            return
-        if len(self.wal.sealed_names()) > self.retain_segments:
-            from repro.store.compact import Compactor  # lazy: import cycle
-
-            Compactor().compact(self.wal)
+    def _round_boundary(self) -> None:
+        # never during replay: recovery must leave the log byte-identical
+        if not self.replaying and not self._closed:
+            enforce_retention(self.wal, self.retain_segments)
 
     # -- journaling hooks ---------------------------------------------
 
@@ -178,7 +171,7 @@ class DurableStore(Store):
 
     def round_end(self, round_id: int, ok: bool) -> None:
         self._append(RecordType.ROUND_END, ck.encode_round_end(round_id, ok))
-        self._maybe_compact()
+        self._round_boundary()
 
     def stream_begin(self, stream, schedule_spec: str) -> None:
         self._append(
@@ -193,7 +186,7 @@ class DurableStore(Store):
         self._append(RecordType.ROUND_DONE, ck.encode_round_stats(stats, rng))
         if not self.replaying:
             self.wal.sync()
-        self._maybe_compact()
+        self._round_boundary()
 
     # -- lifecycle ----------------------------------------------------
 

@@ -19,10 +19,13 @@ from hypothesis import given, settings, strategies as st
 from repro.core import DeploymentConfig, StreamConfig, StreamEngine
 from repro.store import segments as sg
 from repro.store.compact import (
+    REC_CLOSE,
+    REC_OPEN,
     CompactionStats,
     Compactor,
     compact_state_dir,
     deployment_liveness,
+    enforce_retention,
     fleet_liveness,
 )
 from repro.store.recovery import RecoveryManager
@@ -279,14 +282,47 @@ class TestLivenessRules:
         ]
 
     def test_fleet_mask_drops_closed_rounds_entirely(self):
-        from repro.store.compact import REC_CLOSE, REC_OPEN
-
         recs = [
             WalRecord(REC_OPEN, b'{"round_id": 0}'),
             WalRecord(REC_OPEN, b'{"round_id": 1}'),
             WalRecord(REC_CLOSE, b'{"round_id": 0}'),
         ]
         assert fleet_liveness(recs) == [False, True, False]
+
+    @pytest.mark.parametrize("family", ["deployment", "fleet"])
+    def test_one_retention_rule_for_both_journals(self, tmp_path, family):
+        """``enforce_retention`` compacts only once the sealed backlog
+        exceeds ``retain``, whichever liveness decides what is dead;
+        retain=0 never compacts."""
+        if family == "deployment":
+            liveness, key = deployment_liveness, "round"
+            body, boundary = RecordType.ROUND_BEGIN, RecordType.ROUND_END
+        else:
+            liveness, key = fleet_liveness, "round_id"
+            body, boundary = REC_OPEN, REC_CLOSE
+        retain = 2
+        logs = {n: LogDir(tmp_path / str(n), fsync_every=0,
+                          segment_records=2) for n in (retain, 0)}
+        ran = {n: 0 for n in logs}
+        for r in range(12):
+            for n, log in logs.items():
+                payload = json.dumps({key: r}).encode()
+                log.append(body, payload)
+                log.append(boundary, payload)
+                sealed = len(log.sealed_names())
+                stats = enforce_retention(log, n, liveness)
+                if n and sealed > n:
+                    assert stats.ran and stats.dropped > 0
+                    assert log.sealed_names() == [log.segments[0]]
+                    ran[n] += 1
+                else:
+                    assert stats is None
+                    assert len(log.sealed_names()) == sealed
+                assert not n or len(log.segments) <= n + 2
+        assert ran[retain] >= 3 and ran[0] == 0
+        assert len(logs[0].sealed_names()) == 12  # one per round
+        for log in logs.values():
+            log.close()
 
     def test_compactor_never_touches_single_segment_logs(self, tmp_path):
         log = LogDir(tmp_path, segment_records=0)
