@@ -29,15 +29,16 @@ bench-smoke:
 	$(PYTEST) -q -s benchmarks/test_fastexp_speedup.py \
 		benchmarks/test_streaming_rss.py
 
-## Cross-backend parity plus the proof layers over it, and the inner
-## envelope + payload framing (quick confidence after touching crypto/
-## or core/messages.py).
+## Cross-backend parity plus the proof layers over it, the inner
+## envelope + payload framing, and the NIZK mix's pinned digests and op
+## budgets (quick confidence after touching crypto/ or
+## core/messages.py).
 parity:
 	$(PYTEST) -q tests/crypto/test_backend_parity.py tests/crypto/test_ec.py \
 		tests/crypto/test_nizk.py tests/crypto/test_shuffle_proof.py \
 		tests/crypto/test_shuffle_checks.py tests/crypto/test_vector.py \
 		tests/crypto/test_fastexp.py tests/crypto/test_aead_kem.py \
-		tests/core/test_messages.py
+		tests/core/test_messages.py tests/core/test_nizk_mix.py
 
 ## End-to-end stream on the paper's curve with the demo fault schedule,
 ## then a short spilling stream proving --spill-threshold end to end.

@@ -18,9 +18,10 @@ participant in order), the last participant dropping ``Y`` before the
 batches leave the group.
 
 ``mix`` with ``verify=True`` implements Algorithm 2: every shuffle
-carries a vector ShufProof and every ReEnc step a per-part ReEncProof;
-all are checked by the other group members, and any failure raises
-:class:`ProtocolAbort` naming the culprit.
+carries a vector ShufProof (and, in ``mix_with_reenc_proofs``, every
+server's ReEnc step one ReEncProof); all are checked by the other group
+members, and any failure raises :class:`ProtocolAbort` naming the
+culprit.
 
 Active-adversary hooks: participants with a non-honest
 :class:`~repro.core.server.Behavior` tamper with the outgoing batches
@@ -406,13 +407,13 @@ class GroupContext:
         """Algorithm 2 with explicit per-step ReEnc proofs.
 
         The fully verified path used by the NIZK variant: each
-        participant's ReEnc of each ciphertext part is proved with a
-        Chaum-Pedersen NIZK, and the other members check a
-        participant's whole step as one identity
+        participant's ReEnc of everything the group holds is proved
+        with one aggregated Chaum-Pedersen NIZK, which the other
+        members check as one identity
         (:class:`~repro.crypto.nizk.ReEncryptor`).  Shuffle proofs are
         as in :meth:`mix`.  The round's ``rng`` is drawn exactly as a
-        per-part loop would draw it; verifier weights come from
-        ``secrets``.
+        per-part loop would draw it; proof nonces and verifier weights
+        come from ``secrets``.
         """
         audit = MixAudit(gid=self.gid)
         participants = self.participants()
@@ -435,15 +436,11 @@ class GroupContext:
                 (next_key, [part for vec in batch for part in vec.parts])
                 for batch, next_key in zip(batches, next_keys)
             ]
-            outputs, proofs = reencryptor.reencrypt_and_prove(secret, step, rng)
+            outputs, proof = reencryptor.reencrypt_and_prove(secret, step, rng)
             count = sum(len(parts) for _, parts in step)
             audit.reencs_proved += count
-            audit.bytes_sent += sum(
-                proof.size_bytes for batch_proofs in proofs for proof in batch_proofs
-            )
-            if not reencryptor.verify_batch(
-                self.group.g_pow(secret), step, outputs, proofs
-            ):
+            audit.bytes_sent += proof.size_bytes
+            if not reencryptor.verify_batch(self.group.g_pow(secret), step, outputs, proof):
                 raise ProtocolAbort(self.gid, server.server_id, "reenc")
             audit.reencs_verified += (len(participants) - 1) * count
             batches = [cut_like(batch, parts) for batch, parts in zip(batches, outputs)]

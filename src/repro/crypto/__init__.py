@@ -13,7 +13,8 @@ This package implements, from scratch, every primitive Atom depends on
   the extra ``Y`` component enabling *out-of-order* decrypt-and-reencrypt.
 - :mod:`repro.crypto.sigma` — a generalized Schnorr sigma-protocol framework
   (Fiat-Shamir NIZKs for AND-compositions of discrete-log relations).
-- :mod:`repro.crypto.nizk` — ``EncProof`` and ``ReEncProof`` built on it.
+- :mod:`repro.crypto.nizk` — ``EncProof`` built on it, and ``ReEncProof``:
+  one aggregated Chaum-Pedersen proof per server step.
 - :mod:`repro.crypto.shuffle_proof` — a statistically sound cut-and-choose
   verifiable-shuffle NIZK standing in for Neff's shuffle (see DESIGN.md).
 - :mod:`repro.crypto.aead` / :mod:`repro.crypto.kem` — authenticated

@@ -8,29 +8,39 @@ an honest user's ciphertext — she would need to know the combined
 randomness — and (b) replaying an exact (ciphertext, proof) pair to a
 *different* entry group, because the gid is hashed into the challenge.
 
-``ReEncProof`` is the Chaum-Pedersen generalization proving that a
-server's ``ReEnc(x, X', ·)`` output is correct with respect to its
-registered public key ``X_s = g^x``: knowledge of ``(x, r')`` with
+``ReEncProof`` proves one server *step* of the NIZK variant (Algorithm
+2, step 3a): the server's ``ReEnc(x, X'_k, ·)`` of every ciphertext
+part its group holds, against its registered key ``X_s = g^x``.  Part
+``i`` — ``R~_i``, ``Y~_i`` after the ``Y = ⊥`` normalization, ``X'_k``
+its batch's successor key — is correct iff
 
-    X_s      = g^x
-    R' / R~  = g^r'            (R~ is R after the Y=⊥ normalization)
-    c / c'   = Y^x · X'^(-r')
+    R'_i / R~_i  = g^r'_i
+    c_i  / c'_i  = Y~_i^x · X'_k^(-r'_i)
 
-For the final-layer case (``X' = ⊥``) the third row degenerates to the
-classic Chaum-Pedersen equality ``c / c' = Y^x`` and ``r'`` is absent.
+and on the final layer (``X' = ⊥``) iff ``R'_i = R~_i`` (checked
+exactly) and ``c_i / c'_i = Y~_i^x``.  Odd 128-bit coefficients
+``e_i``, hashed from the whole step, collapse the parts into one
+Chaum-Pedersen statement with witness ``(x, r*_k = Σ_{i∈k} e_i r'_i)``:
 
-:class:`ReEncryptor` is the server-step form: one server's ReEnc of
-everything its group holds, proved per part and verified as one
-identity (``sigma.verify_many``).
+    X_s                         = g^x
+    prod_{i∈k} (R'_i/R~_i)^e_i  = g^r*_k                  for each key k
+    prod_i (c_i/c'_i)^e_i       = (prod_i Y~_i^e_i)^x · prod_k X'_k^(-r*_k)
+
+proved once per step and checked by the other members as one folded
+identity (DESIGN.md, "ReEnc proofs per server step").
+:class:`ReEncryptor` proves and verifies steps;
+``prove_reencryption`` / ``verify_reencryption`` are the one-part step.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto import sigma
 from repro.crypto.elgamal import AtomCiphertext, AtomElGamal
+from repro.crypto.fastexp import WEIGHT_BITS, batch_weights
 from repro.crypto.groups import DeterministicRng, GroupBackend as Group, GroupElement
 from repro.crypto.sigma import SigmaProof
 
@@ -82,53 +92,166 @@ def _enc_context(ct: AtomCiphertext, public_key: GroupElement, gid: int) -> byte
     return b"repro.encproof.v1|" + ct.to_bytes() + public_key.to_bytes() + gid.to_bytes(8, "big")
 
 
+#: one server's turn over its group's holding: per outgoing batch, the
+#: successor group's key (``None`` on the final layer) and the batch's
+#: ciphertext parts
+ReEncStep = Sequence[Tuple[Optional[GroupElement], Sequence[AtomCiphertext]]]
+
+
 @dataclass(frozen=True)
 class ReEncProof:
-    """Proof of correct out-of-order decrypt-and-reencrypt."""
+    """The proof of one server step: commitments ``g^a``, ``g^b_k`` per
+    distinct successor key and ``prod_i Y~_i^(a e_i) · prod_k
+    X'_k^(-b_k)``; responses ``z_x`` and ``z_k`` per key."""
 
     proof: SigmaProof
-    final_layer: bool
 
     @property
     def size_bytes(self) -> int:
-        return self.proof.size_bytes + 1
+        return self.proof.size_bytes
 
 
-def _reenc_rows(
-    group: Group,
-    server_public: GroupElement,
-    next_public_key: Optional[GroupElement],
-    before: AtomCiphertext,
-    after: AtomCiphertext,
-) -> Tuple[list, bool]:
-    """Build the sigma-protocol statement rows for ReEnc correctness."""
-    # Normalize the input exactly the way `reencrypt` does.
-    if before.Y is None:
-        y_eff = before.R
-        r_eff = group.identity
-    else:
-        y_eff = before.Y
-        r_eff = before.R
-    if after.Y != y_eff:
-        raise ValueError("output Y does not match normalized input")
+class _Step:
+    """A step's parts in batch, then part order, as ``(slot, Y~, R~,
+    input, output)`` — ``slot`` indexes ``keys``, the distinct
+    successor keys (``None`` on the final layer), ``Y~``/``R~`` are
+    normalized the way ``reencrypt`` does (``Y = ⊥`` makes ``R`` the
+    ``Y``) — and their coefficients ``e_i``, hashed from the transcript:
+    the server key, every successor key, every input and output part.
 
-    if next_public_key is None:
-        # Final layer: c' = c / Y^x  and  R' = R~.
-        if after.R != r_eff:
-            raise ValueError("final-layer ReEnc must not touch R")
-        rows = [
-            (server_public, [group.g]),
-            (before.c / after.c, [y_eff]),
+    Raises ``ValueError`` when the outputs are not shaped like the step
+    or one keeps the wrong ``Y`` (or, on the final layer, the wrong
+    ``R``): no proof makes such an output a ReEnc of its input.
+    """
+
+    def __init__(self, group: Group, server_public: GroupElement, step: ReEncStep,
+                 after: Sequence[Sequence[AtomCiphertext]]):
+        if len(step) != len(after):
+            raise ValueError("outputs are not shaped like the step")
+        transcript = hashlib.sha3_256()
+
+        def absorb(data: bytes) -> None:
+            transcript.update(len(data).to_bytes(8, "big") + data)
+
+        absorb(b"repro.reencproof.v2|" + group.params.name.encode())
+        absorb(server_public.to_bytes())
+        self.keys: List[GroupElement] = []
+        self.parts: List[tuple] = []
+        for (key, inputs), outs in zip(step, after):
+            if len(inputs) != len(outs):
+                raise ValueError("outputs are not shaped like the step")
+            absorb(b"\x00" if key is None else key.to_bytes())
+            absorb(len(inputs).to_bytes(8, "big"))
+            if key is not None and key not in self.keys:
+                self.keys.append(key)
+            slot = None if key is None else self.keys.index(key)
+            for before, out in zip(inputs, outs):
+                y, r = (before.R, group.identity) if before.Y is None else (before.Y, before.R)
+                if out.Y != y or (key is None and out.R != r):
+                    raise ValueError("output is not a ReEnc of its input")
+                absorb(before.to_bytes())
+                absorb(out.to_bytes())
+                self.parts.append((slot, y, r, before, out))
+        self.digest = transcript.digest()
+        # odd, WEIGHT_BITS long (shorter on a group shorter than that)
+        width = WEIGHT_BITS // 8
+        drop = WEIGHT_BITS - min(WEIGHT_BITS, group.q.bit_length() - 1)
+        stream = hashlib.shake_256(self.digest).digest(width * len(self.parts))
+        self.coefficients = [
+            int.from_bytes(stream[at: at + width], "big") >> drop | 1
+            for at in range(0, len(stream), width)
         ]
-        return rows, True
 
-    rows = [
-        (server_public, [group.g, group.identity]),
-        (after.R / r_eff, [group.identity, group.g]),
-        # X'^-r' is computed as X' ** -r': X' has a comb table
-        (before.c / after.c, [y_eff, sigma.InverseOf(next_public_key)]),
-    ]
-    return rows, False
+    def challenge(self, group: Group, commitments: Sequence[GroupElement]) -> int:
+        return group.hash_to_scalar(self.digest, *(t.to_bytes() for t in commitments))
+
+
+def _add(exponents: Dict[GroupElement, int], base: GroupElement, e: int, q: int) -> None:
+    if not base.is_identity():
+        exponents[base] = (exponents.get(base, 0) + e) % q
+
+
+def _prove(group: Group, secret: int, server_public: GroupElement, step: _Step,
+           rands: Sequence[Optional[int]]) -> ReEncProof:
+    """The proof of ``step``, whose parts were re-encrypted with ``r'``
+    = ``rands`` (``None`` on the final layer): one Straus chain over the
+    ``Y~_i`` (and a key without a comb table), the rest fixed-base."""
+    q = group.q
+    a = group.random_scalar()
+    b = [group.random_scalar() for _ in step.keys]
+    r_star = [0] * len(step.keys)
+    t_c: Dict[GroupElement, int] = {}
+    for (slot, y, _, _, _), e, r in zip(step.parts, step.coefficients, rands):
+        _add(t_c, y, a * e, q)
+        if slot is not None:
+            r_star[slot] += e * r
+    for key, b_k in zip(step.keys, b):
+        _add(t_c, key, -b_k, q)
+    commitments = [group.g_pow(a), *map(group.g_pow, b), sigma.product(group, t_c)]
+    c = step.challenge(group, commitments)
+    responses = ((a + c * secret) % q, *((b_k + c * r) % q for b_k, r in zip(b, r_star)))
+    return ReEncProof(SigmaProof(tuple(t.value for t in commitments), c, responses))
+
+
+def _rows(group, server_public, step, after, proof) -> Optional[List[Dict]]:
+    """The statement's rows, each as the exponents of a product that
+    must be the identity — ``X_s``, then one ``R'/R~`` row per key,
+    then the ``c/c'`` row — or ``None`` when the proof does not fit the
+    step, its challenge is not the hash, or a base lies outside the
+    prime-order subgroup.  A row reads ``t · P^c · prod B^-z``, so that
+    a commitment's exponent stays as short as its verifier weight."""
+    try:
+        st = _Step(group, server_public, step, after)
+        commitments = [group.element(t) for t in proof.proof.commitments]
+    except ValueError:
+        return None
+    keys = len(st.keys)
+    if len(commitments) != keys + 2 or len(proof.proof.responses) != keys + 1:
+        return None
+    if st.challenge(group, commitments) != proof.proof.challenge:
+        return None
+    q, c = group.q, proof.proof.challenge
+    (t_x, *t_keys, t_c), (z_x, *z_keys) = commitments, proof.proof.responses
+    rows: List[Dict] = [{} for _ in range(keys + 2)]
+    x_row, *r_rows, c_row = rows
+    for row, z, t in zip(rows, (z_x, *z_keys), (t_x, *t_keys)):
+        _add(row, t, 1, q)
+        _add(row, group.g, -z, q)
+    _add(x_row, server_public, c, q)
+    for key, z in zip(st.keys, z_keys):
+        _add(c_row, key, z, q)
+    _add(c_row, t_c, 1, q)
+    for (slot, y, r, before, out), e in zip(st.parts, st.coefficients):
+        _add(c_row, y, -z_x * e, q)
+        _add(c_row, before.c / out.c, c * e, q)
+        if slot is not None:
+            _add(r_rows[slot], out.R / r, c * e, q)
+    # Coefficients and weights bind only in the prime-order subgroup:
+    # two c/c' carrying the order-2 factor cancel under odd e_i.
+    if not all(map(group.is_prime_order, {base for row in rows for base in row})):
+        return None
+    return rows
+
+
+def _verify(group, server_public, step, after, proof, weight_rng=None) -> bool:
+    """The rows folded under independent verifier weights into one
+    product that must be the identity: one Straus chain."""
+    rows = _rows(group, server_public, step, after, proof)
+    if rows is None:
+        return False
+    folded: Dict[GroupElement, int] = {}
+    for row, w in zip(rows, batch_weights(len(rows), group.q, weight_rng)):
+        for base, e in row.items():
+            _add(folded, base, w * e, group.q)
+    return sigma.product(group, folded).is_identity()
+
+
+def verify_step_exactly(group: Group, server_public: GroupElement, step: ReEncStep,
+                        after: Sequence[Sequence[AtomCiphertext]], proof: ReEncProof) -> bool:
+    """The reference for :meth:`ReEncryptor.verify_batch`: the same
+    checks, then every row on its own, without weights."""
+    rows = _rows(group, server_public, step, after, proof)
+    return rows is not None and all(sigma.product(group, row).is_identity() for row in rows)
 
 
 def prove_reencryption(
@@ -140,36 +263,16 @@ def prove_reencryption(
     after: AtomCiphertext,
     server_public: Optional[GroupElement] = None,
 ) -> ReEncProof:
-    """Prove that ``after == ReEnc(secret, next_public_key, before)``.
+    """Prove that ``after == ReEnc(secret, next_public_key, before)``:
+    the proof of a one-part step.
 
     ``randomness`` is the ``r'`` used (``None`` for the final layer);
     ``server_public`` is ``g^secret`` when the caller already has it.
     """
     if server_public is None:
         server_public = group.g_pow(secret)
-    rows, final = _reenc_rows(group, server_public, next_public_key, before, after)
-    witness = [secret] if final else [secret, randomness]
-    context = _reenc_context(before, after, next_public_key)
-    return ReEncProof(sigma.prove(group, rows, witness, context), final)
-
-
-def _reenc_statement(
-    group: Group,
-    server_public: GroupElement,
-    next_public_key: Optional[GroupElement],
-    before: AtomCiphertext,
-    after: AtomCiphertext,
-    proof: ReEncProof,
-):
-    """``(rows, sigma proof, context)`` to verify, or ``None`` when
-    ``after`` cannot be a ReEnc of ``before`` at this layer."""
-    try:
-        rows, final = _reenc_rows(group, server_public, next_public_key, before, after)
-    except ValueError:
-        return None
-    if final != proof.final_layer:
-        return None
-    return rows, proof.proof, _reenc_context(before, after, next_public_key)
+    step = _Step(group, server_public, [(next_public_key, [before])], [[after]])
+    return _prove(group, secret, server_public, step, [randomness])
 
 
 def verify_reencryption(
@@ -180,32 +283,16 @@ def verify_reencryption(
     after: AtomCiphertext,
     proof: ReEncProof,
 ) -> bool:
-    """Verify a ``ReEncProof`` against the server's registered key."""
-    statement = _reenc_statement(
-        group, server_public, next_public_key, before, after, proof
-    )
-    return statement is not None and sigma.verify(group, *statement)
-
-
-def _reenc_context(
-    before: AtomCiphertext,
-    after: AtomCiphertext,
-    next_public_key: Optional[GroupElement],
-) -> bytes:
-    next_bytes = next_public_key.to_bytes() if next_public_key is not None else b"\x00"
-    return b"repro.reencproof.v1|" + before.to_bytes() + after.to_bytes() + next_bytes
-
-
-#: one server's turn over its group's holding: per outgoing batch, the
-#: successor group's key (``None`` on the final layer) and the batch's
-#: ciphertext parts
-ReEncStep = Sequence[Tuple[Optional[GroupElement], Sequence[AtomCiphertext]]]
+    """Verify a one-part step's ``ReEncProof`` against the server's
+    registered key."""
+    return _verify(group, server_public, [(next_public_key, [before])], [[after]], proof)
 
 
 class ReEncryptor:
     """The server-step kernels of the NIZK variant (Algorithm 2, step
-    3a): ``(B'_i, pi_i) = ReEncProof(sk_s, pk_i, B_i)`` for every batch
-    ``i`` of a step at once, and the other members' check of all of it.
+    3a): ``(B'_i, pi) = ReEncProof(sk_s, pk_i, B_i)`` for every batch
+    ``i`` of a step under one proof, and the other members' check of
+    it.
     """
 
     def __init__(self, group: Group):
@@ -217,47 +304,30 @@ class ReEncryptor:
         secret: int,
         step: ReEncStep,
         rng: Optional[DeterministicRng] = None,
-    ) -> Tuple[List[List[AtomCiphertext]], List[List[ReEncProof]]]:
-        """ReEnc every part of ``step`` and prove each; outputs and
-        proofs are shaped like the step's batches.  ``r'`` is drawn
-        from ``rng`` in batch, then part order."""
+    ) -> Tuple[List[List[AtomCiphertext]], ReEncProof]:
+        """ReEnc every part of ``step`` and prove the step; the outputs
+        are shaped like the step's batches.  ``r'`` is drawn from
+        ``rng`` in batch, then part order; the proof's nonces come from
+        ``secrets``, never from ``rng``."""
         group = self.group
-        server_public = group.g_pow(secret)
-        outputs, proofs = [], []
+        outputs, rands = [], []
         for next_key, parts in step:
-            if next_key is None:
-                rands = [None] * len(parts)
-            else:
-                rands = [group.random_scalar(rng) for _ in parts]
-            after = self.scheme.reencrypt_many(secret, next_key, parts, randomness=rands)
-            outputs.append(after)
-            proofs.append([
-                prove_reencryption(group, secret, r, next_key, b, a, server_public)
-                for r, b, a in zip(rands, parts, after)
-            ])
-        return outputs, proofs
+            drawn = [None if next_key is None else group.random_scalar(rng) for _ in parts]
+            outputs.append(self.scheme.reencrypt_many(secret, next_key, parts, randomness=drawn))
+            rands.extend(drawn)
+        server_public = group.g_pow(secret)
+        statement = _Step(group, server_public, step, outputs)
+        return outputs, _prove(group, secret, server_public, statement, rands)
 
     def verify_batch(
         self,
         server_public: GroupElement,
         step: ReEncStep,
         after: Sequence[Sequence[AtomCiphertext]],
-        proofs: Sequence[Sequence[ReEncProof]],
+        proof: ReEncProof,
         weight_rng: Optional[DeterministicRng] = None,
     ) -> bool:
-        """Whether every proof of a step verifies, as one folded
-        identity over the whole step (the batches' keys may differ)."""
-        if not len(step) == len(after) == len(proofs):
-            return False
-        statements = []
-        for (next_key, before), outs, batch_proofs in zip(step, after, proofs):
-            if not len(before) == len(outs) == len(batch_proofs):
-                return False
-            for b, a, proof in zip(before, outs, batch_proofs):
-                statement = _reenc_statement(
-                    self.group, server_public, next_key, b, a, proof
-                )
-                if statement is None:
-                    return False
-                statements.append(statement)
-        return sigma.verify_many(self.group, statements, weight_rng)
+        """Whether ``proof`` shows ``after`` to be the server's ReEnc
+        of ``step`` (the batches' keys may differ): one folded identity
+        under verifier weights from ``secrets`` (or ``weight_rng``)."""
+        return _verify(self.group, server_public, step, after, proof, weight_rng)

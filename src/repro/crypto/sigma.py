@@ -1,10 +1,8 @@
 """Generalized Schnorr sigma protocols with Fiat-Shamir.
 
 Atom needs several NIZK proofs of knowledge over discrete-log relations
-(Appendix A): proof of plaintext knowledge (``EncProof``), proof of
-correct decrypt-and-reencrypt (``ReEncProof``, a Chaum-Pedersen
-generalization), and the share-consistency proofs inside DVSS.  All of
-them are instances of one pattern:
+(Appendix A): proof of plaintext knowledge (``EncProof``) and the
+share-consistency proofs inside DVSS are instances of one pattern:
 
     prove knowledge of a witness vector (w_1, ..., w_k) such that for
     every statement j:   P_j  =  prod_i  B_{j,i} ^ w_i
@@ -20,43 +18,23 @@ id), so a proof cannot be replayed for a different statement or group,
 matching the paper's requirement that "the same proof cannot be used
 for two different public keys".
 
-:func:`verify_many` checks a list of proofs as one weighted identity
-(DESIGN.md, "Batched sigma verification"); :func:`verify` stays the
-exact per-row check it is equivalent to.
+:func:`product` is the fold helper of batched verifiers (the per-step
+``ReEncProof`` in :mod:`repro.crypto.nizk`): one product over distinct
+bases, computed in one Straus chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
-from repro.crypto.fastexp import batch_weights
-from repro.crypto.groups import DeterministicRng, GroupBackend as Group, GroupElement
-
-
-@dataclass(frozen=True)
-class InverseOf:
-    """The statement base ``X^-1``, kept as ``X``.
-
-    It hashes as the inverse's bytes — the statement is unchanged —
-    but is exponentiated as ``X ** -scalar``, so a hot ``X`` (a group
-    public key) uses its fixed-base table instead of sending a freshly
-    inverted element through the variable-base routine.
-    """
-
-    element: GroupElement
-
-    def to_bytes(self) -> bytes:
-        return self.element.inverse().to_bytes()
-
-    def __pow__(self, exponent: int) -> GroupElement:
-        return self.element ** -exponent
+from repro.crypto.groups import GroupBackend as Group, GroupElement
 
 
 # A statement row: (target P_j, bases [B_j1 ... B_jk]).  A witness that
 # does not appear in a row (exponent fixed to 0) gets the group
 # identity as its base there.
-StatementRow = Tuple[GroupElement, Sequence[Union[GroupElement, InverseOf]]]
+StatementRow = Tuple[GroupElement, Sequence[GroupElement]]
 
 
 @dataclass(frozen=True)
@@ -111,10 +89,9 @@ def prove(
         t = group.identity
         for base, nonce in zip(bases, nonces):
             # ``**`` is cache-aware: bases with fixed-base tables (g,
-            # promoted keys) use them; per-ciphertext bases like the
-            # re-encryption statement's Y must NOT feed the promotion
-            # counter — a table built for a base with two uses left is
-            # a net slowdown plus LRU churn.
+            # promoted keys) use them; one-shot bases must NOT feed the
+            # promotion counter — a table built for a base with two
+            # uses left is a net slowdown plus LRU churn.
             t = t * (base ** nonce)
         commitments.append(t)
 
@@ -129,31 +106,24 @@ def prove(
     )
 
 
-def _checked_commitments(
-    group: Group, rows: Sequence[StatementRow], proof: SigmaProof, context: bytes
-) -> Optional[List[GroupElement]]:
-    """The proof's commitments as elements, or ``None`` when the proof
-    does not fit the statement or its challenge is not the hash."""
+def verify(
+    group: Group,
+    rows: Sequence[StatementRow],
+    proof: SigmaProof,
+    context: bytes = b"",
+) -> bool:
+    """Verify a :class:`SigmaProof` against the statement rows, row by
+    row and exactly."""
     if len(proof.commitments) != len(rows):
-        return None
+        return False
     if any(len(bases) != len(proof.responses) for _, bases in rows):
-        return None
+        return False
     try:
         commitments = [group.element(t) for t in proof.commitments]
     except ValueError:
-        return None
+        return False
     if _challenge(group, rows, commitments, context) != proof.challenge:
-        return None
-    return commitments
-
-
-def _rows_hold(
-    group: Group,
-    rows: Sequence[StatementRow],
-    commitments: Sequence[GroupElement],
-    proof: SigmaProof,
-) -> bool:
-    """Every row's verification equation, exactly."""
+        return False
     for (target, bases), t in zip(rows, commitments):
         lhs = group.identity
         for base, z in zip(bases, proof.responses):
@@ -163,79 +133,18 @@ def _rows_hold(
     return True
 
 
-def verify(
-    group: Group,
-    rows: Sequence[StatementRow],
-    proof: SigmaProof,
-    context: bytes = b"",
-) -> bool:
-    """Verify a :class:`SigmaProof` against the statement rows."""
-    commitments = _checked_commitments(group, rows, proof, context)
-    return commitments is not None and _rows_hold(group, rows, commitments, proof)
+def product(group: Group, exponents: Dict[GroupElement, int]) -> GroupElement:
+    """``prod base^e`` over distinct bases: a base with a comb table
+    through it, the rest through one Straus chain (one base alone
+    through the variable-base routine, which is cheaper for one).
 
-
-def verify_many(
-    group: Group,
-    statements: Sequence[Tuple[Sequence[StatementRow], SigmaProof, bytes]],
-    weight_rng: Optional[DeterministicRng] = None,
-) -> bool:
-    """``all(verify(group, rows, proof, context) for ...)`` as one
-    identity over the whole list (a false row survives with probability
-    at most ``2^-127``).
-
-    Row ``j`` of a proof holds iff ``prod_i B_ji^z_i == t_j * P_j^e``.
-    Each row is raised to its own random weight and all of them are
-    multiplied together, with the exponents of every distinct element
-    summed first: a base shared by the list (``g``, a server key, a
-    group key) costs one exponentiation however many proofs name it —
-    through its comb table when it has one — and everything else goes
-    through one multi-exponentiation per side.
+    Batched verifiers sum the exponents of every recurring element
+    first and test the result against the identity: a false equation
+    survives a fold under independent 128-bit weights with probability
+    at most ``2^-127``, provided every base lies in the prime-order
+    subgroup — an order-2 factor cancels under an even exponent, so
+    callers gate each base with ``group.is_prime_order``.
     """
-    lhs: Dict[GroupElement, int] = {}
-    rhs: Dict[GroupElement, int] = {}
-    #: membership verdicts: g and the keys recur in every proof
-    prime_order: Dict[GroupElement, bool] = {}
-
-    def add(side, other, base, exponent):
-        if isinstance(base, InverseOf):  # X^-1 ^ e on one side is X ^ e on the other
-            side, base = other, base.element
-        if not base.is_identity():
-            side[base] = side.get(base, 0) + exponent
-
-    def in_subgroup(base) -> bool:
-        if isinstance(base, InverseOf):
-            base = base.element
-        if base not in prime_order:
-            prime_order[base] = group.is_prime_order(base)
-        return prime_order[base]
-
-    for rows, proof, context in statements:
-        commitments = _checked_commitments(group, rows, proof, context)
-        if commitments is None:
-            return False
-        if not all(
-            in_subgroup(point)
-            for (target, bases), t in zip(rows, commitments)
-            for point in (t, target, *bases)
-        ):
-            # The weights only bind in the prime-order subgroup (an
-            # order-2 factor cancels under an even weight): settle a
-            # statement with a stray element exactly.
-            if not _rows_hold(group, rows, commitments, proof):
-                return False
-            continue
-        weights = batch_weights(len(rows), group.q, weight_rng)
-        for (target, bases), t, w in zip(rows, commitments, weights):
-            for base, z in zip(bases, proof.responses):
-                add(lhs, rhs, base, w * z)
-            add(rhs, lhs, t, w)
-            add(rhs, lhs, target, w * proof.challenge)
-    return _product(group, lhs) == _product(group, rhs)
-
-
-def _product(group: Group, exponents: Dict[GroupElement, int]) -> GroupElement:
-    """``prod base^e``: bases with a table through it, the rest through
-    one multi-exponentiation."""
     result = group.identity
     loose = []
     for base, e in exponents.items():
@@ -243,6 +152,8 @@ def _product(group: Group, exponents: Dict[GroupElement, int]) -> GroupElement:
             result = result * base ** e
         else:
             loose.append(base)
-    if loose:
+    if len(loose) == 1:
+        result = result * loose[0] ** exponents[loose[0]]
+    elif loose:
         result = result * group.multiexp(loose, [exponents[b] for b in loose])
     return result

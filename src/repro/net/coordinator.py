@@ -37,6 +37,7 @@ round data crosses the transport.
 from __future__ import annotations
 
 import hashlib
+import logging
 import time
 from typing import Dict, List, Optional
 
@@ -50,6 +51,8 @@ from repro.net.envelopes import Envelope, Kind
 from repro.net.nodes import ServerNode, TrusteeNode, raise_fault
 from repro.net.resilience import RpcExhausted, SuspicionTracker
 from repro.net.transport import Transport, TransportError
+
+logger = logging.getLogger(__name__)
 
 
 def _find_fleet(transport):
@@ -402,8 +405,11 @@ class Coordinator:
         for gid in self.gids:
             try:
                 self._send(ev.AbortLayer(layer=layer), gid)
-            except Exception:
-                pass
+            except TransportError as exc:
+                logger.warning(
+                    "round %s layer %d: ABORT_LAYER to group %d failed: %s",
+                    self.round_id, layer, gid, exc,
+                )
 
     # -- recovery ------------------------------------------------------
 
@@ -550,19 +556,20 @@ class Coordinator:
 
         secret = decision.payload.secret
         group = self.deployment.group
+        marker = DUMMY_MAGIC[: cfg.message_size]
         for gid in range(num_groups):
             for payload in inners_for_gid[gid]:
                 inner = spec.parse_inner(group, payload)
                 try:
-                    padded = cca2_decrypt(group, secret, inner)
-                    message = spec.unpad(padded)
-                    marker = DUMMY_MAGIC[: cfg.message_size]
-                    if message.startswith(marker):
-                        continue  # trap-variant cover dummy
-                    result.messages.append(message)
-                except Exception:
-                    # IND-CCA2: a mauled inner ciphertext fails to open.
+                    message = spec.unpad(cca2_decrypt(group, secret, inner))
+                except ValueError:
+                    # IND-CCA2: a mauled inner ciphertext fails to open
+                    # (AuthenticationError, MessageFormatError and the
+                    # "too short" errors are all ValueErrors).
                     result.aborted = True
                     result.abort_reason = "inner ciphertext failed authentication"
                     result.offending_groups.append(gid)
+                    continue
+                if not message.startswith(marker):  # else a cover dummy
+                    result.messages.append(message)
         return result

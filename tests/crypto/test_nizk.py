@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 from repro.crypto import sigma
 from repro.crypto.elgamal import AtomCiphertext, AtomElGamal, ElGamalKeyPair
 from repro.crypto.groups import DeterministicRng, GroupElement, get_group
+from repro.crypto import nizk
 from repro.crypto.nizk import (
     ReEncProof,
     ReEncryptor,
-    _reenc_statement,
     prove_encryption,
     prove_reencryption,
     verify_encryption,
     verify_reencryption,
+    verify_step_exactly,
 )
 from repro.crypto.sigma import SigmaProof
 
@@ -126,6 +127,8 @@ class TestEncProof:
 
 
 class TestReEncProof:
+    """The one-part step: ``prove_reencryption`` / ``verify_reencryption``."""
+
     def test_middle_layer(self, scheme, toy_group):
         kp, nxt = scheme.keygen(), scheme.keygen()
         ct, _ = scheme.encrypt(kp.public, toy_group.encode(b"m"))
@@ -139,7 +142,8 @@ class TestReEncProof:
         ct, _ = scheme.encrypt(kp.public, toy_group.encode(b"m"))
         out = scheme.reencrypt(kp.secret, None, ct)
         proof = prove_reencryption(toy_group, kp.secret, None, None, ct, out)
-        assert proof.final_layer
+        # no successor key: commitments g^a and Y^a, response z_x only
+        assert (len(proof.proof.commitments), len(proof.proof.responses)) == (2, 1)
         assert verify_reencryption(toy_group, kp.public, None, ct, out, proof)
 
     def test_nonbot_y_input(self, scheme, toy_group):
@@ -171,17 +175,15 @@ class TestReEncProof:
         forged, _ = scheme.encrypt(nxt.public, toy_group.encode(b"EVIL"))
         proof = prove_reencryption(toy_group, kp.secret, r, nxt.public, ct, out)
         # Substituting a different output ciphertext invalidates the proof.
-        from repro.crypto.elgamal import AtomCiphertext
-
         substituted = AtomCiphertext(forged.R, forged.c, out.Y)
         assert not verify_reencryption(
             toy_group, kp.public, nxt.public, ct, substituted, proof
         )
 
     def test_p256_proofs_made_at_the_parent_commit_still_verify(self):
-        # Statement bytes are unchanged by the ``InverseOf`` base: these
-        # transcripts were produced at d02f050 (X'^-1 hashed *and*
-        # exponentiated as a fresh element) and must keep verifying.
+        # A known answer for the per-step proof: these transcripts pin
+        # the step transcript, the coefficients e_i and the challenge
+        # derivation; any change to them breaks verification here.
         group = get_group("P256")
         scheme = AtomElGamal(group)
         rng = DeterministicRng(b"reenc-known-answer")
@@ -192,42 +194,56 @@ class TestReEncProof:
         r = group.random_scalar(rng)
         after = scheme.reencrypt(server.secret, nxt.public, before, randomness=r)
         final = scheme.reencrypt(server.secret, None, after)
-        middle_proof = ReEncProof(
-            SigmaProof(
-                commitments=(
-                    262031659426693503546009233411105407586005266112532222321014687373842469026368,
-                    455118243259976691080795915676226556794755690893202469801267570678245405071082,
-                    232836647383380677986561763464348196189144080264304565625494349696175195257752,
-                ),
-                challenge=92240207993018144817053506936466937566783050317642200150382663993482302797473,
-                responses=(
-                    103073001964966013826055285436525802307844336477962454191692196600533375801762,
-                    72670988327358463184326867622674607535362981600523506443371990658758318689951,
-                ),
+        middle_proof = ReEncProof(SigmaProof(
+            commitments=(
+                383708224711517201708338186354091945074925511244529207766319626599994135359656,
+                328099936866485283143568503697633530554170667005240947445191617808236027157505,
+                244978654602841593857522310500462370337495642161535048023291710444659928910963,
             ),
-            final_layer=False,
-        )
-        final_proof = ReEncProof(
-            SigmaProof(
-                commitments=(
-                    447497010333488781706834684586589403727682082558219225947039456071044869650418,
-                    462683538055490432554245174102098756026669987892016195514671956175194949556276,
-                ),
-                challenge=93078694620810071072185621130580670053273862248981904580207857552957654370314,
-                responses=(
-                    58812199320394642541385153506227216776718759334763657931291427201915335408895,
-                ),
+            challenge=67812673482489452875910837896569594576929852821368062620407533469226296991569,
+            responses=(
+                63377035270492591126649893787677058002985648674137278954719362354087936868458,
+                3639746072300292388782871600796771470885407539694664884387024621037522363569,
             ),
-            final_layer=True,
-        )
+        ))
+        final_proof = ReEncProof(SigmaProof(
+            commitments=(
+                313146371228075549343542492557946815006881528412159841168024996407211286991751,
+                304533113978473732720789339912616306443342132687341230438937294403345515452715,
+            ),
+            challenge=80021215662970762637071229367332286952683214522173594069252195382484341973360,
+            responses=(
+                111293780858133462341797696419198142492045686239661224468696777562430009366083,
+            ),
+        ))
+        # a mixed step: before toward nxt, after on the final layer
+        step_proof = ReEncProof(SigmaProof(
+            commitments=(
+                304076918004484458666576482950074191354226063196499511739785418678646740309309,
+                396753936683972122975136330576260921173499108483488231748352649004968421543721,
+                339480834581682720801986736612094100175398116771318386312170129408422092891655,
+            ),
+            challenge=16364969269545604947978879213424795347970321061011159749341934994979877929050,
+            responses=(
+                36119372114744168342510360825041536374738061546863165535119846181659157396516,
+                83105428875438428805432160540645823350003893026852497491927446946347786473988,
+            ),
+        ))
         assert verify_reencryption(
             group, server.public, nxt.public, before, after, middle_proof
         )
         assert verify_reencryption(group, server.public, None, after, final, final_proof)
         step = [(nxt.public, [before]), (None, [after])]
-        assert ReEncryptor(group).verify_batch(
-            server.public, step, [[after], [final]], [[middle_proof], [final_proof]]
-        )
+        outputs = [
+            [scheme.reencrypt(
+                server.secret, nxt.public, before,
+                DeterministicRng(b"reenc-known-answer-step"),
+            )],
+            [final],
+        ]
+        for proof, ok in ((step_proof, True), (middle_proof, False), (final_proof, False)):
+            assert ReEncryptor(group).verify_batch(server.public, step, outputs, proof) is ok
+            assert verify_step_exactly(group, server.public, step, outputs, proof) is ok
 
 
 def _flipped(element):
@@ -235,14 +251,15 @@ def _flipped(element):
     return GroupElement(element.group.p - element.value, element.group)
 
 
-def _step(backend, seed, final=False):
+def _step(backend, seed, final=False, server=None):
     """One server's proved step: two batches under different successor
     keys (or the final layer), parts entering with and without ``Y``."""
     group = get_group(backend)
     scheme = AtomElGamal(group)
     rng = DeterministicRng(b"reenc-step-%d" % seed)
     group_key = ElGamalKeyPair.generate(group, rng)
-    first, server = (ElGamalKeyPair.generate(group, rng) for _ in range(2))
+    first, default = (ElGamalKeyPair.generate(group, rng) for _ in range(2))
+    server = server or default
     next_keys = [
         None if final else ElGamalKeyPair.generate(group, rng).public
         for _ in range(2)
@@ -255,24 +272,16 @@ def _step(backend, seed, final=False):
     mid = scheme.reencrypt_many(first.secret, next_keys[1], fresh[2:], rng)
     step = [(next_keys[0], fresh[:2]), (next_keys[1], mid)]
     worker = ReEncryptor(group)
-    outputs, proofs = worker.reencrypt_and_prove(server.secret, step, rng)
-    return worker, server, step, outputs, proofs
+    outputs, proof = worker.reencrypt_and_prove(server.secret, step, rng)
+    return worker, server, step, outputs, proof
 
 
-def _each(worker, server, step, outputs, proofs):
-    """The per-proof reference verdict for a step."""
-    return all(
-        verify_reencryption(worker.group, server.public, key, b, a, p)
-        for (key, before), outs, batch_proofs in zip(step, outputs, proofs)
-        for b, a, p in zip(before, outs, batch_proofs)
-    )
-
-
-def _both(worker, server, step, outputs, proofs):
+def _both(worker, server, step, outputs, proof):
+    """The folded verdict (fixed weights) and the exact one."""
     folded = worker.verify_batch(
-        server.public, step, outputs, proofs, DeterministicRng(b"fixed-weights")
+        server.public, step, outputs, proof, DeterministicRng(b"fixed-weights")
     )
-    return folded, _each(worker, server, step, outputs, proofs)
+    return folded, verify_step_exactly(worker.group, server.public, step, outputs, proof)
 
 
 def _bad_response(proof):
@@ -280,10 +289,17 @@ def _bad_response(proof):
     return replace(proof, proof=replace(proof.proof, responses=(z[0] + 1,) + z[1:]))
 
 
-def _bad_commitment(proof):
+def _bad_commitment(proof, at=0):
     # 0 is outside Z_p^*, and no compressed curve point has prefix 0
-    t = proof.proof.commitments
-    return replace(proof, proof=replace(proof.proof, commitments=(t[0] >> 8,) + t[1:]))
+    t = list(proof.proof.commitments)
+    t[at] >>= 8
+    return replace(proof, proof=replace(proof.proof, commitments=tuple(t)))
+
+
+def _with_part(outputs, batch, index, part):
+    changed = [list(outs) for outs in outputs]
+    changed[batch][index] = part
+    return changed
 
 
 step_settings = settings(
@@ -294,8 +310,8 @@ step_settings = settings(
 
 @pytest.mark.parametrize("backend", ["TOY", "P256"])
 class TestReEncryptorStep:
-    """``verify_batch`` (one folded identity, ``sigma.verify_many``)
-    against ``all(verify_reencryption(...))``."""
+    """``verify_batch`` (the statement's rows folded into one identity)
+    against ``verify_step_exactly`` (every row on its own)."""
 
     @pytest.mark.parametrize("final", [False, True])
     def test_honest_step(self, backend, final):
@@ -304,48 +320,81 @@ class TestReEncryptorStep:
         def run(seed):
             case = _step(backend, seed, final)
             assert _both(*case) == (True, True)
-            assert all(p.final_layer == final for ps in case[4] for p in ps)
+            # one response for x, one per distinct successor key
+            assert len(case[4].proof.responses) == (1 if final else 3)
 
         run()
 
+    def test_mixed_step(self, backend):
+        # a step may hold final and non-final batches at once, and two
+        # batches toward one key share that key's row
+        worker, server, (first, second), _, _ = _step(backend, 1)
+        for step in ([first, (None, second[1])], [first, (first[0], second[1])]):
+            outputs, proof = worker.reencrypt_and_prove(server.secret, step)
+            assert _both(worker, server, step, outputs, proof) == (True, True)
+            assert len(proof.proof.responses) == 2
+
     def test_one_bad_proof_among_many(self, backend):
-        worker, server, step, outputs, proofs = _step(backend, 2)
+        worker, server, step, outputs, proof = _step(backend, 2)
+        g = worker.group.g
+        for damage in (_bad_response, _bad_commitment, lambda p: _bad_commitment(p, -1)):
+            assert _both(worker, server, step, outputs, damage(proof)) == (False, False)
+        # one wrong c, or one wrong R, among the step's four parts
         for batch, index in ((0, 1), (1, 0)):
-            for damage in (_bad_response, _bad_commitment):
-                bad = [list(ps) for ps in proofs]
-                bad[batch][index] = damage(bad[batch][index])
-                assert _both(worker, server, step, outputs, bad) == (False, False)
+            part = outputs[batch][index]
+            for bad in (
+                AtomCiphertext(part.R, part.c * g, part.Y),
+                AtomCiphertext(part.R * g, part.c, part.Y),
+            ):
+                bad_outputs = _with_part(outputs, batch, index, bad)
+                assert _both(worker, server, step, bad_outputs, proof) == (False, False)
 
     def test_proofs_swapped_between_parts(self, backend):
-        worker, server, step, outputs, proofs = _step(backend, 3)
-        swapped = [[proofs[0][1], proofs[0][0]], proofs[1]]
-        assert _both(worker, server, step, outputs, swapped) == (False, False)
+        """A proof is bound to its step: the same parts in another
+        order, another step, another server's step."""
+        worker, server, step, outputs, proof = _step(backend, 3)
+        (key, parts), rest = step[0], step[1:]
+        reordered = [(key, parts[::-1]), *rest]
+        reordered_outputs = [outputs[0][::-1], *outputs[1:]]
+        assert _both(worker, server, reordered, reordered_outputs, proof) == (False, False)
+        _, _, _, _, other_step = _step(backend, 9)
+        assert _both(worker, server, step, outputs, other_step) == (False, False)
+        other = ElGamalKeyPair.generate(worker.group, DeterministicRng(b"other"))
+        _, _, _, other_outputs, other_proof = _step(backend, 3, server=other)
+        assert _both(worker, other, step, other_outputs, other_proof) == (True, True)
+        assert _both(worker, server, step, outputs, other_proof) == (False, False)
+        assert _both(worker, other, step, other_outputs, proof) == (False, False)
 
     def test_outputs_swapped_or_replaced(self, backend):
-        worker, server, step, outputs, proofs = _step(backend, 4)
+        worker, server, step, outputs, proof = _step(backend, 4)
         swapped = [[outputs[0][1], outputs[0][0]], outputs[1]]
-        assert _both(worker, server, step, swapped, proofs) == (False, False)
+        assert _both(worker, server, step, swapped, proof) == (False, False)
         forged = outputs[1][0]
         forged = AtomCiphertext(forged.R, forged.c * worker.group.g, forged.Y)
         replaced = [outputs[0], [forged, outputs[1][1]]]
-        assert _both(worker, server, step, replaced, proofs) == (False, False)
+        assert _both(worker, server, step, replaced, proof) == (False, False)
 
     def test_wrong_server_key_or_layer(self, backend):
-        worker, server, step, outputs, proofs = _step(backend, 5)
+        worker, server, step, outputs, proof = _step(backend, 5)
         other = ElGamalKeyPair.generate(worker.group, DeterministicRng(b"other"))
-        assert _both(worker, other, step, outputs, proofs) == (False, False)
+        assert _both(worker, other, step, outputs, proof) == (False, False)
         # the same outputs claimed for the final layer: R moved, no match
         as_final = [(None, before) for _, before in step]
-        assert _both(worker, server, as_final, outputs, proofs) == (False, False)
+        assert _both(worker, server, as_final, outputs, proof) == (False, False)
 
     def test_shape_mismatches(self, backend):
-        worker, server, step, outputs, proofs = _step(backend, 6)
-        assert not worker.verify_batch(server.public, step, outputs[:1], proofs)
-        assert not worker.verify_batch(server.public, step, outputs, proofs[:1])
-        assert not worker.verify_batch(
-            server.public, step, outputs, [proofs[0][:1], proofs[1]]
-        )
-        assert worker.verify_batch(server.public, [], [], [])
+        worker, server, step, outputs, proof = _step(backend, 6)
+        for bad_outputs in (outputs[:1], [outputs[0][:1], outputs[1]]):
+            assert _both(worker, server, step, bad_outputs, proof) == (False, False)
+        sigma_proof = proof.proof
+        for bad in (
+            replace(sigma_proof, responses=sigma_proof.responses[:-1]),
+            replace(sigma_proof, commitments=sigma_proof.commitments[:-1]),
+        ):
+            assert _both(worker, server, step, outputs, ReEncProof(bad)) == (False, False)
+        _, empty = worker.reencrypt_and_prove(server.secret, [])
+        assert _both(worker, server, [], [], empty) == (True, True)
+        assert _both(worker, server, step, outputs, empty) == (False, False)
 
     def test_seeded_rng_is_honoured(self, backend):
         # Regression: ``r'`` used to come from ``secrets`` whatever the
@@ -364,78 +413,54 @@ class TestReEncryptorStep:
         assert group.has_table(group.g)
 
 
-class TestVerifyMany:
-    """``sigma.verify_many`` on raw statements."""
+class TestOutsideThePrimeOrderSubgroup:
+    """On a Schnorr group an element may carry an order-2 factor
+    (``x -> p - x``), and exponents are reduced mod ``q``."""
 
-    def _statements(self, group, count=3):
-        statements = []
-        for i in range(count):
-            x, y = group.random_scalar(), group.random_scalar()
-            h = group.g_pow(i + 5)
-            rows = [
-                (group.g_pow(x) * h ** y, [group.g, h]),
-                (group.g_pow(y), [group.identity, group.g]),
-            ]
-            context = b"ctx-%d" % i
-            statements.append((rows, sigma.prove(group, rows, [x, y], context), context))
-        return statements
+    def _honest(self):
+        group = get_group("TOY")
+        scheme = AtomElGamal(group)
+        rng = DeterministicRng(b"order-two")
+        group_key, server, nxt = (ElGamalKeyPair.generate(group, rng) for _ in range(3))
+        before = [
+            scheme.encrypt(group_key.public, group.encode(bytes([i + 1])), rng)[0]
+            for i in range(3)
+        ]
+        rands = [group.random_scalar(rng) for _ in before]
+        after = scheme.reencrypt_many(server.secret, nxt.public, before, randomness=rands)
+        return group, scheme, server, nxt, before, after, rands
 
-    def test_empty_list(self, toy_group):
-        assert sigma.verify_many(toy_group, [])
+    def test_two_order_two_quotients_are_rejected(self):
+        group, _, server, nxt, before, after, rands = self._honest()
+        forged = [AtomCiphertext(a.R, _flipped(a.c), a.Y) for a in after[:2]] + after[2:]
+        step, outputs = [(nxt.public, before)], [forged]
+        # Odd e_i do not stop the two flips from cancelling: under the
+        # forged step's coefficients its aggregated c row equals the
+        # honest outputs' ...
+        statement = nizk._Step(group, server.public, step, outputs)
 
-    def test_matches_verify_one_by_one(self, toy_group):
-        statements = self._statements(toy_group)
-        assert sigma.verify_many(toy_group, statements)
-        for statement in statements:
-            assert sigma.verify_many(toy_group, [statement])
-            assert sigma.verify(toy_group, *statement)
-        rows, proof, context = statements[1]
-        for bad in (
-            (rows, proof, b"other context"),
-            (rows[:1], proof, context),
-            (rows, replace(proof, responses=proof.responses[:1]), context),
-            (rows, replace(proof, commitments=proof.commitments[:1]), context),
-            ([(rows[0][0], rows[0][1][:1]), rows[1]], proof, context),
-        ):
-            assert not sigma.verify(toy_group, *bad)
-            assert not sigma.verify_many(toy_group, [statements[0], bad, statements[2]])
+        def c_bar(outs):
+            total = group.identity
+            for b, a, e in zip(before, outs, statement.coefficients):
+                total = total * (b.c / a.c) ** e
+            return total
 
-    def test_inverse_base_hashes_and_verifies_like_the_inverse(self, toy_group):
-        group = toy_group
-        x = group.random_scalar()
-        h = group.g_pow(77)
-        plain = [(h.inverse() ** x, [h.inverse()])]
-        kept = [(h.inverse() ** x, [sigma.InverseOf(h)])]
-        proof = sigma.prove(group, kept, [x], b"inv")
-        assert sigma.verify(group, plain, proof, b"inv")
-        assert sigma.verify(group, kept, proof, b"inv")
-        assert sigma.verify_many(group, [(kept, proof, b"inv"), (plain, proof, b"inv")])
-        # on the same side as a table-backed base it must cancel, not add
-        group.fixed_base(h)
-        assert sigma.verify_many(group, [(kept, proof, b"inv")])
-        assert not sigma.verify_many(
-            group, [([(h ** x, [sigma.InverseOf(h)])], proof, b"inv")]
-        )
+        assert c_bar(forged) == c_bar(after)
+        # ... so the prover's proof of it must fail on membership.
+        proof = nizk._prove(group, server.secret, server.public, statement, rands)
+        worker = ReEncryptor(group)
+        for i in range(8):
+            weights = DeterministicRng(b"w%d" % i)
+            assert not worker.verify_batch(server.public, step, outputs, proof, weights)
+        assert not verify_step_exactly(group, server.public, step, outputs, proof)
 
-    def test_statement_outside_the_prime_order_subgroup_is_settled_exactly(
-        self, toy_group
-    ):
-        # Exponents are reduced mod q, so a row over an element of order
-        # 2q (a user can submit a sign-flipped R that a server must then
-        # re-encrypt) holds or fails with the parity of a quotient —
-        # and weights bind only in the prime-order subgroup, where an
-        # even one cancels the stray sign.  Whatever ``verify`` says of
-        # such a statement, ``verify_many`` must say too.
-        group = toy_group
-        x = group.random_scalar()
-        h = _flipped(group.g_pow(9))
-        assert not group.is_prime_order(h)
-        others = self._statements(group, 2)
-        for target in (h ** x, _flipped(h ** x)):
-            rows = [(target, [h])]
-            for i in range(12):
-                statement = (rows, sigma.prove(group, rows, [x], b"coset"), b"coset")
-                expected = sigma.verify(group, *statement)
-                assert sigma.verify_many(
-                    group, others + [statement], DeterministicRng(b"w%d" % i)
-                ) == expected
+    def test_a_users_sign_flipped_c_still_verifies(self):
+        # c and c' carry the same flip, so c/c' stays in the subgroup:
+        # an honest server re-encrypting it must not be blamed.
+        group, scheme, server, nxt, before, _, _ = self._honest()
+        before = [AtomCiphertext(b.R, _flipped(b.c), b.Y) for b in before]
+        step = [(nxt.public, before)]
+        worker = ReEncryptor(group)
+        outputs, proof = worker.reencrypt_and_prove(server.secret, step)
+        assert worker.verify_batch(server.public, step, outputs, proof)
+        assert verify_step_exactly(group, server.public, step, outputs, proof)

@@ -1,11 +1,15 @@
 """Behavior tests for the node services, transports, and coordinator."""
 
+import logging
+from unittest import mock
+
 import pytest
 
 from repro.core import AtomDeployment, Client, DeploymentConfig
 from repro.core.group import GroupStalled, ProtocolAbort
 from repro.core.server import Behavior
 from repro.crypto.groups import DeterministicRng, get_group
+from repro.net import coordinator
 from repro.net import envelopes as ev
 from repro.net.envelopes import Envelope, Kind, wrap
 from repro.net.nodes import raise_fault
@@ -257,3 +261,46 @@ class TestCoordinatorLifecycle:
             result = dep.run_round(rnd, DeterministicRng(b"proofs-mix"))
         assert result.ok
         assert all(a.final_shuffle_proof is not None for a in result.audits)
+
+
+class TestLoudFailures:
+    """The coordinator's handlers catch only what they can act on."""
+
+    def test_a_programming_error_at_the_trap_exit_propagates(self):
+        # Regression: a broad ``except`` reported any exception from
+        # the inner decryption as "inner ciphertext failed
+        # authentication" and blamed a group.
+        def broken(group, secret, ciphertext):
+            raise TypeError("not a decryption failure")
+
+        with AtomDeployment(small_config(variant="trap")) as dep:
+            rnd = dep.start_round(0, rng=DeterministicRng(b"loud-exit"))
+            for i in range(4):
+                dep.submit_trap(rnd, b"m%d" % i, i % 2)
+            with mock.patch.object(coordinator, "cca2_decrypt", broken):
+                with pytest.raises(TypeError, match="not a decryption"):
+                    dep.run_round(rnd, DeterministicRng(b"loud-exit-mix"))
+
+    def test_abort_layer_logs_an_unreachable_group_and_goes_on(self, caplog):
+        dep = AtomDeployment(small_config())
+        rnd = dep.start_round(0, rng=DeterministicRng(b"loud-abort"))
+        sent = []
+
+        def send(payload, gid, req_id=0):
+            if gid == 0:
+                raise TransportError("group 0 is gone")
+            sent.append(gid)
+            return []
+
+        with mock.patch.object(rnd.coordinator, "_send", send):
+            with caplog.at_level(logging.WARNING, logger=coordinator.__name__):
+                rnd.coordinator._abort_layer(1)
+        assert sent == [1]
+        assert "round 0 layer 1: ABORT_LAYER to group 0 failed" in caplog.text
+
+        def broken(payload, gid, req_id=0):
+            raise KeyError(gid)
+
+        with mock.patch.object(rnd.coordinator, "_send", broken):
+            with pytest.raises(KeyError):
+                rnd.coordinator._abort_layer(1)
