@@ -14,8 +14,7 @@ Package map:
 - :mod:`repro.apps` — microblogging and dialing.
 - :mod:`repro.baselines` — Riposte (with real DPFs), Vuvuzela,
   Alpenhorn.
-- :mod:`repro.analysis` — group-size math, anonymity metrics, cost
-  estimates.
+- :mod:`repro.analysis` — group-size math and cost estimates.
 
 Quickstart::
 

@@ -2,8 +2,6 @@
 
 - :mod:`repro.analysis.groups_math` — anytrust / many-trust group-size
   bounds (§4.1, Appendix B, Figure 13).
-- :mod:`repro.analysis.anonymity` — permutation-uniformity metrics used
-  to validate the mixing topologies empirically.
 - :mod:`repro.analysis.costs` — deployment cost estimates (§7).
 """
 

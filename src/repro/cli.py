@@ -29,7 +29,6 @@ def cmd_round(args: argparse.Namespace) -> int:
             iterations=args.iterations,
             message_size=args.message_size,
             crypto_group=args.crypto_group,
-            parallelism=args.parallelism,
             transport=args.transport,
             state_dir=args.state_dir,
             data_plane=args.data_plane,
@@ -113,7 +112,6 @@ def cmd_run_stream(args: argparse.Namespace) -> int:
             iterations=args.iterations,
             message_size=args.message_size,
             crypto_group=args.crypto_group,
-            parallelism=args.parallelism,
             transport=args.transport,
             state_dir=args.state_dir,
             data_plane=args.data_plane,
@@ -588,12 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_round.add_argument("--variant", choices=["basic", "nizk", "trap"], default="trap")
     p_round.add_argument("--iterations", type=int, default=4)
     p_round.add_argument("--message-size", type=int, default=24)
-    p_round.add_argument(
-        "--parallelism",
-        type=int,
-        default=1,
-        help="worker processes for mixing one layer's groups (1 = serial)",
-    )
     add_net_args(p_round)
     p_round.set_defaults(func=cmd_round)
 
@@ -611,7 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--variant", choices=["basic", "nizk", "trap"], default="trap")
     p_stream.add_argument("--iterations", type=int, default=4)
     p_stream.add_argument("--message-size", type=int, default=24)
-    p_stream.add_argument("--parallelism", type=int, default=1)
     p_stream.add_argument(
         "--fault-schedule",
         default=DEFAULT_STREAM_FAULTS,

@@ -70,11 +70,6 @@ class ProtocolAbort(RuntimeError):
             f"group {gid}: server {culprit} failed verification during {stage}"
         )
 
-    def __reduce__(self):
-        # Keep the exception picklable across ProcessPoolExecutor
-        # workers (the default RuntimeError reduction replays args).
-        return (ProtocolAbort, (self.gid, self.culprit, self.stage))
-
 
 class GroupStalled(RuntimeError):
     """An anytrust group lost a member (or a many-trust group lost more
@@ -85,9 +80,6 @@ class GroupStalled(RuntimeError):
         self.alive = alive
         self.needed = needed
         super().__init__(f"group {gid}: {alive} members alive, {needed} needed")
-
-    def __reduce__(self):
-        return (GroupStalled, (self.gid, self.alive, self.needed))
 
 
 @dataclass
@@ -560,54 +552,3 @@ class GroupContext:
             ct, _ = self.scheme.encrypt(next_key, chunk)
             forged_parts.append(ct)
         return CiphertextVector(tuple(forged_parts))
-
-    # -- parallel dispatch ---------------------------------------------------
-
-    def parallel_safe(self) -> bool:
-        """Whether this group's mixing may run in a worker process.
-
-        Mixing in a child is invisible to in-process adversarial state:
-        a malicious member's tamper budget mutated there would be lost,
-        so groups with malicious members (test instrumentation only)
-        mix serially while honest groups — the entire fleet in a real
-        deployment, any variant — parallelize.  A ``forge_payload_fn``
-        is tolerated when it pickles (the trap deployment's
-        :class:`~repro.core.protocol.InnerPayloadForger`); unpicklable
-        hooks — closures, bound methods of local objects — force the
-        serial path since they cannot cross the process boundary.
-        """
-        if self.forge_payload_fn is not None:
-            import pickle
-
-            try:
-                pickle.dumps(self.forge_payload_fn)
-            except Exception:
-                return False
-        return not any(s.is_malicious for s in self.servers)
-
-
-# ---------------------------------------------------------------------------
-# Parallel group mixing (paper Fig. 7: one layer's groups are independent,
-# so their shuffle + proof work scales across cores).  Dispatch lives in
-# repro.net.nodes.ServerNode (the MIX_PENDING / MIX_COLLECT flow); only
-# the picklable worker entry point is defined here.
-# ---------------------------------------------------------------------------
-
-
-def _parallel_mix_worker(payload):
-    """Run one group's mixing iteration inside a worker process.
-
-    ``payload`` is fully picklable: the context (honest groups only —
-    see :meth:`GroupContext.parallel_safe`), its input vectors, the
-    successor keys, which algorithm to run, and an optional seed for a
-    worker-local :class:`DeterministicRng`.
-    """
-    ctx, vectors, next_keys, use_reenc_proofs, seed = payload
-    rng = DeterministicRng(seed) if seed is not None else None
-    if use_reenc_proofs:
-        batches, audit = ctx.mix_with_reenc_proofs(vectors, next_keys, rng)
-    else:
-        batches, audit = ctx.mix(vectors, next_keys, verify=False, rng=rng)
-    return ctx.gid, batches, audit
-
-

@@ -351,7 +351,7 @@ class StreamEngine:
         self.on_round_settled: Optional[Callable[[int], None]] = None
 
     def close(self) -> None:
-        """Release the deployment's pool and transport (the state
+        """Release the deployment's transport (the state
         store is flushed but stays open until ``__exit__``)."""
         self.deployment.close()
 

@@ -76,9 +76,6 @@ class DeploymentConfig:
     nizk_rounds: int = 6
     num_trustees: int = 3
     seed: bytes = b"repro.deployment"
-    #: worker processes for mixing one layer's independent groups
-    #: (1 = serial, the paper's horizontal-scaling claim of Fig. 7)
-    parallelism: int = 1
     #: how envelopes move between nodes: "inproc" (zero-copy direct
     #: dispatch), "tcp" (every node behind one loopback socket) or
     #: "fleet" (groups hosted by separate OS processes per `fleet_plan`)
@@ -140,8 +137,6 @@ class DeploymentConfig:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.mode == "anytrust" and self.h != 1:
             raise ValueError("anytrust deployments have h = 1")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
         if self.transport not in TRANSPORTS + ("fleet",):
             raise ValueError(
                 f"transport must be one of {TRANSPORTS + ('fleet',)}"
@@ -178,13 +173,8 @@ class DeploymentConfig:
 
 class InnerPayloadForger:
     """Builds a valid trustee-encrypted filler payload for the modeled
-    §4.4 attacker (substitutions only the trap mechanism can catch).
-
-    A class (not a closure) so it pickles with its
-    :class:`~repro.core.group.GroupContext` into mixing worker
-    processes — the parallel path must not silently degrade the trap
-    variant to the weaker garbage-forging attacker.
-    """
+    §4.4 attacker (substitutions only the trap mechanism can catch);
+    one per round, since each round's trustee key differs."""
 
     def __init__(self, group, trustee_public, message_size: int, payload_size: int):
         self.group = group
@@ -316,9 +306,6 @@ class AtomDeployment:
         self.spec = fmt.PayloadSpec.for_deployment(
             self.group, config.message_size, trap_variant=(config.variant == "trap")
         )
-        #: lazily-created mixing worker pool, reused across rounds so
-        #: repeated run_round calls don't pay process startup each time
-        self._pool = None
         #: lazily-created transport, shared by every round's coordinator
         #: (TCP keeps its listener and connection across a stream)
         self._transport = None
@@ -364,13 +351,6 @@ class AtomDeployment:
         from repro.core.batch import CiphertextBatch
 
         return CiphertextBatch(self.group)
-
-    def _mixing_pool(self):
-        if self.config.parallelism > 1 and self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(max_workers=self.config.parallelism)
-        return self._pool
 
     def transport(self):
         """The deployment's :class:`~repro.net.transport.Transport`.
@@ -442,11 +422,8 @@ class AtomDeployment:
             transport = getattr(transport, "inner", None)
 
     def close(self) -> None:
-        """Shut down the mixing worker pool and the transport, and
-        flush (but keep open) the state store."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        """Shut down the transport and flush (but keep open) the
+        state store."""
         if self._transport is not None:
             self._transport.close()
             self._transport = None

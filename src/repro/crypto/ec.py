@@ -396,8 +396,8 @@ class EcPoint:
 
     def __reduce__(self):
         # Same singleton-restoring scheme as Schnorr groups: the group
-        # rides along as get_group("P256"), keeping worker-process
-        # fixed-base caches warm across parallel-mixing tasks.
+        # rides along as get_group("P256"), so a copy shares the
+        # process's warm fixed-base caches.
         return (_point_from_value, (self.group, self.value))
 
 

@@ -446,11 +446,9 @@ class Group(GroupBackend):
         self.identity = GroupElement(1, self)
 
     def __reduce__(self):
-        # Registry groups unpickle back through get_group, restoring
-        # singleton identity: worker processes (parallel mixing) keep
-        # one warm fixed-base cache across tasks instead of shipping
-        # tables in every payload and rebuilding them per task, and
-        # results returned to the parent reuse its warm group.
+        # Registry groups deserialize back through get_group, restoring
+        # singleton identity: a copy shares the process's one warm
+        # fixed-base cache instead of carrying (and rebuilding) tables.
         if _PARAM_SETS.get(self.params.name) == self.params:
             return (get_group, (self.params.name,))
         return (Group, (self.params,))

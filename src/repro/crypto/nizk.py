@@ -80,8 +80,13 @@ def verify_encryption(
     public_key: GroupElement,
     gid: int,
 ) -> bool:
-    """Verify an ``EncProof`` (all servers of the entry group run this)."""
-    if ciphertext.Y is not None:
+    """Verify an ``EncProof`` (all servers of the entry group run this).
+
+    ``R`` must lie in the prime-order subgroup: on a Schnorr group
+    ``R·(p-1)`` satisfies ``R'^e = R^e`` for every even challenge ``e``,
+    so a prover who grinds its nonce would pass with an ``R`` whose
+    ``r`` nobody knows."""
+    if ciphertext.Y is not None or not group.is_prime_order(ciphertext.R):
         return False
     rows = [(ciphertext.R, [group.g])]
     context = _enc_context(ciphertext, public_key, gid)

@@ -125,7 +125,7 @@ class DeploymentPlan:
     def serve_config(self) -> DeploymentConfig:
         """The config a ``repro serve`` process instantiates: the same
         protocol parameters with all coordinator-side runtime wiring
-        (fleet transport, durable store, chaos plans, process pools)
+        (fleet transport, durable store, chaos plans, heartbeats)
         stripped — the serve process journals its own intake WAL."""
         return dataclasses.replace(
             self.config,
@@ -133,7 +133,6 @@ class DeploymentPlan:
             fleet_plan=None,
             state_dir=None,
             net_faults=None,
-            parallelism=1,
             heartbeat=False,
         )
 

@@ -10,6 +10,11 @@ addressed to
 other destination dispatches to the node registered under
 ``(round_id, dest)``.
 
+A ``MIX`` is handled inline by the same ``ServerNode`` dispatch as
+in-process (``mix_batch`` on the batch data plane); processes mix
+concurrently because the coordinator's layer fan-out writes every
+process's ``MIX`` frames before it reads a reply.
+
 **Determinism.** The process never receives key material: a ROUND_OPEN
 carries the coordinator's pre-draw :class:`DeterministicRng` mark
 ``(epoch_round, seed, counter)`` and the process re-runs
@@ -47,7 +52,6 @@ import os
 import signal
 import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -115,11 +119,6 @@ class FleetServer:
         #: serializes dispatch: the protocol relies on strict request
         #: ordering, and controller probes may arrive concurrently
         self.lock = threading.Lock()
-        #: one worker: MIX returns MIX_PENDING fast so *other processes*
-        #: mix concurrently; within a process, layers serialize anyway
-        self.pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"atom-fleet-{name}-mix"
-        )
         self.nodes: Dict[Tuple[int, int], ServerNode] = {}
         self.contexts = None
         #: (epoch_round, seed, counter) the current contexts derive from
@@ -162,7 +161,6 @@ class FleetServer:
                 self.contexts[gid],
                 round_id,
                 self.config.variant,
-                pool=self.pool,
                 store=self.store,
                 data_plane=self.config.data_plane,
                 spill_threshold=self.config.spill_threshold,
@@ -418,7 +416,6 @@ class FleetServer:
         framing.serve(listener, self.group, self._dispatch, self.draining)
         if self.wal is not None:
             self.wal.close()
-        self.pool.shutdown(wait=False, cancel_futures=True)
         print(f"[serve:{self.spec.name}] drained, exiting", flush=True)
         return 0
 

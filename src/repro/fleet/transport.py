@@ -7,8 +7,13 @@ persistent :class:`~repro.net.framing.FramedConnection` to the owning
 trustee, unassigned groups, buddy-recovered groups re-homed into the
 coordinator — dispatches to locally registered nodes, zero-copy.
 
-The control plane rides the same connection (strict request ordering
-is what keeps rounds deterministic): ``open_round`` broadcasts a
+A mixing layer goes out through :meth:`FleetTransport.request_many`:
+every process gets its groups' ``MIX`` frames (in gid order) before any
+reply is read, so the processes mix at once — the paper's horizontal
+scaling — while each one still sees its requests in the coordinator's
+order, which is what keeps rounds deterministic.
+
+The control plane rides the same connection: ``open_round`` broadcasts a
 ROUND_OPEN carrying the deterministic-rng epoch mark so every process
 re-derives byte-identical GroupContexts, and ``unregister_round``
 broadcasts ROUND_CLOSE so settled rounds are dropped (and not replayed
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.groups import GroupBackend as Group
 from repro.net import envelopes as ev
@@ -145,10 +150,11 @@ class FleetTransport(Transport):
 
     # -- request path --------------------------------------------------
 
-    def request(self, env: Envelope, timeout=None) -> List[Envelope]:
+    def _route(self, env: Envelope):
+        """The local node serving ``env``, else its process's connection."""
         node = self._local.get((env.round_id, env.dest))
         if node is not None:
-            return node.handle(env)
+            return node
         name = (
             self.placement.get(env.dest)
             if env.dest not in self.rehomed
@@ -158,7 +164,39 @@ class FleetTransport(Transport):
             raise TransportError(
                 f"no node {env.dest} registered for round {env.round_id}"
             )
-        return self._conns[name].request(env, timeout)
+        return self._conns[name]
+
+    def request(self, env: Envelope, timeout=None) -> List[Envelope]:
+        return self.request_many([env], timeout)[0]
+
+    def request_many(
+        self, envs: Sequence[Envelope], timeout=None
+    ) -> List[List[Envelope]]:
+        """One layer's fan-out: write every remote envelope's frame to
+        its process, handle the coordinator-local ones meanwhile, then
+        read each reply in send order — the processes work through
+        their shares at once.  Any failure drops every connection
+        written to before it propagates: no reply is left unread for a
+        later request to take for its own."""
+        routes = [self._route(env) for env in envs]  # before any send
+        remote = [isinstance(route, FramedConnection) for route in routes]
+        results: List[List[Envelope]] = [[] for _ in envs]
+        try:
+            for env, route, far in zip(envs, routes, remote):
+                if far:
+                    route.send(env, timeout)
+            for i, (env, route, far) in enumerate(zip(envs, routes, remote)):
+                if not far:
+                    results[i] = route.handle(env)
+            for i, (env, route, far) in enumerate(zip(envs, routes, remote)):
+                if far:
+                    results[i] = route.receive(env, timeout)
+        except BaseException:
+            for route, far in zip(routes, remote):
+                if far:
+                    route.drop()
+            raise
+        return results
 
     # -- control plane -------------------------------------------------
 

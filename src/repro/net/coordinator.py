@@ -10,10 +10,11 @@ so fault recovery and pipelined intake can run in between.
 
 Layer protocol (two-phase, so a failed layer changes nothing):
 
-1. ``MIX`` to every group that holds ciphertexts, in gid order.  A
-   node replies with its ``MIX_BATCH``/``MIX_SUMMARY`` set, with
-   ``MIX_PENDING`` (pooled mix in flight), or with a ``FAULT``.
-2. ``MIX_COLLECT`` drains pending pooled mixes, in gid order.
+1. ``MIX`` to every group that holds ciphertexts, in gid order, as one
+   :meth:`~repro.net.transport.Transport.request_many` (the fleet's
+   processes mix at once).
+2. Each node replies with its ``MIX_BATCH``/``MIX_SUMMARY`` set or a
+   ``FAULT``; the first ``FAULT`` in gid order is raised once all are in.
 3. Only when every group succeeded: the buffered ``MIX_BATCH``
    envelopes are delivered to their destination nodes and
    ``COMMIT_LAYER`` adopts them — so any ``FAULT`` leaves every node
@@ -123,7 +124,6 @@ class Coordinator:
         deployment, cfg = self.deployment, self.deployment.config
         return ServerNode(
             ctx, self.round_id, cfg.variant,
-            pool=deployment._mixing_pool() if len(self.rnd.contexts) > 1 else None,
             store=self.store,
             data_plane=cfg.data_plane,
             spill_threshold=cfg.spill_threshold,
@@ -134,19 +134,6 @@ class Coordinator:
         return self.transport.request(
             ev.wrap(payload, self.round_id, ev.COORDINATOR, dest, req_id=req_id)
         )
-
-    def _guarded_send(self, payload, gid: int) -> List[Envelope]:
-        """A mixing-phase send: an unreachable group (retries
-        exhausted) becomes ``GroupStalled``, the signal §4.5 buddy
-        recovery already handles.  Only safe *before* any delivery or
-        commit of the layer — nothing has mutated yet, so the layer as
-        a whole can be retried against the recovered group."""
-        try:
-            return self._send(payload, gid)
-        except RpcExhausted as exc:
-            raise GroupStalled(
-                gid, 0, self.rnd.context(gid).threshold
-            ) from exc
 
     def release(self) -> None:
         """Drop this round's endpoints (idempotent; streams call it
@@ -266,23 +253,31 @@ class Coordinator:
         layer = self.layer
         last = layer == topo.depth - 1
 
-        active = [gid for gid in self.gids if self._holdings_view(gid)]
-        cfg = self.deployment.config
-        eligible = sum(
-            1 for gid in active if rnd.contexts[gid].parallel_safe()
-        )
-        # Pool when configured locally — or across a fleet, where each
-        # process's single mix worker turns MIX into MIX_PENDING and
-        # the layer runs concurrently across OS processes (the paper's
-        # horizontal scaling).  Either path is byte-identical to the
-        # inline mix given the same sub-seed.
-        use_pool = (
-            cfg.parallelism > 1 and len(rnd.contexts) > 1 and eligible > 1
-        ) or (bool(self._remote) and eligible > 1)
+        # Sub-seeds are drawn in gid order before anything is sent, so
+        # the draw order is the same however the layer fans out.
+        mixes = []
+        for gid in self.gids:
+            if not self._holdings_view(gid):
+                continue
+            if last:
+                successors = (gid,)
+                next_keys = (None,)
+            else:
+                successors = tuple(topo.successors(layer, gid))
+                next_keys = tuple(
+                    rnd.context(succ).public_key for succ in successors
+                )
+            seed = self.rng.randbytes(32) if self.rng is not None else None
+            mixes.append(ev.wrap(
+                ev.Mix(
+                    layer=layer, successors=successors,
+                    next_keys=next_keys, seed=seed,
+                ),
+                self.round_id, ev.COORDINATOR, gid,
+            ))
 
         batches: List[Envelope] = []
         audits = []
-        pending: List[int] = []
         budgets = [  # control plane, see the module docstring
             (server, server.tamper_budget)
             for ctx in rnd.contexts
@@ -290,29 +285,18 @@ class Coordinator:
             if server.is_malicious
         ]
         try:
-            for gid in active:
-                if last:
-                    successors = (gid,)
-                    next_keys = (None,)
-                else:
-                    successors = tuple(topo.successors(layer, gid))
-                    next_keys = tuple(
-                        rnd.context(succ).public_key for succ in successors
-                    )
-                seed = self.rng.randbytes(32) if self.rng is not None else None
-                replies = self._guarded_send(
-                    ev.Mix(
-                        layer=layer, successors=successors,
-                        next_keys=next_keys, seed=seed, use_pool=use_pool,
-                    ),
-                    gid,
-                )
-                if replies and replies[0].kind is Kind.MIX_PENDING:
-                    pending.append(gid)
-                    continue
-                self._sort_mix_replies(replies, batches, audits)
-            for gid in pending:
-                replies = self._guarded_send(ev.MixCollect(layer=layer), gid)
+            try:
+                results = self.transport.request_many(mixes)
+            except RpcExhausted as exc:
+                # An unreachable group (retries exhausted) becomes
+                # GroupStalled, the signal §4.5 buddy recovery already
+                # handles: nothing has mutated yet, so the layer as a
+                # whole can be retried against the recovered group.
+                raise GroupStalled(
+                    exc.dest, 0, rnd.context(exc.dest).threshold
+                ) from exc
+            # Every reply is in; the first FAULT in gid order wins.
+            for replies in results:
                 self._sort_mix_replies(replies, batches, audits)
         except Exception:
             self._abort_layer(layer)
@@ -362,10 +346,8 @@ class Coordinator:
                     ]
                     for gid, pairs in staged.items()
                 }
-        # Canonical per-layer audit order: collection order differs when
-        # a layer mixes inline (local) and pooled (remote) groups in one
-        # pass, so sort by gid — a no-op for the all-inline and
-        # all-pooled paths, which already emit gid-ascending.
+        # Canonical per-layer audit order: by gid (the order replies
+        # are filed in, so this only pins it).
         audits.sort(key=lambda a: a.gid)
         for audit in audits:
             self.result.audits.append(audit)

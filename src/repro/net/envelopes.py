@@ -46,8 +46,10 @@ from repro.crypto.vector import (
 #: (v2: u64 request id in the header for idempotent RPC delivery;
 #: v3: routed payloads use the 48-byte inner envelope and u16 framing
 #: of :mod:`repro.core.messages` — payload bytes are opaque here, so
-#: only the version keeps an old peer or journal from being adopted)
-WIRE_VERSION = 3
+#: only the version keeps an old peer or journal from being adopted;
+#: v4: MIX loses its worker-pool flag, and kinds 11 and 12 — the
+#: pooled mix's two-step reply — are retired)
+WIRE_VERSION = 4
 MAGIC = b"AT"
 
 #: well-known logical node addresses (server nodes use their gid >= 0)
@@ -71,8 +73,6 @@ class Kind(enum.IntEnum):
     SUBMIT_ERR = 4
     # mixing
     MIX = 10
-    MIX_PENDING = 11
-    MIX_COLLECT = 12
     MIX_BATCH = 13
     MIX_SUMMARY = 14
     COMMIT_LAYER = 15
@@ -479,15 +479,13 @@ class Mix(_Payload):
 
     ``next_keys[i]`` is successor ``successors[i]``'s public key
     (``None`` on the final layer: re-encrypt to ⊥).  ``seed`` derives
-    the node's deterministic randomness (absent: system randomness);
-    ``use_pool`` opts the node into the shared mixing worker pool.
+    the node's deterministic randomness (absent: system randomness).
     """
 
     layer: int
     successors: Tuple[int, ...]
     next_keys: Tuple[Optional[object], ...]
     seed: Optional[bytes] = None
-    use_pool: bool = False
 
     def _encode(self, w: _Writer) -> None:
         w.u32(self.layer)
@@ -500,7 +498,6 @@ class Mix(_Payload):
         w.bool_(self.seed is not None)
         if self.seed is not None:
             w.blob(self.seed)
-        w.bool_(self.use_pool)
 
     @classmethod
     def _decode(cls, r: _Reader) -> "Mix":
@@ -508,42 +505,9 @@ class Mix(_Payload):
         successors = tuple(r.u32() for _ in range(r.u32()))
         next_keys = tuple(r.opt_element() for _ in range(r.u32()))
         seed = r.blob() if r.bool_() else None
-        use_pool = r.bool_()
         return cls(
-            layer=layer, successors=successors, next_keys=next_keys,
-            seed=seed, use_pool=use_pool,
+            layer=layer, successors=successors, next_keys=next_keys, seed=seed,
         )
-
-
-@_register(Kind.MIX_PENDING)
-@dataclass
-class MixPending(_Payload):
-    """Node -> coordinator: the mix went to the worker pool; collect
-    its result with :class:`MixCollect`."""
-
-    layer: int
-
-    def _encode(self, w: _Writer) -> None:
-        w.u32(self.layer)
-
-    @classmethod
-    def _decode(cls, r: _Reader) -> "MixPending":
-        return cls(layer=r.u32())
-
-
-@_register(Kind.MIX_COLLECT)
-@dataclass
-class MixCollect(_Payload):
-    """Coordinator -> node: block on the pooled mix and return it."""
-
-    layer: int
-
-    def _encode(self, w: _Writer) -> None:
-        w.u32(self.layer)
-
-    @classmethod
-    def _decode(cls, r: _Reader) -> "MixCollect":
-        return cls(layer=r.u32())
 
 
 @_register(Kind.MIX_BATCH)

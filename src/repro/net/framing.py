@@ -9,9 +9,11 @@ come from the peer, so both are bounded (:data:`MAX_FRAME_BYTES`,
 :data:`MAX_REPLY_FRAMES`) before anything is buffered.
 
 :class:`FramedConnection` is the client half (one persistent, lazily
-dialled connection, one outstanding request at a time — the ordering
-that keeps seeded rounds deterministic); :func:`serve` is the server
-half (blocking accept loop, a thread per connection).
+dialled connection; the server answers its frames one at a time, in
+order — the ordering that keeps seeded rounds deterministic — so a
+caller may send several before reading their replies, as the fleet's
+layer fan-out does); :func:`serve` is the server half (blocking accept
+loop, a thread per connection).
 
 Error taxonomy, which :class:`~repro.net.resilience.ResilientTransport`
 keys its retries on: a deadline overrun is :class:`RpcTimeout`; a
@@ -24,6 +26,7 @@ the client surfaces as a plain, non-retryable :class:`TransportError`.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import socket
 import struct
@@ -142,15 +145,20 @@ class FramedConnection:
     def request(self, env: Envelope, timeout=None) -> List[Envelope]:
         """Send ``env``, return its decoded replies; ``timeout``
         (seconds) bounds the dial and every read."""
-        what = f"{env.kind.name} to node {env.dest} on {self.peer}"
+        self.send(env, timeout)
+        return self.receive(env, timeout)
+
+    def send(self, env: Envelope, timeout=None) -> None:
+        """Write ``env``'s frame, dialling first if needed.  Several
+        frames may go out before :meth:`receive` reads their replies,
+        in send order."""
         frame = env.to_bytes(self.group)
-        try:
-            if self._sock is None:
-                self._sock = socket.create_connection(self.address, timeout)
-                self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock = self._sock
-            sock.settimeout(timeout)
+        with self._io(env, timeout, dial=True) as sock:
             _send_frames(sock, [_LEN.pack(len(frame)), frame])
+
+    def receive(self, env: Envelope, timeout=None) -> List[Envelope]:
+        """Read the reply to ``env``, the oldest frame not yet answered."""
+        with self._io(env, timeout) as sock:
             count = _bounded(
                 _recv_exact(sock, _LEN.size), MAX_REPLY_FRAMES, "reply count"
             )
@@ -158,20 +166,37 @@ class FramedConnection:
                 Envelope.from_bytes(_recv_frame(sock), self.group)
                 for _ in range(count)
             ]
-        except socket.timeout as exc:
-            self.drop()
-            raise RpcTimeout(f"{what} timed out after {timeout}s") from exc
-        except (OSError, WireFormatError, TransportError) as exc:
-            self.drop()
-            raise RetryableTransportError(f"{what} failed: {exc}") from exc
         for reply in replies:
             if reply.kind is Kind.FAULT and (
                 reply.payload.code == "transport-error"
             ):
                 # The peer *did* process the request and crashed doing
                 # so; retrying would re-execute the failure.
-                raise TransportError(f"{what} failed: {reply.payload.message}")
+                raise TransportError(
+                    f"{env.kind.name} to node {env.dest} on {self.peer} "
+                    f"failed: {reply.payload.message}"
+                )
         return replies
+
+    @contextlib.contextmanager
+    def _io(self, env: Envelope, timeout, dial: bool = False):
+        """The socket, with any failure mapped onto the error taxonomy
+        and the connection dropped, so the next request dials fresh."""
+        what = f"{env.kind.name} to node {env.dest} on {self.peer}"
+        try:
+            if self._sock is None:
+                if not dial:
+                    raise TransportError("connection dropped before the reply")
+                self._sock = socket.create_connection(self.address, timeout)
+                self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._sock.settimeout(timeout)
+            yield self._sock
+        except socket.timeout as exc:
+            self.drop()
+            raise RpcTimeout(f"{what} timed out after {timeout}s") from exc
+        except (OSError, WireFormatError, TransportError) as exc:
+            self.drop()
+            raise RetryableTransportError(f"{what} failed: {exc}") from exc
 
 
 # -- server half -------------------------------------------------------

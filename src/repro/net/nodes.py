@@ -29,12 +29,7 @@ from typing import List, Optional
 
 from repro.core.batch import CiphertextBatch, vector_fingerprint
 from repro.core.client import Submission, TrapSubmission
-from repro.core.group import (
-    GroupContext,
-    GroupStalled,
-    ProtocolAbort,
-    _parallel_mix_worker,
-)
+from repro.core.group import GroupContext, GroupStalled, ProtocolAbort
 from repro.core.trustees import GroupReport, KeyWithheld, TrusteeGroup
 from repro.crypto.commit import commit
 from repro.crypto.groups import DeterministicRng
@@ -74,7 +69,6 @@ class ServerNode:
         ctx: GroupContext,
         round_id: int,
         variant: str,
-        pool=None,
         store=None,
         data_plane: str = "object",
         spill_threshold: int = 0,
@@ -85,7 +79,6 @@ class ServerNode:
         self.ctx = ctx
         self.round_id = round_id
         self.variant = variant
-        self.pool = pool
         #: durability hook: accepted intake envelopes are journaled
         #: node-side, so the write-ahead log holds exactly the wire
         #: bytes this node admitted — on either transport
@@ -105,10 +98,8 @@ class ServerNode:
         self._seen = set()
         #: batches delivered for the in-flight layer, adopted on commit
         #: as (sender, vectors) so adoption can sort by sender — batch
-        #: arrival order is immaterial (chaos reorder, parallel mix)
+        #: arrival order is immaterial (chaos reorder, fan-out order)
         self._pending: List = []
-        #: outstanding pooled mix: (layer, future, successors)
-        self._inflight = None
         #: request-id dedup: retried/duplicated requests replay their
         #: cached replies instead of re-executing (idempotent delivery)
         self._dedup = DedupCache()
@@ -149,8 +140,8 @@ class ServerNode:
         return CiphertextBatch.from_vectors(self.ctx.group, holdings)
 
     def _holdings_list(self) -> List:
-        """Current holdings as a vector list (the legacy mix paths and
-        the pickled pool task want object graphs)."""
+        """Current holdings as a vector list (the object-plane mix
+        paths want object graphs)."""
         holdings = self.holdings
         return holdings if isinstance(holdings, list) else list(holdings)
 
@@ -160,7 +151,6 @@ class ServerNode:
         Kind.SUBMIT_PLAIN: "_on_submit_plain",
         Kind.SUBMIT_TRAP: "_on_submit_trap",
         Kind.MIX: "_on_mix",
-        Kind.MIX_COLLECT: "_on_mix_collect",
         Kind.MIX_BATCH: "_on_mix_batch",
         Kind.COMMIT_LAYER: "_on_commit_layer",
         Kind.ABORT_LAYER: "_on_abort_layer",
@@ -249,24 +239,6 @@ class ServerNode:
     def _on_mix(self, env: Envelope) -> List[Envelope]:
         payload: ev.Mix = env.payload
         rng = DeterministicRng(payload.seed) if payload.seed is not None else None
-        if (
-            payload.use_pool
-            and self.pool is not None
-            and self.ctx.parallel_safe()
-        ):
-            # Fan the CPU-bound mix out to the shared worker pool; the
-            # coordinator collects the result after dispatching every
-            # group of the layer (Fig. 7 horizontal scaling).
-            task = (
-                self.ctx,
-                list(self.holdings),
-                list(payload.next_keys),
-                self.variant == "nizk",
-                payload.seed,
-            )
-            future = self.pool.submit(_parallel_mix_worker, task)
-            self._inflight = (payload.layer, future, payload.successors)
-            return [self._reply(ev.MixPending(layer=payload.layer))]
         try:
             if self.variant == "nizk":
                 batches, audit = self.ctx.mix_with_reenc_proofs(
@@ -286,32 +258,16 @@ class ServerNode:
                 )
         except (ProtocolAbort, GroupStalled) as exc:
             return [self._reply(_fault_from(exc))]
-        return self._mix_replies(payload.layer, payload.successors, batches, audit)
-
-    def _on_mix_collect(self, env: Envelope) -> List[Envelope]:
-        payload: ev.MixCollect = env.payload
-        if self._inflight is None or self._inflight[0] != payload.layer:
-            raise RuntimeError(
-                f"node {self.gid}: no pooled mix in flight for layer "
-                f"{payload.layer}"
-            )
-        layer, future, successors = self._inflight
-        self._inflight = None
-        try:
-            _, batches, audit = future.result()
-        except (ProtocolAbort, GroupStalled) as exc:
-            return [self._reply(_fault_from(exc))]
-        return self._mix_replies(layer, successors, batches, audit)
-
-    def _mix_replies(self, layer, successors, batches, audit) -> List[Envelope]:
         # MixBatch.of keeps whichever container the mix produced:
         # streaming CiphertextBatch buffers are spliced onto the wire
         # (or handed through zero-copy in-process) without re-encoding.
         replies = [
-            self._reply(ev.MixBatch.of(layer, batch), dest=succ)
-            for succ, batch in zip(successors, batches)
+            self._reply(ev.MixBatch.of(payload.layer, batch), dest=succ)
+            for succ, batch in zip(payload.successors, batches)
         ]
-        replies.append(self._reply(ev.MixSummary(layer=layer, audit=audit)))
+        replies.append(
+            self._reply(ev.MixSummary(layer=payload.layer, audit=audit))
+        )
         return replies
 
     def _on_mix_batch(self, env: Envelope) -> List[Envelope]:
@@ -342,10 +298,6 @@ class ServerNode:
 
     def _on_abort_layer(self, env: Envelope) -> List[Envelope]:
         self._pending = []
-        if self._inflight is not None:
-            _, future, _ = self._inflight
-            self._inflight = None
-            future.cancel()
         return []
 
     # -- exit ----------------------------------------------------------

@@ -40,7 +40,7 @@ import secrets
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.crypto.groups import DeterministicRng
 from repro.net.envelopes import Envelope, Kind
@@ -96,7 +96,6 @@ class RpcPolicy:
             max_attempts=max_attempts,
             kind_timeouts={
                 Kind.MIX: base * 4,
-                Kind.MIX_COLLECT: base * 4,
                 Kind.PING: ping_timeout,
                 Kind.PONG: ping_timeout,
             },
@@ -171,6 +170,26 @@ class ResilientTransport(Transport):
                     self.retries += 1
                     time.sleep(self.policy.backoff(attempt, self._rng))
         raise RpcExhausted(env.dest, env.kind, attempts, last_error)
+
+    def request_many(
+        self, envs: Sequence[Envelope], timeout=None
+    ) -> List[List[Envelope]]:
+        """Stamp every envelope, fan them out through the inner
+        transport, and on a delivery failure re-send each one through
+        :meth:`request` under the same ``req_id``: a node whose request
+        already ran replays its cached reply, so no mix runs twice."""
+        for env in envs:
+            if env.req_id == 0:
+                env.req_id = self._next_req_id()
+        deadline = timeout if timeout is not None else max(
+            (self.policy.timeout_for(env.kind) for env in envs),
+            default=self.policy.base_timeout,
+        )
+        try:
+            return self.inner.request_many(envs, timeout=deadline)
+        except RetryableTransportError:
+            self.retries += len(envs)
+            return [self.request(env, timeout) for env in envs]
 
 
 class DedupCache:

@@ -7,8 +7,10 @@ The contract is a blocking RPC primitive::
 ``envelope.dest`` names a logical node registered under
 ``(round_id, node_id)``; the transport delivers the envelope to that
 node's ``handle`` method and returns whatever envelopes it replies
-with.  Requests are strictly ordered (one outstanding request per
-transport), which is what makes rounds deterministic under a
+with; ``request_many`` delivers a mixing layer's requests at once (a
+loop here, pipelined across processes by the fleet).  Each node sees
+its requests in the coordinator's order, which is what makes rounds
+deterministic under a
 :class:`~repro.crypto.groups.DeterministicRng` regardless of the
 transport in use — the cross-transport parity tests rely on it.
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 import abc
 import socket
 import threading
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.crypto.groups import GroupBackend as Group
 from repro.net import framing
@@ -71,6 +73,16 @@ class Transport(abc.ABC):
         ``timeout`` (seconds) bounds the wait for the reply where the
         transport has a real wire to wait on; transports with no
         network in between (in-process dispatch) ignore it."""
+
+    def request_many(
+        self, envs: Sequence[Envelope], timeout=None
+    ) -> List[List[Envelope]]:
+        """Deliver every envelope; return their replies, aligned with
+        ``envs`` (a mixing layer's fan-out).  Here: :meth:`request` in
+        a loop.  An override may have several processes working at
+        once (the fleet) but, like the loop, leaves no reply unread
+        when it returns or raises."""
+        return [self.request(env, timeout) for env in envs]
 
     def close(self) -> None:  # pragma: no cover - overridden where needed
         """Release all endpoints and connections."""

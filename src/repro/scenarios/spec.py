@@ -55,7 +55,6 @@ _DEPLOY_FIELDS = {
     "fleet_plan": "fleet_plan",
     "data_plane": "data_plane",
     "spill_threshold": "spill_threshold",
-    "parallelism": "parallelism",
     "heartbeat": "heartbeat",
     "rpc_timeout": "rpc_timeout",
     "state_dir": "state_dir",

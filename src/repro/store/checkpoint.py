@@ -244,7 +244,7 @@ def decode_checkpoint(group: Group, payload: bytes) -> Snapshot:
 _CONFIG_FIELDS = (
     "num_servers", "num_groups", "group_size", "variant", "mode", "h",
     "adversarial_fraction", "iterations", "message_size", "crypto_group",
-    "topology", "nizk_rounds", "num_trustees", "parallelism", "transport",
+    "topology", "nizk_rounds", "num_trustees", "transport",
     "wal_fsync_every", "checkpoint_every", "data_plane", "spill_threshold",
     "wal_segment_bytes", "wal_segment_records", "wal_retain_segments",
 )

@@ -95,7 +95,10 @@ class RecoveryManager:
         for rec in self.scan.records:
             t = rec.type
             if t == RecordType.META:
-                self.config = ck.decode_meta(rec.payload)
+                try:
+                    self.config = ck.decode_meta(rec.payload)
+                except (TypeError, ValueError) as exc:  # e.g. a retired field
+                    raise RecoveryError(f"META record unusable: {exc}") from exc
                 self.group = get_group(self.config.crypto_group)
             elif t == RecordType.STREAM_BEGIN:
                 self._stream = ck.decode_stream_begin(rec.payload)

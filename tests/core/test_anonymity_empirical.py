@@ -3,11 +3,29 @@ protocol rounds is statistically uniform (§2.2's anonymity goal:
 "the final permutation ... is indistinguishable from a random
 permutation")."""
 
+from collections import Counter
+
 import pytest
 
-from repro.analysis.anonymity import chi_squared_uniformity
 from repro.core import AtomDeployment, DeploymentConfig
 from repro.crypto.groups import DeterministicRng
+
+
+def chi_squared_uniformity(permutations):
+    """Chi-squared statistic of output positions against uniform, as
+    ``(statistic, degrees of freedom)``: uniform data lands near the
+    dof.  ``permutations[t][i]`` is where input ``i`` landed in run t."""
+    n = len(permutations[0])
+    expected = len(permutations) / n
+    landed = Counter(
+        (inp, out) for perm in permutations for inp, out in enumerate(perm)
+    )
+    stat = sum(
+        (landed[inp, out] - expected) ** 2 / expected
+        for inp in range(n)
+        for out in range(n)
+    )
+    return stat, n * (n - 1)
 
 
 def run_round_permutation(trial: int) -> list:
@@ -44,7 +62,7 @@ def test_output_permutation_uniform():
     perms = [run_round_permutation(t) for t in range(120)]
     stat, dof = chi_squared_uniformity(perms)
     # Uniform data concentrates near dof; identity-like routing scores
-    # in the hundreds (see tests/analysis for the detector's power).
+    # in the hundreds (tests/analysis/test_analysis.py, TestAnonymityMetrics).
     # The 3.0*dof margin documents the headroom; with seeded trials the
     # statistic is a single fixed value well inside it.
     assert stat < 3.0 * dof, f"chi2 {stat:.1f} vs dof {dof}"
@@ -56,3 +74,4 @@ def test_no_input_position_fixed():
     for inp in range(4):
         positions = {perm[inp] for perm in perms}
         assert len(positions) > 1, f"input {inp} always landed at one spot"
+

@@ -113,6 +113,39 @@ class TestEncProof:
         mid = scheme.reencrypt(kp.secret, kp2.public, ct)
         assert not verify_encryption(toy_group, mid, proof, kp.public, gid=1)
 
+    @pytest.mark.parametrize("name", ["TOY", "MODP2048"])
+    def test_order_two_factor_in_R_rejected(self, name):
+        """``R' = R·(p-1)`` leaves the subgroup, yet ``R'^e = R^e`` for
+        every even challenge: grinding the nonce until the challenge
+        over ``R'`` is even makes the Schnorr check pass, so only the
+        subgroup test stands between ``R'`` and an entry group."""
+        group = get_group(name)
+        kp = AtomElGamal(group).keygen()
+        ct, r = AtomElGamal(group).encrypt(kp.public, group.encode(b"m"))
+        assert verify_encryption(
+            group, ct, prove_encryption(group, ct, r, kp.public, 2),
+            kp.public, 2,
+        )
+        forged = AtomCiphertext(
+            R=GroupElement(ct.R.value * (group.p - 1) % group.p, group),
+            c=ct.c, Y=None,
+        )
+        rows = [(forged.R, [group.g])]
+        context = nizk._enc_context(forged, kp.public, 2)
+        rng = DeterministicRng(b"grind-" + name.encode())
+        while True:
+            nonce = group.random_scalar(rng)
+            t = group.g ** nonce
+            e = sigma._challenge(group, rows, [t], context)
+            if e % 2 == 0:
+                break
+        proof = nizk.EncProof(
+            SigmaProof((t.value,), e, ((nonce + e * r) % group.q,))
+        )
+        assert not group.is_prime_order(forged.R)
+        assert sigma.verify(group, rows, proof.proof, context)
+        assert not verify_encryption(group, forged, proof, kp.public, 2)
+
     def test_wrong_randomness_fails(self, scheme, toy_group):
         kp = scheme.keygen()
         ct, r = scheme.encrypt(kp.public, toy_group.encode(b"m"))

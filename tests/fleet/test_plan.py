@@ -122,6 +122,16 @@ class TestJson:
         with pytest.raises(PlanError, match="unknown config field"):
             DeploymentPlan.from_json(text)
 
+    def test_retired_parallelism_field_rejected(self):
+        """Plans written before the worker pool went name
+        ``parallelism``; they fail on load, not silently drop it."""
+        plan = DeploymentPlan.build(_config(), 1)
+        text = plan.to_json().replace(
+            '"num_servers"', '"parallelism": 2, "num_servers"', 1
+        )
+        with pytest.raises(PlanError, match="'parallelism'"):
+            DeploymentPlan.from_json(text)
+
     def test_garbage_rejected(self):
         with pytest.raises(PlanError, match="not valid JSON"):
             DeploymentPlan.from_json("{nope")
@@ -158,7 +168,7 @@ class TestDerivedConfigs:
 
     def test_serve_config_strips_coordinator_wiring(self, tmp_path):
         config = _config(
-            parallelism=4, heartbeat=True,
+            heartbeat=True,
             net_faults="*:drop:2%", state_dir=str(tmp_path),
         )
         serve = DeploymentPlan.build(config, 2).serve_config()
@@ -166,7 +176,6 @@ class TestDerivedConfigs:
         assert serve.fleet_plan is None
         assert serve.state_dir is None
         assert serve.net_faults is None
-        assert serve.parallelism == 1
         assert serve.heartbeat is False
         # ... but every protocol parameter is untouched.
         for name in ("num_servers", "num_groups", "group_size", "variant",

@@ -162,10 +162,7 @@ def payload_st(backend):
                 st.one_of(st.none(), element_st(backend)), max_size=3
             ).map(tuple),
             seed=st.one_of(st.none(), st.binary(min_size=32, max_size=32)),
-            use_pool=st.booleans(),
         ),
-        st.builds(ev.MixPending, layer=st.integers(min_value=0, max_value=31)),
-        st.builds(ev.MixCollect, layer=st.integers(min_value=0, max_value=31)),
         st.builds(
             ev.MixBatch,
             layer=st.integers(min_value=0, max_value=31),
@@ -301,10 +298,8 @@ def test_every_kind_is_covered(backend):
         Kind.SUBMIT_ERR: ev.SubmitErr(reason="nope"),
         Kind.MIX: ev.Mix(
             layer=1, successors=(0, 1), next_keys=(el, None),
-            seed=b"\x02" * 32, use_pool=True,
+            seed=b"\x02" * 32,
         ),
-        Kind.MIX_PENDING: ev.MixPending(layer=1),
-        Kind.MIX_COLLECT: ev.MixCollect(layer=1),
         Kind.MIX_BATCH: ev.MixBatch(
             layer=1, vectors=(CiphertextVector((AtomCiphertext(el, el, el),)),)
         ),
@@ -365,21 +360,25 @@ class TestWireErrors:
         with pytest.raises(WireFormatError, match="version"):
             Envelope.from_bytes(raw, toy_group)
 
-    def test_header_pins_wire_version_3(self, toy_group):
-        # v3: the routed payload layout (48-byte inner envelope, u16
-        # framing) is part of the wire version — DESIGN.md.
-        assert ev.WIRE_VERSION == 3
+    def test_header_pins_wire_version_4(self, toy_group):
+        # v4: MIX carries no pool flag and the pooled mix's two-step
+        # reply kinds are retired — DESIGN.md.
+        assert ev.WIRE_VERSION == 4
         raw = wrap(ev.SubmitOk(1), 7, ev.COORDINATOR, 0).to_bytes(toy_group)
-        assert raw[:4] == b"AT\x03" + bytes([int(Kind.SUBMIT_OK)])
+        assert raw[:4] == b"AT\x04" + bytes([int(Kind.SUBMIT_OK)])
+        assert {11, 12}.isdisjoint(int(kind) for kind in Kind)
 
     def test_version_2_envelope_rejected_not_adopted(self, toy_group):
-        """Payload bytes are opaque to the codec, so a peer still on the
-        pre-v3 payload layout would otherwise only fail at exit-time
+        """Payload bytes are opaque to the codec, so a peer still on an
+        older payload layout would otherwise only fail at exit-time
         parsing; the header version refuses it at the door."""
         env = wrap(ev.ExitPayloads(payloads=(b"old-layout payload",)), 0, 0, ev.COORDINATOR)
-        env.version = 2
-        with pytest.raises(WireFormatError, match="version 2 .speaking 3."):
-            Envelope.from_bytes(env.to_bytes(toy_group), toy_group)
+        for old in (2, 3):
+            env.version = old
+            with pytest.raises(
+                WireFormatError, match=f"version {old} .speaking 4."
+            ):
+                Envelope.from_bytes(env.to_bytes(toy_group), toy_group)
 
     def test_truncated_body_rejected(self, toy_group):
         env = wrap(ev.ExitPayloads(payloads=(b"payload",)), 0, 0, ev.COORDINATOR)
@@ -426,8 +425,7 @@ class TestWireErrors:
         group = get_group("P256")
         el = group.g_pow(3)
         env = wrap(
-            ev.Mix(layer=0, successors=(0,), next_keys=(el,),
-                   seed=None, use_pool=False),
+            ev.Mix(layer=0, successors=(0,), next_keys=(el,), seed=None),
             0, ev.COORDINATOR, 0,
         )
         raw = bytearray(env.to_bytes(group))

@@ -222,21 +222,6 @@ class TestCoordinatorLifecycle:
                 ev.SubmitErr("after release"), 0
             )
 
-    def test_parallel_round_over_tcp(self):
-        """parallelism > 1 fans group mixes to the worker pool through
-        the MIX_PENDING / MIX_COLLECT flow — also behind TCP."""
-        config = small_config(
-            transport="tcp", parallelism=2, adversarial_fraction=0.0
-        )
-        with AtomDeployment(config) as dep:
-            rnd = dep.start_round(0, rng=DeterministicRng(b"pool-tcp"))
-            msgs = [b"pp%d" % i for i in range(4)]
-            for i, m in enumerate(msgs):
-                dep.submit_plain(rnd, m, i % 2)
-            result = dep.run_round(rnd, DeterministicRng(b"pool-tcp-mix"))
-        assert result.ok
-        assert sorted(result.messages) == sorted(msgs)
-
     def test_tamper_audit_travels_in_summary(self):
         """A trap-variant tampering is recorded node-side and must
         reach the coordinator's RoundResult through MIX_SUMMARY."""

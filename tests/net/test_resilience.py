@@ -126,7 +126,7 @@ class TestRetries:
         inner = _FlakyTransport(failures=0)
         transport = _resilient(inner, base_timeout=2.0)
         transport.request(_env(ev.Mix(
-            layer=0, successors=(), next_keys=(), seed=None, use_pool=False,
+            layer=0, successors=(), next_keys=(), seed=None,
         )))
         transport.request(_env())
         assert [t for _, t in inner.calls] == [8.0, 2.0]
@@ -216,3 +216,42 @@ class TestSuspicionTracker:
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
             SuspicionTracker(miss_threshold=0)
+
+
+class TestRequestMany:
+    def _mixes(self, n):
+        return [
+            _env(ev.Mix(layer=0, successors=(), next_keys=(), seed=None),
+                 dest=gid)
+            for gid in range(n)
+        ]
+
+    def test_base_transport_requests_in_order_with_the_mix_deadline(self):
+        inner = _FlakyTransport(failures=0)
+        transport = _resilient(inner, base_timeout=2.0)
+        envs = self._mixes(3)
+        assert transport.request_many(envs) == [[], [], []]
+        assert inner.calls == [(env.req_id, 8.0) for env in envs]
+        assert len({env.req_id for env in envs}) == 3
+
+    def test_delivery_failure_resends_each_under_its_req_id(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr("time.sleep", lambda s: None)
+        inner = _FlakyTransport(failures=2)
+        transport = _resilient(inner)
+        first, second = envs = self._mixes(2)
+        assert transport.request_many(envs) == [[], []]
+        # the fan-out's attempt, then request()'s own retry loop
+        assert [rid for rid, _ in inner.calls] == [
+            first.req_id, first.req_id, first.req_id, second.req_id,
+        ]
+        assert transport.retries == 2 + 1
+
+    def test_exhaustion_names_the_destination(self, monkeypatch):
+        monkeypatch.setattr("time.sleep", lambda s: None)
+        inner = _FlakyTransport(failures=99)
+        transport = _resilient(inner, max_attempts=2)
+        with pytest.raises(RpcExhausted) as excinfo:
+            transport.request_many(self._mixes(2))
+        assert excinfo.value.dest == 0

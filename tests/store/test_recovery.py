@@ -8,6 +8,7 @@ the transports are — it must not influence the crypto at all.
 """
 
 import dataclasses
+import json
 from unittest import mock
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from repro.core import AtomDeployment, Client, DeploymentConfig
 from repro.crypto.groups import DeterministicRng, get_group
 from repro.net.envelopes import WireFormatError
+from repro.store import checkpoint as ck
 from repro.store.recovery import RecoveryError, RecoveryManager
 from repro.store.store import DurableStore
 from tests.net.test_transport_parity import _canonical
@@ -295,3 +297,19 @@ def test_journal_of_version_2_envelopes_is_refused(tmp_path):
     assert manager.needs_recovery()
     with pytest.raises(WireFormatError, match="wire version 2"):
         manager.complete_round()
+
+
+def test_meta_naming_a_retired_field_is_refused(tmp_path):
+    """A state dir whose META still carries ``parallelism`` (the
+    removed worker-pool knob) fails on resume with a RecoveryError."""
+    encode = ck.encode_meta
+
+    def encode_with_parallelism(config):
+        obj = json.loads(encode(config))
+        obj["parallelism"] = 2
+        return json.dumps(obj).encode()
+
+    with mock.patch.object(ck, "encode_meta", encode_with_parallelism):
+        _drive_round(_config(tmp_path), stop_after_layers=1)
+    with pytest.raises(RecoveryError, match="META record unusable.*parallelism"):
+        RecoveryManager(tmp_path)

@@ -20,8 +20,6 @@ ALLOWED = {
     # CLI boundaries: report and exit non-zero
     ("repro/cli.py", "cmd_resume"): 1,
     ("repro/fleet/server.py", "FleetServer.serve_forever"): 1,
-    # an unpicklable forge hook only means "mix serially"
-    ("repro/core/group.py", "GroupContext.parallel_safe"): 1,
     # both clean up the failed layer and re-raise
     ("repro/net/coordinator.py", "Coordinator.run_layer"): 2,
     # the accept loop answers any handler failure with a FAULT, logged
@@ -65,7 +63,7 @@ def test_broad_except_sites_are_the_pinned_allowlist():
         if handler.type is not None and _catches(handler, "Exception")
     )
     assert dict(sites) == ALLOWED
-    assert sum(ALLOWED.values()) == 14
+    assert sum(ALLOWED.values()) == 13
 
 
 def test_no_bare_except_and_base_exception_reraises():
