@@ -23,8 +23,8 @@ test:
 
 ## Benchmark smoke: regenerates BENCH_*.json at the repo root (the
 ## fast-exponentiation engine, the MODP2048-vs-P256 backend dimension,
-## and the bounded-memory data plane's RSS/throughput record); CI
-## uploads the JSON as artifacts.
+## and the batch+spill round's own peak RSS (VmHWM), growth bound and
+## throughput record); CI uploads the JSON as artifacts.
 bench-smoke:
 	$(PYTEST) -q -s benchmarks/test_fastexp_speedup.py \
 		benchmarks/test_streaming_rss.py

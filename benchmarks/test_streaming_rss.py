@@ -1,9 +1,10 @@
 """Bounded-memory data plane (``"streaming_rss"`` in BENCH_fastexp.json).
 
-Runs one complete seeded round per data plane in a **subprocess**
-(``scripts/stream_rss.py``) so ``ru_maxrss`` is the round's own peak
-RSS, not the pytest process's, and asserts the batch+spill plane stays
-under a fixed memory bound while recording msgs/s for trajectory
+Runs one complete seeded batch+spill round in a **subprocess**
+(``scripts/stream_rss.py``, which reads its own ``VmHWM``) so the peak
+is the round's own RSS, not the pytest process's, and asserts it stays
+under a fixed memory bound — both as a peak and as growth over the
+interpreter+imports baseline — while recording msgs/s for trajectory
 tracking.  The default tier is sized for the tier-1 budget; scale it
 up with environment variables, e.g. the acceptance-scale run:
 
@@ -34,14 +35,16 @@ SCRIPT = REPO / "scripts" / "stream_rss.py"
 MESSAGES = int(os.environ.get("STREAM_RSS_MESSAGES", "5000"))
 GROUP = os.environ.get("STREAM_RSS_GROUP", "TOY").upper()
 SPILL_THRESHOLD = int(os.environ.get("STREAM_RSS_SPILL", "512"))
-# Fixed bound for the default tier (measured ~35 MiB peak; interpreter
-# baseline alone is ~25 MiB).  Env-overridden tiers bring their own.
+DEFAULT_TIER = MESSAGES <= 5000 and GROUP == "TOY"
+# Fixed bounds for the default tier.  Measured on a 2-vCPU Linux VM:
+# 28.3-28.4 MiB peak over a 23.4-23.5 MiB interpreter baseline, i.e.
+# 4.9 MiB of growth in three of three runs (the removed object plane
+# grew 26.8 MiB on the same round).  Env-overridden tiers bring their
+# own peak bound and skip the growth bound.
 RSS_LIMIT_MIB = float(
-    os.environ.get(
-        "STREAM_RSS_LIMIT_MIB",
-        "160" if MESSAGES <= 5000 and GROUP == "TOY" else "1024",
-    )
+    os.environ.get("STREAM_RSS_LIMIT_MIB", "160" if DEFAULT_TIER else "1024")
 )
+RSS_GROWTH_LIMIT_MIB = 12.0
 
 
 def _update_bench(fields: dict) -> None:
@@ -56,16 +59,15 @@ def _update_bench(fields: dict) -> None:
     BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
-def _run_plane(data_plane: str, spill_threshold: int) -> dict:
+def _run_round(messages: int, spill_threshold: int) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
     proc = subprocess.run(
         [
             sys.executable,
             str(SCRIPT),
-            "--messages", str(MESSAGES),
+            "--messages", str(messages),
             "--group", GROUP,
-            "--data-plane", data_plane,
             "--spill-threshold", str(spill_threshold),
         ],
         capture_output=True,
@@ -74,30 +76,38 @@ def _run_plane(data_plane: str, spill_threshold: int) -> dict:
         check=True,
     )
     report = json.loads(proc.stdout)
-    assert report["ok"] and report["delivered"] == MESSAGES
+    assert report["ok"] and report["delivered"] == messages
     return report
+
+
+def test_rss_is_the_rounds_own():
+    """A child inherits ``ru_maxrss`` across fork+exec: spawned from a
+    process holding well over 100 MiB, the script must still report
+    its own small baseline, and see the round grow past it."""
+    ballast = b"\x01" * (128 << 20)  # written, so resident
+    report = _run_round(64, 0)
+    assert len(ballast) == 128 << 20
+    assert report["rss_baseline_mib"] < 64
+    assert report["peak_rss_mib"] > report["rss_baseline_mib"]
 
 
 @pytest.mark.slow
 def test_streaming_rss():
-    batch = _run_plane("batch", SPILL_THRESHOLD)
-    legacy = _run_plane("object", 0)
-
+    report = _run_round(MESSAGES, SPILL_THRESHOLD)
     # Incremental RSS over the interpreter+imports baseline is the
-    # plane's own footprint; the peak bound is the acceptance check.
-    batch_delta = batch["peak_rss_mib"] - batch["rss_baseline_mib"]
-    legacy_delta = legacy["peak_rss_mib"] - legacy["rss_baseline_mib"]
+    # plane's own footprint.
+    growth = report["peak_rss_mib"] - report["rss_baseline_mib"]
 
     print_table(
         f"Streaming RSS ({MESSAGES} msgs, {GROUP}, spill={SPILL_THRESHOLD})",
-        ["metric", "batch+spill", "object"],
+        ["metric", "batch+spill"],
         [
-            ("peak RSS (MiB)", batch["peak_rss_mib"], legacy["peak_rss_mib"]),
-            ("RSS over baseline (MiB)", round(batch_delta, 1), round(legacy_delta, 1)),
-            ("after intake (MiB)", batch["rss_after_intake_mib"], legacy["rss_after_intake_mib"]),
-            ("intake (s)", batch["intake_s"], legacy["intake_s"]),
-            ("mix (s)", batch["mix_s"], legacy["mix_s"]),
-            ("msgs/s", batch["msgs_per_s"], legacy["msgs_per_s"]),
+            ("peak RSS (MiB)", report["peak_rss_mib"]),
+            ("RSS over baseline (MiB)", round(growth, 1)),
+            ("after intake (MiB)", report["rss_after_intake_mib"]),
+            ("intake (s)", report["intake_s"]),
+            ("mix (s)", report["mix_s"]),
+            ("msgs/s", report["msgs_per_s"]),
         ],
     )
 
@@ -107,27 +117,22 @@ def test_streaming_rss():
                 "crypto_group": GROUP,
                 "messages": MESSAGES,
                 "spill_threshold": SPILL_THRESHOLD,
-                "iterations": batch["iterations"],
+                "iterations": report["iterations"],
                 "rss_limit_mib": RSS_LIMIT_MIB,
-                "batch_peak_rss_mib": batch["peak_rss_mib"],
-                "object_peak_rss_mib": legacy["peak_rss_mib"],
-                "batch_rss_over_baseline_mib": round(batch_delta, 1),
-                "object_rss_over_baseline_mib": round(legacy_delta, 1),
-                "batch_msgs_per_s": batch["msgs_per_s"],
-                "object_msgs_per_s": legacy["msgs_per_s"],
-                "batch_total_s": batch["total_s"],
-                "object_total_s": legacy["total_s"],
+                "batch_peak_rss_mib": report["peak_rss_mib"],
+                "batch_rss_over_baseline_mib": round(growth, 1),
+                "batch_msgs_per_s": report["msgs_per_s"],
+                "batch_total_s": report["total_s"],
             }
         }
     )
 
-    assert batch["peak_rss_mib"] <= RSS_LIMIT_MIB, (
-        f"batch+spill round peaked at {batch['peak_rss_mib']} MiB; "
+    assert report["peak_rss_mib"] <= RSS_LIMIT_MIB, (
+        f"batch+spill round peaked at {report['peak_rss_mib']} MiB; "
         f"the bounded-memory data plane must stay under {RSS_LIMIT_MIB} MiB"
     )
-    # The redesign's point: the batch plane's own footprint must be
-    # well under the object plane's (measured ~4x less at this tier).
-    assert batch_delta <= 0.8 * legacy_delta, (
-        f"batch plane used {batch_delta:.1f} MiB over baseline vs the "
-        f"object plane's {legacy_delta:.1f} MiB — no longer bounded?"
-    )
+    if DEFAULT_TIER:
+        assert growth <= RSS_GROWTH_LIMIT_MIB, (
+            f"batch+spill round grew {growth:.1f} MiB over its baseline; "
+            f"the default tier must stay under {RSS_GROWTH_LIMIT_MIB} MiB"
+        )

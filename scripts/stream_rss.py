@@ -1,35 +1,40 @@
 """Measure peak RSS and throughput of one seeded round at scale.
 
 Runs a complete seeded round (intake -> padding -> mixing -> exit)
-through the configured data plane and prints one JSON object on
-stdout, so the streaming-RSS benchmark (benchmarks/test_streaming_rss.py)
-can run it as a subprocess and read an isolated ``ru_maxrss`` — peak
-RSS of a shared pytest process would be polluted by every test that
-ran before it.
+and prints one JSON object on stdout, so the streaming-RSS benchmark
+(benchmarks/test_streaming_rss.py) can run it as a subprocess and read
+the round's own peak RSS — peak RSS of a shared pytest process would
+be polluted by every test that ran before it.
+
+The peak is ``VmHWM`` from ``/proc/self/status`` (Linux), not
+``ru_maxrss``: a child inherits its parent's ``ru_maxrss`` high-water
+mark across fork+exec, so under pytest ``ru_maxrss`` would start at
+pytest's peak and hide the round's own growth.
 
 Usage:
     PYTHONPATH=src python scripts/stream_rss.py \
-        --messages 2000 --group TOY --data-plane batch --spill-threshold 256
+        --messages 2000 --group TOY --spill-threshold 256
 """
 
 import argparse
 import json
-import resource
 import sys
 import time
 
 
 def peak_rss_mib() -> float:
-    # Linux reports ru_maxrss in KiB (macOS in bytes; this repo's CI
-    # and container are Linux).
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    """This process's own resident-set high-water mark."""
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0  # reported in kB
+    raise RuntimeError("no VmHWM in /proc/self/status")
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--messages", type=int, default=2000)
     ap.add_argument("--group", type=str.upper, default="TOY")
-    ap.add_argument("--data-plane", default="batch")
     ap.add_argument("--spill-threshold", type=int, default=0)
     ap.add_argument("--iterations", type=int, default=2)
     ap.add_argument("--num-groups", type=int, default=2)
@@ -47,7 +52,6 @@ def main() -> int:
         iterations=args.iterations,
         message_size=args.message_size,
         crypto_group=args.group,
-        data_plane=args.data_plane,
         spill_threshold=args.spill_threshold,
     )
 
@@ -74,7 +78,6 @@ def main() -> int:
         "messages": args.messages,
         "dummies": dummies,
         "crypto_group": args.group,
-        "data_plane": args.data_plane,
         "spill_threshold": args.spill_threshold,
         "iterations": args.iterations,
         "ok": result.ok,

@@ -31,7 +31,6 @@ def cmd_round(args: argparse.Namespace) -> int:
             crypto_group=args.crypto_group,
             transport=args.transport,
             state_dir=args.state_dir,
-            data_plane=args.data_plane,
             spill_threshold=args.spill_threshold,
             net_faults=args.net_faults or None,
             rpc_timeout=args.rpc_timeout,
@@ -114,7 +113,6 @@ def cmd_run_stream(args: argparse.Namespace) -> int:
             crypto_group=args.crypto_group,
             transport=args.transport,
             state_dir=args.state_dir,
-            data_plane=args.data_plane,
             spill_threshold=args.spill_threshold,
             net_faults=args.net_faults or None,
             rpc_timeout=args.rpc_timeout,
@@ -338,9 +336,9 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         return 0
     overrides = {
         key: getattr(args, key)
-        for key in ("transport", "state_dir", "group", "data_plane",
-                    "spill_threshold", "wal_segment_bytes",
-                    "wal_segment_records", "wal_retain_segments")
+        for key in ("transport", "state_dir", "group", "spill_threshold",
+                    "wal_segment_bytes", "wal_segment_records",
+                    "wal_retain_segments")
         if getattr(args, key) is not None
     }
     try:
@@ -419,8 +417,8 @@ def cmd_list_groups(args: argparse.Namespace) -> int:
 
 
 def cmd_list_transports(args: argparse.Namespace) -> int:
-    """List transports and data planes (the `--transport` /
-    `--data-plane` choices of `round` and `run-stream`)."""
+    """List transports (the `--transport` choices of `round` and
+    `run-stream`)."""
     from repro.net.transport import TRANSPORTS
 
     descriptions = {
@@ -432,11 +430,8 @@ def cmd_list_transports(args: argparse.Namespace) -> int:
     print("transports (--transport):")
     for name in TRANSPORTS + ("fleet",):
         print(f"  {name:8s}  {descriptions.get(name, '')}")
-    print("data planes (--data-plane):")
-    for name in sorted(DATA_PLANES):
-        print(f"  {name:8s}  {DATA_PLANES[name]}")
-    print("spilling (--spill-threshold N): batch plane only; intake "
-          "overflows to scratch disk segments every N ciphertexts")
+    print("spilling (--spill-threshold N): intake overflows to scratch "
+          "disk segments every N ciphertexts")
     return 0
 
 
@@ -469,15 +464,6 @@ _SEED_HELP = (
     "to its demo seed)"
 )
 
-#: data planes selectable via --data-plane (introspected by
-#: `repro list-transports`)
-DATA_PLANES = {
-    "batch": "contiguous serialized CiphertextBatch buffers "
-             "(bounded-memory; supports --spill-threshold)",
-    "object": "legacy per-vector object lists "
-              "(byte-equivalence baseline; no spilling)",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.crypto.groups import available_groups
@@ -489,9 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # One parent parser for every deployment-shaped command, so
-    # --seed/--group/--transport/--state-dir/--data-plane/
-    # --spill-threshold are spelled, defaulted, and documented
-    # identically on `round` and `run-stream`.
+    # --seed/--group/--transport/--state-dir/--spill-threshold are
+    # spelled, defaulted, and documented identically on `round` and
+    # `run-stream`.
     deploy = argparse.ArgumentParser(add_help=False)
     deploy.add_argument(
         "--group",
@@ -513,19 +499,12 @@ def build_parser() -> argparse.ArgumentParser:
     deploy.add_argument("--state-dir", default=None, help=_STATE_DIR_HELP)
     deploy.add_argument("--seed", default=None, help=_SEED_HELP)
     deploy.add_argument(
-        "--data-plane",
-        choices=sorted(DATA_PLANES),
-        default="batch",
-        help="how ciphertexts live between protocol steps "
-        "(see `repro list-transports`)",
-    )
-    deploy.add_argument(
         "--spill-threshold",
         type=int,
         default=0,
         metavar="N",
         help="spill intake holdings to scratch disk segments every N "
-        "ciphertexts (0: never; batch data plane only) — bounds RSS "
+        "ciphertexts (0: never) — bounds RSS "
         "for very large rounds",
     )
     deploy.add_argument(
@@ -714,10 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_scn.add_argument("--state-dir", default=None, help=_STATE_DIR_HELP)
     p_scn.add_argument(
-        "--data-plane", choices=sorted(DATA_PLANES), default=None,
-        help="override the spec's data plane",
-    )
-    p_scn.add_argument(
         "--spill-threshold", type=int, default=None, metavar="N",
         help="override the spec's spill threshold",
     )
@@ -755,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_transports = sub.add_parser(
         "list-transports",
-        help="list transports and data planes (round/run-stream knobs)",
+        help="list transports (round/run-stream knobs)",
     )
     p_transports.set_defaults(func=cmd_list_transports)
 

@@ -225,6 +225,21 @@ class CiphertextBatch:
         self._starts.extend(base + s for s in other._starts)
         buf += other._buf
 
+    def replace(self, i: int, record: bytes) -> None:
+        """Overwrite record ``i`` with another record's bytes (the
+        tampering adversary's substitution)."""
+        buf = self._materialize()
+        start, end = self._starts[i], self._end(i)
+        buf[start:end] = record
+        delta = len(record) - (end - start)
+        for j in range(i + 1, len(self._starts)):
+            self._starts[j] += delta
+
+    def as_batch(self) -> "CiphertextBatch":
+        """Itself: the holdings-container call a spillable container
+        answers by splicing its segments together."""
+        return self
+
     def copy(self) -> "CiphertextBatch":
         return CiphertextBatch(self.group, bytearray(self._buf), list(self._starts))
 

@@ -11,23 +11,24 @@ protocol round.  It owns the group's per-round mixing key:
   ``t = k - (h - 1)``; any ``t`` live members can mix, because each
   uses its Lagrange-weighted share as its effective secret.
 
-``mix`` implements one mixing iteration (Algorithm 1):
-shuffle (every participant in order) → divide into ``beta`` batches →
-decrypt-and-reencrypt each batch toward its successor group (every
-participant in order), the last participant dropping ``Y`` before the
-batches leave the group.
+``mix_batch`` implements one mixing iteration (Algorithm 1) over a
+:class:`~repro.core.batch.CiphertextBatch`: shuffle (every participant
+in order) → divide into ``beta`` batches → decrypt-and-reencrypt each
+batch toward its successor group (every participant in order), the
+last participant dropping ``Y`` before the batches leave the group.
+``mix`` is the same iteration over vector objects, kept as the
+reference the batch kernel is tested against.
 
-``mix`` with ``verify=True`` implements Algorithm 2: every shuffle
-carries a vector ShufProof (and, in ``mix_with_reenc_proofs``, every
-server's ReEnc step one ReEncProof); all are checked by the other group
-members, and any failure raises :class:`ProtocolAbort` naming the
-culprit.
+``mix_with_reenc_proofs`` implements Algorithm 2: every shuffle
+carries a vector ShufProof and every server's ReEnc step one
+ReEncProof; all are checked by the other group members, and any
+failure raises :class:`ProtocolAbort` naming the culprit.
 
 Active-adversary hooks: participants with a non-honest
-:class:`~repro.core.server.Behavior` tamper with the outgoing batches
-(replace / duplicate / drop a ciphertext).  Under Algorithm 2 this is
-caught immediately; under the trap variant it is caught by the trap
-checks with probability 1/2 per tampering (§4.4).
+:class:`~repro.core.server.Behavior` tamper with a shuffle or with the
+outgoing batches (replace / duplicate / drop a ciphertext).  Under
+Algorithm 2 this is caught immediately; under the trap variant it is
+caught by the trap checks with probability 1/2 per tampering (§4.4).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from repro.crypto.vector import (
     VectorShuffleProof,
     cut_like,
     prove_vector_shuffle,
+    random_permutation,
     reencrypt_vector,
     shuffle_vectors,
     verify_vector_shuffle,
@@ -187,14 +189,15 @@ class GroupContext:
         self,
         vectors: Sequence[CiphertextVector],
         next_keys: Sequence[Optional[GroupElement]],
-        verify: bool = False,
         rng: Optional[DeterministicRng] = None,
     ) -> Tuple[List[List[CiphertextVector]], MixAudit]:
-        """One iteration of Algorithm 1 (``verify=False``) / 2 (``True``).
+        """One honest iteration of Algorithm 1 over vector objects.
 
-        ``next_keys[i]`` is the public key of the i-th successor group
-        (``None`` for the final iteration: plain decryption).  Returns
-        ``beta = len(next_keys)`` outgoing batches plus an audit record.
+        The reference :meth:`mix_batch` is checked against byte for
+        byte; no deployment path calls it.  ``next_keys[i]`` is the
+        public key of the i-th successor group (``None`` for the final
+        iteration: plain decryption).  Returns ``beta = len(next_keys)``
+        outgoing batches plus an audit record.
         """
         audit = MixAudit(gid=self.gid)
         participants = self.participants()
@@ -207,45 +210,28 @@ class GroupContext:
                 f"into {beta} batches"
             )
 
-        # Step 1 — Shuffle, each participant in order (Algorithm 1/2, step 1).
-        current = self._shuffle_in_turn(list(vectors), participants, audit, rng, verify)
+        # Step 1 — Shuffle, each participant in order.
+        current = list(vectors)
+        for _position in participants:
+            current, _, _ = shuffle_vectors(self.scheme, self.public_key, current, rng)
 
-        # Step 2 — Divide (Algorithm 1/2, step 2).
+        # Step 2 — Divide.
         batches = route_batches(current, beta)
 
         # Step 3 — Decrypt and Reencrypt, each participant in order.
-        for index, position in enumerate(participants):
-            server = self.servers[position]
+        for position in participants:
             secret = self.effective_secret(position, participants)
-            last = index == len(participants) - 1
-            new_batches = []
-            for batch, next_key in zip(batches, next_keys):
-                out = [
-                    reencrypt_vector(self.scheme, secret, next_key, vec, rng)
-                    for vec in batch
-                ]
-                new_batches.append(out)
-            batches = new_batches
-            if last and next_keys[0] is not None:
-                # Appendix A: the last server sets Y' = ⊥ before forwarding.
-                batches = [[vec.with_y_bot() for vec in batch] for batch in batches]
-
-        # Adversarial tampering on the *outgoing* batches (the attack the
-        # trap variant is designed to catch).
-        self._maybe_tamper_outgoing(batches, next_keys, audit)
+            batches = [
+                [reencrypt_vector(self.scheme, secret, next_key, vec, rng) for vec in batch]
+                for batch, next_key in zip(batches, next_keys)
+            ]
+        if next_keys[0] is not None:
+            # Appendix A: the last server sets Y' = ⊥ before forwarding.
+            batches = [[vec.with_y_bot() for vec in batch] for batch in batches]
 
         for batch in batches:
             audit.bytes_sent += sum(v.size_bytes for v in batch)
         return batches, audit
-
-    def streaming_safe(self) -> bool:
-        """Whether this group may mix on the streaming (batch-buffer)
-        data plane: every member must be honest — the adversarial
-        tampering hooks operate on vector object lists (and must keep
-        doing so: the trap variant's catch probabilities are asserted
-        against that path), so instrumented groups mix via :meth:`mix`.
-        """
-        return all(s.streaming_safe for s in self.servers)
 
     def mix_batch(
         self,
@@ -253,12 +239,11 @@ class GroupContext:
         next_keys: Sequence[Optional[GroupElement]],
         rng: Optional[DeterministicRng] = None,
     ):
-        """One honest iteration of Algorithm 1 over a contiguous
+        """One iteration of Algorithm 1 over a contiguous
         :class:`~repro.core.batch.CiphertextBatch` buffer.
 
-        Byte-identical to ``mix(list(batch), next_keys, verify=False,
-        rng)`` for an honest group: every rng draw happens in exactly
-        the same order —
+        Byte-identical to :meth:`mix` for an honest group: every rng
+        draw happens in exactly the same order —
 
         1. per participant: the shuffle permutation, then one scalar
            per ciphertext part in permuted-vector order (what
@@ -276,9 +261,8 @@ class GroupContext:
         the scheme's batch kernels — so peak memory is two buffers plus
         one chunk of objects, never an object graph of the whole round,
         and a curve point pays one square root per call, not one per
-        step.  Gated by :meth:`streaming_safe` — callers route
-        instrumented groups and the NIZK variant through the object
-        path.
+        step.  Malicious members tamper through the two adversarial
+        hooks below, which draw nothing from ``rng``.
         """
         from repro.core.batch import CiphertextBatch, PartBuffer
 
@@ -301,21 +285,20 @@ class GroupContext:
         step = max(1, MIX_CHUNK_PARTS // max(1, batch.parts_count(0))) if n else 1
 
         # Step 1 — Shuffle, each participant in order.
-        for _position in participants:
-            perm = list(range(n))
-            if rng is not None:
-                rng.shuffle(perm)
-            else:
-                import secrets as _secrets
-
-                for i in range(n - 1, 0, -1):
-                    j = _secrets.randbelow(i + 1)
-                    perm[i], perm[j] = perm[j], perm[i]
+        for position in participants:
+            perm = random_permutation(n, rng)
             rands = [
                 self.group.random_scalar(rng)
                 for i in perm
                 for _ in range(current.parts_count(i))
             ]
+            if self._maybe_tamper_shuffle(self.servers[position], n, audit):
+                # outputs 0 and 1 trade places, each keeping the
+                # randomness drawn for it
+                a = current.parts_count(perm[0])
+                b = current.parts_count(perm[1])
+                rands[: a + b] = rands[a: a + b] + rands[:a]
+                perm[0], perm[1] = perm[1], perm[0]
             out = PartBuffer(self.group)
             drawn = 0
             for lo in range(0, n, step):
@@ -348,6 +331,7 @@ class GroupContext:
                     out.store(parts, counts)
             current = out
 
+        self._maybe_tamper_outgoing(current, per, next_keys[0], audit)
         outgoing = current.split(beta)
         for part in outgoing:
             audit.bytes_sent += part.size_bytes_total()
@@ -359,62 +343,67 @@ class GroupContext:
         participants: Sequence[int],
         audit: MixAudit,
         rng: Optional[DeterministicRng],
-        verify: bool,
     ) -> List[CiphertextVector]:
-        """Step 1 of Algorithm 1/2: each participant shuffles in order;
-        with ``verify`` every shuffle carries a vector ShufProof that
-        the other members check."""
+        """Step 1 of Algorithm 2: each participant shuffles in order,
+        and every shuffle carries a vector ShufProof that the other
+        members check."""
         for position in participants:
             server = self.servers[position]
             shuffled, perm, rands = shuffle_vectors(
                 self.scheme, self.public_key, current, rng
             )
-            if verify:
-                proof = prove_vector_shuffle(
-                    self.scheme, self.public_key, current, shuffled, perm, rands,
-                    rounds=self.nizk_rounds, rng=rng,
-                )
-                audit.shuffles_proved += 1
-                audit.bytes_sent += proof.size_bytes
-            tampered = self._maybe_tamper_shuffle(server, shuffled, audit)
-            if verify:
-                # Every other member verifies the (possibly tampered) output.
-                ok = verify_vector_shuffle(
-                    self.scheme, self.public_key, current, tampered, proof,
-                    rounds=self.nizk_rounds,
-                )
-                audit.shuffles_verified += len(participants) - 1
-                if not ok:
-                    raise ProtocolAbort(self.gid, server.server_id, "shuffle")
-                audit.final_shuffle_proof = proof
-            current = tampered
+            proof = prove_vector_shuffle(
+                self.scheme, self.public_key, current, shuffled, perm, rands,
+                rounds=self.nizk_rounds, rng=rng,
+            )
+            audit.shuffles_proved += 1
+            audit.bytes_sent += proof.size_bytes
+            if self._maybe_tamper_shuffle(server, len(shuffled), audit):
+                shuffled = list(shuffled)
+                shuffled[0], shuffled[1] = shuffled[1], shuffled[0]
+            # Every other member verifies the (possibly tampered) output.
+            ok = verify_vector_shuffle(
+                self.scheme, self.public_key, current, shuffled, proof,
+                rounds=self.nizk_rounds,
+            )
+            audit.shuffles_verified += len(participants) - 1
+            if not ok:
+                raise ProtocolAbort(self.gid, server.server_id, "shuffle")
+            audit.final_shuffle_proof = proof
+            current = shuffled
         return current
 
     def mix_with_reenc_proofs(
         self,
-        vectors: Sequence[CiphertextVector],
+        batch,
         next_keys: Sequence[Optional[GroupElement]],
         rng: Optional[DeterministicRng] = None,
-    ) -> Tuple[List[List[CiphertextVector]], MixAudit]:
+    ):
         """Algorithm 2 with explicit per-step ReEnc proofs.
 
-        The fully verified path used by the NIZK variant: each
-        participant's ReEnc of everything the group holds is proved
-        with one aggregated Chaum-Pedersen NIZK, which the other
-        members check as one identity
-        (:class:`~repro.crypto.nizk.ReEncryptor`).  Shuffle proofs are
-        as in :meth:`mix`.  The round's ``rng`` is drawn exactly as a
-        per-part loop would draw it; proof nonces and verifier weights
-        come from ``secrets``.
+        The fully verified path used by the NIZK variant: every shuffle
+        carries a vector ShufProof, and each participant's ReEnc of
+        everything the group holds is proved with one aggregated
+        Chaum-Pedersen NIZK, which the other members check as one
+        identity (:class:`~repro.crypto.nizk.ReEncryptor`); any failure
+        raises :class:`ProtocolAbort` naming the culprit.  Takes and
+        returns batches like :meth:`mix_batch`; the proofs are built
+        over decoded objects, so ``batch`` is decoded once on entry and
+        the output encoded once on exit.  The round's ``rng`` is drawn
+        exactly as a per-part loop would draw it; proof nonces and
+        verifier weights come from ``secrets``.
         """
+        from repro.core.batch import CiphertextBatch
+
         audit = MixAudit(gid=self.gid)
         participants = self.participants()
         beta = len(next_keys)
+        vectors = list(batch)
         if len(vectors) % beta:
             raise ValueError("ciphertexts do not divide into batches")
 
         # Step 1 — verified shuffles.
-        current = self._shuffle_in_turn(list(vectors), participants, audit, rng, True)
+        current = self._shuffle_in_turn(vectors, participants, audit, rng)
 
         # Step 2 — divide.
         batches = route_batches(current, beta)
@@ -439,83 +428,90 @@ class GroupContext:
         if next_keys[0] is not None:
             # Appendix A: the last server sets Y' = ⊥ before forwarding.
             batches = [[vec.with_y_bot() for vec in batch] for batch in batches]
+        out = CiphertextBatch.from_vectors(
+            self.group, (vec for batch in batches for vec in batch)
+        )
 
         # A tampering server cannot forge the ReEnc proof, so under this
         # path tampering surfaces as an abort above; outgoing tampering
         # would be caught by the neighbours re-verifying (Algorithm 2
         # step 3b sends proofs to neighbouring groups too).
         tampered_audit = MixAudit(gid=self.gid)
-        self._maybe_tamper_outgoing(batches, next_keys, tampered_audit)
+        self._maybe_tamper_outgoing(out, len(vectors) // beta, next_keys[0], tampered_audit)
         if tampered_audit.tamperings:
             culprit = tampered_audit.tamperings[0][0]
             raise ProtocolAbort(self.gid, culprit, "outgoing-batch verification")
 
-        for batch in batches:
-            audit.bytes_sent += sum(v.size_bytes for v in batch)
-        return batches, audit
+        outgoing = out.split(beta)
+        for part in outgoing:
+            audit.bytes_sent += part.size_bytes_total()
+        return outgoing, audit
 
     # -- adversarial hooks -------------------------------------------------
 
     def _maybe_tamper_shuffle(
-        self,
-        server: AtomServer,
-        shuffled: List[CiphertextVector],
-        audit: MixAudit,
-    ) -> List[CiphertextVector]:
-        """BAD_SHUFFLE: emit something other than the proven shuffle."""
+        self, server: AtomServer, n: int, audit: MixAudit
+    ) -> bool:
+        """BAD_SHUFFLE: whether ``server`` emits its shuffle with
+        outputs 0 and 1 swapped instead of the proven one (the caller
+        swaps in its own representation)."""
         if server.behavior is not Behavior.BAD_SHUFFLE or server.tamper_budget <= 0:
-            return shuffled
-        if len(shuffled) < 2:
-            return shuffled
+            return False
+        if n < 2:
+            return False
         server.tamper_budget -= 1
         audit.tamperings.append((server.server_id, "bad_shuffle"))
-        tampered = list(shuffled)
-        tampered[0], tampered[1] = tampered[1], tampered[0]
-        return tampered
+        return True
 
     def _maybe_tamper_outgoing(
         self,
-        batches: List[List[CiphertextVector]],
-        next_keys: Sequence[Optional[GroupElement]],
+        out,
+        per: int,
+        next_key: Optional[GroupElement],
         audit: MixAudit,
     ) -> None:
         """DROP / REPLACE / DUPLICATE one outgoing ciphertext in place.
 
+        ``out`` is the group's outgoing :class:`CiphertextBatch`, its
+        successor batches of ``per`` records back to back; the victim
+        is record 0 of the first (``next_key`` is its successor's key).
         Modeled at the last-server forwarding stage, where a malicious
         member can construct well-formed substitutes: after ``Y`` is
         dropped, outgoing ciphertexts are fresh ElGamal ciphertexts
         under the (public) successor-group key.
         """
+        if not per:
+            return
         for position in self.participants():
             server = self.servers[position]
             if not server.is_malicious or server.tamper_budget <= 0:
                 continue
             if server.behavior is Behavior.BAD_SHUFFLE:
                 continue
-            for b_idx, (batch, next_key) in enumerate(zip(batches, next_keys)):
-                if not batch:
-                    continue
-                server.tamper_budget -= 1
-                if server.behavior is Behavior.REPLACE_ONE:
-                    batch[0] = self._forge_vector(batch[0], next_key)
-                    audit.tamperings.append((server.server_id, "replace"))
-                elif server.behavior is Behavior.DUPLICATE_ONE and len(batch) >= 2:
-                    batch[0] = batch[1]
+            server.tamper_budget -= 1
+            if server.behavior is Behavior.DUPLICATE_ONE:
+                if per >= 2:
+                    out.replace(0, bytes(out.raw(1)))
                     audit.tamperings.append((server.server_id, "duplicate"))
-                elif server.behavior is Behavior.DROP_ONE:
-                    # Dropping shrinks the batch; to keep wire-format
-                    # plausible the adversary substitutes garbage instead
-                    # of leaving a hole (a literal hole is caught by
-                    # counting; see §4.4 security analysis).
-                    batch[0] = self._forge_vector(batch[0], next_key)
-                    audit.tamperings.append((server.server_id, "drop"))
-                break
-            break
+            else:
+                # REPLACE_ONE, or DROP_ONE: dropping shrinks the batch;
+                # to keep wire-format plausible the adversary
+                # substitutes garbage instead of leaving a hole (a
+                # literal hole is caught by counting; see §4.4 security
+                # analysis).
+                from repro.core.batch import encode_vector_records
+
+                forged = self._forge_vector(out.parts_count(0), next_key)
+                out.replace(0, encode_vector_records([forged]))
+                kind = "replace" if server.behavior is Behavior.REPLACE_ONE else "drop"
+                audit.tamperings.append((server.server_id, kind))
+            return
 
     def _forge_vector(
-        self, template: CiphertextVector, next_key: Optional[GroupElement]
+        self, nparts: int, next_key: Optional[GroupElement]
     ) -> CiphertextVector:
-        """A fresh, well-formed vector substituted by the adversary.
+        """A fresh, well-formed ``nparts``-part vector substituted by
+        the adversary.
 
         The strongest attacker (paper §4.4 analysis) replaces a victim
         ciphertext with a *valid* message of his own — e.g. a fresh
@@ -533,9 +529,9 @@ class GroupContext:
         else:
             chunks = [
                 self.group.encode(_secrets.token_bytes(self.group.params.message_bytes))
-                for _ in template.parts
+                for _ in range(nparts)
             ]
-        if len(chunks) != len(template.parts):
+        if len(chunks) != nparts:
             raise ValueError("forged payload does not match vector arity")
         if next_key is None:
             # Final layer: exit reads the plaintext out of `c`.

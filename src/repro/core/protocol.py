@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import messages as fmt
+from repro.core.batch import CiphertextBatch
 from repro.core.blame import BlameReport, identify_malicious_users
 from repro.core.client import Client, Submission, TrapSubmission
 from repro.core.directory import Directory, DirectoryConfig, make_fleet
@@ -45,7 +46,6 @@ from repro.core.server import AtomServer
 from repro.core.trustees import TrusteeGroup
 from repro.crypto.beacon import RandomnessBeacon
 from repro.crypto.groups import DeterministicRng, GroupBackend as Group, get_group
-from repro.crypto.vector import CiphertextVector
 from repro.topology import IteratedButterflyNetwork, PermutationNetwork, SquareNetwork
 
 VARIANTS = ("basic", "nizk", "trap")
@@ -83,13 +83,12 @@ class DeploymentConfig:
     #: path to a repro.fleet.plan.DeploymentPlan JSON; required (and
     #: only meaningful) when transport == "fleet"
     fleet_plan: Optional[str] = None
-    #: how ciphertexts live between protocol steps: "batch" (contiguous
-    #: CiphertextBatch buffers — the bounded-memory data plane) or
-    #: "object" (legacy per-vector object lists; escape hatch and
-    #: byte-equivalence baseline)
+    #: the one data plane, "batch" (contiguous CiphertextBatch
+    #: buffers); kept only because the benchmark harness passes it —
+    #: ROADMAP item 1 deletes it
     data_plane: str = "batch"
     #: spill intake holdings to scratch disk segments every N vectors
-    #: (0: never spill; requires the batch data plane)
+    #: (0: never spill)
     spill_threshold: int = 0
     #: directory for the durable state store (None: in-memory only —
     #: the no-op store, so nothing below pays for durability)
@@ -145,15 +144,10 @@ class DeploymentConfig:
             raise ValueError(
                 "transport='fleet' needs fleet_plan (a DeploymentPlan path)"
             )
-        if self.data_plane not in ("batch", "object"):
-            raise ValueError("data_plane must be 'batch' or 'object'")
+        if self.data_plane != "batch":
+            raise ValueError("data_plane must be 'batch'")
         if self.spill_threshold < 0:
             raise ValueError("spill_threshold must be >= 0")
-        if self.spill_threshold > 0 and self.data_plane == "object":
-            raise ValueError(
-                "spill_threshold requires the batch data plane "
-                "(object holdings cannot spill)"
-            )
         if self.rpc_attempts < 1:
             raise ValueError("rpc_attempts must be >= 1")
         if self.rpc_timeout is not None and self.rpc_timeout <= 0:
@@ -221,6 +215,7 @@ class Round:
         topology: PermutationNetwork,
         trustees: Optional[TrusteeGroup],
         payload_size: int,
+        holdings: Dict[int, CiphertextBatch],
     ):
         self.round_id = round_id
         self.contexts = contexts
@@ -239,9 +234,7 @@ class Round:
         #: per-gid intake mirror of the node-side holdings (the nodes
         #: hold the authoritative copies behind the transport; this
         #: client-side view feeds dummy-padding targets and tests)
-        self.holdings: Dict[int, List[CiphertextVector]] = {
-            ctx.gid: [] for ctx in contexts
-        }
+        self.holdings = holdings
         #: per-gid trap commitments registered at submission time (the
         #: same client-side mirror; nodes check traps against theirs)
         self.commitments: Dict[int, List[bytes]] = {ctx.gid: [] for ctx in contexts}
@@ -336,11 +329,8 @@ class AtomDeployment:
         return self._spill_dir
 
     def make_holdings(self, tag: str):
-        """A fresh holdings container for the configured data plane:
-        a plain list (object plane), a :class:`CiphertextBatch`, or a
+        """A fresh holdings container: a :class:`CiphertextBatch`, or a
         :class:`SpillableHoldings` when spilling is on."""
-        if self.config.data_plane != "batch":
-            return []
         if self.config.spill_threshold > 0:
             from repro.store.spill import SpillableHoldings
 
@@ -348,8 +338,6 @@ class AtomDeployment:
                 self.group, self.config.spill_threshold, self.spill_dir(),
                 tag=tag,
             )
-        from repro.core.batch import CiphertextBatch
-
         return CiphertextBatch(self.group)
 
     def transport(self):
@@ -491,17 +479,19 @@ class AtomDeployment:
             if cfg.variant == "trap"
             else None
         )
-        rnd = Round(round_id, contexts, topology, trustees, self.spec.payload_size)
-        if cfg.data_plane == "batch":
-            # The client-side intake mirror tracks the nodes' containers:
-            # serialized batch buffers (spillable when configured), so a
-            # million-message intake never pins an object graph here
-            # either.  Tags differ from the node containers' so their
-            # scratch files never collide.
-            rnd.holdings = {
-                ctx.gid: self.make_holdings(f"mirror-r{round_id}-g{ctx.gid}")
-                for ctx in contexts
-            }
+        # The client-side intake mirror tracks the nodes' containers:
+        # serialized batch buffers (spillable when configured), so a
+        # million-message intake never pins an object graph here
+        # either.  Tags differ from the node containers' so their
+        # scratch files never collide.
+        holdings = {
+            ctx.gid: self.make_holdings(f"mirror-r{round_id}-g{ctx.gid}")
+            for ctx in contexts
+        }
+        rnd = Round(
+            round_id, contexts, topology, trustees, self.spec.payload_size,
+            holdings,
+        )
         if trustees is not None:
             # Arm the strongest modeled attacker: substituted ciphertexts
             # are *valid* inner ciphertexts to the trustees (so only the

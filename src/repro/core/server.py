@@ -56,14 +56,6 @@ class AtomServer:
     def is_malicious(self) -> bool:
         return self.behavior is not Behavior.HONEST
 
-    @property
-    def streaming_safe(self) -> bool:
-        """Whether this member may mix on the streaming (batch-buffer)
-        data plane.  Tampering hooks mutate vector *object* lists, so a
-        malicious member forces its group onto the legacy object path —
-        test instrumentation only; a real deployment streams always."""
-        return not self.is_malicious
-
     def fail(self) -> None:
         """Fail-stop: the server stops responding (churn, §4.5)."""
         self.failed = True

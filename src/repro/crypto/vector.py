@@ -119,14 +119,9 @@ def rerandomize_vector(
     )
 
 
-def shuffle_vectors(
-    scheme: AtomElGamal,
-    public_key: GroupElement,
-    vectors: Sequence[CiphertextVector],
-    rng: Optional[DeterministicRng] = None,
-) -> Tuple[List[CiphertextVector], List[int], List[List[int]]]:
-    """Shuffle vectors as units: ``out[i] = Rerand(in[perm[i]], rands[i])``."""
-    n = len(vectors)
+def random_permutation(n: int, rng: Optional[DeterministicRng] = None) -> List[int]:
+    """A uniform permutation of ``range(n)``, drawn from ``rng`` (or
+    system randomness) — the first draw of every shuffle step."""
     perm = list(range(n))
     if rng is not None:
         rng.shuffle(perm)
@@ -136,6 +131,17 @@ def shuffle_vectors(
         for i in range(n - 1, 0, -1):
             j = _secrets.randbelow(i + 1)
             perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def shuffle_vectors(
+    scheme: AtomElGamal,
+    public_key: GroupElement,
+    vectors: Sequence[CiphertextVector],
+    rng: Optional[DeterministicRng] = None,
+) -> Tuple[List[CiphertextVector], List[int], List[List[int]]]:
+    """Shuffle vectors as units: ``out[i] = Rerand(in[perm[i]], rands[i])``."""
+    perm = random_permutation(len(vectors), rng)
     sources = [vectors[i] for i in perm]
     rands = [[scheme.group.random_scalar(rng) for _ in vec.parts] for vec in sources]
     # One kernel call over every part of every vector, cut back to size.

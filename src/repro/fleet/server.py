@@ -11,9 +11,8 @@ other destination dispatches to the node registered under
 ``(round_id, dest)``.
 
 A ``MIX`` is handled inline by the same ``ServerNode`` dispatch as
-in-process (``mix_batch`` on the batch data plane); processes mix
-concurrently because the coordinator's layer fan-out writes every
-process's ``MIX`` frames before it reads a reply.
+in-process; processes mix concurrently because the coordinator's layer
+fan-out writes every process's ``MIX`` frames before it reads a reply.
 
 **Determinism.** The process never receives key material: a ROUND_OPEN
 carries the coordinator's pre-draw :class:`DeterministicRng` mark
@@ -162,7 +161,6 @@ class FleetServer:
                 round_id,
                 self.config.variant,
                 store=self.store,
-                data_plane=self.config.data_plane,
                 spill_threshold=self.config.spill_threshold,
                 spill_dir=self._spill_dir(),
             )

@@ -98,7 +98,9 @@ class Coordinator:
         #: the delivered MIX_BATCH envelopes at every commit (exactly
         #: the sender-sorted adoption the nodes perform); None when the
         #: whole round is local and direct node access suffices
-        self._view: Optional[Dict[int, List]] = {} if self._remote else None
+        self._view: Optional[Dict[int, CiphertextBatch]] = (
+            {} if self._remote else None
+        )
 
         self.nodes: Dict[int, ServerNode] = {
             ctx.gid: self._new_node(ctx)
@@ -125,7 +127,6 @@ class Coordinator:
         return ServerNode(
             ctx, self.round_id, cfg.variant,
             store=self.store,
-            data_plane=cfg.data_plane,
             spill_threshold=cfg.spill_threshold,
             spill_dir=deployment.spill_dir(),
         )
@@ -160,7 +161,7 @@ class Coordinator:
     def intake_counts(self) -> Dict[int, int]:
         return {gid: len(self._holdings_view(gid)) for gid in self.gids}
 
-    def _holdings_view(self, gid: int) -> List:
+    def _holdings_view(self, gid: int):
         """The coordinator's view of a group's current holdings: the
         local node's for local groups; for fleet-homed groups, the
         post-commit mirror (rebuilt from the delivered batches), or —
@@ -170,8 +171,8 @@ class Coordinator:
         if node is not None:
             return node.holdings
         if self._view:
-            return self._view.get(gid, [])
-        return self.rnd.holdings.get(gid, [])
+            return self._view[gid]
+        return self.rnd.holdings[gid]
 
     # -- mixing --------------------------------------------------------
 
@@ -325,27 +326,14 @@ class Coordinator:
             staged: Dict[int, List] = {gid: [] for gid in self.gids}
             for env in batches:
                 staged[env.dest].append((env.sender, env.payload))
-            if self.deployment.config.data_plane == "batch":
-                group = self.deployment.group
-                self._view = {
-                    gid: CiphertextBatch.concat(
-                        group,
-                        (
-                            payload.as_batch(group)
-                            for _, payload in sorted(pairs, key=lambda p: p[0])
-                        ),
-                    )
-                    for gid, pairs in staged.items()
-                }
-            else:
-                self._view = {
-                    gid: [
-                        vec
-                        for _, payload in sorted(pairs, key=lambda p: p[0])
-                        for vec in payload.vectors
-                    ]
-                    for gid, pairs in staged.items()
-                }
+            group = self.deployment.group
+            self._view = {
+                gid: CiphertextBatch.concat(
+                    group,
+                    (payload.batch for _, payload in sorted(pairs, key=lambda p: p[0])),
+                )
+                for gid, pairs in staged.items()
+            }
         # Canonical per-layer audit order: by gid (the order replies
         # are filed in, so this only pins it).
         audits.sort(key=lambda a: a.gid)
@@ -363,14 +351,9 @@ class Coordinator:
                 self.rng,
                 audits,
                 # Checkpoint bytes are encoded synchronously inside
-                # layer_commit, so batch/spillable containers pass
-                # through without copying; plain lists still snapshot.
-                {gid: self._snapshot_holdings(gid) for gid in self.gids},
+                # layer_commit, so the containers pass through uncopied.
+                {gid: self._holdings_view(gid) for gid in self.gids},
             )
-
-    def _snapshot_holdings(self, gid: int):
-        view = self._holdings_view(gid)
-        return list(view) if isinstance(view, list) else view
 
     def _sort_mix_replies(self, replies, batches, audits) -> None:
         """File a node's MIX replies; FAULTs become raised exceptions."""
@@ -406,14 +389,10 @@ class Coordinator:
             return
         rnd = self.rnd
         node = self._new_node(rnd.contexts[gid])
-        view = self._holdings_view(gid)
-        if isinstance(node.holdings, list):
-            node.holdings = list(view)
-        else:
-            node.holdings.extend(view)
+        node.holdings.extend(self._holdings_view(gid))
         node.commitments = list(rnd.commitments.get(gid, []))
         node._seen = {
-            vector_fingerprint(vec) for vec in rnd.holdings.get(gid, [])
+            vector_fingerprint(vec) for vec in rnd.holdings[gid]
         }
         self._remote.discard(gid)
         self.nodes[gid] = node

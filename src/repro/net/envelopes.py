@@ -29,6 +29,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, Optional, Tuple, Type
 
+from repro.core.batch import BatchFormatError, CiphertextBatch
 from repro.core.client import Submission, TrapSubmission
 from repro.core.group import MixAudit
 from repro.core.trustees import GroupReport
@@ -511,105 +512,43 @@ class Mix(_Payload):
 
 
 @_register(Kind.MIX_BATCH)
+@dataclass
 class MixBatch(_Payload):
     """Node -> node: one mixed batch handed to a successor group.
 
-    The payload holds the batch in one of two forms with identical
-    wire bytes (``u32 layer || u32 count || records``):
-
-    - ``vectors=`` — a tuple of decoded :class:`CiphertextVector`
-      (the legacy object path), or
-    - ``batch=`` — a :class:`~repro.core.batch.CiphertextBatch`
-      buffer (the streaming path), whose records are **spliced**
-      into the envelope body without re-encoding.
-
-    Decoding off the wire always produces the batch form via a
-    structural scan (counts/flags/widths); element validation is
+    ``batch`` is a :class:`~repro.core.batch.CiphertextBatch` whose
+    records are **spliced** into the envelope body without re-encoding
+    (``u32 layer || u32 count || records``).  Decoding off the wire is
+    a structural scan (counts/flags/widths); element validation is
     deferred to the first ``.vectors`` or per-record access, so a
     multi-megabyte batch costs O(bytes) to receive, not O(elements).
     """
 
-    def __init__(self, layer: int, vectors=None, batch=None):
-        if (vectors is None) == (batch is None):
-            raise TypeError("MixBatch takes exactly one of vectors= or batch=")
-        self.layer = layer
-        self._vectors = tuple(vectors) if vectors is not None else None
-        self._batch = batch
-
-    @classmethod
-    def of(cls, layer: int, data) -> "MixBatch":
-        """Wrap either container form without copying."""
-        from repro.core.batch import CiphertextBatch
-
-        if isinstance(data, CiphertextBatch):
-            return cls(layer, batch=data)
-        return cls(layer, vectors=tuple(data))
-
-    @property
-    def count(self) -> int:
-        if self._vectors is not None:
-            return len(self._vectors)
-        return len(self._batch)
+    layer: int
+    batch: CiphertextBatch
 
     @property
     def vectors(self) -> Tuple[CiphertextVector, ...]:
-        """Decoded vectors (lazy; first access validates elements)."""
-        if self._vectors is None:
-            from repro.core.batch import BatchFormatError
-
-            try:
-                self._vectors = tuple(self._batch)
-            except BatchFormatError as exc:
-                raise WireFormatError(
-                    f"invalid element in MIX_BATCH: {exc}"
-                ) from exc
-        return self._vectors
-
-    def as_batch(self, group: Group):
-        """The batch form (built from vectors on the legacy path)."""
-        if self._batch is None:
-            from repro.core.batch import CiphertextBatch
-
-            self._batch = CiphertextBatch.from_vectors(group, self._vectors)
-        return self._batch
+        """Decoded vectors (validates every element)."""
+        try:
+            return tuple(self.batch)
+        except BatchFormatError as exc:
+            raise WireFormatError(f"invalid element in MIX_BATCH: {exc}") from exc
 
     def _encode(self, w: _Writer) -> None:
         w.u32(self.layer)
-        if self._batch is not None:
-            w.u32(len(self._batch))
-            w.buf += self._batch.raw_records()
-        else:
-            _write_vectors(w, self._vectors)
+        w.u32(len(self.batch))
+        w.buf += self.batch.raw_records()
 
     @classmethod
     def _decode(cls, r: _Reader) -> "MixBatch":
-        from repro.core.batch import BatchFormatError, CiphertextBatch
-
         layer = r.u32()
         try:
             batch, end = CiphertextBatch.parse(r.group, r.raw, r.pos)
         except BatchFormatError as exc:
             raise WireFormatError(f"malformed MIX_BATCH: {exc}") from exc
         r.pos = end
-        return cls(layer, batch=batch)
-
-    def _canonical(self):
-        from repro.core.batch import encode_vector_records
-
-        if self._batch is not None:
-            return len(self._batch), bytes(self._batch.raw_records())
-        return len(self._vectors), encode_vector_records(self._vectors)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MixBatch):
-            return NotImplemented
-        return self.layer == other.layer and self._canonical() == other._canonical()
-
-    __hash__ = None  # match dataclass(eq=True) payloads
-
-    def __repr__(self) -> str:
-        form = "batch" if self._batch is not None else "vectors"
-        return f"MixBatch(layer={self.layer}, count={self.count}, form={form})"
+        return cls(layer, batch)
 
 
 @_register(Kind.MIX_SUMMARY)

@@ -70,7 +70,6 @@ class ServerNode:
         round_id: int,
         variant: str,
         store=None,
-        data_plane: str = "object",
         spill_threshold: int = 0,
         spill_dir=None,
     ):
@@ -83,11 +82,8 @@ class ServerNode:
         #: node-side, so the write-ahead log holds exactly the wire
         #: bytes this node admitted — on either transport
         self.store = store if store is not None else NullStore()
-        #: hot data plane: "batch" keeps holdings as contiguous
-        #: CiphertextBatch buffers (optionally spilling intake to disk
-        #: past spill_threshold vectors); "object" keeps the legacy
-        #: vector-object lists
-        self.data_plane = data_plane
+        #: holdings are contiguous CiphertextBatch buffers, spilling
+        #: intake to disk past spill_threshold vectors when set
         self.spill_threshold = spill_threshold
         self.spill_dir = spill_dir
         #: vectors awaiting the next mixing layer
@@ -111,12 +107,9 @@ class ServerNode:
     # -- holdings containers --------------------------------------------
 
     def _make_holdings(self):
-        """A fresh, empty holdings container for this node's data
-        plane.  Recovery may later assign a plain list regardless of
-        plane (checkpoint snapshots decode to vectors); every consumer
-        below stays polymorphic over list / batch / spillable."""
-        if self.data_plane != "batch":
-            return []
+        """A fresh, empty holdings container: a
+        :class:`CiphertextBatch`, or a :class:`SpillableHoldings` when
+        spilling is on."""
         if self.spill_threshold > 0 and self.spill_dir is not None:
             from repro.store.spill import SpillableHoldings
 
@@ -128,22 +121,15 @@ class ServerNode:
             )
         return CiphertextBatch(self.ctx.group)
 
-    def _holdings_batch(self) -> CiphertextBatch:
-        """Current holdings as one contiguous batch (splices for batch
-        containers; encodes when recovery assigned a plain list)."""
-        holdings = self.holdings
-        if isinstance(holdings, CiphertextBatch):
-            return holdings
-        as_batch = getattr(holdings, "as_batch", None)
-        if as_batch is not None:
-            return as_batch()
-        return CiphertextBatch.from_vectors(self.ctx.group, holdings)
-
-    def _holdings_list(self) -> List:
-        """Current holdings as a vector list (the object-plane mix
-        paths want object graphs)."""
-        holdings = self.holdings
-        return holdings if isinstance(holdings, list) else list(holdings)
+    def adopt(self, holdings) -> None:
+        """Make ``holdings`` current (a committed layer, or a recovered
+        snapshot); a spillable container being replaced drops its
+        scratch files."""
+        replaced = self.holdings
+        self.holdings = holdings
+        release = getattr(replaced, "release", None)
+        if release is not None:
+            release()
 
     # -- dispatch ------------------------------------------------------
 
@@ -242,27 +228,18 @@ class ServerNode:
         try:
             if self.variant == "nizk":
                 batches, audit = self.ctx.mix_with_reenc_proofs(
-                    self._holdings_list(), list(payload.next_keys), rng
-                )
-            elif self.data_plane == "batch" and self.ctx.streaming_safe():
-                # Streaming path: mix over the contiguous buffer —
-                # byte-identical to mix() (see GroupContext.mix_batch),
-                # never materializing the round as an object graph.
-                batches, audit = self.ctx.mix_batch(
-                    self._holdings_batch(), list(payload.next_keys), rng=rng
+                    self.holdings.as_batch(), list(payload.next_keys), rng
                 )
             else:
-                batches, audit = self.ctx.mix(
-                    self._holdings_list(), list(payload.next_keys),
-                    verify=False, rng=rng,
+                batches, audit = self.ctx.mix_batch(
+                    self.holdings.as_batch(), list(payload.next_keys), rng
                 )
         except (ProtocolAbort, GroupStalled) as exc:
             return [self._reply(_fault_from(exc))]
-        # MixBatch.of keeps whichever container the mix produced:
-        # streaming CiphertextBatch buffers are spliced onto the wire
-        # (or handed through zero-copy in-process) without re-encoding.
+        # The outgoing buffers are spliced onto the wire (or handed
+        # through zero-copy in-process) without re-encoding.
         replies = [
-            self._reply(ev.MixBatch.of(payload.layer, batch), dest=succ)
+            self._reply(ev.MixBatch(payload.layer, batch), dest=succ)
             for succ, batch in zip(payload.successors, batches)
         ]
         replies.append(
@@ -277,23 +254,14 @@ class ServerNode:
     def _on_commit_layer(self, env: Envelope) -> List[Envelope]:
         # Adopt sorted by sender: batch arrival order carries no
         # meaning (the mix permutes anyway), and sorting makes chaos
-        # reordering invisible to the committed state.
+        # reordering invisible to the committed state.  Adopted by
+        # buffer splice: wire-decoded batches are never turned into
+        # object graphs here.
         holdings = self._make_holdings()
-        if isinstance(holdings, list):
-            for _, payload in sorted(self._pending, key=lambda p: p[0]):
-                holdings.extend(payload.vectors)
-        else:
-            # batch plane: adopt by buffer splice — wire-decoded
-            # batches are never turned into object graphs here
-            for _, payload in sorted(self._pending, key=lambda p: p[0]):
-                holdings.extend(payload.as_batch(self.ctx.group))
-        replaced = self.holdings
-        self.holdings = holdings
+        for _, payload in sorted(self._pending, key=lambda p: p[0]):
+            holdings.extend(payload.batch)
+        self.adopt(holdings)
         self._pending = []
-        # a spillable container being replaced drops its scratch files
-        release = getattr(replaced, "release", None)
-        if release is not None:
-            release()
         return []
 
     def _on_abort_layer(self, env: Envelope) -> List[Envelope]:

@@ -7,7 +7,7 @@ declarative, file-able unit:
 - a :class:`~repro.core.pipeline.FaultSchedule` (server/user faults),
 - a :class:`~repro.net.chaos.NetFaultPlan` (network chaos rules),
 - :class:`~repro.core.protocol.DeploymentConfig` knobs (group backend,
-  transport, data plane, spilling, state dir, ...).
+  transport, spilling, state dir, ...).
 
 Like ``NetFaultPlan``, the grammar round-trips: ``parse(describe())``
 is the identity on the canonical form, and every unknown key is an
@@ -53,7 +53,6 @@ _DEPLOY_FIELDS = {
     "group": "crypto_group",
     "transport": "transport",
     "fleet_plan": "fleet_plan",
-    "data_plane": "data_plane",
     "spill_threshold": "spill_threshold",
     "heartbeat": "heartbeat",
     "rpc_timeout": "rpc_timeout",

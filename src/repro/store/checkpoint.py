@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.batch import BatchFormatError, CiphertextBatch
 from repro.core.group import MixAudit
 from repro.crypto.groups import GroupBackend as Group
 # The envelope layer's binary substrate (shared on purpose: one codec
@@ -29,10 +30,9 @@ from repro.crypto.groups import GroupBackend as Group
 from repro.net.envelopes import (  # noqa: F401
     _Reader as Reader,
     _Writer as Writer,
+    WireFormatError,
     _read_audit,
-    _read_vectors,
     _write_audit,
-    _write_vectors,
 )
 
 
@@ -190,29 +190,20 @@ class Snapshot:
 
     round_id: int
     layer: int
-    holdings: Dict[int, Tuple]  # gid -> tuple of CiphertextVector
+    holdings: Dict[int, CiphertextBatch]
 
 
-def _write_holdings(w: "Writer", items) -> None:
-    """``_write_vectors``-layout encoding of one group's holdings,
-    polymorphic over the data-plane containers: a CiphertextBatch (or
-    anything exposing ``as_batch``) splices its already-serialized
-    records — byte-identical to encoding the decoded vectors — while a
-    plain list takes the object codec path."""
-    from repro.core.batch import CiphertextBatch
-
-    as_batch = getattr(items, "as_batch", None)
-    if as_batch is not None:
-        items = as_batch()
-    if isinstance(items, CiphertextBatch):
-        w.u32(len(items))
-        w.buf += items.raw_records()
-        return
-    _write_vectors(w, tuple(items))
+def _write_holdings(w: "Writer", holdings) -> None:
+    """``_write_vectors``-layout encoding of one group's holdings: the
+    batch is already serialized, so its records are copied as they
+    are."""
+    batch = holdings.as_batch()
+    w.u32(len(batch))
+    w.buf += batch.raw_records()
 
 
 def encode_checkpoint(
-    group: Group, round_id: int, layer: int, holdings: Dict[int, list]
+    group: Group, round_id: int, layer: int, holdings: Dict[int, object]
 ) -> bytes:
     w = Writer(group)
     w.u32(round_id)
@@ -225,13 +216,18 @@ def encode_checkpoint(
 
 
 def decode_checkpoint(group: Group, payload: bytes) -> Snapshot:
+    """Holdings decode straight to batches (a structural scan; element
+    validation waits for the mix that reads them)."""
     r = Reader(payload, group)
     round_id = r.u32()
     layer = r.u32()
-    holdings: Dict[int, Tuple] = {}
+    holdings: Dict[int, CiphertextBatch] = {}
     for _ in range(r.u32()):
         gid = r.u32()
-        holdings[gid] = _read_vectors(r)
+        try:
+            holdings[gid], r.pos = CiphertextBatch.parse(group, r.raw, r.pos)
+        except BatchFormatError as exc:
+            raise WireFormatError(f"malformed CHECKPOINT holdings: {exc}") from exc
     return Snapshot(round_id=round_id, layer=layer, holdings=holdings)
 
 
@@ -245,7 +241,7 @@ _CONFIG_FIELDS = (
     "num_servers", "num_groups", "group_size", "variant", "mode", "h",
     "adversarial_fraction", "iterations", "message_size", "crypto_group",
     "topology", "nizk_rounds", "num_trustees", "transport",
-    "wal_fsync_every", "checkpoint_every", "data_plane", "spill_threshold",
+    "wal_fsync_every", "checkpoint_every", "spill_threshold",
     "wal_segment_bytes", "wal_segment_records", "wal_retain_segments",
 )
 

@@ -252,8 +252,8 @@ class RecoveryManager:
                 f"has no matching layer commit"
             )
         coord = rnd.coordinator
-        for gid, vectors in snap.holdings.items():
-            coord.nodes[gid].holdings = list(vectors)
+        for gid, batch in snap.holdings.items():
+            coord.nodes[gid].adopt(batch)
         coord.layer = snap.layer
         for layer in sorted(commits):
             if layer > snap.layer:

@@ -169,35 +169,17 @@ class TestAlgorithm2:
         with pytest.raises(ProtocolAbort):
             ctx.mix_with_reenc_proofs(vectors, next_keys=[None])
 
-    def test_shuffle_only_verification_mode(self, toy_group):
-        """mix(verify=True) checks shuffles but skips ReEnc proofs."""
-        ctx = make_group(toy_group, size=2)
-        payloads = [bytes([i]) * 4 for i in range(4)]
-        vectors = encrypt_to(toy_group, ctx, payloads)
-        batches, audit = ctx.mix(vectors, next_keys=[None], verify=True)
-        assert audit.shuffles_proved == 2
-        assert audit.reencs_proved == 0
-        assert sorted(decrypt_final(ctx, batches)) == sorted(payloads)
-
-    def test_bad_shuffle_detected_in_verify_mode(self, toy_group):
-        # 16 rounds: a swap slips through with probability 2^-32 (at 4
-        # rounds this test failed one run in 256)
-        ctx = make_group(toy_group, size=2, nizk_rounds=16)
-        ctx.servers[1].behavior = Behavior.BAD_SHUFFLE
-        payloads = [bytes([i]) * 4 for i in range(4)]
-        vectors = encrypt_to(toy_group, ctx, payloads)
-        with pytest.raises(ProtocolAbort):
-            ctx.mix(vectors, next_keys=[None], verify=True)
-
 
 class TestTamperingHooks:
+    """The adversarial hooks act inside the batch mix kernel."""
+
     def test_trap_variant_tampering_flows_through(self, toy_group):
         """Without NIZKs, tampering is not caught during mixing."""
         ctx = make_group(toy_group, size=2)
         ctx.servers[0].behavior = Behavior.REPLACE_ONE
         payloads = [bytes([i]) * 4 for i in range(4)]
         vectors = encrypt_to(toy_group, ctx, payloads)
-        batches, audit = ctx.mix(vectors, next_keys=[None])
+        batches, audit = ctx.mix_batch(vectors, next_keys=[None])
         assert audit.tamperings  # recorded but not blocked
         out = decrypt_final(ctx, batches)
         assert sorted(out) != sorted(payloads)  # one message replaced
@@ -208,7 +190,7 @@ class TestTamperingHooks:
         ctx.servers[0].tamper_budget = 0
         payloads = [bytes([i]) * 4 for i in range(4)]
         vectors = encrypt_to(toy_group, ctx, payloads)
-        batches, audit = ctx.mix(vectors, next_keys=[None])
+        batches, audit = ctx.mix_batch(vectors, next_keys=[None])
         assert not audit.tamperings
         assert sorted(decrypt_final(ctx, batches)) == sorted(payloads)
 
@@ -217,10 +199,28 @@ class TestTamperingHooks:
         ctx.servers[0].behavior = Behavior.DUPLICATE_ONE
         payloads = [bytes([i]) * 4 for i in range(4)]
         vectors = encrypt_to(toy_group, ctx, payloads)
-        batches, audit = ctx.mix(vectors, next_keys=[None])
+        batches, audit = ctx.mix_batch(vectors, next_keys=[None])
         out = decrypt_final(ctx, batches)
         assert audit.tamperings
         assert len(out) == len(set(out)) + 1  # one duplicate present
+
+    def test_bad_shuffle_swaps_without_extra_draws(self, toy_group):
+        """BAD_SHUFFLE swaps two outputs of the member's shuffle: the
+        same rng draws as an honest mix, the same plaintexts, another
+        order."""
+        from repro.crypto.groups import DeterministicRng
+
+        ctx = make_group(toy_group, size=2)
+        payloads = [bytes([i]) * 4 for i in range(4)]
+        vectors = encrypt_to(toy_group, ctx, payloads)
+        honest_rng, bad_rng = DeterministicRng(b"bs"), DeterministicRng(b"bs")
+        honest, _ = ctx.mix_batch(vectors, next_keys=[None], rng=honest_rng)
+        ctx.servers[1].behavior = Behavior.BAD_SHUFFLE
+        bad, audit = ctx.mix_batch(vectors, next_keys=[None], rng=bad_rng)
+        assert audit.tamperings == [(ctx.servers[1].server_id, "bad_shuffle")]
+        assert bad_rng.counter == honest_rng.counter
+        assert decrypt_final(ctx, bad) != decrypt_final(ctx, honest)
+        assert sorted(decrypt_final(ctx, bad)) == sorted(payloads)
 
 
 class TestRevealSecrets:

@@ -44,7 +44,7 @@ def _successor_keys(ctx, beta):
 def _assert_same_mix(ctx, vectors, next_keys):
     rng_a = DeterministicRng(b"mix-kernel-rng")
     rng_b = DeterministicRng(b"mix-kernel-rng")
-    want, want_audit = ctx.mix(vectors, next_keys, verify=False, rng=rng_a)
+    want, want_audit = ctx.mix(vectors, next_keys, rng=rng_a)
     got, got_audit = ctx.mix_batch(
         CiphertextBatch.from_vectors(ctx.group, vectors), next_keys, rng=rng_b
     )

@@ -11,6 +11,8 @@ pinned without any crypto.
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.batch import CiphertextBatch
+from repro.crypto.groups import get_group
 from repro.net.chaos import (
     ChaosTransport,
     NetFaultPlan,
@@ -237,7 +239,7 @@ class TestChaosTransport:
 
     def test_reorder_swaps_batches_and_barriers_before_commit(self):
         chaos, inner = self._chaos("0>2:reorder")
-        batch = ev.MixBatch(layer=0, vectors=())
+        batch = ev.MixBatch(layer=0, batch=CiphertextBatch(get_group("TOY")))
         first = wrap(batch, 0, 0, 2)   # held (matches 0>2)
         second = wrap(batch, 0, 1, 2)  # delivered, then flushes `first`
         chaos.request(first)

@@ -12,6 +12,7 @@ real proofs, since the codec is agnostic to proof validity.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.batch import CiphertextBatch
 from repro.core.client import Submission, TrapSubmission
 from repro.core.group import MixAudit
 from repro.core.trustees import GroupReport
@@ -166,7 +167,11 @@ def payload_st(backend):
         st.builds(
             ev.MixBatch,
             layer=st.integers(min_value=0, max_value=31),
-            vectors=st.lists(vector_st(backend), max_size=3).map(tuple),
+            batch=st.lists(vector_st(backend), max_size=3).map(
+                lambda vectors: CiphertextBatch.from_vectors(
+                    get_group(backend), vectors
+                )
+            ),
         ),
         st.builds(
             ev.MixSummary,
@@ -301,7 +306,10 @@ def test_every_kind_is_covered(backend):
             seed=b"\x02" * 32,
         ),
         Kind.MIX_BATCH: ev.MixBatch(
-            layer=1, vectors=(CiphertextVector((AtomCiphertext(el, el, el),)),)
+            layer=1,
+            batch=CiphertextBatch.from_vectors(
+                group, [CiphertextVector((AtomCiphertext(el, el, el),))]
+            ),
         ),
         Kind.MIX_SUMMARY: ev.MixSummary(layer=1, audit=MixAudit(gid=3)),
         Kind.COMMIT_LAYER: ev.CommitLayer(layer=1),
@@ -401,13 +409,20 @@ class TestWireErrors:
     def test_invalid_element_rejected_lazily(self):
         """MIX_BATCH decode is a structural scan; element validation
         runs on first ``.vectors`` access (bounded-memory data plane),
-        and still surfaces as WireFormatError."""
+        and still surfaces as WireFormatError — and the mix that would
+        read the adopted batch rejects it too."""
+        from repro.core.batch import BatchFormatError
+        from repro.core.group import GroupContext
+        from repro.core.server import AtomServer
+
         group = get_group("P256")
         el = group.g_pow(3)
         env = wrap(
             ev.MixBatch(
                 layer=0,
-                vectors=(CiphertextVector((AtomCiphertext(el, el, None),)),),
+                batch=CiphertextBatch.from_vectors(
+                    group, [CiphertextVector((AtomCiphertext(el, el, None),))]
+                ),
             ),
             0, 0, 1,
         )
@@ -419,6 +434,9 @@ class TestWireErrors:
         decoded = Envelope.from_bytes(bytes(raw), group)
         with pytest.raises(WireFormatError, match="invalid element"):
             decoded.payload.vectors
+        ctx = GroupContext(0, [AtomServer(server_id=0, group=group)], group)
+        with pytest.raises(BatchFormatError, match="invalid element"):
+            ctx.mix_batch(decoded.payload.batch, [None])
 
     def test_invalid_element_rejected_eagerly_elsewhere(self):
         """Non-batch payloads still validate elements at decode time."""
@@ -439,7 +457,7 @@ class TestWireErrors:
         """Hostile counts/flags are rejected at decode, before any
         element math or allocation."""
         group = get_group("P256")
-        env = wrap(ev.MixBatch(layer=0, vectors=()), 0, 0, 1)
+        env = wrap(ev.MixBatch(layer=0, batch=CiphertextBatch(group)), 0, 0, 1)
         raw = bytearray(env.to_bytes(group))
         import struct as _struct
 
