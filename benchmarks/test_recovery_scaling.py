@@ -11,7 +11,6 @@ both faster than full replay at depth and flat across depths.
 """
 
 import json
-import struct
 import time
 from pathlib import Path
 
@@ -44,13 +43,12 @@ def _update_bench(fields: dict) -> None:
 
 
 def _envelope_record(round_id: int) -> bytes:
-    """A journal-shaped intake record: a real wire header (the liveness
-    peek reads ``round_id`` out of it) ahead of an opaque body."""
-    header = ev._HEADER.pack(
-        b"AT", 1, int(ev.Kind.SUBMIT_TRAP), round_id, 0, 3, round_id,
-        BODY_BYTES,
-    )
-    return header + bytes(BODY_BYTES)
+    """A journal-shaped intake record: a real envelope with a
+    ``BODY_BYTES`` body (liveness reads the round id from the frame,
+    so the body is never decoded)."""
+    reason = "x" * (BODY_BYTES - 4)  # u32 length prefix + text
+    env = ev.wrap(ev.SubmitErr(reason=reason), round_id, 0, 3, round_id)
+    return env.to_bytes(None)
 
 
 def _make_journal(root: Path, rounds: int) -> None:
@@ -60,22 +58,14 @@ def _make_journal(root: Path, rounds: int) -> None:
     replacement would otherwise replay."""
     log = LogDir(root, fsync_every=0)
     for r in range(rounds):
-        log.append(
-            REC_OPEN,
-            json.dumps(
-                {
-                    "round_id": r,
-                    "fresh": r == 0,
-                    "epoch_round": 0,
-                    "seed": "00" * 8,
-                    "counter": r,
-                }
-            ).encode(),
+        mark = ev.RoundOpen(
+            fresh=r == 0, epoch_round=0, seed=bytes(8), counter=r
         )
+        log.append(REC_OPEN, mark.table.encode(mark), r)
         for _ in range(ENVELOPES_PER_ROUND):
-            log.append(REC_ENVELOPE, _envelope_record(r))
+            log.append(REC_ENVELOPE, _envelope_record(r), r)
         if r != rounds - 1:
-            log.append(REC_CLOSE, json.dumps({"round_id": r}).encode())
+            log.append(REC_CLOSE, b"", r)
     log.close()
 
 

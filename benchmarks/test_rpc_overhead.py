@@ -3,10 +3,11 @@
 The ResilientTransport wrapper sits on every RPC of every round —
 stamping request IDs, picking per-kind deadlines, and (node-side)
 consulting the dedup cache — so on the in-process fast path it should
-be noise next to the crypto: the same seeded P-256 round is driven with
-resilience on and off, and both timings and the per-request wrapper
-cost are recorded for trajectory tracking.  No ratio is asserted: on a
-shared box a ratio of two round timings measures the neighbours.
+be noise next to the crypto.  Every deployment runs behind it, so the
+seeded P-256 round is timed as deployed, and the wrapper's own cost is
+measured per request against a transport that absorbs requests
+instantly.  Both are recorded for trajectory tracking; no ratio is
+asserted.
 """
 
 import json
@@ -37,20 +38,19 @@ def _update_bench(fields: dict) -> None:
     BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
-def _build_config(resilience: bool):
+def _build_config():
     return DeploymentConfig(
         num_servers=6, num_groups=2, group_size=2, variant="trap",
         iterations=3, message_size=8, crypto_group="P256",
-        resilience=resilience,
     )
 
 
-def _run_round(resilience: bool) -> float:
+def _run_round() -> float:
     """The wal-overhead benchmark's seeded round, trap variant (the
     chattiest intake: trap pairs double the envelopes the wrapper must
     stamp and the nodes must dedup-check); returns its wall clock."""
     start = time.perf_counter()
-    with AtomDeployment(_build_config(resilience)) as dep:
+    with AtomDeployment(_build_config()) as dep:
         rng = DeterministicRng(b"rpc-round")
         rnd = dep.start_round(0, rng=rng)
         client = Client(dep.group, DeterministicRng(b"rpc-client"))
@@ -79,12 +79,9 @@ class _SinkTransport(Transport):
 
 @pytest.mark.slow
 def test_rpc_overhead(benchmark):
-    # Warm both paths (fixed-base tables, imports) before timing.
-    _run_round(resilience=False)
-    _run_round(resilience=True)
-    rpc_s = _run_round(resilience=True)
-    bare_s = _run_round(resilience=False)
-    ratio = rpc_s / bare_s
+    # Warm up (fixed-base tables, imports) before timing.
+    _run_round()
+    rpc_s = _run_round()
 
     # Raw wrapper cost per request on the success path (no retries).
     wrapped = ResilientTransport(
@@ -97,15 +94,13 @@ def test_rpc_overhead(benchmark):
         wrapped.request(env)
     wrap_us = (time.perf_counter() - start) / 4096 * 1e6
 
-    benchmark.pedantic(lambda: _run_round(resilience=True), rounds=1, iterations=1)
+    benchmark.pedantic(_run_round, rounds=1, iterations=1)
 
     print_table(
         "Resilience-layer overhead (seeded P-256 trap round, in-process)",
         ["metric", "value"],
         [
-            ("bare transport round (s)", f"{bare_s:.3f}"),
             ("resilient round (s)", f"{rpc_s:.3f}"),
-            ("resilient / bare", f"{ratio:.3f}x"),
             ("wrapper cost per request (us)", f"{wrap_us:.2f}"),
         ],
     )
@@ -115,9 +110,7 @@ def test_rpc_overhead(benchmark):
             "rpc_overhead": {
                 "round_group": "P256",
                 "variant": "trap",
-                "bare_round_s": round(bare_s, 4),
                 "resilient_round_s": round(rpc_s, 4),
-                "overhead_ratio": round(ratio, 4),
                 "wrapper_request_us": round(wrap_us, 2),
             }
         }

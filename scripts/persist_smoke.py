@@ -12,7 +12,6 @@ target).
 """
 
 import signal
-import struct
 import subprocess
 import sys
 import tempfile
@@ -42,11 +41,10 @@ def committed_rounds(state_dir: Path) -> set:
         scan = LogDir.scan_dir(state_dir)
     except Exception:
         return set()
-    rounds = set()
-    for rec in scan.records:
-        if rec.type == RecordType.LAYER_COMMIT and len(rec.payload) >= 4:
-            rounds.add(struct.unpack_from(">I", rec.payload)[0])
-    return rounds
+    return {
+        rec.round_id for rec in scan.records
+        if rec.type == RecordType.LAYER_COMMIT
+    }
 
 
 def main() -> int:

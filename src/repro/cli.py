@@ -260,6 +260,7 @@ def cmd_store(args: argparse.Namespace) -> int:
         fleet_liveness,
     )
     from repro.store.segments import LogDir, LogDirError
+    from repro.store.wal import WalError
 
     root = Path(args.state_dir)
     liveness = deployment_liveness
@@ -275,7 +276,7 @@ def cmd_store(args: argparse.Namespace) -> int:
         else:
             # compact — single-writer: only safe with the owning process down
             stats = compact_state_dir(root, liveness)
-    except LogDirError as exc:
+    except (LogDirError, WalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.action == "info":

@@ -3,8 +3,8 @@
 A :class:`CiphertextBatch` keeps many
 :class:`~repro.crypto.vector.CiphertextVector` messages as **one
 contiguous byte buffer plus an offset table** instead of a Python
-object graph.  The per-record byte layout is exactly the envelope
-layer's ``_write_vector`` format (PR 4's wire substrate)::
+object graph.  The per-record byte layout is exactly the codec's
+``VECTOR`` table (:mod:`repro.net.envelopes`)::
 
     record := u32(part count) part*
     part   := R(element) c(element) u8(Y present) [Y(element)]
@@ -144,7 +144,7 @@ class CiphertextBatch:
     @classmethod
     def parse(cls, group: Group, data, pos: int = 0):
         """Parse ``u32 count || records`` starting at ``pos`` (the
-        ``_write_vectors`` wire layout).  Structural scan only: element
+        ``seq(VECTOR)`` wire layout).  Structural scan only: element
         validation is deferred to first decode.  Returns
         ``(batch, end_offset)``."""
         end = len(data)
@@ -346,7 +346,7 @@ class CiphertextBatch:
     # -- serialization -----------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """``u32 count || records`` — the ``_write_vectors`` layout."""
+        """``u32 count || records`` — the ``seq(VECTOR)`` layout."""
         return _U32.pack(len(self._starts)) + bytes(self._buf)
 
     def size_bytes_total(self) -> int:

@@ -109,8 +109,9 @@ class DeploymentConfig:
     #: never auto-compact) — the state-dir disk bound is roughly
     #: (retain + 2) * wal_segment_bytes plus the live suffix
     wal_retain_segments: int = 4
-    #: wrap the transport with deadlines/retries/idempotent request ids
-    #: (False restores PR 4's perfect-network behavior exactly)
+    #: the transport is always wrapped with deadlines/retries/idempotent
+    #: request ids; kept only because the benchmark harness passes
+    #: ``resilience=True`` — ROADMAP item 1 deletes it
     resilience: bool = True
     #: base RPC deadline in seconds (None: the stock 30 s; mixing RPCs
     #: get 4x, heartbeats get `heartbeat_timeout_s`)
@@ -146,6 +147,8 @@ class DeploymentConfig:
             )
         if self.data_plane != "batch":
             raise ValueError("data_plane must be 'batch'")
+        if self.resilience is not True:
+            raise ValueError("resilience must be True")
         if self.spill_threshold < 0:
             raise ValueError("spill_threshold must be >= 0")
         if self.rpc_attempts < 1:
@@ -372,19 +375,17 @@ class AtomDeployment:
                 transport = ChaosTransport(
                     transport, cfg._net_fault_plan, cfg.seed + b"/chaos"
                 )
-            if cfg.resilience:
-                from repro.net.resilience import ResilientTransport, RpcPolicy
+            from repro.net.resilience import ResilientTransport, RpcPolicy
 
-                transport = ResilientTransport(
-                    transport,
-                    RpcPolicy.default(
-                        base_timeout=cfg.rpc_timeout,
-                        max_attempts=cfg.rpc_attempts,
-                        ping_timeout=cfg.heartbeat_timeout_s,
-                    ),
-                    cfg.seed + b"/rpc",
-                )
-            self._transport = transport
+            self._transport = ResilientTransport(
+                transport,
+                RpcPolicy.default(
+                    base_timeout=cfg.rpc_timeout,
+                    max_attempts=cfg.rpc_attempts,
+                    ping_timeout=cfg.heartbeat_timeout_s,
+                ),
+                cfg.seed + b"/rpc",
+            )
         return self._transport
 
     def _announce_round(self, round_id: int, fresh: bool, rng) -> None:

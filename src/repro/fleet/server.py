@@ -45,7 +45,6 @@ replacement restores from a shipped bundle (BUNDLE_INSTALL): O(state).
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import signal
@@ -100,7 +99,7 @@ class _IntakeStore(Store):
 
     def envelope_accepted(self, env, group) -> None:
         if self.wal is not None and not self.replaying:
-            self.wal.append(REC_ENVELOPE, env.to_bytes(group))
+            self.wal.append(REC_ENVELOPE, env.to_bytes(group), env.round_id)
 
 
 class FleetServer:
@@ -243,40 +242,32 @@ class FleetServer:
         and re-handle the accepted intake envelopes under their
         original request ids — decoding only what ``fleet_liveness``
         keeps, never a closed round's envelopes."""
-        rounds: Dict[int, dict] = {}
+        rounds: Dict[int, Tuple[ev.RoundOpen, List[Envelope]]] = {}
         for rec, live in zip(records, fleet_liveness(records)):
             if not live:
                 continue
+            rid = rec.round_id
             if rec.type == REC_OPEN:
-                meta = json.loads(rec.payload)
-                rid = meta["round_id"]
                 # a re-open supersedes all earlier state for the round
                 rounds.pop(rid, None)
-                rounds[rid] = {"meta": meta, "envs": []}
+                rounds[rid] = (ev.RoundOpen.table.decode(rec.payload), [])
             elif rec.type == REC_CLOSE:
-                rounds.pop(json.loads(rec.payload)["round_id"], None)
-            elif rec.type == REC_ENVELOPE:
-                env = Envelope.from_bytes(rec.payload, self.group)
-                if env.round_id in rounds:
-                    rounds[env.round_id]["envs"].append(env)
+                rounds.pop(rid, None)
+            elif rec.type == REC_ENVELOPE and rid in rounds:
+                rounds[rid][1].append(Envelope.from_bytes(rec.payload, self.group))
         self.store.replaying = True
         try:
-            for rid, info in rounds.items():
-                meta = info["meta"]
+            for rid, (mark, envs) in rounds.items():
                 self._open_round(
-                    rid,
-                    meta["fresh"],
-                    meta["epoch_round"],
-                    bytes.fromhex(meta["seed"]),
-                    meta["counter"],
+                    rid, mark.fresh, mark.epoch_round, mark.seed, mark.counter
                 )
-                for env in info["envs"]:
+                for env in envs:
                     node = self.nodes.get((rid, env.dest))
                     if node is not None:
                         node.handle(env)
                 logger.info(
                     "%s: replayed round %d (%d intake envelopes)",
-                    self.spec.name, rid, len(info["envs"]),
+                    self.spec.name, rid, len(envs),
                 )
         finally:
             self.store.replaying = False
@@ -288,18 +279,7 @@ class FleetServer:
         if kind is ev.Kind.ROUND_OPEN:
             p = env.payload
             if self.wal is not None:
-                self.wal.append(
-                    REC_OPEN,
-                    json.dumps(
-                        {
-                            "round_id": env.round_id,
-                            "fresh": p.fresh,
-                            "epoch_round": p.epoch_round,
-                            "seed": p.seed.hex(),
-                            "counter": p.counter,
-                        }
-                    ).encode(),
-                )
+                self.wal.append(REC_OPEN, p.table.encode(p), env.round_id)
                 self.wal.sync()
             self._open_round(
                 env.round_id, p.fresh, p.epoch_round, p.seed, p.counter
@@ -307,9 +287,7 @@ class FleetServer:
             return [self._ok(env)]
         if kind is ev.Kind.ROUND_CLOSE:
             if self.wal is not None:
-                self.wal.append(
-                    REC_CLOSE, json.dumps({"round_id": env.round_id}).encode()
-                )
+                self.wal.append(REC_CLOSE, b"", env.round_id)
                 self.wal.sync()  # the close itself must be durable
                 try:
                     enforce_retention(

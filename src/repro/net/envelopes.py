@@ -6,15 +6,15 @@ drives between nodes — intake submissions, mix-layer hand-offs
 verified variants), trap checks, trustee reports and key release,
 fault notifications — is an :class:`Envelope`: a fixed header
 (magic, wire version, kind, round id, sender, destination) plus a
-typed payload with an explicit byte codec.
+typed payload.
 
-The codecs reuse the serialization conventions the repo already has:
-group elements travel as the fixed-width big-endian integers that
-``element.to_bytes()`` / ``GroupBackend.element`` round-trip (PR 3's
-backend contract, so the same envelope bytes work on Schnorr groups
-and on P-256), scalars as ``q``-width integers, and routed payloads as
-the :mod:`repro.core.messages` fixed-size byte layouts, length-prefixed
-like :meth:`repro.core.messages.PayloadSpec.pad`.
+Each payload kind declares its wire layout as a :mod:`repro.codec`
+field table next to its dataclass; the one generic codec encodes and
+decodes them all.  Group elements travel as the fixed-width big-endian
+integers that ``element.to_bytes()`` / ``GroupBackend.element``
+round-trip (so the same envelope bytes work on Schnorr groups and on
+P-256), scalars as ``q``-width integers, and routed payloads as the
+:mod:`repro.core.messages` fixed-size byte layouts, length-prefixed.
 
 Transports decide how envelopes move: the in-process transport passes
 the typed objects through untouched (zero copy), the TCP transport
@@ -29,6 +29,24 @@ import struct
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, Optional, Tuple, Type
 
+from repro.codec import (
+    BOOL,
+    BYTES,
+    ELEMENT,
+    ELEMENT_VALUE,
+    I32,
+    SCALAR,
+    TEXT,
+    U8,
+    U32,
+    U64,
+    Table,
+    WireFormatError,
+    batch,
+    opt,
+    seq,
+    tup,
+)
 from repro.core.batch import BatchFormatError, CiphertextBatch
 from repro.core.client import Submission, TrapSubmission
 from repro.core.group import MixAudit
@@ -58,10 +76,6 @@ COORDINATOR = -1
 TRUSTEE = -2
 #: fleet-process control plane (round lifecycle, status, shutdown)
 CONTROL = -3
-
-
-class WireFormatError(ValueError):
-    """Raised on malformed, truncated, or wrong-version envelope bytes."""
 
 
 class Kind(enum.IntEnum):
@@ -105,283 +119,69 @@ class Kind(enum.IntEnum):
 
 
 # ---------------------------------------------------------------------------
-# binary writer / reader
+# shared crypto-object tables
 # ---------------------------------------------------------------------------
 
-
-class _Writer:
-    """Append-only binary writer bound to one group backend."""
-
-    def __init__(self, group: Group):
-        self.group = group
-        self._element_bytes = group.element_bytes
-        self._scalar_bytes = (group.q.bit_length() + 7) // 8
-        self.buf = bytearray()
-
-    def u8(self, v: int) -> None:
-        self.buf += struct.pack(">B", v)
-
-    def u32(self, v: int) -> None:
-        self.buf += struct.pack(">I", v)
-
-    def u64(self, v: int) -> None:
-        self.buf += struct.pack(">Q", v)
-
-    def i32(self, v: int) -> None:
-        self.buf += struct.pack(">i", v)
-
-    def bool_(self, v: bool) -> None:
-        self.u8(1 if v else 0)
-
-    def scalar(self, v: int) -> None:
-        self.buf += int(v).to_bytes(self._scalar_bytes, "big")
-
-    def element_value(self, value: int) -> None:
-        """A group element serialized as its integer ``value``."""
-        self.buf += int(value).to_bytes(self._element_bytes, "big")
-
-    def element(self, el) -> None:
-        self.element_value(el.value)
-
-    def opt_element(self, el) -> None:
-        if el is None:
-            self.u8(0)
-        else:
-            self.u8(1)
-            self.element(el)
-
-    def blob(self, data: bytes) -> None:
-        self.u32(len(data))
-        self.buf += data
-
-    def text(self, s: str) -> None:
-        self.blob(s.encode("utf-8"))
-
-
-class _Reader:
-    """Bounds-checked reader mirroring :class:`_Writer`."""
-
-    def __init__(self, raw: bytes, group: Group):
-        self.group = group
-        self._element_bytes = group.element_bytes
-        self._scalar_bytes = (group.q.bit_length() + 7) // 8
-        self.raw = raw
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
-            raise WireFormatError(
-                f"truncated envelope body: need {n} bytes at offset {self.pos}"
-            )
-        out = self.raw[self.pos: self.pos + n]
-        self.pos += n
-        return out
-
-    def done(self) -> bool:
-        return self.pos == len(self.raw)
-
-    def u8(self) -> int:
-        return struct.unpack(">B", self.take(1))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def i32(self) -> int:
-        return struct.unpack(">i", self.take(4))[0]
-
-    def bool_(self) -> bool:
-        return self.u8() != 0
-
-    def scalar(self) -> int:
-        return int.from_bytes(self.take(self._scalar_bytes), "big")
-
-    def element_value(self) -> int:
-        return int.from_bytes(self.take(self._element_bytes), "big")
-
-    def element(self):
-        value = self.element_value()
-        try:
-            return self.group.element(value)
-        except ValueError as exc:
-            raise WireFormatError(f"invalid element on the wire: {exc}") from exc
-
-    def opt_element(self):
-        return self.element() if self.u8() else None
-
-    def blob(self) -> bytes:
-        return self.take(self.u32())
-
-    def text(self) -> str:
-        return self.blob().decode("utf-8")
-
-
-# -- shared crypto-object codecs --------------------------------------------
-
-
-def _write_ciphertext(w: _Writer, ct: AtomCiphertext) -> None:
-    w.element(ct.R)
-    w.element(ct.c)
-    w.opt_element(ct.Y)
-
-
-def _read_ciphertext(r: _Reader) -> AtomCiphertext:
-    R = r.element()
-    c = r.element()
-    Y = r.opt_element()
-    return AtomCiphertext(R=R, c=c, Y=Y)
-
-
-def _write_vector(w: _Writer, vec: CiphertextVector) -> None:
-    w.u32(len(vec.parts))
-    for part in vec.parts:
-        _write_ciphertext(w, part)
-
-
-def _read_vector(r: _Reader) -> CiphertextVector:
-    return CiphertextVector(tuple(_read_ciphertext(r) for _ in range(r.u32())))
-
-
-def _write_vectors(w: _Writer, vectors: Tuple[CiphertextVector, ...]) -> None:
-    w.u32(len(vectors))
-    for vec in vectors:
-        _write_vector(w, vec)
-
-
-def _read_vectors(r: _Reader) -> Tuple[CiphertextVector, ...]:
-    return tuple(_read_vector(r) for _ in range(r.u32()))
-
-
-def _write_sigma(w: _Writer, proof: SigmaProof) -> None:
-    w.u32(len(proof.commitments))
-    for t in proof.commitments:
-        w.element_value(t)
-    w.scalar(proof.challenge)
-    w.u32(len(proof.responses))
-    for z in proof.responses:
-        w.scalar(z)
-
-
-def _read_sigma(r: _Reader) -> SigmaProof:
-    commitments = tuple(r.element_value() for _ in range(r.u32()))
-    challenge = r.scalar()
-    responses = tuple(r.scalar() for _ in range(r.u32()))
-    return SigmaProof(
-        commitments=commitments, challenge=challenge, responses=responses
-    )
-
-
-def _write_submission(w: _Writer, sub: Submission) -> None:
-    _write_vector(w, sub.vector)
-    w.u32(len(sub.proofs))
-    for proof in sub.proofs:
-        _write_sigma(w, proof.proof)
-
-
-def _read_submission(r: _Reader) -> Submission:
-    vector = _read_vector(r)
-    proofs = tuple(EncProof(_read_sigma(r)) for _ in range(r.u32()))
-    return Submission(vector=vector, proofs=proofs)
-
-
-def _write_shuffle_proof(w: _Writer, proof: VectorShuffleProof) -> None:
-    w.u32(len(proof.rounds))
-    for rnd in proof.rounds:
-        _write_vectors(w, rnd.intermediate)
-        w.u32(len(rnd.opened_perm))
-        for idx in rnd.opened_perm:
-            w.u32(idx)
-        w.u32(len(rnd.opened_rands))
-        for rands in rnd.opened_rands:
-            w.u32(len(rands))
-            for rand in rands:
-                w.scalar(rand)
-    w.u32(len(proof.challenge_bits))
-    for bit in proof.challenge_bits:
-        w.u8(bit)
-
-
-def _read_shuffle_proof(r: _Reader) -> VectorShuffleProof:
-    rounds = []
-    for _ in range(r.u32()):
-        intermediate = _read_vectors(r)
-        opened_perm = tuple(r.u32() for _ in range(r.u32()))
-        opened_rands = tuple(
-            tuple(r.scalar() for _ in range(r.u32())) for _ in range(r.u32())
-        )
-        rounds.append(
-            VectorShuffleRound(
-                intermediate=intermediate,
-                opened_perm=opened_perm,
-                opened_rands=opened_rands,
-            )
-        )
-    bits = tuple(r.u8() for _ in range(r.u32()))
-    return VectorShuffleProof(rounds=tuple(rounds), challenge_bits=bits)
+CIPHERTEXT = Table(
+    "AtomCiphertext", AtomCiphertext,
+    ("R", ELEMENT), ("c", ELEMENT), ("Y", opt(ELEMENT)),
+)
+#: the :mod:`repro.core.batch` record layout, decoded eagerly
+VECTOR = Table("CiphertextVector", CiphertextVector, ("parts", seq(CIPHERTEXT)))
+SIGMA = Table(
+    "SigmaProof", SigmaProof,
+    ("commitments", seq(ELEMENT_VALUE)),
+    ("challenge", SCALAR),
+    ("responses", seq(SCALAR)),
+)
+SUBMISSION = Table(
+    "Submission", Submission,
+    ("vector", VECTOR),
+    ("proofs", seq(Table("EncProof", EncProof, ("proof", SIGMA)))),
+)
+SHUFFLE_PROOF = Table(
+    "VectorShuffleProof", VectorShuffleProof,
+    ("rounds", seq(Table(
+        "VectorShuffleRound", VectorShuffleRound,
+        ("intermediate", seq(VECTOR)),
+        ("opened_perm", seq(U32)),
+        ("opened_rands", seq(seq(SCALAR))),
+    ))),
+    ("challenge_bits", seq(U8)),
+)
+AUDIT = Table(
+    "MixAudit", MixAudit,
+    ("gid", U32),
+    ("shuffles_proved", U32),
+    ("shuffles_verified", U32),
+    ("reencs_proved", U32),
+    ("reencs_verified", U32),
+    ("tamperings", seq(tup(I32, TEXT), into=list)),
+    ("bytes_sent", U64),
+    ("final_shuffle_proof", opt(SHUFFLE_PROOF)),
+)
 
 
 def encode_audit(group: Group, audit: MixAudit) -> bytes:
     """Canonical bytes of a :class:`MixAudit` (also used by tests to
     compare results across transports byte for byte)."""
-    w = _Writer(group)
-    _write_audit(w, audit)
-    return bytes(w.buf)
-
-
-def _write_audit(w: _Writer, audit: MixAudit) -> None:
-    w.u32(audit.gid)
-    w.u32(audit.shuffles_proved)
-    w.u32(audit.shuffles_verified)
-    w.u32(audit.reencs_proved)
-    w.u32(audit.reencs_verified)
-    w.u32(len(audit.tamperings))
-    for server_id, what in audit.tamperings:
-        w.i32(server_id)
-        w.text(what)
-    w.u64(audit.bytes_sent)
-    proof = audit.final_shuffle_proof
-    w.bool_(proof is not None)
-    if proof is not None:
-        _write_shuffle_proof(w, proof)
-
-
-def _read_audit(r: _Reader) -> MixAudit:
-    audit = MixAudit(gid=r.u32())
-    audit.shuffles_proved = r.u32()
-    audit.shuffles_verified = r.u32()
-    audit.reencs_proved = r.u32()
-    audit.reencs_verified = r.u32()
-    audit.tamperings = [(r.i32(), r.text()) for _ in range(r.u32())]
-    audit.bytes_sent = r.u64()
-    if r.bool_():
-        audit.final_shuffle_proof = _read_shuffle_proof(r)
-    return audit
-
-
-def _write_payloads(w: _Writer, payloads: Tuple[bytes, ...]) -> None:
-    """Routed payloads: the fixed-size :mod:`repro.core.messages`
-    layouts, length-prefixed so mixed sizes stay parseable."""
-    w.u32(len(payloads))
-    for payload in payloads:
-        w.blob(payload)
-
-
-def _read_payloads(r: _Reader) -> Tuple[bytes, ...]:
-    return tuple(r.blob() for _ in range(r.u32()))
+    return AUDIT.encode(audit, group)
 
 
 # ---------------------------------------------------------------------------
-# payload types — one dataclass per envelope kind
+# payload types — one dataclass and one field table per envelope kind
 # ---------------------------------------------------------------------------
 
 _PAYLOADS: Dict[Kind, Type["_Payload"]] = {}
 
 
-def _register(kind: Kind):
+def _register(kind: Kind, *fields):
+    """Declare ``cls`` as ``kind``'s payload with ``fields`` as its
+    wire layout (``(attribute, field type)`` pairs in wire order)."""
+
     def wrap(cls):
         cls.kind = kind
+        cls.table = Table(kind.name, cls, *fields)
         _PAYLOADS[kind] = cls
         return cls
 
@@ -389,20 +189,13 @@ def _register(kind: Kind):
 
 
 class _Payload:
-    """Base: payloads encode themselves into a writer and decode from a
-    reader; empty payloads inherit the no-op implementations."""
+    """Base of every payload type."""
 
     kind: ClassVar[Kind]
-
-    def _encode(self, w: _Writer) -> None:  # pragma: no cover - trivial
-        pass
-
-    @classmethod
-    def _decode(cls, r: _Reader) -> "_Payload":
-        return cls()
+    table: ClassVar[Table]
 
 
-@_register(Kind.SUBMIT_PLAIN)
+@_register(Kind.SUBMIT_PLAIN, ("gid", U32), ("submission", SUBMISSION))
 @dataclass
 class SubmitPlain(_Payload):
     """Basic/NIZK-variant intake: one proved submission for ``gid``."""
@@ -410,70 +203,43 @@ class SubmitPlain(_Payload):
     gid: int
     submission: Submission
 
-    def _encode(self, w: _Writer) -> None:
-        w.u32(self.gid)
-        _write_submission(w, self.submission)
 
-    @classmethod
-    def _decode(cls, r: _Reader) -> "SubmitPlain":
-        return cls(gid=r.u32(), submission=_read_submission(r))
-
-
-@_register(Kind.SUBMIT_TRAP)
+@_register(Kind.SUBMIT_TRAP, ("submission", Table(
+    "TrapSubmission", TrapSubmission,
+    ("gid", U32),
+    ("pair", tup(SUBMISSION, SUBMISSION)),
+    ("trap_commitment", BYTES),
+)))
 @dataclass
 class SubmitTrap(_Payload):
     """Trap-variant intake: the (inner, trap) pair plus commitment."""
 
     submission: TrapSubmission
 
-    def _encode(self, w: _Writer) -> None:
-        sub = self.submission
-        w.u32(sub.gid)
-        _write_submission(w, sub.pair[0])
-        _write_submission(w, sub.pair[1])
-        w.blob(sub.trap_commitment)
 
-    @classmethod
-    def _decode(cls, r: _Reader) -> "SubmitTrap":
-        gid = r.u32()
-        pair = (_read_submission(r), _read_submission(r))
-        commitment = r.blob()
-        return cls(
-            TrapSubmission(pair=pair, trap_commitment=commitment, gid=gid)
-        )
-
-
-@_register(Kind.SUBMIT_OK)
+@_register(Kind.SUBMIT_OK, ("accepted", U32))
 @dataclass
 class SubmitOk(_Payload):
     """Intake accepted; ``accepted`` ciphertexts entered the holdings."""
 
     accepted: int
 
-    def _encode(self, w: _Writer) -> None:
-        w.u32(self.accepted)
 
-    @classmethod
-    def _decode(cls, r: _Reader) -> "SubmitOk":
-        return cls(accepted=r.u32())
-
-
-@_register(Kind.SUBMIT_ERR)
+@_register(Kind.SUBMIT_ERR, ("reason", TEXT))
 @dataclass
 class SubmitErr(_Payload):
     """Intake rejected (bad EncProof, duplicate, ...)."""
 
     reason: str
 
-    def _encode(self, w: _Writer) -> None:
-        w.text(self.reason)
 
-    @classmethod
-    def _decode(cls, r: _Reader) -> "SubmitErr":
-        return cls(reason=r.text())
-
-
-@_register(Kind.MIX)
+@_register(
+    Kind.MIX,
+    ("layer", U32),
+    ("successors", seq(U32)),
+    ("next_keys", seq(opt(ELEMENT))),
+    ("seed", opt(BYTES)),
+)
 @dataclass
 class Mix(_Payload):
     """Coordinator -> node: mix your holdings for ``layer``.
@@ -488,30 +254,8 @@ class Mix(_Payload):
     next_keys: Tuple[Optional[object], ...]
     seed: Optional[bytes] = None
 
-    def _encode(self, w: _Writer) -> None:
-        w.u32(self.layer)
-        w.u32(len(self.successors))
-        for succ in self.successors:
-            w.u32(succ)
-        w.u32(len(self.next_keys))
-        for key in self.next_keys:
-            w.opt_element(key)
-        w.bool_(self.seed is not None)
-        if self.seed is not None:
-            w.blob(self.seed)
 
-    @classmethod
-    def _decode(cls, r: _Reader) -> "Mix":
-        layer = r.u32()
-        successors = tuple(r.u32() for _ in range(r.u32()))
-        next_keys = tuple(r.opt_element() for _ in range(r.u32()))
-        seed = r.blob() if r.bool_() else None
-        return cls(
-            layer=layer, successors=successors, next_keys=next_keys, seed=seed,
-        )
-
-
-@_register(Kind.MIX_BATCH)
+@_register(Kind.MIX_BATCH, ("layer", U32), ("batch", batch("MIX_BATCH")))
 @dataclass
 class MixBatch(_Payload):
     """Node -> node: one mixed batch handed to a successor group.
@@ -535,23 +279,8 @@ class MixBatch(_Payload):
         except BatchFormatError as exc:
             raise WireFormatError(f"invalid element in MIX_BATCH: {exc}") from exc
 
-    def _encode(self, w: _Writer) -> None:
-        w.u32(self.layer)
-        w.u32(len(self.batch))
-        w.buf += self.batch.raw_records()
 
-    @classmethod
-    def _decode(cls, r: _Reader) -> "MixBatch":
-        layer = r.u32()
-        try:
-            batch, end = CiphertextBatch.parse(r.group, r.raw, r.pos)
-        except BatchFormatError as exc:
-            raise WireFormatError(f"malformed MIX_BATCH: {exc}") from exc
-        r.pos = end
-        return cls(layer, batch)
-
-
-@_register(Kind.MIX_SUMMARY)
+@_register(Kind.MIX_SUMMARY, ("layer", U32), ("audit", AUDIT))
 @dataclass
 class MixSummary(_Payload):
     """Node -> coordinator: the audit of one completed mix (includes
@@ -560,16 +289,8 @@ class MixSummary(_Payload):
     layer: int
     audit: MixAudit
 
-    def _encode(self, w: _Writer) -> None:
-        w.u32(self.layer)
-        _write_audit(w, self.audit)
 
-    @classmethod
-    def _decode(cls, r: _Reader) -> "MixSummary":
-        return cls(layer=r.u32(), audit=_read_audit(r))
-
-
-@_register(Kind.COMMIT_LAYER)
+@_register(Kind.COMMIT_LAYER, ("layer", U32))
 @dataclass
 class CommitLayer(_Payload):
     """Coordinator -> node: the whole layer succeeded; adopt the
@@ -577,15 +298,8 @@ class CommitLayer(_Payload):
 
     layer: int
 
-    def _encode(self, w: _Writer) -> None:
-        w.u32(self.layer)
 
-    @classmethod
-    def _decode(cls, r: _Reader) -> "CommitLayer":
-        return cls(layer=r.u32())
-
-
-@_register(Kind.ABORT_LAYER)
+@_register(Kind.ABORT_LAYER, ("layer", U32))
 @dataclass
 class AbortLayer(_Payload):
     """Coordinator -> node: the layer failed somewhere; discard any
@@ -593,15 +307,17 @@ class AbortLayer(_Payload):
 
     layer: int
 
-    def _encode(self, w: _Writer) -> None:
-        w.u32(self.layer)
 
-    @classmethod
-    def _decode(cls, r: _Reader) -> "AbortLayer":
-        return cls(layer=r.u32())
-
-
-@_register(Kind.FAULT)
+@_register(
+    Kind.FAULT,
+    ("code", TEXT),
+    ("gid", I32),
+    ("culprit", I32),
+    ("stage", TEXT),
+    ("alive", U32),
+    ("needed", U32),
+    ("message", TEXT),
+)
 @dataclass
 class Fault(_Payload):
     """Node -> coordinator: a protocol failure notification.
@@ -620,22 +336,6 @@ class Fault(_Payload):
     needed: int = 0
     message: str = ""
 
-    def _encode(self, w: _Writer) -> None:
-        w.text(self.code)
-        w.i32(self.gid)
-        w.i32(self.culprit)
-        w.text(self.stage)
-        w.u32(self.alive)
-        w.u32(self.needed)
-        w.text(self.message)
-
-    @classmethod
-    def _decode(cls, r: _Reader) -> "Fault":
-        return cls(
-            code=r.text(), gid=r.i32(), culprit=r.i32(), stage=r.text(),
-            alive=r.u32(), needed=r.u32(), message=r.text(),
-        )
-
 
 @_register(Kind.EXIT)
 @dataclass
@@ -643,22 +343,23 @@ class Exit(_Payload):
     """Coordinator -> node: mixing is done; reveal your payloads."""
 
 
-@_register(Kind.EXIT_PAYLOADS)
+#: routed payloads: the fixed-size :mod:`repro.core.messages` layouts,
+#: length-prefixed so mixed sizes stay parseable
+PAYLOAD_BYTES = seq(BYTES)
+
+
+@_register(Kind.EXIT_PAYLOADS, ("payloads", PAYLOAD_BYTES))
 @dataclass
 class ExitPayloads(_Payload):
     """Node -> coordinator: the fully-peeled payload bytes."""
 
     payloads: Tuple[bytes, ...]
 
-    def _encode(self, w: _Writer) -> None:
-        _write_payloads(w, self.payloads)
 
-    @classmethod
-    def _decode(cls, r: _Reader) -> "ExitPayloads":
-        return cls(payloads=_read_payloads(r))
-
-
-@_register(Kind.TRAP_CHECK)
+@_register(
+    Kind.TRAP_CHECK,
+    ("traps", PAYLOAD_BYTES), ("inner_ok", BOOL), ("num_inner", U32),
+)
 @dataclass
 class TrapCheck(_Payload):
     """Coordinator -> entry node: the traps routed back to you, plus
@@ -671,41 +372,20 @@ class TrapCheck(_Payload):
     inner_ok: bool
     num_inner: int
 
-    def _encode(self, w: _Writer) -> None:
-        _write_payloads(w, self.traps)
-        w.bool_(self.inner_ok)
-        w.u32(self.num_inner)
 
-    @classmethod
-    def _decode(cls, r: _Reader) -> "TrapCheck":
-        return cls(
-            traps=_read_payloads(r), inner_ok=r.bool_(), num_inner=r.u32()
-        )
-
-
-@_register(Kind.GROUP_REPORT)
+@_register(Kind.GROUP_REPORT, ("report", Table(
+    "GroupReport", GroupReport,
+    ("gid", U32),
+    ("traps_ok", BOOL),
+    ("inner_ok", BOOL),
+    ("num_traps", U32),
+    ("num_inner", U32),
+)))
 @dataclass
 class GroupReportMsg(_Payload):
     """Entry node -> trustees: the §4.4 per-group report."""
 
     report: GroupReport
-
-    def _encode(self, w: _Writer) -> None:
-        rep = self.report
-        w.u32(rep.gid)
-        w.bool_(rep.traps_ok)
-        w.bool_(rep.inner_ok)
-        w.u32(rep.num_traps)
-        w.u32(rep.num_inner)
-
-    @classmethod
-    def _decode(cls, r: _Reader) -> "GroupReportMsg":
-        return cls(
-            GroupReport(
-                gid=r.u32(), traps_ok=r.bool_(), inner_ok=r.bool_(),
-                num_traps=r.u32(), num_inner=r.u32(),
-            )
-        )
 
 
 @_register(Kind.REPORT_OK)
@@ -714,22 +394,15 @@ class ReportOk(_Payload):
     """Trustees -> sender: report recorded."""
 
 
-@_register(Kind.KEY_REQUEST)
+@_register(Kind.KEY_REQUEST, ("expected_groups", U32))
 @dataclass
 class KeyRequest(_Payload):
     """Coordinator -> trustees: evaluate the reports and decide."""
 
     expected_groups: int
 
-    def _encode(self, w: _Writer) -> None:
-        w.u32(self.expected_groups)
 
-    @classmethod
-    def _decode(cls, r: _Reader) -> "KeyRequest":
-        return cls(expected_groups=r.u32())
-
-
-@_register(Kind.KEY_RELEASE)
+@_register(Kind.KEY_RELEASE, ("secret", SCALAR), ("shares", seq(SCALAR)))
 @dataclass
 class KeyRelease(_Payload):
     """Trustees -> coordinator: all checks passed; the decryption-key
@@ -737,18 +410,6 @@ class KeyRelease(_Payload):
 
     secret: int
     shares: Tuple[int, ...]
-
-    def _encode(self, w: _Writer) -> None:
-        w.scalar(self.secret)
-        w.u32(len(self.shares))
-        for share in self.shares:
-            w.scalar(share)
-
-    @classmethod
-    def _decode(cls, r: _Reader) -> "KeyRelease":
-        secret = r.scalar()
-        shares = tuple(r.scalar() for _ in range(r.u32()))
-        return cls(secret=secret, shares=shares)
 
 
 @_register(Kind.PING)
@@ -759,7 +420,7 @@ class Ping(_Payload):
     the coordinator's suspicion threshold."""
 
 
-@_register(Kind.PONG)
+@_register(Kind.PONG, ("gid", U32), ("alive", U32), ("needed", U32))
 @dataclass
 class Pong(_Payload):
     """Node -> coordinator: alive, with the group's quorum health so
@@ -770,17 +431,11 @@ class Pong(_Payload):
     alive: int
     needed: int
 
-    def _encode(self, w: _Writer) -> None:
-        w.u32(self.gid)
-        w.u32(self.alive)
-        w.u32(self.needed)
 
-    @classmethod
-    def _decode(cls, r: _Reader) -> "Pong":
-        return cls(gid=r.u32(), alive=r.u32(), needed=r.u32())
-
-
-@_register(Kind.ROUND_OPEN)
+@_register(
+    Kind.ROUND_OPEN,
+    ("fresh", BOOL), ("epoch_round", U32), ("seed", BYTES), ("counter", U64),
+)
 @dataclass
 class RoundOpen(_Payload):
     """Coordinator -> fleet process: a round object now exists for the
@@ -791,25 +446,13 @@ class RoundOpen(_Payload):
     the mark) — no secrets cross the wire beyond the run's own seed.
     A repeated ROUND_OPEN for the same round id means the coordinator
     rebuilt the round (abort retry / rekey): the process discards any
-    prior state for that round and starts clean."""
+    prior state for that round and starts clean.  A serve process
+    journals this payload's bytes verbatim as its REC_OPEN record."""
 
     fresh: bool
     epoch_round: int
     seed: bytes
     counter: int
-
-    def _encode(self, w: _Writer) -> None:
-        w.bool_(self.fresh)
-        w.u32(self.epoch_round)
-        w.blob(self.seed)
-        w.u64(self.counter)
-
-    @classmethod
-    def _decode(cls, r: _Reader) -> "RoundOpen":
-        return cls(
-            fresh=r.bool_(), epoch_round=r.u32(), seed=r.blob(),
-            counter=r.u64(),
-        )
 
 
 @_register(Kind.ROUND_CLOSE)
@@ -826,7 +469,14 @@ class FleetStatus(_Payload):
     """Controller -> fleet process: readiness/liveness probe."""
 
 
-@_register(Kind.FLEET_STATUS_REPLY)
+@_register(
+    Kind.FLEET_STATUS_REPLY,
+    ("name", TEXT),
+    ("ready", BOOL),
+    ("pid", U64),
+    ("gids", seq(U32)),
+    ("open_rounds", seq(U32)),
+)
 @dataclass
 class FleetStatusReply(_Payload):
     """Fleet process -> controller: identity plus readiness."""
@@ -837,29 +487,6 @@ class FleetStatusReply(_Payload):
     gids: Tuple[int, ...] = field(default_factory=tuple)
     open_rounds: Tuple[int, ...] = field(default_factory=tuple)
 
-    def _encode(self, w: _Writer) -> None:
-        w.text(self.name)
-        w.bool_(self.ready)
-        w.u64(self.pid)
-        w.u32(len(self.gids))
-        for gid in self.gids:
-            w.u32(gid)
-        w.u32(len(self.open_rounds))
-        for rid in self.open_rounds:
-            w.u32(rid)
-
-    @classmethod
-    def _decode(cls, r: _Reader) -> "FleetStatusReply":
-        name = r.text()
-        ready = r.bool_()
-        pid = r.u64()
-        gids = tuple(r.u32() for _ in range(r.u32()))
-        open_rounds = tuple(r.u32() for _ in range(r.u32()))
-        return cls(
-            name=name, ready=ready, pid=pid, gids=gids,
-            open_rounds=open_rounds,
-        )
-
 
 @_register(Kind.FLEET_SHUTDOWN)
 @dataclass
@@ -868,7 +495,7 @@ class FleetShutdown(_Payload):
     socket-level half of SIGTERM, for rolling restarts)."""
 
 
-@_register(Kind.BUNDLE_INSTALL)
+@_register(Kind.BUNDLE_INSTALL, ("data", BYTES))
 @dataclass
 class BundleInstall(_Payload):
     """Controller -> replacement fleet process: restore your per-round
@@ -877,13 +504,6 @@ class BundleInstall(_Payload):
     your disk.  ``data`` is an opaque bundle blob."""
 
     data: bytes
-
-    def _encode(self, w: _Writer) -> None:
-        w.blob(self.data)
-
-    @classmethod
-    def _decode(cls, r: _Reader) -> "BundleInstall":
-        return cls(data=r.blob())
 
 
 @_register(Kind.BUNDLE_FETCH)
@@ -894,7 +514,7 @@ class BundleFetch(_Payload):
     snapshot a live process without touching its state dir."""
 
 
-@_register(Kind.BUNDLE_DATA)
+@_register(Kind.BUNDLE_DATA, ("data", BYTES), ("records", U32))
 @dataclass
 class BundleData(_Payload):
     """Fleet process -> controller: the requested checkpoint bundle,
@@ -903,15 +523,6 @@ class BundleData(_Payload):
     data: bytes
     records: int
 
-    def _encode(self, w: _Writer) -> None:
-        w.blob(self.data)
-        w.u32(self.records)
-
-    @classmethod
-    def _decode(cls, r: _Reader) -> "BundleData":
-        data = r.blob()
-        return cls(data=data, records=r.u32())
-
 
 @_register(Kind.CONTROL_OK)
 @dataclass
@@ -919,25 +530,13 @@ class ControlOk(_Payload):
     """Fleet process -> coordinator/controller: control op applied."""
 
 
-@_register(Kind.KEY_WITHHELD)
+@_register(Kind.KEY_WITHHELD, ("reason", TEXT), ("offending_gids", seq(U32)))
 @dataclass
 class KeyWithheldMsg(_Payload):
     """Trustees -> coordinator: checks failed; shares deleted."""
 
     reason: str
     offending_gids: Tuple[int, ...] = field(default_factory=tuple)
-
-    def _encode(self, w: _Writer) -> None:
-        w.text(self.reason)
-        w.u32(len(self.offending_gids))
-        for gid in self.offending_gids:
-            w.u32(gid)
-
-    @classmethod
-    def _decode(cls, r: _Reader) -> "KeyWithheldMsg":
-        reason = r.text()
-        gids = tuple(r.u32() for _ in range(r.u32()))
-        return cls(reason=reason, offending_gids=gids)
 
 
 # ---------------------------------------------------------------------------
@@ -966,13 +565,12 @@ class Envelope:
     req_id: int = 0
 
     def to_bytes(self, group: Group) -> bytes:
-        w = _Writer(group)
-        self.payload._encode(w)
+        body = self.payload.table.encode(self.payload, group)
         header = _HEADER.pack(
             MAGIC, self.version, int(self.kind), self.round_id,
-            self.sender, self.dest, self.req_id, len(w.buf),
+            self.sender, self.dest, self.req_id, len(body),
         )
-        return header + bytes(w.buf)
+        return header + body
 
     @classmethod
     def from_bytes(cls, raw: bytes, group: Group) -> "Envelope":
@@ -996,12 +594,7 @@ class Envelope:
             raise WireFormatError(
                 f"body length mismatch: header says {body_len}, got {len(body)}"
             )
-        r = _Reader(body, group)
-        payload = _PAYLOADS[kind]._decode(r)
-        if not r.done():
-            raise WireFormatError(
-                f"{len(body) - r.pos} trailing bytes after {kind.name} payload"
-            )
+        payload = _PAYLOADS[kind].table.decode(body, group)
         return cls(
             kind=kind, round_id=round_id, sender=sender, dest=dest,
             payload=payload, version=version, req_id=req_id,

@@ -4,7 +4,8 @@ The fault story of the paper (§4.5 buddy recovery, §4.6 blame) assumes
 servers can *rejoin*; this package makes the reproduction restartable:
 
 - :mod:`repro.store.wal` — the append-only, CRC-framed record framing
-  with a torn-tail-tolerant reader and an fsync-batching knob.
+  (each frame names its round) with a torn-tail-tolerant reader and an
+  fsync-batching knob.
 - :mod:`repro.store.segments` — :class:`LogDir`: the sharded on-disk
   layout (``wal-<seq>.seg`` rotation under an atomic manifest, orphan
   collection, crash-test failpoints).
@@ -14,9 +15,9 @@ servers can *rejoin*; this package makes the reproduction restartable:
 - :mod:`repro.store.ship` — :class:`CheckpointShipper`: packages the
   live suffix into a self-contained bundle a replacement process
   restores from in O(state) instead of O(history).
-- :mod:`repro.store.checkpoint` — record codecs: snapshots of node
-  holdings (via the group backends' element codecs), layer commits
-  with audits, rng marks, settled-round stats.
+- :mod:`repro.store.checkpoint` — record bodies: one
+  :mod:`repro.codec` table per record type (holdings snapshots, layer
+  commits with audits, rng marks, settled-round stats, run config).
 - :mod:`repro.store.store` — the :class:`Store` interface the protocol
   journals through (no-op by default; :class:`DurableStore` when a
   deployment has a ``state_dir``).

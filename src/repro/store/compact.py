@@ -41,7 +41,8 @@ segments (same collector).  No intermediate state loses a record.
 
 Liveness is computed over the *whole* logical log — boundary records
 in the active segment settle rounds whose bodies live in sealed
-segments — but only sealed records are rewritten.
+segments — but only sealed records are rewritten.  It reads each
+record's round from its frame, so it cannot fail on a body.
 
 Both online writers apply one rule at round boundaries,
 :func:`enforce_retention`; below its threshold a boundary changes no
@@ -51,17 +52,14 @@ on ext4 mounted with ``discard``).
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Union
 
-from repro.net import envelopes as ev
+from repro.codec import WireFormatError
+from repro.store.checkpoint import RNG_MARK
 from repro.store.segments import LogDir, hit, segment_name, write_segment_file
 from repro.store.wal import RecordType, WalRecord, WriteAheadLog
-
-_U32 = struct.Struct(">I")
 
 #: fleet intake-journal record types (``repro serve`` writes them; kept
 #: numerically disjoint from RecordType so either scanner survives the
@@ -72,51 +70,47 @@ REC_ENVELOPE = 23
 
 LivenessFn = Callable[[Sequence[WalRecord]], List[bool]]
 
+#: record types that die with their round
+_PER_ROUND = (
+    RecordType.ROUND_BEGIN, RecordType.ENVELOPE, RecordType.HONEST,
+    RecordType.LAYER_COMMIT, RecordType.CHECKPOINT,
+)
 
-def _record_round(rec: WalRecord) -> int:
-    """The round a record belongs to, peeked without a group handle."""
-    t = rec.type
-    if t in (RecordType.LAYER_COMMIT, RecordType.CHECKPOINT):
-        return _U32.unpack_from(rec.payload)[0]
-    if t == RecordType.ENVELOPE:
-        return ev._HEADER.unpack_from(rec.payload)[3]
-    # JSON bookkeeping records all carry a "round" key
-    return json.loads(rec.payload)["round"]
+
+def _fresh_setup(rec: WalRecord) -> bool:
+    """Whether a ROUND_SETUP formed fresh contexts (an epoch every
+    resume may need); a body that does not decode counts as fresh, so
+    it is kept."""
+    try:
+        return RNG_MARK.decode(rec.payload, round_id=rec.round_id).fresh
+    except WireFormatError:
+        return True
 
 
 def deployment_liveness(records: Sequence[WalRecord]) -> List[bool]:
-    """Keep-mask for a deployment log (see module docstring)."""
+    """Keep-mask for a deployment log (see module docstring); reads
+    frame round ids only, plus ROUND_SETUP's ``fresh`` flag."""
     # In a stream only ROUND_DONE settles: the engine journals
     # ROUND_END(r) *before* ROUND_DONE(r), so between the two the round
     # is still live — compaction runs inside exactly that window.
     is_stream = any(r.type == RecordType.STREAM_BEGIN for r in records)
-    settled = set()
-    for rec in records:
-        if rec.type == RecordType.ROUND_DONE:
-            settled.add(json.loads(rec.payload)["round_id"])
-        elif rec.type == RecordType.ROUND_END and not is_stream:
-            settled.add(json.loads(rec.payload)["round"])
+    settling = (RecordType.ROUND_DONE,)
+    if not is_stream:
+        settling += (RecordType.ROUND_END,)
+    settled = {r.round_id for r in records if r.type in settling}
     keep: List[bool] = []
     for rec in records:
         t = rec.type
-        if t in (RecordType.META, RecordType.STREAM_BEGIN,
-                 RecordType.ROUND_DONE, RecordType.ROUND_END,
-                 RecordType.CLEAN):
-            keep.append(True)
-        elif t == RecordType.RESUME:
+        if t == RecordType.RESUME:
             keep.append(False)  # pure marker; replay ignores it
         elif t == RecordType.ROUND_SETUP:
-            mark = json.loads(rec.payload)
-            keep.append(bool(mark["fresh"]) or mark["round"] not in settled)
-        elif t in (RecordType.ROUND_BEGIN, RecordType.ENVELOPE,
-                   RecordType.HONEST, RecordType.LAYER_COMMIT,
-                   RecordType.CHECKPOINT):
-            try:
-                keep.append(_record_round(rec) not in settled)
-            except Exception:
-                keep.append(True)  # unparseable: keep conservatively
+            keep.append(rec.round_id not in settled or _fresh_setup(rec))
+        elif t in _PER_ROUND:
+            keep.append(rec.round_id not in settled)
         else:
-            keep.append(True)  # unknown types survive compaction
+            # META, STREAM_BEGIN, ROUND_DONE, ROUND_END, CLEAN — and
+            # unknown types survive compaction
+            keep.append(True)
     return keep
 
 
@@ -126,27 +120,15 @@ def fleet_liveness(records: Sequence[WalRecord]) -> List[bool]:
     open rounds only)."""
     open_rounds = set()
     for rec in records:
-        try:
-            if rec.type == REC_OPEN:
-                open_rounds.add(json.loads(rec.payload)["round_id"])
-            elif rec.type == REC_CLOSE:
-                open_rounds.discard(json.loads(rec.payload)["round_id"])
-        except Exception:
-            pass  # unparseable boundary: the keep loop retains it
-    keep: List[bool] = []
-    for rec in records:
-        if rec.type in (REC_OPEN, REC_CLOSE, REC_ENVELOPE):
-            try:
-                if rec.type == REC_ENVELOPE:
-                    rid = ev._HEADER.unpack_from(rec.payload)[3]
-                else:
-                    rid = json.loads(rec.payload)["round_id"]
-                keep.append(rid in open_rounds)
-            except Exception:
-                keep.append(True)
-        else:
-            keep.append(True)
-    return keep
+        if rec.type == REC_OPEN:
+            open_rounds.add(rec.round_id)
+        elif rec.type == REC_CLOSE:
+            open_rounds.discard(rec.round_id)
+    return [
+        rec.round_id in open_rounds
+        if rec.type in (REC_OPEN, REC_CLOSE, REC_ENVELOPE) else True
+        for rec in records
+    ]
 
 
 @dataclass
@@ -208,7 +190,7 @@ class Compactor:
         write_segment_file(log.root / base, live)
         hit("compact:written")
         log.segments = [base, log.active_name]
-        log._write_manifest()
+        log._publish_manifest()
         hit("compact:swapped")
         for name in sealed:
             (log.root / name).unlink(missing_ok=True)

@@ -93,55 +93,54 @@ class RecoveryManager:
 
     def _index(self) -> None:
         for rec in self.scan.records:
-            t = rec.type
+            t, rid = rec.type, rec.round_id
             if t == RecordType.META:
                 try:
-                    self.config = ck.decode_meta(rec.payload)
-                except (TypeError, ValueError) as exc:  # e.g. a retired field
+                    self.config = ck.META.decode(rec.payload)
+                except ValueError as exc:  # off-table body, bad knob value
                     raise RecoveryError(f"META record unusable: {exc}") from exc
                 self.group = get_group(self.config.crypto_group)
             elif t == RecordType.STREAM_BEGIN:
-                self._stream = ck.decode_stream_begin(rec.payload)
+                self._stream = ck.STREAM_BEGIN.decode(rec.payload)
             elif t == RecordType.ROUND_SETUP:
-                mark = ck.decode_rng_mark(rec.payload)
-                self._setups[mark.round_id] = mark
+                mark = ck.RNG_MARK.decode(rec.payload, round_id=rid)
+                self._setups[rid] = mark
                 if mark.fresh:
                     self._fresh_setups.append(mark)
                 # latest setup wins: the round was (re)built, so its
                 # older intake/mixing records are a stale epoch's
-                self._submissions[mark.round_id] = []
-                self._honest[mark.round_id] = []
-                self._mix_marks[mark.round_id] = []
-                self._commits[mark.round_id] = []
-                self._checkpoints.pop(mark.round_id, None)
+                self._submissions[rid] = []
+                self._honest[rid] = []
+                self._mix_marks[rid] = []
+                self._commits[rid] = []
+                self._checkpoints.pop(rid, None)
             elif t == RecordType.ROUND_BEGIN:
-                mark = ck.decode_rng_mark(rec.payload)
-                self._mix_marks.setdefault(mark.round_id, []).append(mark)
+                mark = ck.RNG_MARK.decode(rec.payload, round_id=rid)
+                self._mix_marks.setdefault(rid, []).append(mark)
             elif t == RecordType.ENVELOPE:
-                # Peek only the fixed header; full decode waits for the
-                # round that actually replays.
-                if len(rec.payload) >= ev._HEADER.size:
-                    round_id = ev._HEADER.unpack_from(rec.payload)[3]
-                    self._submissions.setdefault(round_id, []).append(rec.payload)
+                # full decode waits for the round that actually replays
+                self._submissions.setdefault(rid, []).append(rec.payload)
             elif t == RecordType.HONEST:
                 # No value-level dedup: two users may legitimately send
                 # identical (message, gid) pairs.  Rekey re-journals are
                 # handled by the setup reset above instead.
-                round_id, gid, message = ck.decode_honest(rec.payload)
-                self._honest.setdefault(round_id, []).append((message, gid))
+                gid, message = ck.HONEST.decode(rec.payload)
+                self._honest.setdefault(rid, []).append((message, gid))
             elif t == RecordType.LAYER_COMMIT:
                 self._require_group("LAYER_COMMIT")
-                commit = ck.decode_layer_commit(self.group, rec.payload)
-                self._commits.setdefault(commit.round_id, []).append(commit)
+                commit = ck.LAYER_COMMIT.decode(
+                    rec.payload, self.group, round_id=rid
+                )
+                self._commits.setdefault(rid, []).append(commit)
             elif t == RecordType.CHECKPOINT:
                 self._require_group("CHECKPOINT")
-                snap = ck.decode_checkpoint(self.group, rec.payload)
-                self._checkpoints[snap.round_id] = snap
+                self._checkpoints[rid] = ck.CHECKPOINT.decode(
+                    rec.payload, self.group, round_id=rid
+                )
             elif t == RecordType.ROUND_DONE:
-                self._done.append(ck.decode_round_stats(rec.payload))
+                self._done.append(ck.ROUND_DONE.decode(rec.payload, round_id=rid))
             elif t == RecordType.ROUND_END:
-                round_id, ok = ck.decode_round_end(rec.payload)
-                self._ended[round_id] = ok
+                self._ended[rid] = ck.ROUND_END.decode(rec.payload).ok
             # RESUME / CLEAN / unknown types: markers, nothing to index
 
     def _require_group(self, what: str) -> None:
@@ -252,7 +251,7 @@ class RecoveryManager:
                 f"has no matching layer commit"
             )
         coord = rnd.coordinator
-        for gid, batch in snap.holdings.items():
+        for gid, batch in snap.holdings:
             coord.nodes[gid].adopt(batch)
         coord.layer = snap.layer
         for layer in sorted(commits):

@@ -53,7 +53,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple, Union
 
-from repro.store.wal import MAGIC, WAL_VERSION, WalRecord, WriteAheadLog
+from repro.store.wal import (
+    FRAME_OVERHEAD,
+    MAGIC,
+    NO_ROUND,
+    WalRecord,
+    WriteAheadLog,
+)
 
 MANIFEST_NAME = "wal.manifest"
 SEGMENT_GLOB = "wal-*.seg"
@@ -129,7 +135,7 @@ def write_manifest(root: Path, segments: List[str], next_seq: int) -> None:
     _fsync_dir(root)
 
 
-def _read_manifest(root: Path) -> dict:
+def _load_manifest(root: Path) -> dict:
     path = root / MANIFEST_NAME
     try:
         obj = json.loads(path.read_text())
@@ -169,7 +175,7 @@ class LogDir:
         # superseded by a fresh one, unread (callers that must preserve
         # it rotate aside first), like the single-file writer's "wb".
         if LogDir.present(self.root) and not fresh:
-            manifest = _read_manifest(self.root)
+            manifest = _load_manifest(self.root)
             self.segments: List[str] = list(manifest["segments"])
             self.next_seq = int(manifest["next_seq"])
             self._collect_orphans()
@@ -208,7 +214,7 @@ class LogDir:
         if tmp.exists():
             tmp.unlink()
 
-    def _write_manifest(self) -> None:
+    def _publish_manifest(self) -> None:
         write_manifest(self.root, self.segments, self.next_seq)
 
     def _open_next_segment(self) -> None:
@@ -220,7 +226,7 @@ class LogDir:
         wal.sync()  # the magic header is durable before the manifest names it
         hit("rotate:created")
         self.segments.append(name)
-        self._write_manifest()
+        self._publish_manifest()
         hit("rotate:swapped")
         self._active = wal
         self._active_bytes = len(MAGIC) + 1
@@ -228,11 +234,13 @@ class LogDir:
 
     # -- append API (WriteAheadLog-compatible) -------------------------
 
-    def append(self, rtype: int, payload: bytes) -> None:
+    def append(
+        self, rtype: int, payload: bytes, round_id: int = NO_ROUND
+    ) -> None:
         if self._closed:
             raise LogDirError(f"log dir {self.root} is closed")
-        self._active.append(rtype, payload)
-        self._active_bytes += len(payload) + 9  # u8 type + u32 len + u32 crc
+        self._active.append(rtype, payload, round_id)
+        self._active_bytes += len(payload) + FRAME_OVERHEAD
         self._active_records += 1
         if self._over_threshold():
             self.rotate()
@@ -311,7 +319,7 @@ class LogDir:
         root = Path(root)
         if not LogDir.present(root):
             raise LogDirError(f"no log manifest under {root}")
-        manifest = _read_manifest(root)
+        manifest = _load_manifest(root)
         scan = LogScan()
         names = manifest["segments"]
         for i, name in enumerate(names):
@@ -374,7 +382,7 @@ def write_segment_file(path: Union[str, Path], records) -> int:
     wal = WriteAheadLog(path, fsync_every=0, fresh=True)
     count = 0
     for rec in records:
-        wal.append(rec.type, rec.payload)
+        wal.append(rec.type, rec.payload, rec.round_id)
         count += 1
     wal.close()  # close syncs
     return count

@@ -14,8 +14,11 @@ Bundle format (one blob, transport-agnostic — the fleet moves it
 inside a BUNDLE_INSTALL envelope, tooling can write it to a file)::
 
     bundle := b"ATBL" u8(version) u32(header_len) header segment_image
-    header := json { kind, records, source, disk_bytes }
+    header := text(kind) u32(records) text(source) u64(disk_bytes)
     segment_image := a complete WAL segment file image (magic + frames)
+
+The header is a :mod:`repro.codec` table; version 2 carries a version-2
+segment image (frames with a round slot).
 
 Install materializes the image as ``wal-000001.seg`` plus a manifest,
 i.e. a brand-new :class:`~repro.store.segments.LogDir` whose entire
@@ -27,13 +30,12 @@ tests assert it.
 
 from __future__ import annotations
 
-import json
 import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Union
 
+from repro.codec import TEXT, U32, U64, Table
 from repro.store.compact import LivenessFn, deployment_liveness
 from repro.store.segments import (
     LogDir,
@@ -42,10 +44,11 @@ from repro.store.segments import (
     write_segment_file,
 )
 from repro.store.wal import MAGIC as WAL_MAGIC
-from repro.store.wal import WAL_VERSION, WalRecord, WriteAheadLog
+from repro.store.wal import WAL_VERSION, WalRecord, WriteAheadLog, encode_frame
 
 BUNDLE_MAGIC = b"ATBL"
-BUNDLE_VERSION = 1
+#: v2: the header is a codec table and the image a version-2 segment
+BUNDLE_VERSION = 2
 
 _LEN = struct.Struct(">I")
 
@@ -66,17 +69,8 @@ class Bundle:
     def to_bytes(self) -> bytes:
         image = bytearray(WAL_MAGIC + bytes([WAL_VERSION]))
         for rec in self.records:
-            head = struct.pack(">BI", int(rec.type), len(rec.payload))
-            crc = zlib.crc32(head + rec.payload) & 0xFFFFFFFF
-            image += head + rec.payload + _LEN.pack(crc)
-        header = json.dumps(
-            {
-                "kind": self.kind,
-                "records": len(self.records),
-                "source": self.source,
-                "disk_bytes": self.disk_bytes,
-            }
-        ).encode()
+            image += encode_frame(rec.type, rec.payload, rec.round_id)
+        header = _HEADER.encode(self)
         return (
             BUNDLE_MAGIC
             + bytes([BUNDLE_VERSION])
@@ -96,20 +90,27 @@ class Bundle:
         (hlen,) = _LEN.unpack_from(raw, 5)
         if 9 + hlen > len(raw):
             raise BundleError("torn bundle header")
-        header = json.loads(raw[9: 9 + hlen])
-        image = raw[9 + hlen:]
-        tmp_scan = _scan_image(image)
-        if len(tmp_scan) != header["records"]:
+        header = _HEADER.decode(raw[9: 9 + hlen])
+        records = _scan_image(raw[9 + hlen:])
+        count = header.pop("count")
+        if len(records) != count:
             raise BundleError(
-                f"bundle names {header['records']} records but the "
-                f"image holds {len(tmp_scan)} (torn in transit?)"
+                f"bundle names {count} records but the "
+                f"image holds {len(records)} (torn in transit?)"
             )
-        return Bundle(
-            kind=header["kind"],
-            records=tmp_scan,
-            source=header.get("source", ""),
-            disk_bytes=header.get("disk_bytes", len(image)),
-        )
+        return Bundle(records=records, **header)
+
+    @property
+    def count(self) -> int:
+        return len(self.records)
+
+
+#: the bundle header (decoded to a dict); the record count travels so
+#: an image torn in transit is caught
+_HEADER = Table(
+    "bundle header", dict,
+    ("kind", TEXT), ("count", U32), ("source", TEXT), ("disk_bytes", U64),
+)
 
 
 def _scan_image(image: bytes) -> List[WalRecord]:

@@ -32,7 +32,7 @@ from repro.crypto.groups import GroupBackend as Group
 from repro.store import checkpoint as ck
 from repro.store.compact import enforce_retention
 from repro.store.segments import DEFAULT_SEGMENT_BYTES, LogDir
-from repro.store.wal import RecordType
+from repro.store.wal import NO_ROUND, RecordType
 
 
 class Store:
@@ -128,11 +128,19 @@ class DurableStore(Store):
             segment_records=segment_records,
         )
         if fresh and config is not None:
-            self._append(RecordType.META, ck.encode_meta(config))
+            self._journal(RecordType.META, NO_ROUND, ck.META, config)
 
-    def _append(self, rtype: RecordType, payload: bytes) -> None:
+    def _append(
+        self, rtype: RecordType, payload: bytes, round_id: int = NO_ROUND
+    ) -> None:
         if not self.replaying and not self._closed:
-            self.wal.append(rtype, payload)
+            self.wal.append(rtype, payload, round_id)
+
+    def _journal(self, rtype: RecordType, round_id: int, table, record) -> None:
+        """Append ``record`` as a ``table`` body (nothing is encoded
+        while replaying)."""
+        if not self.replaying and not self._closed:
+            self.wal.append(rtype, table.encode(record, self.group), round_id)
 
     def _round_boundary(self) -> None:
         # never during replay: recovery must leave the log byte-identical
@@ -142,48 +150,45 @@ class DurableStore(Store):
     # -- journaling hooks ---------------------------------------------
 
     def envelope_accepted(self, env, group: Group) -> None:
-        self._append(RecordType.ENVELOPE, env.to_bytes(group))
+        if not self.replaying:
+            self._append(RecordType.ENVELOPE, env.to_bytes(group), env.round_id)
 
     def round_setup(self, round_id: int, rng, fresh: bool) -> None:
-        self._append(
-            RecordType.ROUND_SETUP, ck.encode_rng_mark(round_id, rng, fresh)
-        )
+        mark = ck.RngMark(round_id, fresh, *ck.rng_state(rng))
+        self._journal(RecordType.ROUND_SETUP, round_id, ck.RNG_MARK, mark)
 
     def mixing_begin(self, round_id: int, rng) -> None:
-        self._append(
-            RecordType.ROUND_BEGIN, ck.encode_rng_mark(round_id, rng)
-        )
+        mark = ck.RngMark(round_id, False, *ck.rng_state(rng))
+        self._journal(RecordType.ROUND_BEGIN, round_id, ck.RNG_MARK, mark)
 
     def layer_commit(self, round_id, layer, rng, audits, holdings) -> None:
-        self._append(
-            RecordType.LAYER_COMMIT,
-            ck.encode_layer_commit(self.group, round_id, layer, rng, audits),
-        )
+        commit = ck.LayerCommit(round_id, layer, *ck.rng_state(rng), audits)
+        self._journal(RecordType.LAYER_COMMIT, round_id, ck.LAYER_COMMIT, commit)
         if layer % self.checkpoint_every == 0:
-            self._append(
-                RecordType.CHECKPOINT,
-                ck.encode_checkpoint(self.group, round_id, layer, holdings),
-            )
+            snap = ck.Snapshot(round_id, layer, sorted(holdings.items()))
+            self._journal(RecordType.CHECKPOINT, round_id, ck.CHECKPOINT, snap)
         if not self.replaying:
             # A commit is a durability point: fsync regardless of the
             # batching knob, so "committed" always means "on disk".
             self.wal.sync()
 
     def round_end(self, round_id: int, ok: bool) -> None:
-        self._append(RecordType.ROUND_END, ck.encode_round_end(round_id, ok))
+        self._journal(
+            RecordType.ROUND_END, round_id, ck.ROUND_END, ck.RoundEnd(ok)
+        )
         self._round_boundary()
 
     def stream_begin(self, stream, schedule_spec: str) -> None:
-        self._append(
-            RecordType.STREAM_BEGIN,
-            ck.encode_stream_begin(stream, schedule_spec),
-        )
+        begin = ck.StreamBegin(stream, schedule_spec)
+        self._journal(RecordType.STREAM_BEGIN, NO_ROUND, ck.STREAM_BEGIN, begin)
 
     def honest_intake(self, round_id: int, gid: int, message: bytes) -> None:
-        self._append(RecordType.HONEST, ck.encode_honest(round_id, gid, message))
+        honest = ck.Honest(gid, message)
+        self._journal(RecordType.HONEST, round_id, ck.HONEST, honest)
 
     def round_settled(self, stats, rng) -> None:
-        self._append(RecordType.ROUND_DONE, ck.encode_round_stats(stats, rng))
+        done = ck.RoundDone(stats, rng.counter if rng is not None else 0)
+        self._journal(RecordType.ROUND_DONE, stats.round_id, ck.ROUND_DONE, done)
         if not self.replaying:
             self.wal.sync()
         self._round_boundary()

@@ -7,13 +7,20 @@ envelopes (PR 4's versioned wire bytes, reused verbatim as the
 serialization substrate), store-local records (rng marks, layer
 commits, checkpoints, round boundaries), and lifecycle markers.
 
-Frame format::
+Frame format (version 2)::
 
     file   := magic record*
     magic  := b"ATWL" u8(version)
-    record := u8(type) u32(length) payload u32(crc32)
+    record := u8(type) u32(round_id) u32(length) payload u32(crc32)
 
-where the CRC covers ``type || length || payload``.  The reader is
+where the CRC covers ``type || round_id || length || payload``.  The
+round slot names the round a record belongs to (:data:`NO_ROUND` for
+records of none: META, STREAM_BEGIN, RESUME, CLEAN, spill segments),
+so compaction, liveness and replay indexing never decode a body;
+bodies are :mod:`repro.codec` tables (:mod:`repro.store.checkpoint`).
+:func:`encode_frame` and :func:`_frames` are the only frame writer and
+parser: the appender, both readers and checkpoint bundles share them.
+A log of another version is refused by name, never parsed.  The reader is
 tolerant of a *torn tail*: a crash mid-append leaves a partial or
 bit-damaged final record, which is detected (length overrun or CRC
 mismatch) and dropped — every record before it replays normally.  A
@@ -31,18 +38,24 @@ regardless of the batching setting.
 from __future__ import annotations
 
 import enum
+import io
 import os
 import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Union
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 MAGIC = b"ATWL"
-WAL_VERSION = 1
+#: v2: a u32 round-id slot in every frame header
+WAL_VERSION = 2
+#: the round slot of a record that belongs to no round
+NO_ROUND = 0xFFFFFFFF
 
-_FRAME_HEAD = struct.Struct(">BI")
+_FRAME_HEAD = struct.Struct(">BII")
 _CRC = struct.Struct(">I")
+#: bytes a frame adds to its payload
+FRAME_OVERHEAD = _FRAME_HEAD.size + _CRC.size
 
 
 class WalError(RuntimeError):
@@ -52,25 +65,25 @@ class WalError(RuntimeError):
 class RecordType(enum.IntEnum):
     """The record catalogue (see DESIGN.md "Durability & crash recovery")."""
 
-    #: deployment config of the run that owns this log (json)
+    #: deployment config of the run that owns this log
     META = 1
-    #: stream-level config: StreamConfig + fault schedule + seed (json)
+    #: stream-level config: StreamConfig + fault schedule + seed
     STREAM_BEGIN = 2
-    #: rng state at AtomDeployment.start_round entry (json)
+    #: rng state at AtomDeployment.start_round entry
     ROUND_SETUP = 3
-    #: rng state when a round's first mixing layer starts (json)
+    #: rng state when a round's first mixing layer starts
     ROUND_BEGIN = 4
     #: one accepted intake envelope, verbatim wire bytes
     ENVELOPE = 5
-    #: one honest (message, gid) intake unit of a stream round (json)
+    #: one honest (message, gid) intake unit of a stream round
     HONEST = 6
-    #: a committed mixing layer: rng state + the layer's audits (binary)
+    #: a committed mixing layer: rng state + the layer's audits
     LAYER_COMMIT = 7
-    #: node holdings snapshot at a committed layer (binary)
+    #: node holdings snapshot at a committed layer
     CHECKPOINT = 8
-    #: a settled stream round: RoundStats + rng state (json)
+    #: a settled stream round: RoundStats + rng state
     ROUND_DONE = 9
-    #: a standalone round ran its exit protocol (json)
+    #: a standalone round ran its exit protocol
     ROUND_END = 10
     #: recovery replayed this log and the run continued after this point
     RESUME = 11
@@ -89,6 +102,50 @@ class WalRecord:
 
     type: int  # int, not RecordType: unknown types survive a scan
     payload: bytes
+    round_id: int = NO_ROUND
+
+
+def encode_frame(rtype: int, payload: bytes, round_id: int = NO_ROUND) -> bytes:
+    """One record's complete frame."""
+    head = _FRAME_HEAD.pack(int(rtype), round_id, len(payload))
+    return head + payload + _CRC.pack(zlib.crc32(payload, zlib.crc32(head)))
+
+
+def _check_magic(head: bytes, what: object) -> None:
+    if len(head) < len(MAGIC) + 1 or head[: len(MAGIC)] != MAGIC:
+        raise WalError(f"{what} is not a write-ahead log (bad magic)")
+    if head[len(MAGIC)] != WAL_VERSION:
+        raise WalError(
+            f"{what} has log version {head[len(MAGIC)]}, "
+            f"expected {WAL_VERSION}"
+        )
+
+
+def _frames(
+    read: Callable[[int], bytes], offset: int
+) -> Iterator[Tuple[Optional[WalRecord], object]]:
+    """Parse frames off ``read`` (positioned just past the magic at
+    ``offset``).  Yields ``(record, end offset)`` per intact frame, then
+    ``(None, reason)`` once if a damaged frame ends the log early."""
+    while True:
+        head = read(_FRAME_HEAD.size)
+        if not head:
+            return
+        if len(head) < _FRAME_HEAD.size:
+            yield None, f"torn frame header at offset {offset}"
+            return
+        rtype, round_id, length = _FRAME_HEAD.unpack(head)
+        body = read(length + _CRC.size)
+        if len(body) < length + _CRC.size:
+            yield None, f"torn record body at offset {offset}"
+            return
+        payload = body[:length]
+        (crc,) = _CRC.unpack_from(body, length)
+        if crc != zlib.crc32(payload, zlib.crc32(head)):
+            yield None, f"crc mismatch at offset {offset}"
+            return
+        offset += _FRAME_HEAD.size + len(body)
+        yield WalRecord(rtype, payload, round_id), offset
 
 
 @dataclass
@@ -137,14 +194,14 @@ class WriteAheadLog:
                     fh.truncate(scan.end_offset)
             self._fh = open(self.path, "ab")
 
-    def append(self, rtype: int, payload: bytes) -> None:
+    def append(
+        self, rtype: int, payload: bytes, round_id: int = NO_ROUND
+    ) -> None:
         """Frame and append one record; flushes the user-space buffer
         always, fsyncs per the batching knob."""
         if self._closed:
             raise WalError(f"log {self.path} is closed")
-        head = _FRAME_HEAD.pack(int(rtype), len(payload))
-        crc = zlib.crc32(head + payload) & 0xFFFFFFFF
-        self._fh.write(head + payload + _CRC.pack(crc))
+        self._fh.write(encode_frame(rtype, payload, round_id))
         self._fh.flush()
         self._pending += 1
         if self.fsync_every and self._pending >= self.fsync_every:
@@ -175,27 +232,11 @@ class WriteAheadLog:
         frame (spill logs are scratch; the WAL proper uses
         :meth:`read`, which also diagnoses the tear)."""
         with open(path, "rb") as fh:
-            head = fh.read(len(MAGIC) + 1)
-            if len(head) < len(MAGIC) + 1 or head[: len(MAGIC)] != MAGIC:
-                raise WalError(f"{path} is not a write-ahead log (bad magic)")
-            if head[len(MAGIC)] != WAL_VERSION:
-                raise WalError(
-                    f"{path} has log version {head[len(MAGIC)]}, "
-                    f"expected {WAL_VERSION}"
-                )
-            while True:
-                frame_head = fh.read(_FRAME_HEAD.size)
-                if len(frame_head) < _FRAME_HEAD.size:
+            _check_magic(fh.read(len(MAGIC) + 1), path)
+            for rec, _ in _frames(fh.read, len(MAGIC) + 1):
+                if rec is None:
                     return
-                rtype, length = _FRAME_HEAD.unpack(frame_head)
-                body = fh.read(length + _CRC.size)
-                if len(body) < length + _CRC.size:
-                    return
-                payload = body[:length]
-                (crc,) = _CRC.unpack_from(body, length)
-                if crc != (zlib.crc32(frame_head + payload) & 0xFFFFFFFF):
-                    return
-                yield WalRecord(type=rtype, payload=payload)
+                yield rec
 
     @staticmethod
     def read(path: Union[str, Path]) -> WalScan:
@@ -205,40 +246,23 @@ class WriteAheadLog:
         frame (``truncated``/``reason`` say so); it never raises for
         tail damage, only for a file that was never a log at all.
         """
-        return WriteAheadLog.scan_bytes(Path(path).read_bytes(), what=path)
+        with open(path, "rb") as fh:
+            return _scan(fh, path)
 
     @staticmethod
     def scan_bytes(raw: bytes, what: object = "<memory>") -> WalScan:
         """Scan an in-memory log image with :meth:`read` semantics
         (checkpoint bundles carry such images over the wire)."""
-        if len(raw) < len(MAGIC) + 1 or raw[: len(MAGIC)] != MAGIC:
-            raise WalError(f"{what} is not a write-ahead log (bad magic)")
-        if raw[len(MAGIC)] != WAL_VERSION:
-            raise WalError(
-                f"{what} has log version {raw[len(MAGIC)]}, "
-                f"expected {WAL_VERSION}"
-            )
-        scan = WalScan(end_offset=len(MAGIC) + 1)
-        pos = len(MAGIC) + 1
-        while pos < len(raw):
-            if pos + _FRAME_HEAD.size > len(raw):
-                scan.truncated = True
-                scan.reason = f"torn frame header at offset {pos}"
-                break
-            rtype, length = _FRAME_HEAD.unpack_from(raw, pos)
-            body_end = pos + _FRAME_HEAD.size + length
-            if body_end + _CRC.size > len(raw):
-                scan.truncated = True
-                scan.reason = f"torn record body at offset {pos}"
-                break
-            payload = raw[pos + _FRAME_HEAD.size: body_end]
-            (crc,) = _CRC.unpack_from(raw, body_end)
-            expect = zlib.crc32(raw[pos: body_end]) & 0xFFFFFFFF
-            if crc != expect:
-                scan.truncated = True
-                scan.reason = f"crc mismatch at offset {pos}"
-                break
-            scan.records.append(WalRecord(type=rtype, payload=payload))
-            pos = body_end + _CRC.size
-            scan.end_offset = pos
-        return scan
+        return _scan(io.BytesIO(raw), what)
+
+
+def _scan(fh, what: object) -> WalScan:
+    _check_magic(fh.read(len(MAGIC) + 1), what)
+    scan = WalScan(end_offset=len(MAGIC) + 1)
+    for rec, end in _frames(fh.read, scan.end_offset):
+        if rec is None:
+            scan.truncated, scan.reason = True, end
+            break
+        scan.records.append(rec)
+        scan.end_offset = end
+    return scan

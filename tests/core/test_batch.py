@@ -1,7 +1,7 @@
 """Property tests for the struct-of-arrays CiphertextBatch.
 
 The batch's record layout must be byte-identical to the envelope
-layer's ``_write_vectors`` codec (that identity is what lets MIX_BATCH
+codec's ``seq(VECTOR)`` layout (that identity is what lets MIX_BATCH
 splice batches onto the wire and checkpoints snapshot them without
 re-encoding), and every structural operation (slice/split/concat/
 extend) must agree with the same operation on a plain Python list of
@@ -22,7 +22,8 @@ from repro.core.batch import (
 from repro.crypto.elgamal import AtomCiphertext
 from repro.crypto.groups import get_group
 from repro.crypto.vector import CiphertextVector
-from repro.net.envelopes import _Writer, _write_vectors
+from repro.codec import Writer, seq
+from repro.net.envelopes import VECTOR
 
 BACKENDS = ["TOY", "MODP2048", "P256"]
 
@@ -72,12 +73,12 @@ class TestRoundTrip:
     @COMMON
     @given(data=st.data())
     def test_encode_matches_write_vectors(self, backend, data):
-        """Batch bytes == the envelope codec's _write_vectors bytes."""
+        """Batch bytes == the codec's eager ``seq(VECTOR)`` bytes."""
         group = get_group(backend)
         vectors = data.draw(vectors_st(backend))
         batch = CiphertextBatch.from_vectors(group, vectors)
-        w = _Writer(group)
-        _write_vectors(w, tuple(vectors))
+        w = Writer(group)
+        seq(VECTOR).enc(w, tuple(vectors))
         assert batch.to_bytes() == bytes(w.buf)
 
     @COMMON

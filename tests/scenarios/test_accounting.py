@@ -3,17 +3,15 @@
 ``RoundStats.submitted`` must count *senders*, not ciphertexts — the
 trap variant holds two ciphertexts per sender and the batch plane
 stores them as one contiguous buffer — and ``dummies`` must report the
-cover padding actually delivered.  Both must survive the checkpoint
-codec (including logs from before the fields existed).
+cover padding actually delivered.  Both must survive the journal's
+ROUND_DONE table.
 """
-
-import json
 
 import pytest
 
 from repro.core import DeploymentConfig, FaultSchedule, StreamConfig, StreamEngine
 from repro.crypto.groups import DeterministicRng
-from repro.store.checkpoint import decode_round_stats, encode_round_stats
+from repro.store.checkpoint import ROUND_DONE, RoundDone
 
 
 def tiny_config(**overrides):
@@ -81,17 +79,8 @@ class TestCheckpointCodec:
         stats = self._stats()
         rng = DeterministicRng(b"codec")
         rng.randbytes(8)
-        decoded, counter = decode_round_stats(encode_round_stats(stats, rng))
+        body = ROUND_DONE.encode(RoundDone(stats, rng.counter))
+        decoded, counter = ROUND_DONE.decode(body, round_id=stats.round_id)
         assert decoded.submitted == stats.submitted
         assert decoded.dummies == stats.dummies
         assert counter == rng.counter
-
-    def test_legacy_payload_defaults_to_zero(self):
-        # Logs written before the scenario engine lack the fields.
-        stats = self._stats()
-        obj = json.loads(encode_round_stats(stats, None))
-        del obj["submitted"], obj["dummies"]
-        decoded, _ = decode_round_stats(json.dumps(obj).encode())
-        assert decoded.submitted == 0
-        assert decoded.dummies == 0
-        assert decoded.messages == stats.messages

@@ -17,9 +17,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import DeploymentConfig, StreamConfig, StreamEngine
+from repro.core.pipeline import RoundStats
+from repro.net import envelopes as ev
+from repro.store import checkpoint as ck
 from repro.store import segments as sg
 from repro.store.compact import (
     REC_CLOSE,
+    REC_ENVELOPE,
     REC_OPEN,
     CompactionStats,
     Compactor,
@@ -256,19 +260,30 @@ class TestCrashInsideMaintenance:
         assert _round_bytes(resumed) == _round_bytes(baseline)
 
 
+def _mark(fresh):
+    return ck.RNG_MARK.encode(ck.RngMark(0, fresh, b"seed", 7))
+
+
+_OPEN = ev.RoundOpen.table.encode(
+    ev.RoundOpen(fresh=True, epoch_round=0, seed=b"seed", counter=0)
+)
+
+
 class TestLivenessRules:
     def test_deployment_mask_keeps_identity_and_open_rounds(self):
+        done = ck.RoundDone(RoundStats(0, ok=True), 9)
         recs = [
-            WalRecord(RecordType.META, b'{"x": 1}'),
-            WalRecord(RecordType.STREAM_BEGIN, b'{"rounds": 2}'),
+            WalRecord(RecordType.META, ck.META.encode(_config(None))),
             WalRecord(
-                RecordType.ROUND_SETUP, b'{"round": 0, "fresh": true}'
+                RecordType.STREAM_BEGIN,
+                ck.STREAM_BEGIN.encode(
+                    ck.StreamBegin(StreamConfig(rounds=2), "")
+                ),
             ),
-            WalRecord(RecordType.ROUND_DONE, b'{"round_id": 0}'),
-            WalRecord(
-                RecordType.ROUND_SETUP, b'{"round": 1, "fresh": false}'
-            ),
-            WalRecord(RecordType.RESUME, b'{"round": 1}'),
+            WalRecord(RecordType.ROUND_SETUP, _mark(fresh=True), 0),
+            WalRecord(RecordType.ROUND_DONE, ck.ROUND_DONE.encode(done), 0),
+            WalRecord(RecordType.ROUND_SETUP, _mark(fresh=False), 1),
+            WalRecord(RecordType.RESUME, b""),
             WalRecord(199, b"unknown type"),
         ]
         assert deployment_liveness(recs) == [
@@ -283,11 +298,31 @@ class TestLivenessRules:
 
     def test_fleet_mask_drops_closed_rounds_entirely(self):
         recs = [
-            WalRecord(REC_OPEN, b'{"round_id": 0}'),
-            WalRecord(REC_OPEN, b'{"round_id": 1}'),
-            WalRecord(REC_CLOSE, b'{"round_id": 0}'),
+            WalRecord(REC_OPEN, _OPEN, 0),
+            WalRecord(REC_OPEN, _OPEN, 1),
+            WalRecord(REC_CLOSE, b"", 0),
         ]
         assert fleet_liveness(recs) == [False, True, False]
+
+    def test_undecodable_bodies_are_kept_and_never_raise(self):
+        """Liveness reads frame round ids; the one body it decodes (a
+        settled round's ROUND_SETUP, for its ``fresh`` flag) is kept
+        when it does not decode.  Garbage in an open round's records is
+        kept by both masks."""
+        garbage = b"\xff" * 3
+        recs = [
+            WalRecord(RecordType.ROUND_SETUP, garbage, 0),
+            WalRecord(RecordType.ROUND_SETUP, _mark(fresh=False), 0),
+            WalRecord(RecordType.ROUND_END, ck.ROUND_END.encode(ck.RoundEnd(True)), 0),
+            WalRecord(RecordType.ENVELOPE, garbage, 1),
+            WalRecord(RecordType.CHECKPOINT, garbage, 1),
+        ]
+        assert deployment_liveness(recs) == [True, False, True, True, True]
+        recs = [
+            WalRecord(REC_OPEN, garbage, 2),
+            WalRecord(REC_ENVELOPE, garbage, 2),
+        ]
+        assert fleet_liveness(recs) == [True, True]
 
     @pytest.mark.parametrize("family", ["deployment", "fleet"])
     def test_one_retention_rule_for_both_journals(self, tmp_path, family):
@@ -295,20 +330,22 @@ class TestLivenessRules:
         exceeds ``retain``, whichever liveness decides what is dead;
         retain=0 never compacts."""
         if family == "deployment":
-            liveness, key = deployment_liveness, "round"
-            body, boundary = RecordType.ROUND_BEGIN, RecordType.ROUND_END
+            liveness = deployment_liveness
+            body = (RecordType.ROUND_BEGIN, _mark(fresh=False))
+            boundary = (
+                RecordType.ROUND_END, ck.ROUND_END.encode(ck.RoundEnd(True))
+            )
         else:
-            liveness, key = fleet_liveness, "round_id"
-            body, boundary = REC_OPEN, REC_CLOSE
+            liveness = fleet_liveness
+            body, boundary = (REC_OPEN, _OPEN), (REC_CLOSE, b"")
         retain = 2
         logs = {n: LogDir(tmp_path / str(n), fsync_every=0,
                           segment_records=2) for n in (retain, 0)}
         ran = {n: 0 for n in logs}
         for r in range(12):
             for n, log in logs.items():
-                payload = json.dumps({key: r}).encode()
-                log.append(body, payload)
-                log.append(boundary, payload)
+                log.append(*body, r)
+                log.append(*boundary, r)
                 sealed = len(log.sealed_names())
                 stats = enforce_retention(log, n, liveness)
                 if n and sealed > n:
@@ -326,7 +363,7 @@ class TestLivenessRules:
 
     def test_compactor_never_touches_single_segment_logs(self, tmp_path):
         log = LogDir(tmp_path, segment_records=0)
-        log.append(RecordType.META, b'{"x": 1}')
+        log.append(RecordType.META, ck.META.encode(_config(None)))
         stats = Compactor().compact(log)
         log.close()
         assert stats == CompactionStats(

@@ -8,7 +8,6 @@ the transports are — it must not influence the crypto at all.
 """
 
 import dataclasses
-import json
 from unittest import mock
 
 import pytest
@@ -299,17 +298,20 @@ def test_journal_of_version_2_envelopes_is_refused(tmp_path):
         manager.complete_round()
 
 
-def test_meta_naming_a_retired_field_is_refused(tmp_path):
-    """A state dir whose META still carries ``parallelism`` (the
-    removed worker-pool knob) fails on resume with a RecoveryError."""
-    encode = ck.encode_meta
+@pytest.mark.parametrize("mangle, why", [
+    (lambda body: body + b"\x00\x00\x00\x02", "trailing bytes"),
+    (lambda body: body[:-1], "truncated"),
+], ids=["retired-knob", "cut-short"])
+def test_meta_not_matching_the_table_is_refused(tmp_path, mangle, why):
+    """A META body that does not match the table — one that still
+    carries a retired knob, or one cut short — fails on resume with a
+    RecoveryError, never a half-parsed config."""
+    encode = ck.META.encode
 
-    def encode_with_parallelism(config):
-        obj = json.loads(encode(config))
-        obj["parallelism"] = 2
-        return json.dumps(obj).encode()
+    def encode_off_table(config, group=None):
+        return mangle(encode(config, group))
 
-    with mock.patch.object(ck, "encode_meta", encode_with_parallelism):
+    with mock.patch.object(ck.META, "encode", encode_off_table):
         _drive_round(_config(tmp_path), stop_after_layers=1)
-    with pytest.raises(RecoveryError, match="META record unusable.*parallelism"):
+    with pytest.raises(RecoveryError, match=f"META record unusable.*{why}"):
         RecoveryManager(tmp_path)

@@ -137,7 +137,7 @@ def test_mid_file_corruption_drops_the_rest(tmp_path):
     first_end = path.stat().st_size
     _write(path, records[1:], fresh=False)
     raw = bytearray(path.read_bytes())
-    raw[first_end + 7] ^= 0x40  # inside the second record
+    raw[first_end + 11] ^= 0x40  # inside the second record's payload
     path.write_bytes(bytes(raw))
 
     scan = WriteAheadLog.read(path)

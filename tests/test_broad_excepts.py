@@ -24,9 +24,6 @@ ALLOWED = {
     ("repro/net/coordinator.py", "Coordinator.run_layer"): 2,
     # the accept loop answers any handler failure with a FAULT, logged
     ("repro/net/framing.py", "_serve_connection"): 1,
-    # an unparseable record is kept, never compacted away
-    ("repro/store/compact.py", "deployment_liveness"): 1,
-    ("repro/store/compact.py", "fleet_liveness"): 2,
     # a directory that is not a log has nothing to back up
     ("repro/store/segments.py", "LogDir.rotate_aside"): 1,
     # finalizer: scratch spill files are best-effort
@@ -63,7 +60,7 @@ def test_broad_except_sites_are_the_pinned_allowlist():
         if handler.type is not None and _catches(handler, "Exception")
     )
     assert dict(sites) == ALLOWED
-    assert sum(ALLOWED.values()) == 13
+    assert sum(ALLOWED.values()) == 10
 
 
 def test_no_bare_except_and_base_exception_reraises():
