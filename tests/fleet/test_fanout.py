@@ -269,3 +269,35 @@ def test_serve_processes_mix_on_the_batch_plane(
     assert sorted(calls["mix_batch"]) == sorted(
         list(range(4)) * config.iterations
     )
+
+
+def test_rehome_after_two_layers_adopts_the_committed_state(thread_fleet):
+    """A fleet-homed group re-homed after two committed layers resumes
+    from exactly its serve-side node's committed state: holdings,
+    trap commitments and the intake duplicate filter."""
+    config = _config4()
+    inproc = _run(config)
+    fleet = thread_fleet(config)
+    with AtomDeployment(fleet.plan.engine_config()) as dep:
+        rnd = _start(dep)
+        run = dep.begin_mixing(rnd, DeterministicRng(b"fanout-round"))
+        run.run_layer()
+        run.run_layer()
+        gid = 1
+        served = next(
+            node for server in fleet.servers
+            for key, node in server.nodes.items()
+            if key == (rnd.round_id, gid)
+        )
+        run.rehome_group(gid)
+        local = run.nodes[gid]
+        assert local is not served
+        assert served.holdings and served.commitments
+        assert local.holdings == served.holdings
+        assert local.commitments == served.commitments
+        assert local._seen == served._seen
+        while not run.done:
+            run.run_layer()
+        result = run.finish()
+    assert result.ok
+    assert sorted(result.messages) == sorted(inproc.messages)
