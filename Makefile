@@ -24,10 +24,14 @@ test:
 ## Benchmark smoke: regenerates BENCH_*.json at the repo root (the
 ## fast-exponentiation engine, the MODP2048-vs-P256 backend dimension,
 ## and the batch+spill round's own peak RSS (VmHWM), growth bound and
-## throughput record); CI uploads the JSON as artifacts.
+## throughput record); CI uploads the JSON as artifacts.  Benchmarks
+## record into the untracked .bench_records.json; only the keys this
+## run recorded are merged into the tracked BENCH_fastexp.json.
 bench-smoke:
+	rm -f .bench_records.json
 	$(PYTEST) -q -s benchmarks/test_fastexp_speedup.py \
 		benchmarks/test_streaming_rss.py
+	$(PYTHON) scripts/merge_bench.py .bench_records.json BENCH_fastexp.json
 
 ## Cross-backend parity plus the proof layers over it, the inner
 ## envelope + payload framing, and the NIZK mix's pinned digests and op

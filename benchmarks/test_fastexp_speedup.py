@@ -18,14 +18,12 @@ root so later scaling PRs can track the trajectory:
    re-encrypt — at least 4x faster than MODP2048 (in practice ~10-25x).
 """
 
-import json
 import secrets
 import time
-from pathlib import Path
 
 import pytest
 
-from conftest import print_table
+from conftest import print_table, record_bench
 from repro.crypto.elgamal import AtomCiphertext, AtomElGamal, ElGamalKeyPair
 from repro.crypto.fastexp import FixedBaseExp
 from repro.crypto.groups import DeterministicRng, GroupElement, get_group
@@ -33,21 +31,8 @@ from repro.crypto.shuffle_proof import _challenge_bits, prove_shuffle, verify_sh
 
 N_ELEMENTS = 12
 ROUNDS = 3
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_fastexp.json"
 
 
-def _update_bench(fields: dict) -> None:
-    """Merge ``fields`` into BENCH_fastexp.json (tests run in any order
-    and each owns its own keys)."""
-    data = {}
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data.update(fields)
-    data["unix_time"] = int(time.time())
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def _seed_style_verify(group, public_key, inputs, outputs, proof):
@@ -179,7 +164,7 @@ def test_fastexp_speedup(benchmark):
         ],
     )
 
-    _update_bench(
+    record_bench(
         {
             "bench": "fastexp",
             "group": "MODP2048",
@@ -281,7 +266,7 @@ def test_backend_primitive_speedup(benchmark):
         ],
     )
 
-    _update_bench(
+    record_bench(
         {
             "backends": {
                 "MODP2048": {k: round(v, 4) for k, v in modp.items()},
@@ -361,7 +346,7 @@ def test_envelope_overhead(benchmark):
         ],
     )
 
-    _update_bench(
+    record_bench(
         {
             "envelope_overhead": {
                 "group": "MODP2048",

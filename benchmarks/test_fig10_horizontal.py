@@ -13,33 +13,20 @@ requests before reading a reply, so the processes mix a layer at once
 — the paper's horizontal axis, minus 1000 machines.
 """
 
-import json
 import socket
 import time
-from pathlib import Path
 
 import pytest
 
-from conftest import print_table
+from conftest import print_table, record_bench
 from repro.sim import AtomSimulator, SimConfig
 
 SERVER_COUNTS = [128, 256, 512, 1024]
 PAPER_HOURS = {128: 3.81, 256: 1.89, 512: 0.94, 1024: 0.47}
 MESSAGES = 2 ** 20
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_fastexp.json"
 
 
-def _update_bench(fields: dict) -> None:
-    data = {}
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data.update(fields)
-    data["unix_time"] = int(time.time())
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def test_fig10_sweep(benchmark):
@@ -173,7 +160,7 @@ def test_fleet_scaling(benchmark, tmp_path):
         ],
     )
 
-    _update_bench(
+    record_bench(
         {
             "fleet_scaling": {
                 "crypto_group": "TOY",

@@ -10,19 +10,17 @@ journals of 10 / 50 / 200 rounds, and asserts the shipped restore is
 both faster than full replay at depth and flat across depths.
 """
 
-import json
 import time
 from pathlib import Path
 
 import pytest
 
-from conftest import print_table
+from conftest import print_table, record_bench
 from repro.net import envelopes as ev
 from repro.store.compact import REC_CLOSE, REC_ENVELOPE, REC_OPEN, fleet_liveness
 from repro.store.segments import LogDir
 from repro.store.ship import CheckpointShipper
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_fastexp.json"
 
 HISTORIES = [10, 50, 200]
 ENVELOPES_PER_ROUND = 64
@@ -30,16 +28,6 @@ BODY_BYTES = 256
 REPEAT = 3
 
 
-def _update_bench(fields: dict) -> None:
-    data = {}
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data.update(fields)
-    data["unix_time"] = int(time.time())
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def _envelope_record(round_id: int) -> bytes:
@@ -126,7 +114,7 @@ def test_recovery_scaling(tmp_path):
         ],
         rows,
     )
-    _update_bench(
+    record_bench(
         {
             "recovery_scaling": {
                 "envelopes_per_round": ENVELOPES_PER_ROUND,

@@ -10,32 +10,19 @@ instantly.  Both are recorded for trajectory tracking; no ratio is
 asserted.
 """
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
-from conftest import print_table
+from conftest import print_table, record_bench
 from repro.core import AtomDeployment, Client, DeploymentConfig
 from repro.crypto.groups import DeterministicRng
 from repro.net.envelopes import COORDINATOR, CommitLayer, wrap
 from repro.net.resilience import ResilientTransport, RpcPolicy
 from repro.net.transport import Transport
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_fastexp.json"
 
 
-def _update_bench(fields: dict) -> None:
-    data = {}
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data.update(fields)
-    data["unix_time"] = int(time.time())
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def _build_config():
@@ -105,7 +92,7 @@ def test_rpc_overhead(benchmark):
         ],
     )
 
-    _update_bench(
+    record_bench(
         {
             "rpc_overhead": {
                 "round_group": "P256",

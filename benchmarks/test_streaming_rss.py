@@ -21,15 +21,13 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
-from conftest import print_table
+from conftest import print_table, record_bench
 
 REPO = Path(__file__).resolve().parent.parent
-BENCH_PATH = REPO / "BENCH_fastexp.json"
 SCRIPT = REPO / "scripts" / "stream_rss.py"
 
 MESSAGES = int(os.environ.get("STREAM_RSS_MESSAGES", "5000"))
@@ -47,16 +45,6 @@ RSS_LIMIT_MIB = float(
 RSS_GROWTH_LIMIT_MIB = 12.0
 
 
-def _update_bench(fields: dict) -> None:
-    data = {}
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data.update(fields)
-    data["unix_time"] = int(time.time())
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def _run_round(messages: int, spill_threshold: int) -> dict:
@@ -111,7 +99,7 @@ def test_streaming_rss():
         ],
     )
 
-    _update_bench(
+    record_bench(
         {
             "streaming_rss": {
                 "crypto_group": GROUP,

@@ -15,12 +15,10 @@ black-friday-tamper-churn scenario — and records it as the
 """
 
 import json
-import time
-from pathlib import Path
 
 import pytest
 
-from conftest import print_table
+from conftest import BENCH_RECORDS, print_table, record_bench
 from repro.baselines.alpenhorn import alpenhorn_dial_latency_minutes
 from repro.baselines.riposte import riposte_latency_minutes
 from repro.baselines.vuvuzela import (
@@ -30,7 +28,6 @@ from repro.baselines.vuvuzela import (
 from repro.scenarios import ScenarioRunner, load_scenario
 from repro.sim import AtomSimulator, SimConfig
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_fastexp.json"
 
 USERS = 2 ** 20
 SERVER_COUNTS = [128, 256, 512, 1024]
@@ -38,16 +35,6 @@ PAPER_MICROBLOG = {128: 228.7, 256: 113.4, 512: 56.3, 1024: 28.2}
 PAPER_DIAL = {128: 225.1, 256: 112.6, 512: 55.5, 1024: 27.9}
 
 
-def _update_bench(fields: dict) -> None:
-    data = {}
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data.update(fields)
-    data["unix_time"] = int(time.time())
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def atom_latency(n: int, application: str) -> float:
@@ -182,7 +169,7 @@ def test_scenario_table12():
         for n in SERVER_COUNTS
     )
 
-    _update_bench(
+    record_bench(
         {
             "scenario_table12": {
                 "scenario": metrics.scenario,
@@ -204,6 +191,6 @@ def test_scenario_table12():
             }
         }
     )
-    recorded = json.loads(BENCH_PATH.read_text())["scenario_table12"]
+    recorded = json.loads(BENCH_RECORDS.read_text())["scenario_table12"]
     assert recorded["digest"] == metrics.digest
     assert set(recorded["atom_minutes"]) == {str(n) for n in SERVER_COUNTS}

@@ -9,31 +9,18 @@ recorded for trajectory tracking.  No ratio is asserted: on a shared
 box a ratio of two round timings measures the neighbours.
 """
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
-from conftest import print_table
+from conftest import print_table, record_bench
 from repro.core import AtomDeployment, Client, DeploymentConfig
 from repro.crypto.groups import DeterministicRng
 from repro.store.segments import LogDir
 from repro.store.wal import WriteAheadLog
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_fastexp.json"
 
 
-def _update_bench(fields: dict) -> None:
-    data = {}
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data.update(fields)
-    data["unix_time"] = int(time.time())
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def _build_config(state_dir=None):
@@ -106,7 +93,7 @@ def test_wal_overhead(benchmark, tmp_path_factory):
         ],
     )
 
-    _update_bench(
+    record_bench(
         {
             "wal_overhead": {
                 "round_group": "P256",

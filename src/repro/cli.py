@@ -14,31 +14,40 @@ import argparse
 import sys
 
 
+def _deployment_config(args: argparse.Namespace, **extra):
+    """The DeploymentConfig ``round`` and ``run-stream`` build from the
+    flags they share; ``extra`` adds fields only one of them sets."""
+    from repro.core import DeploymentConfig
+
+    return DeploymentConfig(
+        num_servers=max(args.groups * args.group_size, 2 * args.group_size),
+        num_groups=args.groups,
+        group_size=args.group_size,
+        variant=args.variant,
+        iterations=args.iterations,
+        message_size=args.message_size,
+        crypto_group=args.crypto_group,
+        transport=args.transport,
+        state_dir=args.state_dir,
+        spill_threshold=args.spill_threshold,
+        net_faults=args.net_faults or None,
+        rpc_timeout=args.rpc_timeout,
+        heartbeat=args.heartbeat,
+        wal_segment_bytes=args.wal_segment_bytes,
+        wal_segment_records=args.wal_segment_records,
+        wal_retain_segments=args.wal_retain_segments,
+        **extra,
+    )
+
+
 def cmd_round(args: argparse.Namespace) -> int:
     """Run a real protocol round over the selected transport."""
-    from repro.core import AtomDeployment, DeploymentConfig
+    from repro.core import AtomDeployment
     from repro.crypto.groups import DeterministicRng
     from repro.net.chaos import NetFaultPlanError
 
     try:
-        config = DeploymentConfig(
-            num_servers=max(args.groups * args.group_size, 2 * args.group_size),
-            num_groups=args.groups,
-            group_size=args.group_size,
-            variant=args.variant,
-            iterations=args.iterations,
-            message_size=args.message_size,
-            crypto_group=args.crypto_group,
-            transport=args.transport,
-            state_dir=args.state_dir,
-            spill_threshold=args.spill_threshold,
-            net_faults=args.net_faults or None,
-            rpc_timeout=args.rpc_timeout,
-            heartbeat=args.heartbeat,
-            wal_segment_bytes=args.wal_segment_bytes,
-            wal_segment_records=args.wal_segment_records,
-            wal_retain_segments=args.wal_retain_segments,
-        )
+        config = _deployment_config(args)
     except (NetFaultPlanError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -96,31 +105,11 @@ DEFAULT_STREAM_FAULTS = (
 
 def cmd_run_stream(args: argparse.Namespace) -> int:
     """Run a multi-round pipelined stream under a fault schedule."""
-    from repro.core import DeploymentConfig, FaultSchedule, StreamConfig, StreamEngine
+    from repro.core import FaultSchedule, StreamConfig, StreamEngine
     from repro.core.pipeline import FaultScheduleError
-    from repro.net.chaos import NetFaultPlanError
 
     try:
-        config = DeploymentConfig(
-            num_servers=max(args.groups * args.group_size, 2 * args.group_size),
-            num_groups=args.groups,
-            group_size=args.group_size,
-            variant=args.variant,
-            mode=args.mode,
-            h=args.h,
-            iterations=args.iterations,
-            message_size=args.message_size,
-            crypto_group=args.crypto_group,
-            transport=args.transport,
-            state_dir=args.state_dir,
-            spill_threshold=args.spill_threshold,
-            net_faults=args.net_faults or None,
-            rpc_timeout=args.rpc_timeout,
-            heartbeat=args.heartbeat,
-            wal_segment_bytes=args.wal_segment_bytes,
-            wal_segment_records=args.wal_segment_records,
-            wal_retain_segments=args.wal_retain_segments,
-        )
+        config = _deployment_config(args, mode=args.mode, h=args.h)
         schedule = FaultSchedule.parse(args.fault_schedule)
         if args.variant != "trap" and schedule.has_user_events():
             # User attacks abuse trap submissions; keep the schedule's
@@ -168,10 +157,12 @@ def cmd_run_stream(args: argparse.Namespace) -> int:
 def cmd_resume(args: argparse.Namespace) -> int:
     """Continue an interrupted run from its ``--state-dir``."""
     from repro.store.recovery import RecoveryError, RecoveryManager
+    from repro.store.segments import LogDirError
+    from repro.store.wal import WalError
 
     try:
         manager = RecoveryManager(args.state_dir)
-    except Exception as exc:
+    except (RecoveryError, WalError, LogDirError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"state dir: {manager.describe()}")

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import messages as fmt
-from repro.core.batch import CiphertextBatch
 from repro.core.blame import BlameReport, identify_malicious_users
 from repro.core.client import Client, Submission, TrapSubmission
 from repro.core.directory import Directory, DirectoryConfig, make_fleet
@@ -218,7 +217,6 @@ class Round:
         topology: PermutationNetwork,
         trustees: Optional[TrusteeGroup],
         payload_size: int,
-        holdings: Dict[int, CiphertextBatch],
     ):
         self.round_id = round_id
         self.contexts = contexts
@@ -234,13 +232,6 @@ class Round:
         #: differ, so each mixing layer re-installs its own round's
         #: forger before running (Coordinator._sync_contexts).
         self.forger: Optional[InnerPayloadForger] = None
-        #: per-gid intake mirror of the node-side holdings (the nodes
-        #: hold the authoritative copies behind the transport; this
-        #: client-side view feeds dummy-padding targets and tests)
-        self.holdings = holdings
-        #: per-gid trap commitments registered at submission time (the
-        #: same client-side mirror; nodes check traps against theirs)
-        self.commitments: Dict[int, List[bytes]] = {ctx.gid: [] for ctx in contexts}
         #: user id -> (gid, trap submission) for blame
         self.trap_submissions: Dict[int, Tuple[int, TrapSubmission]] = {}
         self._next_user_id = 0
@@ -305,6 +296,9 @@ class AtomDeployment:
         #: lazily-created transport, shared by every round's coordinator
         #: (TCP keeps its listener and connection across a stream)
         self._transport = None
+        #: the fleet and chaos layers of that chain, when assembled
+        self.fleet_transport = None
+        self._chaos = None
         #: lazily-created scratch directory for spill segments
         self._spill_dir: Optional[str] = None
         self._spill_tmp = False
@@ -331,18 +325,6 @@ class AtomDeployment:
                 self._spill_tmp = True
         return self._spill_dir
 
-    def make_holdings(self, tag: str):
-        """A fresh holdings container: a :class:`CiphertextBatch`, or a
-        :class:`SpillableHoldings` when spilling is on."""
-        if self.config.spill_threshold > 0:
-            from repro.store.spill import SpillableHoldings
-
-            return SpillableHoldings(
-                self.group, self.config.spill_threshold, self.spill_dir(),
-                tag=tag,
-            )
-        return CiphertextBatch(self.group)
-
     def transport(self):
         """The deployment's :class:`~repro.net.transport.Transport`.
 
@@ -364,7 +346,7 @@ class AtomDeployment:
                 from repro.fleet.plan import DeploymentPlan
                 from repro.fleet.transport import FleetTransport
 
-                transport = FleetTransport(
+                transport = self.fleet_transport = FleetTransport(
                     self.group, DeploymentPlan.load(cfg.fleet_plan)
                 )
             else:
@@ -372,7 +354,7 @@ class AtomDeployment:
             if cfg._net_fault_plan is not None:
                 from repro.net.chaos import ChaosTransport
 
-                transport = ChaosTransport(
+                transport = self._chaos = ChaosTransport(
                     transport, cfg._net_fault_plan, cfg.seed + b"/chaos"
                 )
             from repro.net.resilience import ResilientTransport, RpcPolicy
@@ -389,33 +371,25 @@ class AtomDeployment:
         return self._transport
 
     def _announce_round(self, round_id: int, fresh: bool, rng) -> None:
-        """Walk the transport chain and tell any fleet layer a round is
-        starting (duck-typed like :meth:`revive_endpoint`; a no-op for
-        purely local transports)."""
-        transport = self.transport()
-        while transport is not None:
-            open_round = getattr(transport, "open_round", None)
-            if open_round is not None:
-                open_round(round_id, fresh, rng)
-            transport = getattr(transport, "inner", None)
+        """Tell the fleet layer, if any, that a round is starting."""
+        self.transport()
+        if self.fleet_transport is not None:
+            self.fleet_transport.open_round(round_id, fresh, rng)
 
     def revive_endpoint(self, gid: int) -> None:
-        """Buddy recovery re-hosted ``gid``: walk the transport chain
-        and clear any chaos partition of that endpoint (the replacement
-        group comes up at a fresh, reachable address)."""
-        transport = self._transport
-        while transport is not None:
-            revive = getattr(transport, "revive", None)
-            if revive is not None:
-                revive(gid)
-            transport = getattr(transport, "inner", None)
+        """Buddy recovery re-hosted ``gid`` at a fresh, reachable
+        address: the chaos layer lifts any partition of it, the fleet
+        layer drops the dead owner's connection."""
+        for layer in (self._chaos, self.fleet_transport):
+            if layer is not None:
+                layer.revive(gid)
 
     def close(self) -> None:
         """Shut down the transport and flush (but keep open) the
         state store."""
         if self._transport is not None:
             self._transport.close()
-            self._transport = None
+            self._transport = self.fleet_transport = self._chaos = None
         if self._spill_dir is not None:
             # Spill segments are scratch: recovery never reads them.
             import shutil
@@ -480,18 +454,8 @@ class AtomDeployment:
             if cfg.variant == "trap"
             else None
         )
-        # The client-side intake mirror tracks the nodes' containers:
-        # serialized batch buffers (spillable when configured), so a
-        # million-message intake never pins an object graph here
-        # either.  Tags differ from the node containers' so their
-        # scratch files never collide.
-        holdings = {
-            ctx.gid: self.make_holdings(f"mirror-r{round_id}-g{ctx.gid}")
-            for ctx in contexts
-        }
         rnd = Round(
-            round_id, contexts, topology, trustees, self.spec.payload_size,
-            holdings,
+            round_id, contexts, topology, trustees, self.spec.payload_size
         )
         if trustees is not None:
             # Arm the strongest modeled attacker: substituted ciphertexts
@@ -602,11 +566,6 @@ class AtomDeployment:
         else:
             payload = ev.SubmitPlain(gid=gid, submission=submissions[0])
         rnd.coordinator.submit(payload, gid)
-        # Client-side mirror: padding targets and tests read these.
-        for submission in submissions:
-            rnd.holdings[gid].append(submission.vector)
-        if trap_commitment is not None:
-            rnd.commitments[gid].append(trap_commitment)
         user_id = rnd._next_user_id
         rnd._next_user_id += 1
         return user_id
@@ -626,7 +585,7 @@ class AtomDeployment:
 
         cfg = self.config
         beta = rnd.topology.beta
-        counts = {gid: len(v) for gid, v in rnd.holdings.items()}
+        counts = rnd.coordinator.intake_counts()
         per_user = 2 if cfg.variant == "trap" else 1
         target = max(counts.values()) if counts else 0
         # round the target up to a multiple of beta (and of the pair
@@ -636,8 +595,8 @@ class AtomDeployment:
 
         added = 0
         client = Client(self.group, rng)
-        for gid in sorted(rnd.holdings):
-            while len(rnd.holdings[gid]) < target:
+        for gid, count in sorted(counts.items()):
+            for _ in range(count, target, per_user):
                 if cfg.variant == "trap":
                     filler = DUMMY_MAGIC + _secrets.token_bytes(4)
                     self.submit_trap(rnd, filler[: cfg.message_size], gid, client)

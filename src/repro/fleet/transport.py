@@ -106,7 +106,7 @@ class FleetTransport(Transport):
                     round_id, name, exc,
                 )
 
-    # -- round lifecycle (duck-typed hook, see AtomDeployment) ---------
+    # -- round lifecycle (called by AtomDeployment) --------------------
 
     def open_round(self, round_id: int, fresh: bool, rng) -> None:
         """Broadcast the round's rng epoch mark to every process.

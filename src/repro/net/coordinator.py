@@ -29,10 +29,14 @@ therefore perform byte-identical crypto, which the cross-transport
 parity tests assert end to end.
 
 Control plane vs data plane: node *objects* are created here and kept
-(they always live in this process; TCP moves only the messages), so
-test instrumentation — context replacement after buddy recovery,
-tamper-budget bookkeeping — stays direct object access, while all
-round data crosses the transport.
+(on inproc and TCP they live in this process; TCP moves only the
+messages), so test instrumentation — context replacement after buddy
+recovery, tamper-budget bookkeeping — stays direct object access,
+while all round data crosses the transport.  A fleet-homed group's
+node lives in a ``repro serve`` process; this process keeps one
+unaddressed *shadow* of it (what it accepted, then what it
+committed), which intake counts and checkpoints read and
+:meth:`Coordinator.rehome_group` adopts when its process dies.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import time
 from typing import Dict, List, Optional
 
 from repro.core import messages as fmt
-from repro.core.batch import CiphertextBatch, vector_fingerprint
+from repro.core.batch import CiphertextBatch
 from repro.core.group import GroupStalled
 from repro.crypto.groups import DeterministicRng
 from repro.crypto.kem import cca2_decrypt
@@ -54,16 +58,6 @@ from repro.net.resilience import RpcExhausted, SuspicionTracker
 from repro.net.transport import Transport, TransportError
 
 logger = logging.getLogger(__name__)
-
-
-def _find_fleet(transport):
-    """Walk the decorator chain (Resilient -> Chaos -> base) for a
-    FleetTransport; None when the round is single-process."""
-    while transport is not None:
-        if getattr(transport, "name", None) == "fleet":
-            return transport
-        transport = getattr(transport, "inner", None)
-    return None
 
 
 class Coordinator:
@@ -86,27 +80,22 @@ class Coordinator:
         # deployment plan live in other OS processes — no local node is
         # built for them; everything else (all gids on inproc/tcp, plus
         # unassigned gids and the trustee under a fleet) stays local.
-        self._fleet = _find_fleet(transport)
+        self._fleet = deployment.fleet_transport
         placed = (
             set(self._fleet.placement) - self._fleet.rehomed
             if self._fleet is not None
             else set()
         )
         self.gids: List[int] = sorted(ctx.gid for ctx in rnd.contexts)
-        self._remote = {gid for gid in self.gids if gid in placed}
-        #: post-commit holdings mirror for remote groups, rebuilt from
-        #: the delivered MIX_BATCH envelopes at every commit (exactly
-        #: the sender-sorted adoption the nodes perform); None when the
-        #: whole round is local and direct node access suffices
-        self._view: Optional[Dict[int, CiphertextBatch]] = (
-            {} if self._remote else None
-        )
-
-        self.nodes: Dict[int, ServerNode] = {
-            ctx.gid: self._new_node(ctx)
-            for ctx in rnd.contexts
-            if ctx.gid not in self._remote
-        }
+        self.nodes: Dict[int, ServerNode] = {}
+        #: a fleet-homed group's node as this process last saw it: what
+        #: it accepted at intake (SUBMIT_OK), then each committed layer
+        #: — never registered or addressed, only read (intake counts,
+        #: checkpoints) and adopted by rehome_group
+        self._shadows: Dict[int, ServerNode] = {}
+        for ctx in rnd.contexts:
+            homes = self._shadows if ctx.gid in placed else self.nodes
+            homes[ctx.gid] = self._new_node(ctx)
         for gid, node in self.nodes.items():
             transport.register(rnd.round_id, gid, node)
         self.trustee_node: Optional[TrusteeNode] = None
@@ -156,23 +145,23 @@ class Coordinator:
         reply = replies[0].payload
         if isinstance(reply, ev.SubmitErr):
             raise ValueError(reply.reason)
+        shadow = self._shadows.get(gid)
+        if shadow is not None:
+            if isinstance(payload, ev.SubmitTrap):
+                sub = payload.submission
+                shadow.admit(sub.pair, sub.trap_commitment)
+            else:
+                shadow.admit((payload.submission,), None)
         return reply.accepted
 
     def intake_counts(self) -> Dict[int, int]:
         return {gid: len(self._holdings_view(gid)) for gid in self.gids}
 
     def _holdings_view(self, gid: int):
-        """The coordinator's view of a group's current holdings: the
-        local node's for local groups; for fleet-homed groups, the
-        post-commit mirror (rebuilt from the delivered batches), or —
-        before the first commit — the round's intake mirror, which
-        appends in exactly the order the remote node does."""
+        """A group's current holdings: its local node's, or for a
+        fleet-homed group its shadow's."""
         node = self.nodes.get(gid)
-        if node is not None:
-            return node.holdings
-        if self._view:
-            return self._view[gid]
-        return self.rnd.holdings[gid]
+        return (node if node is not None else self._shadows[gid]).holdings
 
     # -- mixing --------------------------------------------------------
 
@@ -320,20 +309,19 @@ class Coordinator:
         except Exception:
             self._abort_layer(layer)
             raise
-        if self._view is not None:
-            # Mirror the nodes' sender-sorted adoption so the view is
-            # byte-identical to every remote node's committed holdings.
-            staged: Dict[int, List] = {gid: [] for gid in self.gids}
+        if self._shadows:
+            # Replay the nodes' sender-sorted adoption so every shadow
+            # is byte-identical to its fleet node's committed holdings.
+            staged: Dict[int, List] = {gid: [] for gid in self._shadows}
             for env in batches:
-                staged[env.dest].append((env.sender, env.payload))
+                if env.dest in staged:
+                    staged[env.dest].append((env.sender, env.payload.batch))
             group = self.deployment.group
-            self._view = {
-                gid: CiphertextBatch.concat(
-                    group,
-                    (payload.batch for _, payload in sorted(pairs, key=lambda p: p[0])),
-                )
-                for gid, pairs in staged.items()
-            }
+            for gid, pairs in staged.items():
+                pairs.sort(key=lambda p: p[0])
+                self._shadows[gid].adopt(CiphertextBatch.concat(
+                    group, (batch for _, batch in pairs)
+                ))
         # Canonical per-layer audit order: by gid (the order replies
         # are filed in, so this only pins it).
         audits.sort(key=lambda a: a.gid)
@@ -382,19 +370,13 @@ class Coordinator:
         """§4.5 buddy recovery rebuilt a fleet-homed group whose OS
         process died: host the restored group in-coordinator from now
         on.  The dead process cannot come back with its pre-layer
-        state, but the coordinator's holdings view (delivered batches /
-        intake mirror) plus the round's commitment mirror reconstruct
-        the exact snapshot the recovered context must resume from."""
-        if self._fleet is None or gid not in self._remote:
+        state, but the group's shadow holds exactly that snapshot —
+        holdings, trap commitments and duplicate filter — so the
+        shadow becomes the group's node."""
+        node = self._shadows.pop(gid, None)
+        if node is None:
             return
-        rnd = self.rnd
-        node = self._new_node(rnd.contexts[gid])
-        node.holdings.extend(self._holdings_view(gid))
-        node.commitments = list(rnd.commitments.get(gid, []))
-        node._seen = {
-            vector_fingerprint(vec) for vec in rnd.holdings[gid]
-        }
-        self._remote.discard(gid)
+        node.ctx = self.rnd.contexts[gid]
         self.nodes[gid] = node
         self._fleet.rehome(self.round_id, gid, node)
 

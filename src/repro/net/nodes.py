@@ -25,7 +25,7 @@ process even under the TCP transport, which moves only the messages.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.core.batch import CiphertextBatch, vector_fingerprint
 from repro.core.client import Submission, TrapSubmission
@@ -87,7 +87,7 @@ class ServerNode:
         self.spill_threshold = spill_threshold
         self.spill_dir = spill_dir
         #: vectors awaiting the next mixing layer
-        self.holdings = self._make_holdings()
+        self.holdings = self._fresh_holdings()
         #: trap commitments registered at submission time
         self.commitments: List[bytes] = []
         #: duplicate-submission filter (exact-copy replay, §2.3)
@@ -106,7 +106,7 @@ class ServerNode:
 
     # -- holdings containers --------------------------------------------
 
-    def _make_holdings(self):
+    def _fresh_holdings(self):
         """A fresh, empty holdings container: a
         :class:`CiphertextBatch`, or a :class:`SpillableHoldings` when
         spilling is on."""
@@ -180,8 +180,8 @@ class ServerNode:
         and exact duplicates are rejected; commitments are recorded.
 
         Atomic: all parts are validated before any state mutates, so a
-        rejected trap pair leaves no stray vector behind — node
-        holdings and the deployment-side mirror (updated only on
+        rejected trap pair leaves no stray vector behind — a fleet
+        node and its coordinator-side shadow (updated only on
         SUBMIT_OK) can never diverge.
         """
         group = self.ctx.group
@@ -201,12 +201,25 @@ class ServerNode:
                     )
                 ]
             fingerprints.append(fingerprint)
-        for sub, fingerprint in zip(subs, fingerprints):
-            self._seen.add(fingerprint)
+        self.admit(subs, trap_commitment, fingerprints)
+        return [self._reply(ev.SubmitOk(accepted=len(subs)))]
+
+    def admit(
+        self,
+        subs: Sequence[Submission],
+        trap_commitment: Optional[bytes],
+        fingerprints: Optional[List[bytes]] = None,
+    ) -> None:
+        """Record accepted submissions: holdings, duplicate filter and
+        trap commitment.  A coordinator-side shadow records what its
+        fleet node accepted this way, hashing the fingerprints itself."""
+        if fingerprints is None:
+            fingerprints = [vector_fingerprint(sub.vector) for sub in subs]
+        self._seen.update(fingerprints)
+        for sub in subs:
             self.holdings.append(sub.vector)
         if trap_commitment is not None:
             self.commitments.append(trap_commitment)
-        return [self._reply(ev.SubmitOk(accepted=len(subs)))]
 
     def _on_submit_plain(self, env: Envelope) -> List[Envelope]:
         payload: ev.SubmitPlain = env.payload
@@ -257,7 +270,7 @@ class ServerNode:
         # reordering invisible to the committed state.  Adopted by
         # buffer splice: wire-decoded batches are never turned into
         # object graphs here.
-        holdings = self._make_holdings()
+        holdings = self._fresh_holdings()
         for _, payload in sorted(self._pending, key=lambda p: p[0]):
             holdings.extend(payload.batch)
         self.adopt(holdings)

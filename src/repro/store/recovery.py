@@ -93,55 +93,60 @@ class RecoveryManager:
 
     def _index(self) -> None:
         for rec in self.scan.records:
-            t, rid = rec.type, rec.round_id
-            if t == RecordType.META:
-                try:
-                    self.config = ck.META.decode(rec.payload)
-                except ValueError as exc:  # off-table body, bad knob value
-                    raise RecoveryError(f"META record unusable: {exc}") from exc
-                self.group = get_group(self.config.crypto_group)
-            elif t == RecordType.STREAM_BEGIN:
-                self._stream = ck.STREAM_BEGIN.decode(rec.payload)
-            elif t == RecordType.ROUND_SETUP:
-                mark = ck.RNG_MARK.decode(rec.payload, round_id=rid)
-                self._setups[rid] = mark
-                if mark.fresh:
-                    self._fresh_setups.append(mark)
-                # latest setup wins: the round was (re)built, so its
-                # older intake/mixing records are a stale epoch's
-                self._submissions[rid] = []
-                self._honest[rid] = []
-                self._mix_marks[rid] = []
-                self._commits[rid] = []
-                self._checkpoints.pop(rid, None)
-            elif t == RecordType.ROUND_BEGIN:
-                mark = ck.RNG_MARK.decode(rec.payload, round_id=rid)
-                self._mix_marks.setdefault(rid, []).append(mark)
-            elif t == RecordType.ENVELOPE:
-                # full decode waits for the round that actually replays
-                self._submissions.setdefault(rid, []).append(rec.payload)
-            elif t == RecordType.HONEST:
-                # No value-level dedup: two users may legitimately send
-                # identical (message, gid) pairs.  Rekey re-journals are
-                # handled by the setup reset above instead.
-                gid, message = ck.HONEST.decode(rec.payload)
-                self._honest.setdefault(rid, []).append((message, gid))
-            elif t == RecordType.LAYER_COMMIT:
-                self._require_group("LAYER_COMMIT")
-                commit = ck.LAYER_COMMIT.decode(
-                    rec.payload, self.group, round_id=rid
-                )
-                self._commits.setdefault(rid, []).append(commit)
-            elif t == RecordType.CHECKPOINT:
-                self._require_group("CHECKPOINT")
-                self._checkpoints[rid] = ck.CHECKPOINT.decode(
-                    rec.payload, self.group, round_id=rid
-                )
-            elif t == RecordType.ROUND_DONE:
-                self._done.append(ck.ROUND_DONE.decode(rec.payload, round_id=rid))
-            elif t == RecordType.ROUND_END:
-                self._ended[rid] = ck.ROUND_END.decode(rec.payload).ok
-            # RESUME / CLEAN / unknown types: markers, nothing to index
+            try:
+                self._index_record(rec)
+            except ValueError as exc:  # off-table body, bad META knob value
+                raise RecoveryError(
+                    f"{RecordType(rec.type).name} record unusable: {exc}"
+                ) from exc
+
+    def _index_record(self, rec) -> None:
+        t, rid = rec.type, rec.round_id
+        if t == RecordType.META:
+            self.config = ck.META.decode(rec.payload)
+            self.group = get_group(self.config.crypto_group)
+        elif t == RecordType.STREAM_BEGIN:
+            self._stream = ck.STREAM_BEGIN.decode(rec.payload)
+        elif t == RecordType.ROUND_SETUP:
+            mark = ck.RNG_MARK.decode(rec.payload, round_id=rid)
+            self._setups[rid] = mark
+            if mark.fresh:
+                self._fresh_setups.append(mark)
+            # latest setup wins: the round was (re)built, so its
+            # older intake/mixing records are a stale epoch's
+            self._submissions[rid] = []
+            self._honest[rid] = []
+            self._mix_marks[rid] = []
+            self._commits[rid] = []
+            self._checkpoints.pop(rid, None)
+        elif t == RecordType.ROUND_BEGIN:
+            mark = ck.RNG_MARK.decode(rec.payload, round_id=rid)
+            self._mix_marks.setdefault(rid, []).append(mark)
+        elif t == RecordType.ENVELOPE:
+            # full decode waits for the round that actually replays
+            self._submissions.setdefault(rid, []).append(rec.payload)
+        elif t == RecordType.HONEST:
+            # No value-level dedup: two users may legitimately send
+            # identical (message, gid) pairs.  Rekey re-journals are
+            # handled by the setup reset above instead.
+            gid, message = ck.HONEST.decode(rec.payload)
+            self._honest.setdefault(rid, []).append((message, gid))
+        elif t == RecordType.LAYER_COMMIT:
+            self._require_group("LAYER_COMMIT")
+            commit = ck.LAYER_COMMIT.decode(
+                rec.payload, self.group, round_id=rid
+            )
+            self._commits.setdefault(rid, []).append(commit)
+        elif t == RecordType.CHECKPOINT:
+            self._require_group("CHECKPOINT")
+            self._checkpoints[rid] = ck.CHECKPOINT.decode(
+                rec.payload, self.group, round_id=rid
+            )
+        elif t == RecordType.ROUND_DONE:
+            self._done.append(ck.ROUND_DONE.decode(rec.payload, round_id=rid))
+        elif t == RecordType.ROUND_END:
+            self._ended[rid] = ck.ROUND_END.decode(rec.payload).ok
+        # RESUME / CLEAN / unknown types: markers, nothing to index
 
     def _require_group(self, what: str) -> None:
         if self.group is None:
@@ -203,27 +208,17 @@ class RecoveryManager:
     @staticmethod
     def _replay_submission(rnd: Round, env: Envelope) -> None:
         """Re-admit one logged intake envelope: node state via the
-        normal handle path, plus the deployment-side mirrors and the
-        blame registry (user ids re-assigned in log order == original
-        submission order)."""
+        normal handle path, plus the blame registry (user ids
+        re-assigned in log order == original submission order)."""
         payload = env.payload
-        if isinstance(payload, ev.SubmitTrap):
-            sub = payload.submission
-            gid = sub.gid
-        else:
-            sub = None
-            gid = payload.gid
+        trap = isinstance(payload, ev.SubmitTrap)
+        gid = payload.submission.gid if trap else payload.gid
         # Replay under the envelope's *original* request id: the dedup
         # identity survives the crash, and the pre-crash session nonce
         # keeps it from colliding with the fresh session's ids.
         rnd.coordinator.submit(payload, gid, req_id=env.req_id)
-        if sub is not None:
-            for part in sub.pair:
-                rnd.holdings[gid].append(part.vector)
-            rnd.commitments[gid].append(sub.trap_commitment)
-            rnd.trap_submissions[rnd._next_user_id] = (gid, sub)
-        else:
-            rnd.holdings[gid].append(payload.submission.vector)
+        if trap:
+            rnd.trap_submissions[rnd._next_user_id] = (gid, payload.submission)
         rnd._next_user_id += 1
 
     def _replay_intake(self, rnd: Round, round_id: int) -> int:

@@ -69,7 +69,10 @@ class TestPadRoundBasic:
             dep.submit_plain(rnd, f"m{i}".encode(), entry_gid=i % 4)
         dep.pad_round(rnd)
         beta = rnd.topology.beta
-        counts = {gid: len(v) for gid, v in rnd.holdings.items()}
+        counts = {
+            gid: len(node.holdings)
+            for gid, node in rnd.coordinator.nodes.items()
+        }
         assert len(set(counts.values())) == 1
         assert next(iter(counts.values())) % beta == 0
 
@@ -108,9 +111,10 @@ class TestPadRoundTrap:
         msgs = [f"m{i}".encode() for i in range(3)]
         for i, m in enumerate(msgs):
             dep.submit_trap(rnd, m, entry_gid=i % 2)
-        before = sum(len(c) for c in rnd.commitments.values())
+        nodes = rnd.coordinator.nodes.values()
+        before = sum(len(node.commitments) for node in nodes)
         added = dep.pad_round(rnd)
-        after = sum(len(c) for c in rnd.commitments.values())
+        after = sum(len(node.commitments) for node in nodes)
         assert added >= 1
         assert after == before + added  # each dummy registered a trap
         result = dep.run_round(rnd)

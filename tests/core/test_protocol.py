@@ -133,7 +133,8 @@ class TestSubmissionValidation:
         )
         with pytest.raises(ValueError, match="EncProof"):
             dep.inject_trap_submission(rnd, 0, forged)
-        assert not rnd.holdings[0] and not rnd.trap_submissions
+        assert not rnd.coordinator.nodes[0].holdings
+        assert not rnd.trap_submissions
 
         calls = []
         verify = client_module.verify_encryption

@@ -40,6 +40,12 @@ def test_resume_refuses_a_version_1_segment(tmp_path):
         RecoveryManager(_v1_state_dir(tmp_path))
 
 
+def test_cli_resume_refuses_a_version_1_segment(tmp_path, capsys):
+    argv = ["resume", "--state-dir", str(_v1_state_dir(tmp_path))]
+    assert main(argv) == 2
+    assert REFUSAL in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fleet", [False, True])
 def test_store_info_refuses_a_version_1_segment(tmp_path, capsys, fleet):
     root = tmp_path / "fleet-log" if fleet else tmp_path

@@ -12,6 +12,7 @@ from unittest import mock
 
 import pytest
 
+from repro.cli import main
 from repro.core import AtomDeployment, Client, DeploymentConfig
 from repro.crypto.groups import DeterministicRng, get_group
 from repro.net.envelopes import WireFormatError
@@ -315,3 +316,17 @@ def test_meta_not_matching_the_table_is_refused(tmp_path, mangle, why):
         _drive_round(_config(tmp_path), stop_after_layers=1)
     with pytest.raises(RecoveryError, match=f"META record unusable.*{why}"):
         RecoveryManager(tmp_path)
+
+
+def test_cli_resume_names_an_undecodable_layer_commit(tmp_path, capsys):
+    """A LAYER_COMMIT body that passes its CRC but not its table makes
+    ``repro resume`` exit 2 naming the record type, not a traceback."""
+    encode = ck.LAYER_COMMIT.encode
+
+    def encode_cut_short(commit, group=None):
+        return encode(commit, group)[:-1]
+
+    with mock.patch.object(ck.LAYER_COMMIT, "encode", encode_cut_short):
+        _drive_round(_config(tmp_path), stop_after_layers=1)
+    assert main(["resume", "--state-dir", str(tmp_path)]) == 2
+    assert "LAYER_COMMIT record unusable" in capsys.readouterr().err

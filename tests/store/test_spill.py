@@ -1,9 +1,11 @@
 """SpillableHoldings: bounded-memory intake container semantics."""
 
 import gc
+from pathlib import Path
 
 import pytest
 
+from repro.core import AtomDeployment, Client, DeploymentConfig
 from repro.core.batch import CiphertextBatch
 from repro.crypto.elgamal import AtomElGamal
 from repro.crypto.groups import DeterministicRng, get_group
@@ -119,3 +121,63 @@ class TestLifecycle:
         first.release()
         assert second.path.exists()
         assert len(second) == 4
+
+
+def _trap_intake(dep):
+    """A seeded, padded trap-round intake: 5 users over 2 groups."""
+    rng = DeterministicRng(b"one-copy")
+    rnd = dep.start_round(0, rng=rng)
+    client = Client(dep.group, rng)
+    for i in range(5):
+        dep.submit_trap(rnd, b"one-%d" % i, i % 2, client)
+    dep.pad_round(rnd, rng)
+    return rnd
+
+
+def _intake_config(**overrides):
+    return DeploymentConfig(
+        num_servers=6, num_groups=2, group_size=2, variant="trap",
+        iterations=2, message_size=8, crypto_group="TOY", **overrides,
+    )
+
+
+class TestIntakeKeepsOneCopy:
+    """An in-process round holds each accepted vector once: in its
+    entry node."""
+
+    def test_one_append_per_accepted_vector(self, monkeypatch):
+        appended = []
+        append = CiphertextBatch.append
+
+        def counted(self, vec):
+            appended.append(vec)
+            return append(self, vec)
+
+        monkeypatch.setattr(CiphertextBatch, "append", counted)
+        with AtomDeployment(_intake_config()) as dep:
+            rnd = _trap_intake(dep)
+            held = [
+                len(node.holdings) for node in rnd.coordinator.nodes.values()
+            ]
+        assert held == [6, 6]
+        assert len(appended) == sum(held)
+
+    def test_spilled_intake_has_one_container_per_group(self, monkeypatch):
+        tags = []
+        init = SpillableHoldings.__init__
+
+        def recorded(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            tags.append(self.tag)
+
+        monkeypatch.setattr(SpillableHoldings, "__init__", recorded)
+        with AtomDeployment(_intake_config(spill_threshold=2)) as dep:
+            rnd = _trap_intake(dep)
+            files = sorted(p.name for p in Path(dep.spill_dir()).iterdir())
+            spilled = [
+                node.holdings.spilled for node in rnd.coordinator.nodes.values()
+            ]
+        assert sorted(tags) == ["r0-g0", "r0-g1"]
+        assert spilled == [6, 6]
+        assert [name.rsplit("-", 1)[0] for name in files] == ["r0-g0", "r0-g1"]
+        assert not [name for name in files if name.startswith("mirror-r")]

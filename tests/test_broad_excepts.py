@@ -18,7 +18,6 @@ ALLOWED = {
     # the baseline drops malformed onions (noise from earlier hops)
     ("repro/baselines/vuvuzela.py", "VuvuzelaChain.run_round"): 1,
     # CLI boundaries: report and exit non-zero
-    ("repro/cli.py", "cmd_resume"): 1,
     ("repro/fleet/server.py", "FleetServer.serve_forever"): 1,
     # both clean up the failed layer and re-raise
     ("repro/net/coordinator.py", "Coordinator.run_layer"): 2,
@@ -60,7 +59,7 @@ def test_broad_except_sites_are_the_pinned_allowlist():
         if handler.type is not None and _catches(handler, "Exception")
     )
     assert dict(sites) == ALLOWED
-    assert sum(ALLOWED.values()) == 10
+    assert sum(ALLOWED.values()) == 9
 
 
 def test_no_bare_except_and_base_exception_reraises():
