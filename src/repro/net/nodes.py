@@ -7,7 +7,10 @@ the same for the trap variant's trustee group.  Nodes own the state
 the old :class:`~repro.core.protocol.AtomDeployment` kept per group in
 its ``Round`` — holdings, the duplicate-submission filter, trap
 commitments — and mutate it only through envelopes, so a node can sit
-behind any :class:`~repro.net.transport.Transport`.
+behind any :class:`~repro.net.transport.Transport`.  The exception is
+a fleet-homed group's coordinator-side shadow, which is never
+addressed: the coordinator feeds it (:meth:`ServerNode.admit`,
+:meth:`ServerNode.adopt`) what the remote node accepted and committed.
 
 Layer atomicity: a ``MIX`` request computes outgoing batches but
 does **not** advance holdings;
