@@ -7,8 +7,8 @@ servers." Paper anchors: 3.81 hr / 1.89 hr / 0.94 hr / 0.47 hr.
 
 Alongside the calibrated simulator sweep, ``test_fleet_scaling``
 measures the real thing at toy scale: the same seeded stream sharded
-over 1, 2 and 4 ``repro serve`` OS processes (``"fleet_scaling"`` in
-BENCH_fastexp.json).  The coordinator writes every process's MIX
+over 1, 2 and 4 ``repro serve`` OS processes (the ``"fleet_scaling"``
+bench record).  The coordinator writes every process's MIX
 requests before reading a reply, so the processes mix a layer at once
 — the paper's horizontal axis, minus 1000 machines.
 """

@@ -1,4 +1,4 @@
-"""Node-restore scaling (``"recovery_scaling"`` in BENCH_fastexp.json).
+"""Node-restore scaling (the ``"recovery_scaling"`` bench record).
 
 The point of checkpoint shipping: replacing a node by replaying its
 full journal is O(history) — the restore cost grows with every round

@@ -1,4 +1,4 @@
-"""Resilience-layer overhead (``"rpc_overhead"`` in BENCH_fastexp.json).
+"""Resilience-layer overhead (the ``"rpc_overhead"`` bench record).
 
 The ResilientTransport wrapper sits on every RPC of every round —
 stamping request IDs, picking per-kind deadlines, and (node-side)

@@ -11,7 +11,7 @@ The paper compares at fixed round sizes; ``test_scenario_table12``
 additionally re-runs the comparison at a *measured* workload — the
 message counts actually generated by the seeded
 black-friday-tamper-churn scenario — and records it as the
-``scenario_table12`` entry in BENCH_fastexp.json.
+``scenario_table12`` bench record.
 """
 
 import json

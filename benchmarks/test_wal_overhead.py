@@ -1,4 +1,4 @@
-"""Durable-store overhead (``"wal_overhead"`` in BENCH_fastexp.json).
+"""Durable-store overhead (the ``"wal_overhead"`` bench record).
 
 The write-ahead log rides inside the round's hot path (node-side
 intake journaling, per-layer commit + checkpoint records), so it must
