@@ -158,10 +158,10 @@ def _counting():
         yield counts
 
 
-def _shuffle_proof(backend, count, rounds):
+def _shuffle_proof(backend, count, rounds, rng=None):
     group = get_group(backend)
     scheme = AtomElGamal(group)
-    rng = DeterministicRng(b"budget-shuffle")
+    rng = rng or DeterministicRng(b"budget-shuffle")
     keys = scheme.keygen(rng)
     size = 2 * group.params.message_bytes
     inputs = [
@@ -173,6 +173,35 @@ def _shuffle_proof(backend, count, rounds):
         scheme, keys.public, inputs, outputs, perm, rands, rounds=rounds, rng=rng
     )
     return scheme, keys.public, inputs, outputs, proof
+
+
+#: sha256 over a seeded 6-round P-256 ``VectorShuffleProof`` (every
+#: round's intermediate, opened permutation and opened randomness, then
+#: the challenge bits) and the rng's counter after it, recorded at
+#: ba62ba4 (one ``shuffle_vectors`` call per cut-and-choose round)
+PINNED_PROOF = (
+    "ba53220091a3cabf31c76f9b15602fdd98884b971ea1802d9b50bdb92df2f164", 104
+)
+
+
+def _proof_digest(proof):
+    digest = hashlib.sha256()
+    for rnd in proof.rounds:
+        for vec in rnd.intermediate:
+            digest.update(vec.to_bytes())
+        for at in rnd.opened_perm:
+            digest.update(at.to_bytes(4, "big"))
+        for rands in rnd.opened_rands:
+            for rho in rands:
+                digest.update(rho.to_bytes(32, "big"))
+    digest.update(bytes(proof.challenge_bits))
+    return digest.hexdigest()
+
+
+def test_seeded_p256_shuffle_proof_is_pinned():
+    rng = DeterministicRng(b"vector-proof-pin")
+    *_, proof = _shuffle_proof("P256", 4, rounds=6, rng=rng)
+    assert (_proof_digest(proof), rng.counter) == PINNED_PROOF
 
 
 def test_p256_shuffle_verification_is_one_kernel_call():
