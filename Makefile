@@ -23,7 +23,8 @@ test:
 
 ## Benchmark smoke: regenerates BENCH_*.json at the repo root (the
 ## fast-exponentiation engine, the MODP2048-vs-P256 backend dimension,
-## and the batch+spill round's own peak RSS (VmHWM), growth bound and
+## the P-256 lockstep comb's crossover by chain count, and the
+## batch+spill round's own peak RSS (VmHWM), growth bound and
 ## throughput record); CI uploads the JSON as artifacts.  Benchmarks
 ## record into the untracked .bench_records.json; only the keys this
 ## run recorded are merged into the tracked BENCH_fastexp.json.

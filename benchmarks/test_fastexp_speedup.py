@@ -16,6 +16,10 @@ root so later scaling PRs can track the trajectory:
    P-256, not a 2048-bit MODP group.  The ``P256`` backend's 256-bit
    scalars must make the run-stream hot path — encrypt and
    re-encrypt — at least 4x faster than MODP2048 (in practice ~10-25x).
+
+3. **The lockstep comb's crossover**: the P-256 comb's per-exponentiation
+   time, lockstep against one Jacobian chain at a time, by chain count —
+   the evidence for ``ec.LOCKSTEP_MIN_CHAINS`` (recorded, not asserted).
 """
 
 import secrets
@@ -24,6 +28,7 @@ import time
 import pytest
 
 from conftest import print_table, record_bench
+from repro.crypto import ec
 from repro.crypto.elgamal import AtomCiphertext, AtomElGamal, ElGamalKeyPair
 from repro.crypto.fastexp import FixedBaseExp
 from repro.crypto.groups import DeterministicRng, GroupElement, get_group
@@ -31,8 +36,8 @@ from repro.crypto.shuffle_proof import _challenge_bits, prove_shuffle, verify_sh
 
 N_ELEMENTS = 12
 ROUNDS = 3
-
-
+#: chain counts per kernel call at which the two P-256 combs are timed
+LOCKSTEP_CHAINS = (4, 8, 12, 16, 24, 48, 96)
 
 
 def _seed_style_verify(group, public_key, inputs, outputs, proof):
@@ -197,6 +202,61 @@ def _time_primitive(fn, repeat: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+@pytest.mark.slow
+def test_lockstep_comb_crossover():
+    """Per-exponentiation time of ``ec._comb_lockstep`` and of the
+    Jacobian comb (one chain at a time, then one shared normalization)
+    over g's and a key's tables, as a rerandomization call mixes them,
+    at each of :data:`LOCKSTEP_CHAINS`.  Recorded in
+    ``BENCH_fastexp.json`` under ``"lockstep_comb"``; never asserted,
+    because tier-1 keeps no wall-clock asserts — only the points are
+    checked to agree."""
+    group = get_group("P256")
+    rng = DeterministicRng(b"bench-lockstep")
+    g_table = group.fixed_base(group.g)
+    key_table = group.fixed_base(group.g_pow(group.random_scalar(rng)))
+    by_chains = {}
+    for chains in LOCKSTEP_CHAINS:
+        tables = [g_table, key_table] * (chains // 2)
+        scalars = [group.random_scalar(rng) for _ in range(chains)]
+        accs = [group.random_element(rng)._jac() for _ in range(chains)]
+
+        def lockstep():
+            return ec._comb_lockstep(tables, scalars, accs)
+
+        def jacobian():
+            return ec._batch_to_affine(
+                [t.pow(s, acc) for t, s, acc in zip(tables, scalars, accs)]
+            )
+
+        assert lockstep() == jacobian()
+        lockstep_us = _time_primitive(lockstep, 7) / chains * 1e6
+        jacobian_us = _time_primitive(jacobian, 7) / chains * 1e6
+        by_chains[str(chains)] = {
+            "lockstep_us": round(lockstep_us, 1),
+            "jacobian_us": round(jacobian_us, 1),
+            "ratio": round(lockstep_us / jacobian_us, 2),
+        }
+
+    print_table(
+        f"P-256 comb per exponentiation (lockstep from "
+        f"{ec.LOCKSTEP_MIN_CHAINS} chains)",
+        ["chains", "lockstep (us)", "Jacobian (us)", "lockstep / Jacobian"],
+        [
+            (chains, row["lockstep_us"], row["jacobian_us"], row["ratio"])
+            for chains, row in by_chains.items()
+        ],
+    )
+    record_bench(
+        {
+            "lockstep_comb": {
+                "min_chains": ec.LOCKSTEP_MIN_CHAINS,
+                "per_exp_by_chains": by_chains,
+            }
+        }
+    )
 
 
 @pytest.mark.slow

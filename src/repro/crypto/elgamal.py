@@ -131,10 +131,21 @@ class AtomElGamal:
         through the group's batch kernels."""
         if any(ct.Y is not None for ct in ciphertexts):
             raise ValueError("Shuffle requires Y = ⊥")
-        group = self.group
-        Rs = group.pow_mul_many(group.g, randomness, [ct.R for ct in ciphertexts])
-        cs = group.pow_mul_many(public_key, randomness, [ct.c for ct in ciphertexts])
+        Rs, cs = self._pow_mul_pairs(
+            public_key, randomness,
+            [ct.R for ct in ciphertexts], [ct.c for ct in ciphertexts],
+        )
         return [AtomCiphertext(R, c) for R, c in zip(Rs, cs)]
+
+    def _pow_mul_pairs(self, public_key, randomness, Rs, cs):
+        """``([g^r * R], [X^r * c])`` as ONE kernel call over both
+        components, so a list of ``n`` ciphertexts is ``2n`` chains."""
+        group = self.group
+        n = len(Rs)
+        out = group.pow_mul_many(
+            [group.g] * n + [public_key] * n, list(randomness) * 2, Rs + cs
+        )
+        return out[:n], out[n:]
 
     def shuffle(
         self,
@@ -212,8 +223,7 @@ class AtomElGamal:
         if next_public_key is not None:
             if randomness is None:
                 randomness = [group.random_scalar(rng) for _ in ciphertexts]
-            Rs = group.pow_mul_many(group.g, randomness, Rs)
-            cs = group.pow_mul_many(next_public_key, randomness, cs)
+            Rs, cs = self._pow_mul_pairs(next_public_key, randomness, Rs, cs)
         return [AtomCiphertext(R, c, Y) for R, c, Y in zip(Rs, cs, Ys)]
 
     # -- Convenience for tests / apps --------------------------------------

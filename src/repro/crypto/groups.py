@@ -283,14 +283,16 @@ class GroupBackend:
     # whose results need a per-element normalization (an inversion per
     # curve point) overrides them to share it across the list.
 
-    def pow_mul_many(self, base, scalars, elements) -> list:
-        """``[base^s * el for s, el in zip(scalars, elements)]`` for a
-        hot ``base`` (the generator or a group public key) — the
-        rerandomization kernel."""
-        if base == self.g:
-            return [self.g_pow(s) * el for s, el in zip(scalars, elements)]
-        pow_cached = self.pow_cached
-        return [pow_cached(base, s) * el for s, el in zip(scalars, elements)]
+    def pow_mul_many(self, bases, scalars, elements) -> list:
+        """``[b^s * el for b, s, el in zip(bases, scalars, elements)]``
+        for hot bases (the generator and group public keys) — the
+        rerandomization kernel, one base per element so that both
+        components of a ciphertext list fit one call."""
+        g, g_pow, pow_cached = self.g, self.g_pow, self.pow_cached
+        return [
+            (g_pow(s) if b == g else pow_cached(b, s)) * el
+            for b, s, el in zip(bases, scalars, elements)
+        ]
 
     def div_pow_many(self, elements, bases, scalar: int) -> list:
         """``[el / b^scalar for el, b in zip(elements, bases)]`` for

@@ -134,18 +134,29 @@ def random_permutation(n: int, rng: Optional[DeterministicRng] = None) -> List[i
     return perm
 
 
-def shuffle_vectors(
-    scheme: AtomElGamal,
-    public_key: GroupElement,
+def _draw_shuffle(
+    group: Group,
     vectors: Sequence[CiphertextVector],
-    rng: Optional[DeterministicRng] = None,
-) -> Tuple[List[CiphertextVector], List[int], List[List[int]]]:
-    """Shuffle vectors as units: ``out[i] = Rerand(in[perm[i]], rands[i])``."""
+    rng: Optional[DeterministicRng],
+) -> Tuple[List[int], List[CiphertextVector], List[List[int]]]:
+    """A shuffle's witness, in draw order: the permutation, then one
+    scalar per part of every permuted vector; also the permuted
+    vectors."""
     perm = random_permutation(len(vectors), rng)
     sources = [vectors[i] for i in perm]
-    rands = [[scheme.group.random_scalar(rng) for _ in vec.parts] for vec in sources]
-    # One kernel call over every part of every vector, cut back to size.
-    shuffled = cut_like(
+    rands = [[group.random_scalar(rng) for _ in vec.parts] for vec in sources]
+    return perm, sources, rands
+
+
+def _rerandomize_all(
+    scheme: AtomElGamal,
+    public_key: GroupElement,
+    sources: Sequence[CiphertextVector],
+    rands: Sequence[Sequence[int]],
+) -> List[CiphertextVector]:
+    """``Rerand(sources[i], rands[i])`` for every vector as one kernel
+    call over all their parts, cut back to size."""
+    return cut_like(
         sources,
         scheme.rerandomize_many(
             public_key,
@@ -153,7 +164,17 @@ def shuffle_vectors(
             [r for vec_rands in rands for r in vec_rands],
         ),
     )
-    return shuffled, perm, rands
+
+
+def shuffle_vectors(
+    scheme: AtomElGamal,
+    public_key: GroupElement,
+    vectors: Sequence[CiphertextVector],
+    rng: Optional[DeterministicRng] = None,
+) -> Tuple[List[CiphertextVector], List[int], List[List[int]]]:
+    """Shuffle vectors as units: ``out[i] = Rerand(in[perm[i]], rands[i])``."""
+    perm, sources, rands = _draw_shuffle(scheme.group, vectors, rng)
+    return _rerandomize_all(scheme, public_key, sources, rands), perm, rands
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +240,22 @@ def prove_vector_shuffle(
     if len(outputs) != n or len(perm) != n or len(rands) != n:
         raise ValueError("vector shuffle witness does not match sizes")
 
-    intermediates: List[List[CiphertextVector]] = []
-    witnesses = []
-    for _ in range(rounds):
-        vecs, sigma_perm, tau = shuffle_vectors(scheme, public_key, inputs, rng)
-        intermediates.append(vecs)
-        witnesses.append((sigma_perm, tau))
+    # Every round's witness is drawn as a shuffle_vectors call would
+    # draw it; then ONE kernel call rerandomizes all rounds' parts.
+    draws = [_draw_shuffle(group, inputs, rng) for _ in range(rounds)]
+    flat = _rerandomize_all(
+        scheme, public_key,
+        [vec for _, sources, _ in draws for vec in sources],
+        [vec_rands for _, _, rands in draws for vec_rands in rands],
+    )
+    intermediates = [flat[k * n: (k + 1) * n] for k in range(rounds)]
 
     bits = _vector_challenge_bits(
         group, public_key, inputs, outputs, intermediates, rounds
     )
 
     proof_rounds: List[VectorShuffleRound] = []
-    for (sigma_perm, tau), intermediate, bit in zip(witnesses, intermediates, bits):
+    for (sigma_perm, _, tau), intermediate, bit in zip(draws, intermediates, bits):
         if bit == 0:
             opened_perm = list(sigma_perm)
             opened_rands = [tuple(t) for t in tau]

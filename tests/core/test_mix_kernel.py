@@ -141,9 +141,21 @@ class TestSchemeKernels:
 class TestCurveOpCounts:
     """Per ``mix_batch`` call on P-256: one square root per input point,
     and a number of field inversions that depends on the number of
-    chunks and server steps — never on the number of points."""
+    chunks and server steps — never on the number of points.
+
+    A kernel call of ``k`` chains (parts x (R, c)) below
+    ``ec.LOCKSTEP_MIN_CHAINS`` shares one inversion to normalize its
+    list; at or above it, the lockstep comb pays one inversion per
+    comb row and no normalization."""
 
     MEMBERS = 3
+    #: rows of a P-256 comb table (256 // 6 + 1)
+    ROWS = 43
+    #: inversions per member of one non-final layer, by vector count:
+    #: the shuffle's kernel call; then ReEnc's wNAF tables, c / Y^x and
+    #: its kernel call.  2 vectors are 8 chains, 16 and 32 are 64 and
+    #: 128: above the crossover, the count no longer moves with size.
+    INVERSES = {2: 1 + 2 + 1, 16: ROWS + 2 + ROWS, 32: ROWS + 2 + ROWS}
 
     def _count(self, monkeypatch, ctx, vectors, next_keys):
         batch = CiphertextBatch.from_vectors(ctx.group, vectors)
@@ -162,22 +174,23 @@ class TestCurveOpCounts:
             ctx.mix_batch(batch, next_keys, rng=DeterministicRng(b"counted"))
         return counts
 
-    @pytest.mark.parametrize("vectors", [2, 16])
+    @pytest.mark.parametrize("vectors", [2, 16, 32])
     def test_one_chunk_per_step(self, monkeypatch, vectors):
+        assert 2 * 2 * 2 < ec.LOCKSTEP_MIN_CHAINS <= 16 * 2 * 2
         ctx = _context("P256", members=self.MEMBERS)
         counts = self._count(
             monkeypatch, ctx, _inputs(ctx, vectors), _successor_keys(ctx, 1)
         )
         points_in = vectors * 2 * 2  # parts x (R, c)
         assert counts["sqrt"] == points_in
-        # shuffle: R's and c's; ReEnc: wNAF tables, c / Y^x, R's, c's
-        assert counts["inverse"] == self.MEMBERS * (2 + 4)
+        assert counts["inverse"] == self.MEMBERS * self.INVERSES[vectors]
 
     def test_final_layer_and_chunking(self, monkeypatch):
         monkeypatch.setattr(group_module, "MIX_CHUNK_PARTS", 8)
         ctx = _context("P256", members=self.MEMBERS)
         counts = self._count(monkeypatch, ctx, _inputs(ctx, 8), [None, None])
         assert counts["sqrt"] == 8 * 2 * 2
-        # 16 parts: 2 chunks per shuffle step; each successor range is a
-        # chunk of its own; the final layer adds no fixed-base work
-        assert counts["inverse"] == self.MEMBERS * (2 * 2 + 2 * 2)
+        # 16 parts: 2 chunks of 16 chains (lockstep) per shuffle step;
+        # each successor range is a chunk of its own, and the final
+        # layer adds no fixed-base work
+        assert counts["inverse"] == self.MEMBERS * (2 * self.ROWS + 2 * 2)

@@ -214,6 +214,27 @@ def test_p256_shuffle_verification_is_one_kernel_call():
     assert counts.table_builds == 0
 
 
+def test_p256_shuffle_proof_is_one_kernel_call():
+    # every round's intermediate comes out of one rerandomize_many
+    # call, wide enough for the lockstep comb
+    group = get_group("P256")
+    scheme = AtomElGamal(group)
+    rng = DeterministicRng(b"budget-prove")
+    pk = scheme.keygen(rng).public
+    inputs = [
+        encrypt_vector(scheme, pk, bytes([i + 1]) * 2 * group.params.message_bytes, rng)[0]
+        for i in range(4)
+    ]
+    outputs, perm, rands = shuffle_vectors(scheme, pk, inputs, rng)
+    with _counting() as counts:
+        proof = prove_vector_shuffle(
+            scheme, pk, inputs, outputs, perm, rands, rounds=6, rng=rng
+        )
+    assert counts.rerandomize_many == 1
+    assert (counts.multiexp, counts.variable_base) == (0, 0)
+    assert verify_vector_shuffle(scheme, pk, inputs, outputs, proof, rounds=6)
+
+
 def test_modp2048_shuffle_verification_is_at_most_two_multiexps():
     scheme, pk, inputs, outputs, proof = _shuffle_proof("MODP2048", 2, rounds=3)
     with _counting() as counts:

@@ -16,11 +16,13 @@ from repro.crypto.ec import (
     GX,
     GY,
     JAC_OPS,
+    LOCKSTEP_MIN_CHAINS,
     N,
     P,
     EcGroup,
     EcPoint,
     _batch_to_affine,
+    _comb_lockstep,
     _jdbl,
     _jmul,
     _jneg,
@@ -247,6 +249,98 @@ class TestVariableBase:
         assert (point.x, point.y) == (expected or (None, None))
 
 
+class TestLockstepComb:
+    """``_comb_lockstep`` equals the Jacobian comb followed by
+    ``_batch_to_affine``, point for point."""
+
+    #: a promoted group key: a table the group cache built, beside g's
+    KEY_COMB = GROUP.fixed_base(GROUP.g_pow(0xBADC0FFEE))
+    #: the identity's table: every row is infinite, so nothing is added
+    INF_COMB = FixedBaseComb(JAC_OPS, N, _INF)
+
+    @staticmethod
+    def _jacobian(tables, scalars_, accs):
+        return _batch_to_affine(
+            [table.pow(s, acc) for table, s, acc in zip(tables, scalars_, accs)]
+        )
+
+    def _check(self, tables, scalars_, accs):
+        got = _comb_lockstep(tables, scalars_, accs)
+        assert got == self._jacobian(tables, scalars_, accs)
+        return got
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["g", "key", "inf"]),
+                scalars,
+                st.one_of(st.none(), st.integers(1, N - 1)),
+            ),
+            min_size=1,
+            max_size=2 * LOCKSTEP_MIN_CHAINS,
+        )
+    )
+    @kernel_settings
+    def test_matches_the_jacobian_comb(self, chains):
+        by_name = {"g": _G_COMB, "key": self.KEY_COMB, "inf": self.INF_COMB}
+        self._check(
+            [by_name[name] for name, _, _ in chains],
+            [k for _, k, _ in chains],
+            [_INF if a is None else GROUP.g_pow(a)._jac() for _, _, a in chains],
+        )
+
+    def test_identity_base_and_identity_accumulators(self):
+        accs = [GROUP.g_pow(5)._jac(), _INF, _QJ]
+        assert self._check([self.INF_COMB] * 3, [7, 7, N - 1], accs) == accs
+        got = self._check([_G_COMB, self.KEY_COMB], [3, 3], [_INF, _INF])
+        assert got[0] == GROUP.g_pow(3)._jac()
+
+    def test_edge_scalars_on_both_tables_in_one_call(self):
+        edge = [0, 1, N - 1, N, 2 ** 256 - 1]
+        tables = [_G_COMB] * len(edge) + [self.KEY_COMB] * len(edge)
+        accs = [_INF, _QJ] * len(edge)
+        got = self._check(tables, edge * 2, accs)
+        for k, acc, pt in zip(edge, accs, got):  # the chains on g
+            expected = _ref_add(_to_affine(acc), _ref_mult(k % N))
+            assert _to_affine(pt) == expected
+
+    @pytest.mark.parametrize("block", [0, 1, 41])
+    def test_accumulator_equal_to_plus_or_minus_the_entry(self, block):
+        # Each chain's first addition meets acc == +entry (a doubling)
+        # or acc == -entry (a cancellation to the identity), among
+        # ordinary additions sharing the row's inversion.
+        tables, scalars_, accs = [], [], []
+        for digit in (1, 31, 32, 33, 63):
+            signed = digit if digit <= 32 else digit - 64
+            entry = _G_COMB._table[block][abs(signed)]
+            if signed < 0:
+                entry = _jneg(entry)
+            for acc in (entry, _jneg(entry), _QJ):
+                tables.append(_G_COMB)
+                scalars_.append(digit << (6 * block))
+                accs.append(acc)
+        got = self._check(tables, scalars_, accs)
+        assert _INF in got
+
+    @pytest.mark.parametrize(
+        "chains", [1, LOCKSTEP_MIN_CHAINS - 1, LOCKSTEP_MIN_CHAINS, 96]
+    )
+    def test_chain_counts(self, chains):
+        rng = DeterministicRng(b"lockstep-%d" % chains)
+        tables = [_G_COMB if i % 2 else self.KEY_COMB for i in range(chains)]
+        scalars_ = [GROUP.random_scalar(rng) for _ in range(chains)]
+        accs = [GROUP.random_element(rng)._jac() for _ in range(chains)]
+        self._check(tables, scalars_, accs)
+
+    def test_empty_call(self):
+        assert _comb_lockstep([], [], []) == []
+
+    def test_tables_of_different_windows_are_refused(self):
+        narrow = FixedBaseComb(JAC_OPS, N, _QJ, window=4)
+        with pytest.raises(ValueError, match="window"):
+            _comb_lockstep([_G_COMB, narrow], [1, 2], [_INF, _INF])
+
+
 class TestBatchKernels:
     """``EcGroup.pow_mul_many`` / ``div_pow_many`` equal the generic
     per-element defaults they override."""
@@ -256,24 +350,33 @@ class TestBatchKernels:
         return [GROUP.random_element(rng) for _ in range(4)] + [GROUP.identity]
 
     def test_pow_mul_many(self):
-        rng = DeterministicRng(b"ec-pow-mul")
-        elements = self._elements(b"ec-pow-mul-el")
-        scalars_ = [0, N - 1] + [GROUP.random_scalar(rng) for _ in range(3)]
-        for base in (GROUP.g, GROUP.random_element(rng)):
-            got = GROUP.pow_mul_many(base, scalars_, elements)
-            assert got == [base ** s * el for s, el in zip(scalars_, elements)]
+        # One call mixes g, a key with a table, and a base used twice
+        # (below the promotion count: per-element), on both sides of
+        # the lockstep crossover.
+        for count in (5, LOCKSTEP_MIN_CHAINS + 3):
+            fresh = EcGroup()
+            rng = DeterministicRng(b"ec-pow-mul")
+            key, cold = fresh.g ** 11, fresh.g ** 13
+            fresh.fixed_base(key)
+            elements = (self._elements(b"ec-pow-mul-el") * count)[:count]
+            scalars_ = [0, N - 1] + [fresh.random_scalar(rng) for _ in range(count - 2)]
+            bases = [fresh.g if i % 2 else key for i in range(count)]
+            bases[2] = bases[3] = cold
+            got = fresh.pow_mul_many(bases, scalars_, elements)
+            assert cold.value not in fresh._fixed_cache
+            assert got == [b ** s * el for b, s, el in zip(bases, scalars_, elements)]
 
     def test_pow_mul_many_promotes_like_pow_cached(self):
         fresh = EcGroup()
         base = fresh.g ** 7
         few = [3, 4]
-        assert fresh.pow_mul_many(base, few, [fresh.g, fresh.g]) == [
+        assert fresh.pow_mul_many([base] * 2, few, [fresh.g, fresh.g]) == [
             base ** 3 * fresh.g, base ** 4 * fresh.g
         ]
         assert base.value not in fresh._fixed_cache  # 2 uses: counted, not built
-        fresh.pow_mul_many(base, [5, 6, 7], [fresh.g] * 3)
+        fresh.pow_mul_many([base] * 3, [5, 6, 7], [fresh.g] * 3)
         assert base.value in fresh._fixed_cache
-        fresh.pow_mul_many(fresh.g, [1], [fresh.identity])
+        fresh.pow_mul_many([fresh.g], [1], [fresh.identity])
         assert fresh.g.value in fresh._fixed_cache  # g: always
 
     def test_div_pow_many(self):
