@@ -62,9 +62,17 @@ net-smoke:
 
 ## Durability end to end: run a 3-round MODP2048 stream with a state
 ## dir, SIGKILL it mid-round-2, resume from the write-ahead log, and
-## require the final StreamReport to be fully ok.
+## require the final StreamReport to be fully ok.  Then a durable
+## `round` on P-256 (a one-round stream journal) must leave a state dir
+## that `resume` finds cleanly shut down.
 persist-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/persist_smoke.py
+	d=$$(mktemp -d); \
+	PYTHONPATH=src $(PYTHON) -m repro.cli round --group p256 --users 4 \
+		--iterations 2 --seed smoke --state-dir $$d \
+	&& PYTHONPATH=src $(PYTHON) -m repro.cli resume --state-dir $$d \
+		| grep "nothing to resume"; \
+	status=$$?; rm -rf $$d; exit $$status
 
 ## Resilience end to end: a 3-round TCP stream under a chaos plan
 ## (drop 2%, delay 20 ms on 10%, dup 1%) plus one undeclared server

@@ -24,12 +24,12 @@ def main() -> None:
                 "dialing_share": 1.0,  # every arrival is a call
             },
             "deployment": {
-                "groups": 2,
+                "num_groups": 2,
                 "group_size": 3,
                 "variant": "trap",
                 "iterations": 3,
                 "message_size": 96,
-                "group": "TEST",
+                "crypto_group": "TEST",
             },
             "dialing": {"mailboxes": 4},
         }

@@ -20,12 +20,12 @@ def main() -> None:
             "seed": "example",
             "traffic": {"model": "constant", "users": 6, "rate": 4.0},
             "deployment": {
-                "groups": 2,
+                "num_groups": 2,
                 "group_size": 3,
                 "variant": "trap",
                 "iterations": 3,
                 "message_size": 40,
-                "group": "TEST",
+                "crypto_group": "TEST",
             },
         }
     )

@@ -4,10 +4,10 @@
 Builds a small deployment (2 anytrust groups of 3 servers, square
 topology, trap variant — the configuration the paper evaluates), routes
 eight messages through T mixing iterations, and prints the anonymized
-output.  A second act kills a durable round after its first layer
-commit and resumes it from the sharded write-ahead log — showing the
-segmented layout rotating and compacting so disk stays bounded.  A
-third act runs a round under a chaotic network (dropped and delayed
+output.  A second act kills a durable one-round stream after its
+first layer commit and resumes it from the sharded write-ahead log —
+showing the segmented layout rotating and compacting so disk stays
+bounded.  A third act runs a round under a chaotic network (dropped and delayed
 RPCs) and shows the resilience layer keeping the output identical.
 
 Run:  python examples/quickstart.py
@@ -65,18 +65,23 @@ def kill_and_resume() -> None:
     mixing layer lands in a write-ahead log — sharded across rotating
     segment files (``wal-<seq>.seg`` + an atomic ``wal.manifest``), so
     a long-lived journal stays bounded instead of growing forever.  We
-    run a seeded round with a deliberately tiny rotation threshold,
-    'kill' it right after layer 1 commits (abandon the process state —
-    the log keeps only what was journaled), then let
-    :class:`~repro.store.recovery.RecoveryManager` rebuild the
+    run a seeded one-round stream (what ``repro round --state-dir``
+    runs) with a deliberately tiny rotation threshold, 'kill' it right
+    after layer 1 commits (the log keeps only what was journaled), then
+    let :class:`~repro.store.recovery.RecoveryManager` rebuild the
     deployment and re-enter mixing at the committed layer.  The resumed
-    output is byte-identical to what the uninterrupted round would
-    have delivered — and a safe-point compaction afterwards shrinks
-    the settled history down to O(state).
+    round delivers what the uninterrupted round would have — and a
+    safe-point compaction afterwards shrinks the settled history down
+    to O(state).
     """
+    from repro.core import StreamConfig, StreamEngine
     from repro.store.compact import compact_state_dir
     from repro.store.recovery import RecoveryManager
     from repro.store.segments import LogDir
+    from repro.store.store import DurableStore
+
+    class Killed(Exception):
+        """Stands in for kill -9 right after a layer commit."""
 
     state_dir = tempfile.mkdtemp(prefix="atom-quickstart-")
     config = DeploymentConfig(
@@ -86,17 +91,27 @@ def kill_and_resume() -> None:
         wal_segment_records=8,   # rotate every 8 records (default: 8 MiB)
     )
     print("\n--- kill and resume ---")
-    deployment = AtomDeployment(config)
-    rng = DeterministicRng(b"quickstart-setup")
-    rnd = deployment.start_round(round_id=0, rng=rng)
-    client = Client(deployment.group, rng)
     messages = [f"durable message #{i}".encode() for i in range(8)]
-    for index, message in enumerate(messages):
-        deployment.submit_trap(rnd, message, entry_gid=index % 2, client=client)
+    engine = StreamEngine(
+        config,
+        stream=StreamConfig(rounds=1, users_per_round=len(messages),
+                            seed=b"quickstart"),
+        message_fn=lambda r, i: messages[i],
+    )
+    commit = DurableStore.layer_commit
 
-    run = deployment.begin_mixing(rnd, DeterministicRng(b"quickstart-mix"))
-    run.run_layer()
-    deployment.close()  # simulated crash: no clean-shutdown marker
+    def kill_after_layer_1(store, round_id, layer, *rest):
+        commit(store, round_id, layer, *rest)
+        if layer == 1:
+            raise Killed
+
+    DurableStore.layer_commit = kill_after_layer_1
+    try:
+        engine.run()
+    except Killed:
+        pass  # no clean-shutdown marker: the state dir is resumable
+    finally:
+        DurableStore.layer_commit = commit
     scan = LogDir.scan_dir(state_dir)
     print(f"crashed after 1/{config.iterations} layer commits; "
           f"state dir: {state_dir}")
@@ -105,15 +120,16 @@ def kill_and_resume() -> None:
 
     manager = RecoveryManager(state_dir)
     print(f"recovery sees: {manager.describe()}")
-    result = manager.complete_round()
+    (stats,) = manager.resume_stream().rounds
 
-    print(f"resumed round {'SUCCEEDED' if result.ok else 'ABORTED'}; "
-          f"traps checked: {result.num_traps_checked}")
-    assert sorted(result.messages) == sorted(messages), "messages lost!"
+    print(f"resumed round {'SUCCEEDED' if stats.ok else 'ABORTED'}; "
+          f"{len(stats.messages)} messages delivered")
+    assert sorted(stats.messages) == sorted(messages), "messages lost!"
 
-    stats = compact_state_dir(state_dir)
-    print(f"compaction: dropped {stats.dropped}/{stats.examined} settled "
-          f"records, {stats.bytes_before:,} -> {stats.bytes_after:,} bytes")
+    compaction = compact_state_dir(state_dir)
+    print(f"compaction: dropped {compaction.dropped}/{compaction.examined} "
+          f"settled records, {compaction.bytes_before:,} -> "
+          f"{compaction.bytes_after:,} bytes")
     print("all messages survived the crash — durability holds, "
           "disk stays bounded")
     shutil.rmtree(state_dir)

@@ -7,12 +7,11 @@
   privacy dummy traffic.
 """
 
-from repro.apps.microblog import BulletinBoard, MicroblogService
+from repro.apps.microblog import BulletinBoard
 from repro.apps.dialing import DialingService, Mailbox, DialRequest
 
 __all__ = [
     "BulletinBoard",
-    "MicroblogService",
     "DialingService",
     "Mailbox",
     "DialRequest",

@@ -19,17 +19,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.core import AtomDeployment, DeploymentConfig
-from repro.core.protocol import RoundResult
 from repro.crypto.aead import aead_decrypt, aead_encrypt
 from repro.crypto.elgamal import AtomElGamal, ElGamalKeyPair
 from repro.crypto.groups import DeterministicRng, GroupBackend as Group
-from repro.crypto.kem import Cca2Ciphertext, _kdf
-
-#: The paper's smallest dialing message (§5): "as small as 80 bytes".
-DIAL_MESSAGE_BYTES = 80
+from repro.crypto.kem import _kdf
 
 
 @dataclass(frozen=True)
@@ -88,9 +83,8 @@ def fill_mailboxes(messages: Sequence[bytes], num_mailboxes: int) -> List[Mailbo
     """Exit-side mailbox placement: each anonymized output that parses
     as a :class:`DialRequest` lands in mailbox ``recipient_id mod m``.
 
-    Shared by :meth:`DialingService.run_round` and the scenario
-    runner, which delivers a mixed stream's dialing share through the
-    same code path."""
+    The scenario runner delivers a mixed stream's dialing share
+    through it."""
     boxes = [Mailbox(i) for i in range(num_mailboxes)]
     for message in messages:
         try:
@@ -112,21 +106,19 @@ def laplace_noise_count(mu: float, scale: float, rng: DeterministicRng) -> int:
 
 
 class DialingService:
-    """Dialing over an Atom deployment with mailboxes and dummies."""
+    """Dialing's two ends: callers build requests (plus the anytrust
+    group's dummies), recipients read their mailbox.  The round in
+    between is a stream's; fill :attr:`mailboxes` from its delivered
+    messages with :func:`fill_mailboxes`."""
 
     def __init__(
         self,
-        deployment: Optional[AtomDeployment] = None,
-        config: Optional[DeploymentConfig] = None,
+        group: Group,
         num_mailboxes: int = 8,
         dummy_mu: float = 0.0,
         dummy_scale: float = 1.0,
     ):
-        if deployment is None:
-            config = config or DeploymentConfig(message_size=DIAL_MESSAGE_BYTES)
-            deployment = AtomDeployment(config)
-        self.deployment = deployment
-        self.group = deployment.group
+        self.group = group
         self.num_mailboxes = num_mailboxes
         self.dummy_mu = dummy_mu
         self.dummy_scale = dummy_scale
@@ -158,35 +150,6 @@ class DialingService:
                     DialRequest(recipient_id=mailbox, sealed=b"\x00" + filler)
                 )
         return dummies
-
-    # -- round -----------------------------------------------------------------
-
-    def run_round(self, round_id: int, requests: Sequence[DialRequest]) -> RoundResult:
-        """Route dialing messages (plus dummies) and fill mailboxes."""
-        all_requests = list(requests) + self.dummy_requests(round_id)
-        unit = self.deployment.required_user_multiple()
-        while len(all_requests) % unit:
-            # pad to an even entry split with extra dummies
-            rng = DeterministicRng(b"pad|%d|%d" % (round_id, len(all_requests)))
-            all_requests.append(
-                DialRequest(recipient_id=0, sealed=b"\x00" + rng.randbytes(40))
-            )
-
-        rnd = self.deployment.start_round(round_id)
-        groups = self.deployment.config.num_groups
-        for index, request in enumerate(all_requests):
-            payload = request.to_bytes()
-            gid = index % groups
-            if self.deployment.config.variant == "trap":
-                self.deployment.submit_trap(rnd, payload, gid)
-            else:
-                self.deployment.submit_plain(rnd, payload, gid)
-        result = self.deployment.run_round(rnd)
-        if result.ok:
-            self.mailboxes[round_id] = fill_mailboxes(
-                result.messages, self.num_mailboxes
-            )
-        return result
 
     # -- recipient side -------------------------------------------------------------
 

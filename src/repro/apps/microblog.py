@@ -2,24 +2,24 @@
 
 Users broadcast fixed-size short messages (the paper evaluates 160-byte
 "tweets"); the exit servers publish the anonymized plaintexts to a
-public bulletin board that anyone can read.
+public bulletin board that anyone can read.  The rounds themselves are
+a stream's (:class:`~repro.scenarios.runner.ScenarioRunner` drives the
+app over :class:`~repro.core.pipeline.StreamEngine`); this module holds
+the client check and the board.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
-
-from repro.core import AtomDeployment, DeploymentConfig
-from repro.core.protocol import RoundResult
+from typing import List, Sequence
 
 #: The paper's microblogging message size (§5).
 TWEET_BYTES = 160
 
 
 def check_post(post: bytes, limit: int) -> bytes:
-    """Client-side size validation shared by the service and the
-    scenario runner's workload builder."""
+    """Client-side size validation (the scenario runner's workload
+    builder checks every post with it)."""
     if len(post) > limit:
         raise ValueError(
             f"post of {len(post)} bytes exceeds the {limit}-byte limit"
@@ -41,38 +41,3 @@ class BulletinBoard:
 
     def all_posts(self) -> List[bytes]:
         return [m for msgs in self.posts_by_round.values() for m in msgs]
-
-
-class MicroblogService:
-    """Glue between an Atom deployment and a bulletin board."""
-
-    def __init__(
-        self,
-        deployment: Optional[AtomDeployment] = None,
-        config: Optional[DeploymentConfig] = None,
-    ):
-        if deployment is None:
-            deployment = AtomDeployment(config or DeploymentConfig())
-        self.deployment = deployment
-        self.board = BulletinBoard()
-
-    def run_round(self, round_id: int, posts: Sequence[bytes]) -> RoundResult:
-        """Route one round of posts and publish the outputs.
-
-        Posts are distributed round-robin over entry groups (the
-        paper's untrusted load balancer); counts must divide evenly.
-        """
-        for post in posts:
-            check_post(post, self.deployment.config.message_size)
-        rnd = self.deployment.start_round(round_id)
-        groups = self.deployment.config.num_groups
-        for index, post in enumerate(posts):
-            gid = index % groups
-            if self.deployment.config.variant == "trap":
-                self.deployment.submit_trap(rnd, post, gid)
-            else:
-                self.deployment.submit_plain(rnd, post, gid)
-        result = self.deployment.run_round(rnd)
-        if result.ok:
-            self.board.publish(round_id, result.messages)
-        return result

@@ -41,56 +41,44 @@ def _deployment_config(args: argparse.Namespace, **extra):
 
 
 def cmd_round(args: argparse.Namespace) -> int:
-    """Run a real protocol round over the selected transport."""
-    from repro.core import AtomDeployment
-    from repro.crypto.groups import DeterministicRng
-    from repro.net.chaos import NetFaultPlanError
+    """Run one protocol round: a one-round stream over the selected
+    transport."""
+    from repro.core import StreamConfig, StreamEngine
 
-    try:
-        config = _deployment_config(args)
-    except (NetFaultPlanError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     seed = args.seed
-    if seed is None and args.state_dir:
+    if seed is None:
         # Recovery replays the round's rng draws instead of storing
-        # secret keys, so a durable round must be seeded; generate one
-        # (it lands in the write-ahead log's rng marks).
+        # secret keys, so every round is seeded; generate one (it lands
+        # in the write-ahead log's rng marks under --state-dir).
         import secrets as _secrets
 
         seed = _secrets.token_hex(8)
-        print(f"(--state-dir without --seed: using generated seed {seed})")
-    setup_rng = DeterministicRng(seed.encode()) if seed else None
-    mix_rng = DeterministicRng(seed.encode() + b"/mix") if seed else None
-    with AtomDeployment(config) as deployment:
-        rnd = deployment.start_round(0, rng=setup_rng)
-        unit = deployment.required_user_multiple()
-        users = -(-args.users // unit) * unit
-        if users != args.users:
-            print(f"(padding {args.users} -> {users} users for even batches)")
-        for i in range(users):
-            message = f"user {i} says hi".encode()[: args.message_size]
-            if args.variant == "trap":
-                deployment.submit_trap(rnd, message, entry_gid=i % args.groups)
-            else:
-                deployment.submit_plain(rnd, message, entry_gid=i % args.groups)
-        result = deployment.run_round(rnd, mix_rng)
-    print(f"round: {'ok' if result.ok else 'ABORTED: ' + result.abort_reason} "
-          f"({args.transport} transport) "
-          f"payload={deployment.spec.payload_size}B x "
-          f"{deployment.spec.elements_per_message} elements")
-    _print_round_result(result)
-    return 0 if result.ok else 1
-
-
-def _print_round_result(result) -> None:
-    """Shared tail of `round` and `resume` output."""
-    print(f"messages out: {len(result.messages)}, "
-          f"bytes moved: {result.bytes_sent_total:,}")
-    for message in result.messages[:10]:
+        print(f"(no --seed: using generated seed {seed})")
+    try:
+        engine = StreamEngine(
+            _deployment_config(args),
+            stream=StreamConfig(
+                rounds=1, users_per_round=args.users, seed=seed.encode()
+            ),
+            message_fn=lambda r, i: (
+                f"user {i} says hi".encode()[: args.message_size]
+            ),
+        )
+    except ValueError as exc:  # bad knob values, --net-faults grammar
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    with engine:
+        (stats,) = engine.run().rounds
+    spec = engine.deployment.spec
+    status = "ok" if stats.ok else "ABORTED: " + stats.abort_reasons[-1]
+    print(f"round: {status} ({args.transport} transport) "
+          f"payload={spec.payload_size}B x {spec.elements_per_message} elements")
+    print(f"messages out: {len(stats.messages)}")
+    for message in stats.messages[:10]:
         print(" ", message)
-    if len(result.messages) > 10:
-        print(f"  ... and {len(result.messages) - 10} more")
+    if len(stats.messages) > 10:
+        print(f"  ... and {len(stats.messages) - 10} more")
+    return 0 if stats.ok else 1
 
 
 #: demo schedule exercising the full robustness surface: a
@@ -170,27 +158,12 @@ def cmd_resume(args: argparse.Namespace) -> int:
         print("nothing to resume (clean shutdown marker present)")
         return 0
     try:
-        if manager.is_stream:
-            report = manager.resume_stream()
-            print(report.format_table())
-            return 0 if report.ok else 1
-        finished = manager.finalize_round()
-        if finished is not None:
-            round_id, ok = finished
-            print(
-                f"round {round_id} already ran its exit protocol "
-                f"({'ok' if ok else 'aborted'}); clean marker written"
-            )
-            return 0 if ok else 1
-        result = manager.complete_round()
+        report = manager.resume_stream()
     except RecoveryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(
-        f"resumed round: {'ok' if result.ok else 'ABORTED: ' + result.abort_reason}"
-    )
-    _print_round_result(result)
-    return 0 if result.ok else 1
+    print(report.format_table())
+    return 0 if report.ok else 1
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -328,9 +301,9 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         return 0
     overrides = {
         key: getattr(args, key)
-        for key in ("transport", "state_dir", "group", "spill_threshold",
-                    "wal_segment_bytes", "wal_segment_records",
-                    "wal_retain_segments")
+        for key in ("transport", "state_dir", "crypto_group",
+                    "spill_threshold", "wal_segment_bytes",
+                    "wal_segment_records", "wal_retain_segments")
         if getattr(args, key) is not None
     }
     try:
@@ -452,8 +425,8 @@ _STATE_DIR_HELP = (
 )
 _SEED_HELP = (
     "deterministic rng seed (required for crash recovery; `round` "
-    "generates one when --state-dir is set, `run-stream` falls back "
-    "to its demo seed)"
+    "generates one when omitted, `run-stream` falls back to its demo "
+    "seed)"
 )
 
 
@@ -586,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_resume = sub.add_parser(
         "resume",
-        help="continue an interrupted round or stream from its state dir",
+        help="continue an interrupted stream from its state dir",
     )
     p_resume.add_argument("--state-dir", required=True, help=_STATE_DIR_HELP)
     p_resume.set_defaults(func=cmd_resume)
@@ -679,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the spec's transport",
     )
     p_scn.add_argument(
-        "--group", "--crypto-group", dest="group", type=str.upper,
+        "--group", "--crypto-group", dest="crypto_group", type=str.upper,
         choices=available_groups(), default=None,
         help="override the spec's group backend",
     )

@@ -45,9 +45,10 @@ def is_trap_catch(reason: str) -> bool:
 class ScenarioRunner:
     """One scenario run: build the workload, drive the stream, account.
 
-    ``overrides`` take the spec's deployment spelling (``transport``,
-    ``state_dir``, ``group``, ...) — the CLI forwards its flags here so
-    a bundled scenario can be replayed over tcp or a fleet unchanged.
+    ``overrides`` are DeploymentConfig fields (``transport``,
+    ``state_dir``, ``crypto_group``, ...) — the CLI forwards its flags
+    here so a bundled scenario can be replayed over tcp or a fleet
+    unchanged.
     """
 
     def __init__(

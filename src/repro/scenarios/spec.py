@@ -19,10 +19,12 @@ error.  A scenario file is the JSON form of :meth:`describe`::
       "traffic": {"model": "bursty", "base": 4, "spike": 12, ...},
       "faults": "r2:tamper-group:1:0:replace_one",
       "net_faults": "",
-      "deployment": {"groups": 2, "group_size": 3, "variant": "trap",
-                      "message_size": 96, "group": "TOY"},
-      "dialing": {"mailboxes": 4, "dummy_mu": 0.0, "dummy_scale": 1.0}
+      "deployment": {"num_groups": 2, "group_size": 3, "variant": "trap",
+                      "message_size": 96, "crypto_group": "TOY"},
+      "dialing": {"mailboxes": 4}
     }
+
+The deployment section spells :class:`DeploymentConfig` field names.
 """
 
 from __future__ import annotations
@@ -40,29 +42,33 @@ class ScenarioError(ValueError):
     """A scenario spec could not be parsed or validated."""
 
 
-#: spec key -> DeploymentConfig field for the deployment section
-#: (the scenario grammar says "groups"/"group" like the CLI flags do)
+#: the DeploymentConfig fields a deployment section may set
 _DEPLOY_FIELDS = {
-    "groups": "num_groups",
-    "group_size": "group_size",
-    "variant": "variant",
-    "mode": "mode",
-    "h": "h",
-    "iterations": "iterations",
-    "message_size": "message_size",
-    "group": "crypto_group",
-    "transport": "transport",
-    "fleet_plan": "fleet_plan",
-    "spill_threshold": "spill_threshold",
-    "heartbeat": "heartbeat",
-    "rpc_timeout": "rpc_timeout",
-    "state_dir": "state_dir",
-    "wal_segment_bytes": "wal_segment_bytes",
-    "wal_segment_records": "wal_segment_records",
-    "wal_retain_segments": "wal_retain_segments",
+    "num_groups", "group_size", "variant", "mode", "h", "iterations",
+    "message_size", "crypto_group", "transport", "fleet_plan",
+    "spill_threshold", "heartbeat", "rpc_timeout", "state_dir",
+    "wal_segment_bytes", "wal_segment_records", "wal_retain_segments",
 }
+#: retired spellings -> the field to use instead
+_RENAMED = {"groups": "num_groups", "group": "crypto_group"}
 
-_DIALING_DEFAULTS = {"mailboxes": 8, "dummy_mu": 0.0, "dummy_scale": 1.0}
+_DIALING_DEFAULTS = {"mailboxes": 8}
+
+
+def _check_deploy_keys(keys, what: str) -> None:
+    for key in sorted(keys):
+        if key in _RENAMED:
+            raise ScenarioError(
+                f"deployment key {key!r} is spelled {_RENAMED[key]!r} "
+                f"(the DeploymentConfig field name)"
+            )
+    unknown = set(keys) - _DEPLOY_FIELDS
+    if unknown:
+        raise ScenarioError(
+            f"unknown {what} {sorted(unknown)} "
+            f"(allowed: {sorted(_DEPLOY_FIELDS)})"
+        )
+
 
 _TOP_KEYS = {
     "name", "description", "rounds", "seed", "traffic", "faults",
@@ -84,9 +90,9 @@ class ScenarioSpec:
     faults: str = ""
     #: NetFaultPlan grammar ("" = calm network)
     net_faults: str = ""
-    #: deployment knobs, spec spelling (see _DEPLOY_FIELDS)
+    #: DeploymentConfig fields (see _DEPLOY_FIELDS)
     deployment: Dict[str, object] = field(default_factory=dict)
-    #: dialing-application knobs (mailbox count, DP dummy noise)
+    #: dialing-application knobs (mailbox count)
     dialing: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -94,12 +100,7 @@ class ScenarioSpec:
             raise ScenarioError("a scenario needs a name")
         if self.rounds < 1:
             raise ScenarioError("rounds must be >= 1")
-        unknown = set(self.deployment) - set(_DEPLOY_FIELDS)
-        if unknown:
-            raise ScenarioError(
-                f"unknown deployment keys {sorted(unknown)} "
-                f"(allowed: {sorted(_DEPLOY_FIELDS)})"
-            )
+        _check_deploy_keys(self.deployment, "deployment keys")
         unknown = set(self.dialing) - set(_DIALING_DEFAULTS)
         if unknown:
             raise ScenarioError(
@@ -131,19 +132,16 @@ class ScenarioSpec:
     def deployment_config(self, **overrides):
         """Build the :class:`DeploymentConfig` this scenario runs on.
 
-        ``overrides`` use the spec spelling (``groups``, ``group``,
-        ``transport``, ...) and win over the file's deployment section —
-        the CLI passes ``--transport``/``--state-dir`` through here.
+        ``overrides`` are DeploymentConfig fields (``transport``,
+        ``crypto_group``, ...) and win over the file's deployment
+        section — the CLI passes ``--transport``/``--state-dir`` through
+        here.
         """
         from repro.core.protocol import DeploymentConfig
 
-        spec = dict(self.deployment)
-        for key, value in overrides.items():
-            if key not in _DEPLOY_FIELDS:
-                raise ScenarioError(f"unknown deployment override {key!r}")
-            if value is not None:
-                spec[key] = value
-        fields = {_DEPLOY_FIELDS[k]: v for k, v in spec.items()}
+        _check_deploy_keys(overrides, "deployment overrides")
+        fields = dict(self.deployment)
+        fields.update((k, v) for k, v in overrides.items() if v is not None)
         groups = fields.setdefault("num_groups", 2)
         group_size = fields.setdefault("group_size", 3)
         fields["num_servers"] = max(groups * group_size, 2 * group_size)

@@ -21,8 +21,8 @@ servers can *rejoin*; this package makes the reproduction restartable:
 - :mod:`repro.store.store` — the :class:`Store` interface the protocol
   journals through (no-op by default; :class:`DurableStore` when a
   deployment has a ``state_dir``).
-- :mod:`repro.store.recovery` — :class:`RecoveryManager`: rebuilds a
-  deployment/round/stream from the log and re-enters the coordinator's
+- :mod:`repro.store.recovery` — :class:`RecoveryManager`: rebuilds an
+  interrupted stream from the log and re-enters the coordinator's
   two-phase layer protocol at the exact committed layer.
 
 Import :class:`~repro.store.recovery.RecoveryManager` from its module

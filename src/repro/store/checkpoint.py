@@ -115,7 +115,8 @@ CHECKPOINT = Table(
 
 
 class RoundEnd(NamedTuple):
-    """ROUND_END: a standalone round ran its exit protocol."""
+    """ROUND_END: a round ran its exit protocol (ROUND_DONE, not this,
+    settles a stream's round)."""
 
     ok: bool
 

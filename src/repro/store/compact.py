@@ -5,18 +5,22 @@ The safe-point rule
 -------------------
 
 A record is *dead* once a later durable round boundary supersedes it.
-For a deployment log the boundary is the round's fsynced ROUND_DONE
-(stream) or ROUND_END (standalone) record — after it, recovery never
-replays that round's intake, rng marks, layer commits, or checkpoints
-(and a CLEAN tail settles everything).  What stays live forever is
-deliberately tiny and O(state), not O(history):
+For a deployment log the boundary is the round's fsynced ROUND_DONE —
+after it, recovery never replays that round's intake, rng marks, layer
+commits, or checkpoints (and a CLEAN tail settles everything).  Every
+CLI run journals a stream, where ROUND_DONE is the only settlement.  A
+log without STREAM_BEGIN (an ``AtomDeployment`` with a ``state_dir``
+driven through ``run_round`` directly, which recovery refuses) has no
+ROUND_DONE, so there its ROUND_END is the boundary: retention still
+bounds it.  What stays live forever is deliberately tiny and O(state),
+not O(history):
 
 - META and STREAM_BEGIN (the run's identity),
 - every *fresh* ROUND_SETUP mark (epoch establishment: resume re-forms
   contexts and buddy escrows from the last fresh mark at-or-before the
   resume round),
-- every ROUND_DONE / ROUND_END (stream resume derives "which round is
-  next" and the between-rounds rng position from the settled list),
+- every ROUND_DONE (resume derives "which round is next" and the
+  between-rounds rng position from the settled list) and ROUND_END,
 - the CLEAN marker,
 - and **all** records of rounds not yet settled — including the
   pipelined next round whose intake journals before the current
@@ -92,7 +96,8 @@ def deployment_liveness(records: Sequence[WalRecord]) -> List[bool]:
     frame round ids only, plus ROUND_SETUP's ``fresh`` flag."""
     # In a stream only ROUND_DONE settles: the engine journals
     # ROUND_END(r) *before* ROUND_DONE(r), so between the two the round
-    # is still live — compaction runs inside exactly that window.
+    # is still live — compaction runs inside exactly that window.  A
+    # log without STREAM_BEGIN has no ROUND_DONE: ROUND_END settles.
     is_stream = any(r.type == RecordType.STREAM_BEGIN for r in records)
     settling = (RecordType.ROUND_DONE,)
     if not is_stream:

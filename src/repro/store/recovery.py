@@ -1,5 +1,11 @@
-"""Crash-restart recovery: rebuild a deployment, round, or stream from
-the write-ahead log and continue where the crash left off.
+"""Crash-restart recovery: rebuild an interrupted stream from the
+write-ahead log and continue where the crash left off.
+
+Every CLI run journals one shape: a stream (``repro round`` is a
+one-round stream), opened by STREAM_BEGIN and settled round by round by
+ROUND_DONE.  A log without STREAM_BEGIN — an ``AtomDeployment`` with a
+``state_dir`` driven through ``run_round`` directly — is refused by
+name.
 
 The recovery contract rests on the repo's determinism discipline: every
 piece of round crypto derives from a :class:`DeterministicRng`, whose
@@ -21,7 +27,7 @@ LAYER_COMMIT) and replays the constructions:
   are restored, and the coordinator re-enters the two-phase layer
   protocol at exactly that layer.  Remaining layers draw the same
   sub-seeds an uninterrupted run would have — the resumed
-  ``RoundResult`` is byte-identical.
+  round's result is byte-identical.
 
 Idempotency rules (what makes recovery re-crashable):
 
@@ -42,8 +48,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.pipeline import FaultSchedule, RoundStats, StreamEngine, StreamReport
-from repro.core.protocol import AtomDeployment, Round, RoundResult
-from repro.crypto.groups import DeterministicRng, get_group
+from repro.core.protocol import Round
+from repro.crypto.groups import get_group
 from repro.net import envelopes as ev
 from repro.net.envelopes import Envelope
 from repro.store import checkpoint as ck
@@ -53,14 +59,15 @@ from repro.store.wal import RecordType
 
 
 class RecoveryError(RuntimeError):
-    """The state directory cannot be resumed (clean, unseeded, spent)."""
+    """The state directory cannot be resumed (clean, spent, not a
+    stream)."""
 
 
 def _journaled_wall_s(rounds) -> float:
     """Approximate wall clock of settled rounds from their journaled
     timings (overlap subtracted: it is counted inside the previous
-    round's mix window already).  Both resume paths use this, so a
-    resumed report's throughput stays comparable to a live run's."""
+    round's mix window already), so a resumed report's throughput
+    stays comparable to a live run's."""
     return sum(max(0.0, s.mix_wall_s + s.intake_s - s.overlap_s) for s in rounds)
 
 
@@ -86,7 +93,6 @@ class RecoveryManager:
         self._commits: Dict[int, List[ck.LayerCommit]] = {}
         self._checkpoints: Dict[int, ck.Snapshot] = {}
         self._done: List[Tuple[RoundStats, int]] = []
-        self._ended: Dict[int, bool] = {}
         self._index()
 
     # -- log indexing --------------------------------------------------
@@ -144,9 +150,8 @@ class RecoveryManager:
             )
         elif t == RecordType.ROUND_DONE:
             self._done.append(ck.ROUND_DONE.decode(rec.payload, round_id=rid))
-        elif t == RecordType.ROUND_END:
-            self._ended[rid] = ck.ROUND_END.decode(rec.payload).ok
-        # RESUME / CLEAN / unknown types: markers, nothing to index
+        # ROUND_END / RESUME / CLEAN / unknown types: nothing to index
+        # (ROUND_DONE, journaled after ROUND_END, settles a round)
 
     def _require_group(self, what: str) -> None:
         if self.group is None:
@@ -160,6 +165,8 @@ class RecoveryManager:
 
     @property
     def is_stream(self) -> bool:
+        """Whether the log opens with STREAM_BEGIN (the one shape
+        :meth:`resume_stream` accepts)."""
         return self._stream is not None
 
     def needs_recovery(self) -> bool:
@@ -169,7 +176,7 @@ class RecoveryManager:
         """One-line state summary for the CLI."""
         if self.config is None:
             return "empty log (no META record)"
-        kind = "stream" if self.is_stream else "round"
+        kind = "stream" if self.is_stream else "non-stream"
         tail = " (torn tail dropped)" if self.scan.truncated else ""
         if self.clean_shutdown:
             return f"{kind} run, clean shutdown{tail}"
@@ -184,7 +191,7 @@ class RecoveryManager:
             f"committed layers {committed or '{}'}{tail}"
         )
 
-    # -- shared replay helpers -----------------------------------------
+    # -- replay helpers ------------------------------------------------
 
     def _reopen_store(self) -> DurableStore:
         store = DurableStore(
@@ -257,86 +264,6 @@ class RecoveryManager:
                 coord.result.bytes_sent_total += audit.bytes_sent
         return commits[snap.layer]
 
-    # -- standalone-round recovery -------------------------------------
-
-    def resume_round(self):
-        """Rebuild an interrupted standalone round at its last
-        checkpoint.
-
-        Returns ``(deployment, rnd, mix_rng)`` ready for
-        ``deployment.run_round(rnd, mix_rng)`` — which re-enters the
-        two-phase layer protocol at the committed layer and produces a
-        result byte-identical to the uninterrupted run.
-        """
-        if self.config is None:
-            raise RecoveryError("log holds no META record; nothing to resume")
-        if self.is_stream:
-            raise RecoveryError(
-                "state dir holds a stream run; use resume_stream"
-            )
-        if self.clean_shutdown:
-            raise RecoveryError("clean shutdown; nothing to resume")
-        if not self._setups:
-            raise RecoveryError("no round was set up; nothing to resume")
-        round_id = max(self._setups)
-        if round_id in self._ended:
-            raise RecoveryError(
-                f"round {round_id} already ran its exit protocol"
-            )
-        setup = self._setups[round_id]
-        if not setup.seed:
-            raise RecoveryError(
-                "round was not driven by a DeterministicRng; its group "
-                "keys cannot be replayed — rerun with a --seed"
-            )
-        snap = self._checkpoints.get(round_id)
-        marks = self._mix_marks.get(round_id, [])
-        if snap is None and not marks:
-            raise RecoveryError(
-                f"round {round_id} never started mixing; rerun it instead"
-            )
-
-        store = self._reopen_store()
-        deployment = AtomDeployment(self._recovered_config(), store=store)
-        rng = DeterministicRng.at(setup.seed, setup.counter)
-        rnd = deployment.start_round(round_id, rng=rng)
-        self._replay_intake(rnd, round_id)
-        if snap is not None:
-            commit = self._apply_checkpoint(rnd, snap)
-            mix_rng = DeterministicRng.at(commit.seed, commit.counter)
-        else:
-            mark = marks[-1]
-            mix_rng = (
-                DeterministicRng.at(mark.seed, mark.counter)
-                if mark.seed else None
-            )
-        store.replaying = False
-        store.mark_resume()
-        return deployment, rnd, mix_rng
-
-    def complete_round(self) -> RoundResult:
-        """Resume and drive the interrupted round to its exit; leaves
-        a clean-shutdown marker on success."""
-        deployment, rnd, mix_rng = self.resume_round()
-        with deployment:
-            return deployment.run_round(rnd, mix_rng)
-
-    def finalize_round(self) -> Optional[Tuple[int, bool]]:
-        """``(round_id, ok)`` when the standalone round already ran its
-        exit protocol and the crash merely ate the clean marker — the
-        missing marker is written so later starts see a clean dir.
-        ``None`` when there is a round to actually resume."""
-        if self.is_stream or self.clean_shutdown or not self._setups:
-            return None
-        round_id = max(self._setups)
-        if round_id not in self._ended:
-            return None
-        store = self._reopen_store()
-        store.replaying = False
-        store.mark_clean()
-        store.close()
-        return round_id, self._ended[round_id]
-
     # -- stream recovery -----------------------------------------------
 
     def resume_stream(self, message_fn=None) -> StreamReport:
@@ -385,7 +312,8 @@ class RecoveryManager:
             raise RecoveryError("log holds no META record; nothing to resume")
         if not self.is_stream:
             raise RecoveryError(
-                "state dir holds a standalone round; use complete_round"
+                "log has no STREAM_BEGIN record: only a stream can be "
+                "resumed (`repro round` and `repro run-stream` journal one)"
             )
         if self.clean_shutdown:
             raise RecoveryError("clean shutdown; nothing to resume")

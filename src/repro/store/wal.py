@@ -83,7 +83,7 @@ class RecordType(enum.IntEnum):
     CHECKPOINT = 8
     #: a settled stream round: RoundStats + rng state
     ROUND_DONE = 9
-    #: a standalone round ran its exit protocol
+    #: a round ran its exit protocol
     ROUND_END = 10
     #: recovery replayed this log and the run continued after this point
     RESUME = 11

@@ -1,16 +1,27 @@
-"""Tests for the microblogging and dialing applications."""
+"""Tests for the microblogging and dialing applications.
+
+The rounds run as one-round streams: posts and dial requests enter
+through the engine's ``arrivals_fn`` (the scenario runner's workload
+hook), and the delivered messages go to the board and the mailboxes.
+"""
 
 import pytest
 
 from repro.apps.dialing import (
     DialingService,
     DialRequest,
+    fill_mailboxes,
     laplace_noise_count,
     open_dial,
     seal_dial,
 )
-from repro.apps.microblog import BulletinBoard, MicroblogService
-from repro.core import DeploymentConfig
+from repro.apps.microblog import BulletinBoard, check_post
+from repro.core import (
+    DeploymentConfig,
+    FaultSchedule,
+    StreamConfig,
+    StreamEngine,
+)
 from repro.crypto.elgamal import ElGamalKeyPair
 from repro.crypto.groups import DeterministicRng, get_group
 
@@ -29,6 +40,32 @@ def tiny_config(**overrides):
     return DeploymentConfig(**base)
 
 
+def one_round(config, payloads, faults="", retry_aborted=True):
+    """Route ``payloads`` round-robin over the entry groups through a
+    one-round stream; returns its RoundStats."""
+    arrivals = [(p, i % config.num_groups) for i, p in enumerate(payloads)]
+    engine = StreamEngine(
+        config,
+        FaultSchedule.parse(faults),
+        StreamConfig(rounds=1, seed=b"apps", retry_aborted=retry_aborted),
+        arrivals_fn=lambda r: arrivals,
+    )
+    with engine:
+        (stats,) = engine.run().rounds
+    return stats
+
+
+def publish_round(config, posts, board, **kwargs):
+    """The microblog client check, a round, and the board's publish of
+    a delivered round."""
+    for post in posts:
+        check_post(post, config.message_size)
+    stats = one_round(config, posts, **kwargs)
+    if stats.ok:
+        board.publish(0, stats.messages)
+    return stats
+
+
 class TestBulletinBoard:
     def test_publish_read(self):
         board = BulletinBoard()
@@ -41,38 +78,31 @@ class TestBulletinBoard:
 
 class TestMicroblog:
     def test_round_publishes_all_posts(self):
-        service = MicroblogService(config=tiny_config())
+        board = BulletinBoard()
         posts = [f"post {i}".encode() for i in range(4)]
-        result = service.run_round(0, posts)
-        assert result.ok
-        assert sorted(service.board.read(0)) == sorted(posts)
+        assert publish_round(tiny_config(), posts, board).ok
+        assert sorted(board.read(0)) == sorted(posts)
 
     def test_oversized_post_rejected(self):
-        service = MicroblogService(config=tiny_config())
         with pytest.raises(ValueError):
-            service.run_round(0, [b"x" * 50] * 4)
+            publish_round(tiny_config(), [b"x" * 50] * 4, BulletinBoard())
 
     def test_plain_variant(self):
-        service = MicroblogService(config=tiny_config(variant="basic"))
+        board = BulletinBoard()
         posts = [f"p{i}".encode() for i in range(4)]
-        result = service.run_round(0, posts)
-        assert sorted(service.board.read(0)) == sorted(posts)
+        assert publish_round(tiny_config(variant="basic"), posts, board).ok
+        assert sorted(board.read(0)) == sorted(posts)
 
     def test_aborted_round_publishes_nothing(self):
-        from repro.core.server import Behavior
-
-        service = MicroblogService(config=tiny_config())
-        rnd_dep = service.deployment
-        # force an always-detected disruption: duplicate a ciphertext
+        # an always-detected disruption: a server duplicates a ciphertext
+        board = BulletinBoard()
         posts = [f"post {i}".encode() for i in range(4)]
-        rnd = rnd_dep.start_round(0)
-        rnd.contexts[0].servers[0].behavior = Behavior.DUPLICATE_ONE
-        for i, post in enumerate(posts):
-            rnd_dep.submit_trap(rnd, post, i % 2)
-        result = rnd_dep.run_round(rnd)
-        if result.aborted:
-            service.board.publish(0, result.messages) if result.ok else None
-            assert service.board.read(0) == []
+        stats = publish_round(
+            tiny_config(), posts, board,
+            faults="r0:tamper-group:0:0:duplicate_one", retry_aborted=False,
+        )
+        assert not stats.ok and stats.abort_reasons
+        assert board.read(0) == []
 
 
 class TestDialSealing:
@@ -117,15 +147,23 @@ class TestLaplaceNoise:
 
 
 class TestDialing:
-    def _service(self, **overrides):
+    def _service(self, **kwargs):
+        return DialingService(get_group("TOY"), **kwargs)
+
+    def _route(self, service, requests):
+        """One round of dial requests; the exit fills the mailboxes."""
         # message_size must cover 8B recipient id + the sealed box
         # (group element + AEAD nonce/tag) — 96 bytes is ample for TOY.
-        return DialingService(
-            config=tiny_config(message_size=96, **overrides), num_mailboxes=4
+        stats = one_round(
+            tiny_config(message_size=96), [r.to_bytes() for r in requests]
+        )
+        assert stats.ok
+        service.mailboxes[0] = fill_mailboxes(
+            stats.messages, service.num_mailboxes
         )
 
     def test_dial_end_to_end(self):
-        service = self._service()
+        service = self._service(num_mailboxes=4)
         group = service.group
         bob = ElGamalKeyPair.generate(group)
         alice_pub = b"alice-pk"
@@ -138,13 +176,12 @@ class TestDialing:
             requests.append(
                 service.make_request(b"dave-pk%d" % i, 2, carol)
             )
-        result = service.run_round(0, requests)
-        assert result.ok
+        self._route(service, requests)
         received = service.receive(0, 1, bob)
         assert received == [alice_pub]
 
     def test_mailbox_separation(self):
-        service = self._service()
+        service = self._service(num_mailboxes=4)
         group = service.group
         bob = ElGamalKeyPair.generate(group)
         carol = ElGamalKeyPair.generate(group)
@@ -154,33 +191,25 @@ class TestDialing:
             service.make_request(b"to-bob-2", 1, bob),
             service.make_request(b"to-carol-2", 2, carol),
         ]
-        result = service.run_round(0, requests)
-        assert result.ok
+        self._route(service, requests)
         assert sorted(service.receive(0, 1, bob)) == [b"to-bob", b"to-bob-2"]
         assert sorted(service.receive(0, 2, carol)) == [b"to-carol", b"to-carol-2"]
 
     def test_recipient_cannot_open_others_calls(self):
-        service = self._service()
+        service = self._service(num_mailboxes=4)
         group = service.group
         bob = ElGamalKeyPair.generate(group)
         eve = ElGamalKeyPair.generate(group)
         requests = [service.make_request(b"secret", 1, bob) for _ in range(4)]
-        result = service.run_round(0, requests)
-        assert result.ok
+        self._route(service, requests)
         assert service.receive(0, 1, eve) == []
 
     def test_dummy_traffic_hides_call_volume(self):
-        service = DialingService(
-            config=tiny_config(message_size=96),
-            num_mailboxes=2,
-            dummy_mu=2.0,
-            dummy_scale=1.0,
-        )
+        service = self._service(num_mailboxes=2, dummy_mu=2.0, dummy_scale=1.0)
         group = service.group
         bob = ElGamalKeyPair.generate(group)
         requests = [service.make_request(b"hi-bob", 0, bob)]
-        result = service.run_round(0, requests)
-        assert result.ok
+        self._route(service, requests + service.dummy_requests(0))
         # Bob's mailbox download contains dummies beyond the real call...
         downloaded = service.download(0, 0)
         assert len(downloaded) >= 1
@@ -188,6 +217,6 @@ class TestDialing:
         assert service.receive(0, 0, bob) == [b"hi-bob"]
 
     def test_missing_round_raises(self):
-        service = self._service()
+        service = self._service(num_mailboxes=4)
         with pytest.raises(KeyError):
             service.download(5, 0)

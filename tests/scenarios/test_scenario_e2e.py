@@ -146,7 +146,7 @@ class TestRunnerBehaviour:
                     "dialing_share": 1.0,
                 },
                 "deployment": {
-                    "groups": 2, "group_size": 2, "message_size": 24,
+                    "num_groups": 2, "group_size": 2, "message_size": 24,
                 },
             }
         )

@@ -19,7 +19,7 @@ def sample_dict(**overrides):
         "rounds": 3,
         "traffic": {"model": "constant", "users": 6, "rate": 2.0},
         "faults": "r1:tamper-group:0:0:replace_one",
-        "deployment": {"groups": 2, "group_size": 2, "message_size": 24},
+        "deployment": {"num_groups": 2, "group_size": 2, "message_size": 24},
     }
     base.update(overrides)
     return base
@@ -60,6 +60,23 @@ class TestValidation:
     def test_unknown_dialing_key(self):
         with pytest.raises(ScenarioError, match="unknown dialing keys"):
             ScenarioSpec.parse(sample_dict(dialing={"boxes": 4}))
+
+    @pytest.mark.parametrize("key", ["dummy_mu", "dummy_scale"])
+    def test_retired_dialing_noise_knob_is_refused(self, key):
+        """The runner never read these: dummy dial traffic lives in
+        ``DialingService.dummy_requests``, not in the scenario grammar."""
+        with pytest.raises(ScenarioError, match=f"unknown dialing keys.*{key}"):
+            ScenarioSpec.parse(sample_dict(dialing={"mailboxes": 4, key: 1.0}))
+
+    @pytest.mark.parametrize("old, new", [
+        ("groups", "num_groups"), ("group", "crypto_group"),
+    ])
+    def test_old_deployment_spelling_names_the_field(self, old, new):
+        with pytest.raises(ScenarioError, match=f"'{old}' is spelled '{new}'"):
+            ScenarioSpec.parse(sample_dict(deployment={old: 2}))
+        spec = ScenarioSpec.parse(sample_dict())
+        with pytest.raises(ScenarioError, match=f"'{old}' is spelled '{new}'"):
+            spec.deployment_config(**{old: 2})
 
     def test_missing_traffic(self):
         spec = sample_dict()
@@ -103,7 +120,7 @@ class TestDeploymentConfig:
 
     def test_overrides_win(self):
         spec = ScenarioSpec.parse(sample_dict())
-        config = spec.deployment_config(transport="tcp", group="TOY")
+        config = spec.deployment_config(transport="tcp", crypto_group="TOY")
         assert config.transport == "tcp"
         assert config.crypto_group == "TOY"
         # None overrides are ignored (unset CLI flags)

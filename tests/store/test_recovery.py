@@ -1,20 +1,30 @@
-"""Crash-restart matrix: kill after *every* layer commit, resume, and
-require the resumed ``RoundResult`` byte-identical to the uninterrupted
-run — on both transports.
+"""Crash-restart matrix: kill a one-round stream after *every* layer
+commit, resume, and require the resumed round's ``RoundResult``
+byte-identical to the uninterrupted run — on both transports.
 
-Reuses the cross-transport parity harness (seeded setup, client,
-padding, canonical result bytes): recovery is held to the same standard
-the transports are — it must not influence the crypto at all.
+``repro round`` is exactly such a stream.  The results are captured
+where the coordinator's exit protocol returns them
+(``Coordinator.finish``) and compared with the cross-transport parity
+harness's canonical bytes: recovery is held to the same standard the
+transports are — it must not influence the crypto at all.
 """
 
+import contextlib
 import dataclasses
 from unittest import mock
 
 import pytest
 
 from repro.cli import main
-from repro.core import AtomDeployment, Client, DeploymentConfig
+from repro.core import (
+    AtomDeployment,
+    Client,
+    DeploymentConfig,
+    StreamConfig,
+    StreamEngine,
+)
 from repro.crypto.groups import DeterministicRng, get_group
+from repro.net.coordinator import Coordinator
 from repro.net.envelopes import WireFormatError
 from repro.store import checkpoint as ck
 from repro.store.recovery import RecoveryError, RecoveryManager
@@ -22,6 +32,10 @@ from repro.store.store import DurableStore
 from tests.net.test_transport_parity import _canonical
 
 ITERATIONS = 3
+
+
+class SimulatedCrash(Exception):
+    """Stands in for the process dying (SIGKILL) mid-round."""
 
 
 def _config(tmp_path=None, transport="inproc", variant="trap", **overrides):
@@ -41,32 +55,57 @@ def _config(tmp_path=None, transport="inproc", variant="trap", **overrides):
     return DeploymentConfig(**base)
 
 
+def _engine(config):
+    return StreamEngine(
+        config,
+        stream=StreamConfig(rounds=1, users_per_round=4, seed=b"parity-setup"),
+        message_fn=lambda r, i: b"store-%d" % i,
+    )
+
+
+@contextlib.contextmanager
+def _results():
+    """Collect every RoundResult the exit protocol returns."""
+    results = []
+    finish = Coordinator.finish
+
+    def capture(self):
+        results.append(finish(self))
+        return results[-1]
+
+    with mock.patch.object(Coordinator, "finish", capture):
+        yield results
+
+
 def _drive_round(config, stop_after_layers=None):
-    """The parity harness's seeded round; ``stop_after_layers`` commits
-    that many layers and then abandons the process state (no context
-    manager, no clean marker — the closest an in-process test gets to a
-    kill -9, with the log's torn-tail tolerance covered separately)."""
-    dep = AtomDeployment(config)
-    rng = DeterministicRng(b"parity-setup")
-    rnd = dep.start_round(0, rng=rng)
-    client = Client(dep.group, rng)
-    for i in range(4):
-        message = b"store-%d" % i
-        if config.variant == "trap":
-            dep.submit_trap(rnd, message, i % 2, client)
-        else:
-            dep.submit_plain(rnd, message, i % 2, client)
-    dep.pad_round(rnd, rng)
-    mix_rng = DeterministicRng(b"parity-round")
+    """A seeded one-round stream; returns its RoundResult.
+    ``stop_after_layers`` commits that many layers and then dies: no
+    clean marker, and the log keeps only what was journaled."""
     if stop_after_layers is None:
-        result = dep.run_round(rnd, mix_rng)
-        dep.close()
+        with _results() as results, _engine(config) as engine:
+            engine.run()
+        (result,) = results
         return result
-    run = dep.begin_mixing(rnd, mix_rng)
-    for _ in range(stop_after_layers):
-        run.run_layer()
-    dep.close()  # flush the log; the "crash" is the missing clean marker
+    commit = DurableStore.layer_commit
+
+    def bomb(self, round_id, layer, *rest):
+        commit(self, round_id, layer, *rest)
+        if layer == stop_after_layers:
+            raise SimulatedCrash
+
+    with mock.patch.object(DurableStore, "layer_commit", bomb):
+        with pytest.raises(SimulatedCrash):
+            _engine(config).run()
     return None
+
+
+def _resume(manager):
+    """Resume the crashed stream; returns the resumed round's result."""
+    with _results() as results:
+        report = manager.resume_stream()
+    assert report.ok
+    (result,) = results
+    return result
 
 
 @pytest.mark.parametrize("transport", ["inproc", "tcp"])
@@ -83,10 +122,9 @@ def test_resume_is_byte_identical_after_every_layer_commit(
     )
 
     manager = RecoveryManager(tmp_path)
-    assert manager.needs_recovery() and not manager.is_stream
-    resumed = manager.complete_round()
+    assert manager.needs_recovery() and manager.is_stream
+    resumed = _resume(manager)
 
-    assert resumed.ok
     assert _canonical(group, resumed) == _canonical(group, baseline)
 
 
@@ -110,8 +148,7 @@ def test_resume_spilled_round_is_byte_identical(tmp_path, stop_after):
 
     manager = RecoveryManager(tmp_path)
     assert manager.needs_recovery()
-    resumed = manager.complete_round()
-    assert resumed.ok
+    resumed = _resume(manager)
     assert _canonical(group, resumed) == _canonical(group, baseline)
 
 
@@ -150,8 +187,7 @@ def test_resume_ignores_scratch_and_orphan_segments(tmp_path):
     manager = RecoveryManager(tmp_path)
     assert manager.needs_recovery()
     assert manager.segments_read == scan.segments_read
-    resumed = manager.complete_round()
-    assert resumed.ok
+    resumed = _resume(manager)
     assert _canonical(group, resumed) == _canonical(group, baseline)
     # The scratch files survive untouched; resume only consumed the
     # manifest's segments.
@@ -164,7 +200,7 @@ def test_resume_other_variants(tmp_path, variant):
     group = get_group("TOY")
     baseline = _drive_round(_config(variant=variant))
     _drive_round(_config(tmp_path, variant=variant), stop_after_layers=2)
-    resumed = RecoveryManager(tmp_path).complete_round()
+    resumed = _resume(RecoveryManager(tmp_path))
     assert _canonical(group, resumed) == _canonical(group, baseline)
 
 
@@ -174,7 +210,7 @@ def test_resume_preserves_trap_and_audit_outcomes(tmp_path):
     the canonical bytes, asserted explicitly here for the §4.4 story)."""
     baseline = _drive_round(_config())
     _drive_round(_config(tmp_path), stop_after_layers=1)
-    resumed = RecoveryManager(tmp_path).complete_round()
+    resumed = _resume(RecoveryManager(tmp_path))
     assert resumed.num_traps_checked == baseline.num_traps_checked > 0
     assert len(resumed.audits) == len(baseline.audits)
     assert [a.tamperings for a in resumed.audits] == [
@@ -186,78 +222,79 @@ def test_resume_preserves_trap_and_audit_outcomes(tmp_path):
 def test_recovery_resumes_blame_registry(tmp_path):
     """Replayed intake rebuilds ``rnd.trap_submissions`` in original
     user-id order, so §4.6 blame still works after a restart."""
-    config = _config(tmp_path)
-    dep = AtomDeployment(config)
-    rng = DeterministicRng(b"parity-setup")
-    rnd = dep.start_round(0, rng=rng)
-    client = Client(dep.group, rng)
-    for i in range(4):
-        dep.submit_trap(rnd, b"blame-%d" % i, i % 2, client)
-    dep.pad_round(rnd, rng)
-    original = {
-        uid: (gid, sub.trap_commitment)
-        for uid, (gid, sub) in rnd.trap_submissions.items()
-    }
-    run = dep.begin_mixing(rnd, DeterministicRng(b"parity-round"))
-    run.run_layer()
-    dep.close()
 
-    dep2, rnd2, _ = RecoveryManager(tmp_path).resume_round()
-    rebuilt = {
-        uid: (gid, sub.trap_commitment)
-        for uid, (gid, sub) in rnd2.trap_submissions.items()
-    }
-    assert rebuilt == original
-    dep2.store.close()
-    dep2.close()
+    def registry(rnd):
+        return {
+            uid: (gid, sub.trap_commitment)
+            for uid, (gid, sub) in rnd.trap_submissions.items()
+        }
+
+    seen = {}
+    begin_mixing = AtomDeployment.begin_mixing
+
+    def record_original(self, rnd, rng=None):
+        seen["original"] = registry(rnd)
+        return begin_mixing(self, rnd, rng)
+
+    with mock.patch.object(AtomDeployment, "begin_mixing", record_original):
+        _drive_round(_config(tmp_path), stop_after_layers=1)
+
+    resume_run = StreamEngine.resume_run
+
+    def record_rebuilt(self, report, rnd, stats, first):
+        seen["rebuilt"] = registry(rnd)
+        return resume_run(self, report, rnd, stats, first)
+
+    with mock.patch.object(StreamEngine, "resume_run", record_rebuilt):
+        assert RecoveryManager(tmp_path).resume_stream().ok
+    assert len(seen["original"]) == 4
+    assert seen["rebuilt"] == seen["original"]
 
 
 def test_clean_shutdown_never_replays(tmp_path):
     """A with-block exit leaves the shutdown marker; resume refuses."""
-    config = _config(tmp_path)
-    with AtomDeployment(config) as dep:
-        rng = DeterministicRng(b"parity-setup")
-        rnd = dep.start_round(0, rng=rng)
-        client = Client(dep.group, rng)
-        for i in range(4):
-            dep.submit_trap(rnd, b"clean-%d" % i, i % 2, client)
-        dep.pad_round(rnd, rng)
-        result = dep.run_round(rnd, DeterministicRng(b"parity-round"))
-    assert result.ok
+    assert _drive_round(_config(tmp_path)).ok
 
     manager = RecoveryManager(tmp_path)
     assert manager.clean_shutdown and not manager.needs_recovery()
     with pytest.raises(RecoveryError, match="clean shutdown"):
-        manager.complete_round()
+        manager.resume_stream()
 
 
-def test_unseeded_round_is_rejected_with_clear_error(tmp_path):
-    """Without a DeterministicRng the group keys cannot be replayed;
-    recovery must say so instead of producing garbage."""
-    config = _config(tmp_path)
-    dep = AtomDeployment(config)
-    rnd = dep.start_round(0)  # system randomness
-    client = Client(dep.group)
+def test_log_without_stream_begin_is_refused(tmp_path, capsys):
+    """``AtomDeployment.run_round`` with a ``state_dir`` journals a round
+    but no STREAM_BEGIN: resume refuses it by naming the record, and
+    ``repro resume`` exits 2 with that message."""
+    dep = AtomDeployment(_config(tmp_path))
+    rng = DeterministicRng(b"parity-setup")
+    rnd = dep.start_round(0, rng=rng)
+    client = Client(dep.group, rng)
     for i in range(4):
         dep.submit_trap(rnd, b"x%d" % i, i % 2, client)
-    dep.pad_round(rnd)
-    run = dep.begin_mixing(rnd)
-    run.run_layer()
-    dep.close()
+    dep.pad_round(rnd, rng)
+    assert dep.run_round(rnd, DeterministicRng(b"parity-round")).ok
+    dep.close()  # flushed, but no clean marker
 
-    with pytest.raises(RecoveryError, match="DeterministicRng"):
-        RecoveryManager(tmp_path).resume_round()
+    manager = RecoveryManager(tmp_path)
+    assert manager.needs_recovery() and not manager.is_stream
+    with pytest.raises(RecoveryError, match="no STREAM_BEGIN record"):
+        manager.resume_stream()
+    assert main(["resume", "--state-dir", str(tmp_path)]) == 2
+    assert "no STREAM_BEGIN record" in capsys.readouterr().err
 
 
 def test_finished_round_finalizes_instead_of_resuming(tmp_path):
-    """Completed round, crash before the clean marker: resume_round
-    refuses (nothing to replay), finalize_round reports the outcome
-    and writes the missing marker."""
-    _drive_round(_config(tmp_path))  # runs to completion (no crash)
+    """Completed round, crash before the clean marker: resume mixes
+    nothing, rebuilds the report from the journaled stats and writes
+    the missing marker."""
+    with _results() as results:
+        _engine(_config(tmp_path)).run()  # completes; no clean exit
     manager = RecoveryManager(tmp_path)
-    with pytest.raises(RecoveryError, match="exit protocol"):
-        manager.resume_round()
-    assert manager.finalize_round() == (0, True)
+    assert manager.needs_recovery()
+    with _results() as resumed:
+        report = manager.resume_stream()
+    assert resumed == []
+    assert report.ok and report.rounds[0].messages == results[0].messages
     assert RecoveryManager(tmp_path).clean_shutdown
 
 
@@ -275,8 +312,7 @@ def test_checkpoint_cadence_re_mixes_missing_layers(tmp_path):
     _drive_round(
         _config(tmp_path, checkpoint_every=2), stop_after_layers=3
     )
-    manager = RecoveryManager(tmp_path)
-    resumed = manager.complete_round()
+    resumed = _resume(RecoveryManager(tmp_path))
     assert _canonical(group, resumed) == _canonical(group, baseline)
 
 
@@ -296,7 +332,7 @@ def test_journal_of_version_2_envelopes_is_refused(tmp_path):
     manager = RecoveryManager(tmp_path)
     assert manager.needs_recovery()
     with pytest.raises(WireFormatError, match="wire version 2"):
-        manager.complete_round()
+        manager.resume_stream()
 
 
 @pytest.mark.parametrize("mangle, why", [

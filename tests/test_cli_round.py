@@ -5,6 +5,10 @@ import ast
 import pytest
 
 from repro.cli import main
+from repro.core import StreamEngine
+from repro.core.server import Behavior
+from repro.store.recovery import RecoveryManager
+from repro.store.store import DurableStore
 
 
 def _round(capsys, *flags):
@@ -28,3 +32,79 @@ def test_round_prints_every_message(capsys, variant):
     assert out.startswith("round: ok (inproc transport) payload=")
     assert "messages out: 4" in out
     assert _messages(out) == [b"user %d says hi" % i for i in range(4)]
+
+
+def test_every_user_is_delivered_without_user_padding(capsys):
+    """Cover dummies pad the entry groups, so an odd user count
+    delivers exactly that many messages."""
+    code, out = _round(capsys, "--users", "5")
+    assert code == 0
+    assert "messages out: 5" in out
+    assert _messages(out) == [b"user %d says hi" % i for i in range(5)]
+
+
+def test_aborted_round_exits_1(capsys, monkeypatch):
+    """Every server duplicating a ciphertext aborts the round and its
+    retry: `round` names the abort and exits 1."""
+
+    def arm_every_server(engine):
+        for server in engine._registry.values():
+            server.behavior = Behavior.DUPLICATE_ONE
+            server.tamper_budget = 1
+
+    monkeypatch.setattr(StreamEngine, "_reset_behaviors", arm_every_server)
+    code, out = _round(capsys, "--users", "4")
+    assert code == 1
+    assert out.startswith("round: ABORTED: ")
+    assert "messages out: 0" in out
+
+
+def test_bad_knob_exits_2(capsys):
+    assert main(["round", "--net-faults", "*:teleport:1%"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+class SimulatedCrash(Exception):
+    """Stands in for the process dying (SIGKILL) mid-round."""
+
+
+def _crashed_round(state_dir, monkeypatch, capsys):
+    """`round --state-dir` killed right after its first layer commit."""
+    original = DurableStore.layer_commit
+
+    def bomb(self, round_id, layer, *rest):
+        original(self, round_id, layer, *rest)
+        if layer == 1:
+            raise SimulatedCrash
+
+    with monkeypatch.context() as patch, pytest.raises(SimulatedCrash):
+        patch.setattr(DurableStore, "layer_commit", bomb)
+        _round(capsys, "--users", "4", "--state-dir", str(state_dir))
+    capsys.readouterr()
+
+
+def test_crashed_durable_round_resumes_with_every_message(
+    tmp_path, monkeypatch, capsys
+):
+    """A durable `round` journals a one-round stream: a crash after
+    the first layer commit resumes to the uncrashed run's messages."""
+    code, out = _round(
+        capsys, "--users", "4", "--state-dir", str(tmp_path / "a")
+    )
+    assert code == 0
+    uncrashed = _messages(out)
+
+    _crashed_round(tmp_path / "b", monkeypatch, capsys)
+    manager = RecoveryManager(tmp_path / "b")
+    assert manager.is_stream and manager.needs_recovery()
+    report = manager.resume_stream()
+    assert report.ok
+    assert sorted(report.rounds[0].messages) == uncrashed
+
+
+def test_cli_resume_finishes_a_crashed_round(tmp_path, monkeypatch, capsys):
+    _crashed_round(tmp_path, monkeypatch, capsys)
+    assert main(["resume", "--state-dir", str(tmp_path)]) == 0
+    assert "stream: 1 rounds, 4 msgs" in capsys.readouterr().out
+    assert main(["resume", "--state-dir", str(tmp_path)]) == 0
+    assert "nothing to resume" in capsys.readouterr().out
