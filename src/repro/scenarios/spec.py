@@ -56,6 +56,8 @@ _DIALING_DEFAULTS = {"mailboxes": 8}
 
 
 def _check_deploy_keys(keys, what: str) -> None:
+    """Refuse keys that are not DeploymentConfig fields, naming the
+    field to use for a retired spelling."""
     for key in sorted(keys):
         if key in _RENAMED:
             raise ScenarioError(
