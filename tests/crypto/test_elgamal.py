@@ -1,8 +1,20 @@
 """Tests for Atom's rerandomizable ElGamal with out-of-order ReEnc."""
 
+import hashlib
+
 import pytest
 
 from repro.crypto.elgamal import AtomCiphertext, AtomElGamal, ElGamalKeyPair
+from repro.crypto.groups import DeterministicRng, get_group
+from repro.crypto.vector import CiphertextVector, shuffle_vectors
+
+#: sha256 of five seeded one-part vectors shuffled by ``shuffle_vectors``
+#: (outputs, then the repr of the witness), recorded when the scalar
+#: ``AtomElGamal.shuffle`` still existed and drew the same values.
+ONE_PART_SHUFFLE_DIGESTS = {
+    "TOY": "3e885fa2a92e7a5ae9e5aade7486196252cc97df4216e1ab03be0a459808f73a",
+    "P256": "ca41f1e29b289a821d498e9f18e0fa4541a8f7c098638df5fa0950fcd0999ff7",
+}
 
 
 @pytest.fixture()
@@ -107,6 +119,29 @@ class TestRerandomization:
         for i in range(len(cts)):
             expect = scheme.rerandomize(kp.public, cts[perm[i]], randomness=rands[i])
             assert expect == shuffled[i]
+
+
+@pytest.mark.parametrize("backend", sorted(ONE_PART_SHUFFLE_DIGESTS))
+def test_one_part_shuffle_vectors_is_pinned(backend):
+    group = get_group(backend)
+    scheme = AtomElGamal(group)
+    rng = DeterministicRng(b"one-part-shuffle-pin")
+    keys = ElGamalKeyPair.generate(group, rng)
+    cts = [
+        scheme.encrypt(keys.public, group.encode(bytes([i + 1])), rng)[0]
+        for i in range(5)
+    ]
+    outputs, perm, rands = shuffle_vectors(
+        scheme, keys.public, [CiphertextVector((ct,)) for ct in cts],
+        DeterministicRng(b"one-part-shuffle-pin-draws"),
+    )
+    assert scheme.shuffle(
+        keys.public, cts, DeterministicRng(b"one-part-shuffle-pin-draws")
+    ) == ([vec.parts[0] for vec in outputs], perm, [r for (r,) in rands])
+    digest = hashlib.sha256(
+        b"".join(vec.to_bytes() for vec in outputs) + repr((perm, rands)).encode()
+    )
+    assert digest.hexdigest() == ONE_PART_SHUFFLE_DIGESTS[backend]
 
 
 class TestOutOfOrderReEnc:
