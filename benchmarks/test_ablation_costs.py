@@ -113,23 +113,35 @@ def test_ablation_nizk_rounds(benchmark):
 
     from repro.crypto.elgamal import AtomElGamal
     from repro.crypto.groups import get_group
-    from repro.crypto.shuffle_proof import prove_shuffle, verify_shuffle
+    from repro.crypto.vector import (
+        CiphertextVector,
+        prove_vector_shuffle,
+        shuffle_vectors,
+        verify_vector_shuffle,
+    )
 
     group = get_group("TOY")
     scheme = AtomElGamal(group)
     kp = scheme.keygen()
-    cts = [scheme.encrypt(kp.public, group.encode(bytes([i])))[0] for i in range(16)]
-    shuffled, perm, rands = scheme.shuffle(kp.public, cts)
+    cts = [
+        CiphertextVector((scheme.encrypt(kp.public, group.encode(bytes([i])))[0],))
+        for i in range(16)
+    ]
+    shuffled, perm, rands = shuffle_vectors(scheme, kp.public, cts)
 
-    benchmark(lambda: prove_shuffle(group, kp.public, cts, shuffled, perm, rands, 8))
+    benchmark(
+        lambda: prove_vector_shuffle(scheme, kp.public, cts, shuffled, perm, rands, 8)
+    )
 
     rows = []
     for rounds in (4, 8, 16, 32):
         start = time.perf_counter()
-        proof = prove_shuffle(group, kp.public, cts, shuffled, perm, rands, rounds)
+        proof = prove_vector_shuffle(
+            scheme, kp.public, cts, shuffled, perm, rands, rounds
+        )
         prove_t = time.perf_counter() - start
         start = time.perf_counter()
-        assert verify_shuffle(group, kp.public, cts, shuffled, proof, rounds)
+        assert verify_vector_shuffle(scheme, kp.public, cts, shuffled, proof, rounds)
         verify_t = time.perf_counter() - start
         rows.append(
             (rounds, f"2^-{rounds}", f"{prove_t*1e3:.1f}", f"{verify_t*1e3:.1f}")

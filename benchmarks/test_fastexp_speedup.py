@@ -32,7 +32,13 @@ from repro.crypto import ec
 from repro.crypto.elgamal import AtomCiphertext, AtomElGamal, ElGamalKeyPair
 from repro.crypto.fastexp import FixedBaseExp
 from repro.crypto.groups import DeterministicRng, GroupElement, get_group
-from repro.crypto.shuffle_proof import _challenge_bits, prove_shuffle, verify_shuffle
+from repro.crypto.vector import (
+    CiphertextVector,
+    _vector_challenge_bits,
+    prove_vector_shuffle,
+    shuffle_vectors,
+    verify_vector_shuffle,
+)
 
 N_ELEMENTS = 12
 ROUNDS = 3
@@ -45,26 +51,29 @@ def _seed_style_verify(group, public_key, inputs, outputs, proof):
     per exponentiation, no fixed-base tables — the "before" baseline
     that ``BENCH_fastexp.json`` tracks the fast path against."""
     intermediates = [r.intermediate for r in proof.rounds]
-    bits = _challenge_bits(group, public_key, inputs, outputs, intermediates, ROUNDS)
+    bits = _vector_challenge_bits(
+        group, public_key, inputs, outputs, intermediates, ROUNDS
+    )
     if list(proof.challenge_bits) != bits:
         return False
     p, q = group.p, group.q
     for rnd, bit in zip(proof.rounds, bits):
         source = inputs if bit == 0 else rnd.intermediate
         target = rnd.intermediate if bit == 0 else outputs
-        for i, (perm_i, r) in enumerate(zip(rnd.opened_perm, rnd.opened_rands)):
-            src = source[perm_i]
+        for i, (perm_i, (r,)) in enumerate(zip(rnd.opened_perm, rnd.opened_rands)):
+            (src,) = source[perm_i].parts
             expect = AtomCiphertext(
                 R=GroupElement(pow(group.params.g, r % q, p), group) * src.R,
                 c=src.c * GroupElement(pow(public_key.value, r % q, p), group),
                 Y=None,
             )
-            if expect != target[i]:
+            if target[i].parts != (expect,):
                 return False
     return True
 
 
 def _build_proof(group):
+    """A one-part vector shuffle proof: one group element per message."""
     rng = DeterministicRng(b"bench-fastexp")
     scheme = AtomElGamal(group)
     keys = ElGamalKeyPair.generate(group, rng)
@@ -72,12 +81,12 @@ def _build_proof(group):
     for i in range(N_ELEMENTS):
         message = group.encode(b"m%02d" % i)
         ct, _ = scheme.encrypt(keys.public, message, rng)
-        inputs.append(ct)
-    outputs, perm, rands = scheme.shuffle(keys.public, inputs, rng)
-    proof = prove_shuffle(
-        group, keys.public, inputs, outputs, perm, rands, rounds=ROUNDS, rng=rng
+        inputs.append(CiphertextVector((ct,)))
+    outputs, perm, rands = shuffle_vectors(scheme, keys.public, inputs, rng)
+    proof = prove_vector_shuffle(
+        scheme, keys.public, inputs, outputs, perm, rands, rounds=ROUNDS, rng=rng
     )
-    return keys.public, inputs, outputs, proof
+    return scheme, keys.public, inputs, outputs, proof
 
 
 @pytest.mark.slow
@@ -100,21 +109,21 @@ def test_fastexp_speedup(benchmark):
     assert all(table.pow(e) == pow(group.params.g, e, group.p) for e in exponents)
 
     # -- batch vs element-wise shuffle-proof verification --------------
-    public_key, inputs, outputs, proof = _build_proof(group)
+    scheme, public_key, inputs, outputs, proof = _build_proof(group)
 
     start = time.perf_counter()
     assert _seed_style_verify(group, public_key, inputs, outputs, proof)
     before_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    assert verify_shuffle(
-        group, public_key, inputs, outputs, proof, rounds=ROUNDS, batched=False
+    assert verify_vector_shuffle(
+        scheme, public_key, inputs, outputs, proof, rounds=ROUNDS, batched=False
     )
     elementwise_fb_s = time.perf_counter() - start
 
     def batched():
-        assert verify_shuffle(
-            group, public_key, inputs, outputs, proof, rounds=ROUNDS, batched=True
+        assert verify_vector_shuffle(
+            scheme, public_key, inputs, outputs, proof, rounds=ROUNDS, batched=True
         )
 
     batched()  # warm the fixed-base tables (g, pk) like a real round
@@ -128,12 +137,12 @@ def test_fastexp_speedup(benchmark):
     # guard is the operation count in tests/core/test_nizk_mix.py.
     p256 = get_group("P256")
     p256_case = _build_proof(p256)
-    assert verify_shuffle(p256, *p256_case, rounds=ROUNDS)
+    assert verify_vector_shuffle(*p256_case, rounds=ROUNDS)
     p256_default_s = _time_primitive(
-        lambda: verify_shuffle(p256, *p256_case, rounds=ROUNDS), 3
+        lambda: verify_vector_shuffle(*p256_case, rounds=ROUNDS), 3
     )
     p256_elementwise_s = _time_primitive(
-        lambda: verify_shuffle(p256, *p256_case, rounds=ROUNDS, batched=False), 3
+        lambda: verify_vector_shuffle(*p256_case, rounds=ROUNDS, batched=False), 3
     )
 
     speedup = before_s / batched_s
@@ -423,16 +432,16 @@ def test_envelope_overhead(benchmark):
 def test_batched_rejects_tampering_modp2048(benchmark):
     """The fast path keeps soundness: a mauled output vector fails."""
     group = get_group("MODP2048")
-    public_key, inputs, outputs, proof = _build_proof(group)
+    scheme, public_key, inputs, outputs, proof = _build_proof(group)
     tampered = list(outputs)
     tampered[0], tampered[1] = tampered[1], tampered[0]
     benchmark.pedantic(
-        lambda: verify_shuffle(
-            group, public_key, inputs, tampered, proof, rounds=ROUNDS
+        lambda: verify_vector_shuffle(
+            scheme, public_key, inputs, tampered, proof, rounds=ROUNDS
         ),
         rounds=1,
         iterations=1,
     )
-    assert not verify_shuffle(
-        group, public_key, inputs, tampered, proof, rounds=ROUNDS
+    assert not verify_vector_shuffle(
+        scheme, public_key, inputs, tampered, proof, rounds=ROUNDS
     )

@@ -19,11 +19,18 @@ from repro.crypto.nizk import (
     verify_encryption,
     verify_reencryption,
 )
-from repro.crypto.shuffle_proof import prove_shuffle, verify_shuffle
+from repro.crypto.vector import (
+    CiphertextVector,
+    prove_vector_shuffle,
+    shuffle_vectors,
+    verify_vector_shuffle,
+)
 from repro.sim.costmodel import PrimitiveCosts
 
 PAPER = PrimitiveCosts.paper_table3()
 BATCH = 64  # shuffle batch (scaled to the paper's per-1,024 figures)
+# Shuffles and shuffle proofs run on one-part vectors: one point per
+# message, the paper's 32-byte row.
 
 
 @pytest.fixture(scope="module", params=["P256ISH", "P256"])
@@ -34,7 +41,10 @@ def setup(request):
     nxt = scheme.keygen()
     message = group.encode(b"table3 benchmark")
     ct, r = scheme.encrypt(kp.public, message)
-    cts = [scheme.encrypt(kp.public, message)[0] for _ in range(BATCH)]
+    cts = [
+        CiphertextVector((scheme.encrypt(kp.public, message)[0],))
+        for _ in range(BATCH)
+    ]
     return group, scheme, kp, nxt, message, ct, r, cts
 
 
@@ -51,7 +61,7 @@ def test_reenc(benchmark, setup):
 
 def test_shuffle_batch(benchmark, setup):
     group, scheme, kp, nxt, message, ct, r, cts = setup
-    benchmark(lambda: scheme.shuffle(kp.public, cts))
+    benchmark(lambda: shuffle_vectors(scheme, kp.public, cts))
 
 
 def test_encproof_prove(benchmark, setup):
@@ -86,9 +96,11 @@ def test_reencproof_verify(benchmark, setup):
 
 def test_shufproof_prove(benchmark, setup):
     group, scheme, kp, nxt, message, ct, r, cts = setup
-    shuffled, perm, rands = scheme.shuffle(kp.public, cts)
+    shuffled, perm, rands = shuffle_vectors(scheme, kp.public, cts)
     benchmark.pedantic(
-        lambda: prove_shuffle(group, kp.public, cts, shuffled, perm, rands, rounds=8),
+        lambda: prove_vector_shuffle(
+            scheme, kp.public, cts, shuffled, perm, rands, rounds=8
+        ),
         rounds=1,
         iterations=1,
     )
@@ -99,15 +111,17 @@ def test_shufproof_verify_and_report(benchmark, setup):
     import time
 
     group, scheme, kp, nxt, message, ct, r, cts = setup
-    shuffled, perm, rands = scheme.shuffle(kp.public, cts)
-    proof = prove_shuffle(group, kp.public, cts, shuffled, perm, rands, rounds=8)
+    shuffled, perm, rands = shuffle_vectors(scheme, kp.public, cts)
+    proof = prove_vector_shuffle(
+        scheme, kp.public, cts, shuffled, perm, rands, rounds=8
+    )
     # batched=False: Table 3's paper numbers are element-wise per-member
     # verification costs (Neff); the batched fast path is tracked
     # separately in BENCH_fastexp.json and would shift this comparison
     # by ~14x.
     assert benchmark.pedantic(
-        lambda: verify_shuffle(
-            group, kp.public, cts, shuffled, proof, rounds=8, batched=False
+        lambda: verify_vector_shuffle(
+            scheme, kp.public, cts, shuffled, proof, rounds=8, batched=False
         ),
         rounds=1,
         iterations=1,
@@ -121,15 +135,18 @@ def test_shufproof_verify_and_report(benchmark, setup):
     ours = {
         "Enc": once(lambda: scheme.encrypt(kp.public, message)),
         "ReEnc": once(lambda: scheme.reencrypt(kp.secret, nxt.public, ct)),
-        "Shuffle (per msg)": once(lambda: scheme.shuffle(kp.public, cts)) / BATCH,
+        "Shuffle (per msg)": once(lambda: shuffle_vectors(scheme, kp.public, cts))
+        / BATCH,
         "EncProof prove": once(lambda: prove_encryption(group, ct, r, kp.public, 0)),
         "ShufProof prove (per msg)": once(
-            lambda: prove_shuffle(group, kp.public, cts, shuffled, perm, rands, 8)
+            lambda: prove_vector_shuffle(
+                scheme, kp.public, cts, shuffled, perm, rands, 8
+            )
         )
         / BATCH,
         "ShufProof verify (per msg)": once(
-            lambda: verify_shuffle(
-                group, kp.public, cts, shuffled, proof, 8, batched=False
+            lambda: verify_vector_shuffle(
+                scheme, kp.public, cts, shuffled, proof, 8, batched=False
             )
         )
         / BATCH,

@@ -15,14 +15,16 @@ This package implements, from scratch, every primitive Atom depends on
   (Fiat-Shamir NIZKs for AND-compositions of discrete-log relations).
 - :mod:`repro.crypto.nizk` — ``EncProof`` built on it, and ``ReEncProof``:
   one aggregated Chaum-Pedersen proof per server step.
-- :mod:`repro.crypto.shuffle_proof` — a statistically sound cut-and-choose
-  verifiable-shuffle NIZK standing in for Neff's shuffle (see DESIGN.md).
+- :mod:`repro.crypto.vector` — multi-part vector ciphertexts, their
+  shuffle, and the statistically sound cut-and-choose verifiable-shuffle
+  NIZK standing in for Neff's shuffle (see DESIGN.md);
+  :mod:`repro.crypto.shuffle_proof` checks that proof's openings.
 - :mod:`repro.crypto.aead` / :mod:`repro.crypto.kem` — authenticated
   symmetric encryption and the IND-CCA2 hybrid KEM for inner ciphertexts.
 - :mod:`repro.crypto.secret_sharing` — Shamir, Feldman VSS, and dealer-less
   DVSS used for many-trust group keys.
-- :mod:`repro.crypto.threshold` — threshold ElGamal key generation and
-  share-based decryption/reencryption.
+- :mod:`repro.crypto.threshold` — threshold ElGamal over DVSS shares:
+  the Lagrange-weighted ReEnc share and key reconstruction.
 - :mod:`repro.crypto.commit` — SHA3-based commitments for trap messages.
 - :mod:`repro.crypto.beacon` — a deterministic public randomness beacon.
 """
@@ -38,7 +40,6 @@ from repro.crypto.groups import (
 )
 from repro.crypto.elgamal import AtomCiphertext, ElGamalKeyPair, AtomElGamal
 from repro.crypto.nizk import EncProof, ReEncProof
-from repro.crypto.shuffle_proof import ShuffleProof, prove_shuffle, verify_shuffle
 from repro.crypto.kem import Cca2Ciphertext, cca2_encrypt, cca2_decrypt
 from repro.crypto.commit import commit, verify_commitment
 from repro.crypto.beacon import RandomnessBeacon
@@ -56,9 +57,6 @@ __all__ = [
     "AtomElGamal",
     "EncProof",
     "ReEncProof",
-    "ShuffleProof",
-    "prove_shuffle",
-    "verify_shuffle",
     "Cca2Ciphertext",
     "cca2_encrypt",
     "cca2_decrypt",

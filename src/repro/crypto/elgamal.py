@@ -102,7 +102,7 @@ class AtomElGamal:
             raise ValueError("Dec requires Y = ⊥ (ciphertext mid-reencryption)")
         return ciphertext.c / (ciphertext.R ** secret)
 
-    # -- Shuffle (rerandomize + permute) ----------------------------------
+    # -- Rerandomize (the per-ciphertext half of a shuffle) ---------------
 
     def rerandomize(
         self,
@@ -146,34 +146,6 @@ class AtomElGamal:
             [group.g] * n + [public_key] * n, list(randomness) * 2, Rs + cs
         )
         return out[:n], out[n:]
-
-    def shuffle(
-        self,
-        public_key: GroupElement,
-        ciphertexts: Sequence[AtomCiphertext],
-        rng: Optional[DeterministicRng] = None,
-    ) -> Tuple[List[AtomCiphertext], List[int], List[int]]:
-        """``Shuffle(X, C)``: rerandomize all and permute.
-
-        Returns ``(C', perm, rands)`` where ``C'[i] =
-        Rerand(C[perm[i]], rands[i])``.  The permutation and randomness
-        are the prover's witness for the shuffle NIZK.
-        """
-        n = len(ciphertexts)
-        perm = list(range(n))
-        if rng is not None:
-            rng.shuffle(perm)
-        else:
-            import secrets as _secrets
-
-            for i in range(n - 1, 0, -1):
-                j = _secrets.randbelow(i + 1)
-                perm[i], perm[j] = perm[j], perm[i]
-        rands = [self.group.random_scalar(rng) for _ in range(n)]
-        shuffled = self.rerandomize_many(
-            public_key, [ciphertexts[i] for i in perm], rands
-        )
-        return shuffled, perm, rands
 
     # -- ReEnc (out-of-order decrypt-and-reencrypt) ------------------------
 
@@ -225,21 +197,3 @@ class AtomElGamal:
                 randomness = [group.random_scalar(rng) for _ in ciphertexts]
             Rs, cs = self._pow_mul_pairs(next_public_key, randomness, Rs, cs)
         return [AtomCiphertext(R, c, Y) for R, c, Y in zip(Rs, cs, Ys)]
-
-    # -- Convenience for tests / apps --------------------------------------
-
-    def encrypt_bytes(
-        self,
-        public_key: GroupElement,
-        message: bytes,
-        rng: Optional[DeterministicRng] = None,
-    ) -> Tuple[List[AtomCiphertext], List[int]]:
-        """Encrypt an arbitrary-length byte string as a ciphertext vector."""
-        elements = self.group.encode_chunks(message)
-        pairs = [self.encrypt(public_key, el, rng) for el in elements]
-        return [ct for ct, _ in pairs], [r for _, r in pairs]
-
-    def decrypt_bytes(self, secret: int, ciphertexts: Sequence[AtomCiphertext]) -> bytes:
-        return self.group.decode_chunks(
-            self.decrypt(secret, ct) for ct in ciphertexts
-        )

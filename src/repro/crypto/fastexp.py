@@ -51,7 +51,8 @@ Algorithms (see DESIGN.md, "Fast-exponentiation layer"):
   matter how many bases are combined.  Where inverses are free the
   digits are width-``w`` wNAF (:func:`wnaf`) over odd-multiple tables
   (:func:`odd_multiples`) a quarter the size.  :func:`multiexp_ints`
-  is the integer wrapper, :func:`multiexp` the group-element front end.
+  is the integer wrapper; each backend's ``multiexp`` method is the
+  group-element front end.
 - :func:`rlc_pays` / :func:`batch_weights` — when folding many
   equations into one random-linear-combination identity is cheaper than
   recomputing them, and the verifier's weights for it.
@@ -335,17 +336,6 @@ def multiexp_ints(
         if not 0 < base < modulus:
             raise ValueError("base outside Z_p^*")
     return multiexp_ops(ModIntOps(modulus), order, bases, exponents, window)
-
-
-def multiexp(group, bases: Sequence, exponents: Sequence[int], window: int = 0):
-    """``prod_i bases[i]^exponents[i]`` as a group element.
-
-    Dispatches to ``group.multiexp`` so each backend runs the Straus
-    chain in its native representation (integers mod p, Jacobian
-    points); kept as a module-level helper because the proof code reads
-    better calling a function on the group *argument*.
-    """
-    return group.multiexp(bases, exponents, window)
 
 
 def jacobi(a: int, n: int) -> int:

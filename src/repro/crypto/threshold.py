@@ -4,10 +4,6 @@ A many-trust group of ``k`` servers holds a DVSS-generated key where
 any ``t = k - (h - 1)`` members can jointly decrypt.  Two operations
 are needed:
 
-- **Threshold decryption** of a standard ElGamal ciphertext (used by
-  the trustees in the trap variant: "release decryption key" amounts to
-  publishing shares, after which anyone can finish decryption).
-
 - **Share-weighted out-of-order ReEnc** for the mixing pipeline: each
   participating server uses its *Lagrange-weighted* share as the secret
   in :meth:`repro.crypto.elgamal.AtomElGamal.reencrypt`; summed over
@@ -15,24 +11,23 @@ are needed:
   after all participants have run ReEnc the group's layer is fully
   peeled — exactly as with plain anytrust keys, but tolerant of
   ``h - 1`` absent members.
+
+- **Key reconstruction** (used by the trustees in the trap variant:
+  "release decryption key" amounts to publishing shares, from which
+  anyone reconstructs the secret and finishes decryption).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
-from repro.crypto.elgamal import AtomCiphertext
-from repro.crypto.groups import GroupBackend as Group, GroupElement
-from repro.crypto.secret_sharing import DvssResult, Share, lagrange_coefficient
-
-
-@dataclass(frozen=True)
-class PartialDecryption:
-    """One member's contribution ``Y^{lambda_j * s_j}`` to a decryption."""
-
-    member: int  # 0-based member id
-    value: GroupElement
+from repro.crypto.groups import GroupBackend as Group
+from repro.crypto.secret_sharing import (
+    DvssResult,
+    Share,
+    lagrange_coefficient,
+    shamir_reconstruct,
+)
 
 
 class ThresholdElGamal:
@@ -64,36 +59,6 @@ class ThresholdElGamal:
         lam = lagrange_coefficient(self.group.q, xs, j)
         return lam * self.dvss.shares[member].value % self.group.q
 
-    # -- plain threshold decryption ---------------------------------------
-
-    def partial_decrypt(
-        self, member: int, participants: Sequence[int], ciphertext: AtomCiphertext
-    ) -> PartialDecryption:
-        """Compute ``R^{lambda_j s_j}`` for a ciphertext with ``Y = ⊥``."""
-        if ciphertext.Y is not None:
-            raise ValueError("threshold decryption requires Y = ⊥")
-        w = self.weighted_secret(member, participants)
-        return PartialDecryption(member=member, value=ciphertext.R ** w)
-
-    def combine(
-        self, ciphertext: AtomCiphertext, partials: Sequence[PartialDecryption]
-    ) -> GroupElement:
-        """Finish decryption: ``m = c / prod_j partial_j``."""
-        denom = self.group.identity
-        for partial in partials:
-            denom = denom * partial.value
-        return ciphertext.c / denom
-
-    def decrypt_with(
-        self, participants: Sequence[int], ciphertext: AtomCiphertext
-    ) -> GroupElement:
-        """Convenience: run partial decryption for a participant set."""
-        partials = [
-            self.partial_decrypt(member, participants, ciphertext)
-            for member in participants
-        ]
-        return self.combine(ciphertext, partials)
-
     # -- key release (trap variant, trustees) ------------------------------
 
     def reconstruct_secret(self, released: Dict[int, int]) -> int:
@@ -105,67 +70,4 @@ class ThresholdElGamal:
         shares = [Share(member + 1, value) for member, value in sorted(released.items())]
         if len(shares) < self.threshold:
             raise ValueError("not enough released shares")
-        from repro.crypto.secret_sharing import shamir_reconstruct
-
         return shamir_reconstruct(self.group, shares[: self.threshold])
-
-    def prove_partial(
-        self,
-        member: int,
-        participants: Sequence[int],
-        ciphertext: AtomCiphertext,
-        partial: PartialDecryption,
-    ):
-        """Chaum-Pedersen DLEQ: the partial decryption used the member's
-        DVSS share, i.e. ``log_R(partial) == log_g(g^{lambda s_j})``.
-
-        ``g^{s_j}`` is the Feldman share image published by DVSS, so the
-        weighted public image is computable by every verifier.
-        """
-        from repro.crypto import sigma as _sigma
-
-        w = self.weighted_secret(member, participants)
-        rows = [
-            (partial.value, [ciphertext.R]),
-            (self._weighted_public(member, participants), [self.group.g]),
-        ]
-        return _sigma.prove(self.group, rows, [w], b"repro.threshold.dleq")
-
-    def verify_partial(
-        self,
-        member: int,
-        participants: Sequence[int],
-        ciphertext: AtomCiphertext,
-        partial: PartialDecryption,
-        proof,
-    ) -> bool:
-        """Verify the DLEQ proof for a partial decryption."""
-        from repro.crypto import sigma as _sigma
-
-        rows = [
-            (partial.value, [ciphertext.R]),
-            (self._weighted_public(member, participants), [self.group.g]),
-        ]
-        return _sigma.verify(self.group, rows, proof, b"repro.threshold.dleq")
-
-    def _weighted_public(self, member: int, participants: Sequence[int]) -> GroupElement:
-        """Public image ``g^{lambda_j s_j}`` from the Feldman commitments."""
-        xs = [p + 1 for p in participants]
-        j = participants.index(member)
-        lam = lagrange_coefficient(self.group.q, xs, j)
-        # Share images recur across partial-decryption verifications;
-        # pow_cached promotes them to tables after a couple of uses.
-        return self.group.pow_cached(self.dvss.share_publics[member], lam)
-
-
-def release_and_decrypt(
-    group: Group,
-    scheme: ThresholdElGamal,
-    released: Dict[int, int],
-    ciphertext: AtomCiphertext,
-) -> GroupElement:
-    """Decrypt after trustees release >= threshold raw shares."""
-    secret = scheme.reconstruct_secret(released)
-    if ciphertext.Y is not None:
-        raise ValueError("decryption requires Y = ⊥")
-    return ciphertext.c / (ciphertext.R ** secret)

@@ -6,8 +6,8 @@ points"), and all mixing operations treat the point-vector as a single
 logical message: the same permutation moves all parts together, while
 rerandomization and re-encryption act element-wise.
 
-This module lifts :mod:`repro.crypto.elgamal` and
-:mod:`repro.crypto.shuffle_proof` to vectors:
+This module lifts :mod:`repro.crypto.elgamal` to vectors and proves
+shuffles of them:
 
 - :class:`CiphertextVector` — an immutable tuple of
   :class:`~repro.crypto.elgamal.AtomCiphertext` parts.
@@ -15,10 +15,10 @@ This module lifts :mod:`repro.crypto.elgamal` and
   ``rerandomize_vector`` / ``decrypt_vector``;
 - ``shuffle_vectors`` — one shared permutation, independent per-part
   randomness;
-- ``prove_vector_shuffle`` / ``verify_vector_shuffle`` — the same
-  cut-and-choose argument as the scalar proof, with the *whole vector*
-  as the unit of permutation (so a cheating mixer cannot even permute
-  parts across messages).
+- ``prove_vector_shuffle`` / ``verify_vector_shuffle`` — the
+  cut-and-choose shuffle NIZK standing in for Neff's shuffle, with the
+  *whole vector* as the unit of permutation (so a cheating mixer cannot
+  even permute parts across messages).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.elgamal import AtomCiphertext, AtomElGamal
 from repro.crypto.groups import DeterministicRng, GroupBackend as Group, GroupElement
-from repro.crypto.shuffle_proof import verify_proof
+from repro.crypto.shuffle_proof import Link, check_links
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,23 @@ def shuffle_vectors(
 
 
 # ---------------------------------------------------------------------------
-# Vector cut-and-choose shuffle proof (same structure as the scalar one).
+# Vector cut-and-choose shuffle proof (DESIGN.md substitution #2).
+#
+# To prove ``C' = Shuffle(pk, C)`` with witness ``(perm, rands)``
+# (``C'[i] = Rerand(C[perm[i]], rands[i])``), the prover samples, per
+# round, an *intermediate* shuffle ``D`` of ``C`` with fresh ``(sigma,
+# tau)``.  The Fiat-Shamir challenge bit selects which link to open:
+#
+# - bit 0: reveal ``(sigma, tau)``; the verifier recomputes ``D`` from ``C``;
+# - bit 1: reveal the composition linking ``D`` to ``C'``: ``perm2[i] =
+#   sigma^-1(perm[i])`` and ``rand2[i] = rands[i] - tau[perm2[i]]``; the
+#   verifier checks ``C'[i] == Rerand(D[perm2[i]], rand2[i])``.
+#
+# Rerandomization randomness composes additively, which is what makes
+# the bit-1 opening possible without revealing the witness.  An honest
+# shuffle always verifies; a prover who did not shuffle passes with
+# probability at most ``2^-rounds``; each opened branch is a fresh
+# uniform shuffle of one side, independent of the secret permutation.
 # ---------------------------------------------------------------------------
 
 
@@ -281,14 +297,6 @@ def prove_vector_shuffle(
     return VectorShuffleProof(rounds=tuple(proof_rounds), challenge_bits=tuple(bits))
 
 
-def _part_links(source: CiphertextVector, target: CiphertextVector, rands):
-    """A vector's opened rerandomization as per-part links, or ``None``
-    when the part counts disagree."""
-    if not len(source.parts) == len(target.parts) == len(rands):
-        return None
-    return zip(source.parts, target.parts, rands)
-
-
 def verify_vector_shuffle(
     scheme: AtomElGamal,
     public_key: GroupElement,
@@ -301,12 +309,40 @@ def verify_vector_shuffle(
 ) -> bool:
     """Verify a :class:`VectorShuffleProof`.
 
-    The per-part rerandomization equations of all rounds (``rounds * n
-    * parts`` of them) are checked in one go
-    (:func:`~repro.crypto.shuffle_proof.check_links`); pass
-    ``batched=False`` for the element-wise reference path.
+    Checks the shape, the round count and the Fiat-Shamir bits, reduces
+    every round's opening to per-part links, and checks all ``rounds *
+    n * parts`` of them in one go
+    (:func:`~repro.crypto.shuffle_proof.check_links`).  ``batched=False``
+    is the per-part reference path: one ``rerandomize`` per link.
     """
-    return verify_proof(
-        scheme, public_key, inputs, outputs, proof, rounds,
-        _vector_challenge_bits, _part_links, batched, weight_rng,
+    n = len(inputs)
+    if len(outputs) != n:
+        return False
+    if len(proof.rounds) != rounds or len(proof.challenge_bits) != rounds:
+        return False
+    bits = _vector_challenge_bits(
+        scheme.group, public_key, inputs, outputs,
+        [rnd.intermediate for rnd in proof.rounds], rounds,
+    )
+    if list(proof.challenge_bits) != bits:
+        return False
+    links: List[Link] = []
+    for rnd, bit in zip(proof.rounds, bits):
+        if not len(rnd.intermediate) == len(rnd.opened_perm) == len(rnd.opened_rands) == n:
+            return False
+        if sorted(rnd.opened_perm) != list(range(n)):
+            return False
+        source = inputs if bit == 0 else rnd.intermediate
+        target = rnd.intermediate if bit == 0 else outputs
+        for i, at in enumerate(rnd.opened_perm):
+            src, tgt, rands = source[at].parts, target[i].parts, rnd.opened_rands[i]
+            if not len(src) == len(tgt) == len(rands):
+                return False
+            links.extend(zip(src, tgt, rands))
+    if batched:
+        return check_links(scheme, public_key, links, weight_rng)
+    return all(
+        src.Y is None
+        and scheme.rerandomize(public_key, src, randomness=rho) == tgt
+        for src, tgt, rho in links
     )

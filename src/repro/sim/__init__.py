@@ -6,10 +6,8 @@ simulation that replaces crypto operations with the measured costs of
 Table 3 (Figure 11).  This package applies that methodology to every
 large-scale experiment:
 
-- :mod:`repro.sim.costmodel` — per-primitive CPU costs.  Defaults are
-  the paper's Table 3 numbers; :func:`measure_costs` re-calibrates from
-  the local pure-Python implementation so that simulated experiments
-  can be driven by *our* substrate too.
+- :mod:`repro.sim.costmodel` — per-primitive CPU costs: the paper's
+  Table 3 numbers, scalable to other hardware.
 - :mod:`repro.sim.machines` — heterogeneous fleets (the §6.2 core and
   bandwidth mixes) and an Amdahl parallelism model (Figure 7).
 - :mod:`repro.sim.network` — pairwise latencies (40–160 ms clustered
@@ -17,7 +15,6 @@ large-scale experiment:
   connection-setup overhead (the Figure 11 sub-linearity).
 - :mod:`repro.sim.mixnet` — single-group iteration model (Figures 5–7,
   Table 4).
-- :mod:`repro.sim.events` — a small discrete-event engine.
 - :mod:`repro.sim.runner` — end-to-end round simulation over the full
   topology (Figures 9–11, Table 12, bandwidth accounting).
 - :mod:`repro.sim.pipeline` — §4.7 pipelined scheduling: the analytic
@@ -28,7 +25,7 @@ large-scale experiment:
   :class:`~repro.scenarios.metrics.ScenarioMetrics`.
 """
 
-from repro.sim.costmodel import PrimitiveCosts, measure_costs
+from repro.sim.costmodel import PrimitiveCosts
 from repro.sim.pipeline import (
     PipelinedAtomSimulator,
     PipelineResult,
@@ -42,7 +39,6 @@ from repro.sim.scenario import reconcile_with_traffic
 
 __all__ = [
     "PrimitiveCosts",
-    "measure_costs",
     "Fleet",
     "MachineSpec",
     "amdahl_speedup",

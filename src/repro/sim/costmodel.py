@@ -3,9 +3,8 @@
 ``PrimitiveCosts.paper_table3()`` returns the published numbers
 (seconds per operation on one c4.xlarge core, 32-byte messages, with
 per-message shuffle/proof costs derived from the 1,024-message batch
-timings).  ``measure_costs()`` times the local pure-Python substrate so
-every simulated experiment can also be run with *our* constants; both
-are reported side by side in EXPERIMENTS.md.
+timings).  ``benchmarks/test_table3_primitives.py`` prints them beside
+the local substrate's timings.
 
 Costs scale linearly with the number of group elements per message
 ("the latency increases linearly with the message size, as we use more
@@ -14,7 +13,6 @@ points to embed larger messages" — §6.1).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 
@@ -98,87 +96,3 @@ class PrimitiveCosts:
             shufproof_prove_per_msg=self.shufproof_prove_per_msg * factor,
             shufproof_verify_per_msg=self.shufproof_verify_per_msg * factor,
         )
-
-
-def _time_it(fn, repeat: int) -> float:
-    start = time.perf_counter()
-    for _ in range(repeat):
-        fn()
-    return (time.perf_counter() - start) / repeat
-
-
-def measure_costs(group_name: str = "P256ISH", batch: int = 64, repeat: int = 3) -> PrimitiveCosts:
-    """Calibrate a :class:`PrimitiveCosts` from the local substrate.
-
-    Times the pure-Python primitives on ``batch``-element vectors; the
-    shuffle-proof costs use the cut-and-choose argument with 16 rounds
-    (our deployment default), amortized per message.
-    """
-    from repro.crypto.elgamal import AtomElGamal
-    from repro.crypto.groups import get_group
-    from repro.crypto.nizk import (
-        prove_encryption,
-        prove_reencryption,
-        verify_encryption,
-        verify_reencryption,
-    )
-    from repro.crypto.shuffle_proof import prove_shuffle, verify_shuffle
-
-    group = get_group(group_name)
-    scheme = AtomElGamal(group)
-    kp = scheme.keygen()
-    nxt = scheme.keygen()
-    message = group.encode(b"cal")
-
-    enc = _time_it(lambda: scheme.encrypt(kp.public, message), repeat * 8)
-
-    ct, r = scheme.encrypt(kp.public, message)
-    reenc = _time_it(lambda: scheme.reencrypt(kp.secret, nxt.public, ct), repeat * 8)
-
-    cts = [scheme.encrypt(kp.public, message)[0] for _ in range(batch)]
-    shuffle_total = _time_it(lambda: scheme.shuffle(kp.public, cts), repeat)
-    shuffle_per_msg = shuffle_total / batch
-
-    proof = prove_encryption(group, ct, r, kp.public, 0)
-    encproof_prove = _time_it(lambda: prove_encryption(group, ct, r, kp.public, 0), repeat * 4)
-    encproof_verify = _time_it(
-        lambda: verify_encryption(group, ct, proof, kp.public, 0), repeat * 4
-    )
-
-    rr = group.random_scalar()
-    out = scheme.reencrypt(kp.secret, nxt.public, ct, randomness=rr)
-    rp = prove_reencryption(group, kp.secret, rr, nxt.public, ct, out)
-    reencproof_prove = _time_it(
-        lambda: prove_reencryption(group, kp.secret, rr, nxt.public, ct, out), repeat * 4
-    )
-    reencproof_verify = _time_it(
-        lambda: verify_reencryption(group, kp.public, nxt.public, ct, out, rp), repeat * 4
-    )
-
-    shuffled, perm, rands = scheme.shuffle(kp.public, cts)
-    rounds = 16
-    sp = prove_shuffle(group, kp.public, cts, shuffled, perm, rands, rounds)
-    shufproof_prove = _time_it(
-        lambda: prove_shuffle(group, kp.public, cts, shuffled, perm, rands, rounds),
-        max(1, repeat // 2),
-    )
-    # batched=False: the simulator's calibration baseline is the
-    # paper's element-wise per-member verification cost; the batched
-    # fast path is benchmarked separately (BENCH_fastexp.json) and
-    # would silently shift every derived table by ~14x here.
-    shufproof_verify = _time_it(
-        lambda: verify_shuffle(group, kp.public, cts, shuffled, sp, rounds, batched=False),
-        max(1, repeat // 2),
-    )
-
-    return PrimitiveCosts(
-        enc=enc,
-        reenc=reenc,
-        shuffle_per_msg=shuffle_per_msg,
-        encproof_prove=encproof_prove,
-        encproof_verify=encproof_verify,
-        reencproof_prove=reencproof_prove,
-        reencproof_verify=reencproof_verify,
-        shufproof_prove_per_msg=shufproof_prove / batch,
-        shufproof_verify_per_msg=shufproof_verify / batch,
-    )

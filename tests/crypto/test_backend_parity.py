@@ -28,7 +28,12 @@ from repro.crypto.nizk import (
     verify_encryption,
     verify_reencryption,
 )
-from repro.crypto.shuffle_proof import prove_shuffle, verify_shuffle
+from repro.crypto.vector import (
+    CiphertextVector,
+    prove_vector_shuffle,
+    shuffle_vectors,
+    verify_vector_shuffle,
+)
 
 BACKENDS = ["MODP2048", "P256"]
 
@@ -195,20 +200,22 @@ class TestProofParity:
         rng = DeterministicRng(b"parity-shuffle")
         kp = scheme.keygen(rng)
         inputs = [
-            scheme.encrypt(kp.public, group.encode(b"m%d" % i), rng)[0]
+            CiphertextVector(
+                (scheme.encrypt(kp.public, group.encode(b"m%d" % i), rng)[0],)
+            )
             for i in range(4)
         ]
-        outputs, perm, rands = scheme.shuffle(kp.public, inputs, rng)
-        proof = prove_shuffle(
-            group, kp.public, inputs, outputs, perm, rands, rounds=4, rng=rng
+        outputs, perm, rands = shuffle_vectors(scheme, kp.public, inputs, rng)
+        proof = prove_vector_shuffle(
+            scheme, kp.public, inputs, outputs, perm, rands, rounds=4, rng=rng
         )
-        assert verify_shuffle(
-            group, kp.public, inputs, outputs, proof, rounds=4, batched=batched
+        assert verify_vector_shuffle(
+            scheme, kp.public, inputs, outputs, proof, rounds=4, batched=batched
         )
         tampered = list(outputs)
         tampered[0], tampered[1] = tampered[1], tampered[0]
-        assert not verify_shuffle(
-            group, kp.public, inputs, tampered, proof, rounds=4, batched=batched
+        assert not verify_vector_shuffle(
+            scheme, kp.public, inputs, tampered, proof, rounds=4, batched=batched
         )
 
 

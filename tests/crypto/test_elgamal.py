@@ -6,7 +6,12 @@ import pytest
 
 from repro.crypto.elgamal import AtomCiphertext, AtomElGamal, ElGamalKeyPair
 from repro.crypto.groups import DeterministicRng, get_group
-from repro.crypto.vector import CiphertextVector, shuffle_vectors
+from repro.crypto.vector import (
+    CiphertextVector,
+    decrypt_vector,
+    encrypt_vector,
+    shuffle_vectors,
+)
 
 #: sha256 of five seeded one-part vectors shuffled by ``shuffle_vectors``
 #: (outputs, then the repr of the witness), recorded when the scalar
@@ -59,9 +64,9 @@ class TestBasicEncryption:
     def test_bytes_roundtrip_multi_element(self, scheme, toy_group):
         kp = scheme.keygen()
         message = b"a longer message spanning several group elements!"
-        cts, _ = scheme.encrypt_bytes(kp.public, message)
-        assert len(cts) > 1
-        assert scheme.decrypt_bytes(kp.secret, cts) == message
+        vector, _ = encrypt_vector(scheme, kp.public, message)
+        assert len(vector) > 1
+        assert decrypt_vector(scheme, kp.secret, vector) == message
 
 
 class TestAnytrustGroupKey:
@@ -112,13 +117,15 @@ class TestRerandomization:
         kp = scheme.keygen()
         plaintexts = [toy_group.encode(bytes([i])) for i in range(10)]
         cts = [scheme.encrypt(kp.public, m)[0] for m in plaintexts]
-        shuffled, perm, rands = scheme.shuffle(kp.public, cts, rng)
-        decrypted = [scheme.decrypt(kp.secret, ct) for ct in shuffled]
+        shuffled, perm, rands = shuffle_vectors(
+            scheme, kp.public, [CiphertextVector((ct,)) for ct in cts], rng
+        )
+        decrypted = [scheme.decrypt(kp.secret, vec.parts[0]) for vec in shuffled]
         assert sorted(d.value for d in decrypted) == sorted(p.value for p in plaintexts)
         # witness is consistent
         for i in range(len(cts)):
-            expect = scheme.rerandomize(kp.public, cts[perm[i]], randomness=rands[i])
-            assert expect == shuffled[i]
+            expect = scheme.rerandomize(kp.public, cts[perm[i]], randomness=rands[i][0])
+            assert expect == shuffled[i].parts[0]
 
 
 @pytest.mark.parametrize("backend", sorted(ONE_PART_SHUFFLE_DIGESTS))
@@ -135,9 +142,6 @@ def test_one_part_shuffle_vectors_is_pinned(backend):
         scheme, keys.public, [CiphertextVector((ct,)) for ct in cts],
         DeterministicRng(b"one-part-shuffle-pin-draws"),
     )
-    assert scheme.shuffle(
-        keys.public, cts, DeterministicRng(b"one-part-shuffle-pin-draws")
-    ) == ([vec.parts[0] for vec in outputs], perm, [r for (r,) in rands])
     digest = hashlib.sha256(
         b"".join(vec.to_bytes() for vec in outputs) + repr((perm, rands)).encode()
     )

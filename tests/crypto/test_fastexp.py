@@ -1,6 +1,6 @@
 """Property tests for the fast-exponentiation engine.
 
-``FixedBaseExp``, ``multiexp`` and the Jacobi-symbol QR test must agree
+``FixedBaseExp``, the multiexps and the Jacobi-symbol QR test must agree
 *exactly* with the generic ``pow`` paths they replace — any divergence
 is a soundness bug, not a performance bug — and the batched shuffle
 verifier must keep rejecting tampered proofs.
@@ -15,15 +15,16 @@ from repro.crypto.fastexp import (
     FixedBaseExp,
     ModIntOps,
     jacobi,
-    multiexp,
     multiexp_ints,
     multiexp_ops,
     odd_multiples,
     wnaf,
 )
 from repro.crypto.groups import DeterministicRng, get_group
-from repro.crypto.shuffle_proof import ShuffleRound, prove_shuffle, verify_shuffle
+from repro.crypto.shuffle_proof import fold_links
 from repro.crypto.vector import (
+    CiphertextVector,
+    VectorShuffleRound,
     encrypt_vector,
     prove_vector_shuffle,
     shuffle_vectors,
@@ -95,7 +96,7 @@ class TestMultiexp:
         expected = TOY.identity
         for b, e in zip(bases, exps):
             expected = expected * b ** e
-        assert multiexp(TOY, bases, exps) == expected
+        assert TOY.multiexp(bases, exps) == expected
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -211,35 +212,42 @@ class TestJacobi:
 
 
 def _scalar_proof(rng_seed=b"fastexp-batch"):
+    """A one-part vector shuffle proof: one group element per message."""
     rng = DeterministicRng(rng_seed)
     scheme = AtomElGamal(TOY)
     keys = ElGamalKeyPair.generate(TOY, rng)
     inputs = []
     for i in range(6):
         ct, _ = scheme.encrypt(keys.public, TOY.encode(b"m%d" % i), rng)
-        inputs.append(ct)
-    outputs, perm, rands = scheme.shuffle(keys.public, inputs, rng)
-    proof = prove_shuffle(TOY, keys.public, inputs, outputs, perm, rands, rounds=6, rng=rng)
-    return keys.public, inputs, outputs, proof
+        inputs.append(CiphertextVector((ct,)))
+    outputs, perm, rands = shuffle_vectors(scheme, keys.public, inputs, rng)
+    proof = prove_vector_shuffle(
+        scheme, keys.public, inputs, outputs, perm, rands, rounds=6, rng=rng
+    )
+    return scheme, keys.public, inputs, outputs, proof
 
 
 class TestBatchedVerifier:
     def test_batched_accepts_honest_proof(self):
-        pk, inputs, outputs, proof = _scalar_proof()
-        assert verify_shuffle(TOY, pk, inputs, outputs, proof, rounds=6, batched=True)
-        assert verify_shuffle(TOY, pk, inputs, outputs, proof, rounds=6, batched=False)
+        scheme, pk, inputs, outputs, proof = _scalar_proof()
+        assert verify_vector_shuffle(
+            scheme, pk, inputs, outputs, proof, rounds=6, batched=True
+        )
+        assert verify_vector_shuffle(
+            scheme, pk, inputs, outputs, proof, rounds=6, batched=False
+        )
 
     def test_batched_rejects_swapped_outputs(self):
-        pk, inputs, outputs, proof = _scalar_proof()
+        scheme, pk, inputs, outputs, proof = _scalar_proof()
         tampered = list(outputs)
         tampered[0], tampered[1] = tampered[1], tampered[0]
-        assert not verify_shuffle(TOY, pk, inputs, tampered, proof, rounds=6)
+        assert not verify_vector_shuffle(scheme, pk, inputs, tampered, proof, rounds=6)
 
     def test_batched_rejects_tampered_opening(self):
-        pk, inputs, outputs, proof = _scalar_proof()
+        scheme, pk, inputs, outputs, proof = _scalar_proof()
         rnd0 = proof.rounds[0]
-        bad_rands = (rnd0.opened_rands[0] + 1,) + rnd0.opened_rands[1:]
-        bad_round = ShuffleRound(
+        bad_rands = ((rnd0.opened_rands[0][0] + 1,),) + rnd0.opened_rands[1:]
+        bad_round = VectorShuffleRound(
             intermediate=rnd0.intermediate,
             opened_perm=rnd0.opened_perm,
             opened_rands=bad_rands,
@@ -250,16 +258,17 @@ class TestBatchedVerifier:
         )
         # The TOY group order is ~63 bits, far below WEIGHT_BITS, so a
         # single corrupted opening cannot hide in the linear combination.
-        assert not verify_shuffle(TOY, pk, inputs, outputs, bad, rounds=6)
-        assert not verify_shuffle(TOY, pk, inputs, outputs, bad, rounds=6, batched=False)
+        assert not verify_vector_shuffle(scheme, pk, inputs, outputs, bad, rounds=6)
+        assert not verify_vector_shuffle(
+            scheme, pk, inputs, outputs, bad, rounds=6, batched=False
+        )
 
     def test_batched_rejects_replaced_element(self, rng):
-        pk, inputs, outputs, proof = _scalar_proof()
-        scheme = AtomElGamal(TOY)
+        scheme, pk, inputs, outputs, proof = _scalar_proof()
         forged, _ = scheme.encrypt(pk, TOY.encode(b"evil"), rng)
         tampered = list(outputs)
-        tampered[0] = forged
-        assert not verify_shuffle(TOY, pk, inputs, tampered, proof, rounds=6)
+        tampered[0] = CiphertextVector((forged,))
+        assert not verify_vector_shuffle(scheme, pk, inputs, tampered, proof, rounds=6)
 
     def test_batched_rejects_order2_coset_tampering(self):
         # Regression: a sign-flipped component (x -> p - x) lies in
@@ -268,7 +277,6 @@ class TestBatchedVerifier:
         # even (~1/2 per round).  Must now fail deterministically.
         from repro.crypto.elgamal import AtomCiphertext
         from repro.crypto.groups import GroupElement
-        from repro.crypto.shuffle_proof import batch_rerand_check
 
         rng = DeterministicRng(b"coset")
         scheme = AtomElGamal(TOY)
@@ -280,7 +288,7 @@ class TestBatchedVerifier:
             sources.append(ct)
             targets.append(scheme.rerandomize(keys.public, ct, randomness=r))
             rands.append(r)
-        assert batch_rerand_check(TOY, keys.public, sources, targets, rands)
+        assert fold_links(scheme, keys.public, list(zip(sources, targets, rands)))
         for attr in ("R", "c"):
             flipped_el = GroupElement(
                 TOY.p - getattr(targets[0], attr).value, TOY
@@ -292,15 +300,15 @@ class TestBatchedVerifier:
             )
             tampered = [flipped] + targets[1:]
             for seed in (b"w1", b"w2", b"w3", b"w4"):
-                assert not batch_rerand_check(
-                    TOY, keys.public, sources, tampered, rands,
-                    rng=DeterministicRng(seed),
+                assert not fold_links(
+                    scheme, keys.public, list(zip(sources, tampered, rands)),
+                    weight_rng=DeterministicRng(seed),
                 ), f"sign-flipped {attr} accepted"
 
     def test_weight_rng_reproducible(self):
-        pk, inputs, outputs, proof = _scalar_proof()
-        assert verify_shuffle(
-            TOY, pk, inputs, outputs, proof, rounds=6,
+        scheme, pk, inputs, outputs, proof = _scalar_proof()
+        assert verify_vector_shuffle(
+            scheme, pk, inputs, outputs, proof, rounds=6,
             weight_rng=DeterministicRng(b"weights"),
         )
 

@@ -13,6 +13,7 @@ from repro.crypto.secret_sharing import (
     shamir_reconstruct,
     shamir_share,
 )
+from repro.crypto.vector import CiphertextVector, shuffle_vectors
 
 GROUP = get_group("TOY")
 SCHEME = AtomElGamal(GROUP)
@@ -90,9 +91,9 @@ class TestElGamalProperties:
         rng = DeterministicRng(seed.to_bytes(8, "big"))
         public = GROUP.g ** secret
         ms = [GROUP.encode(bytes([i])) for i in range(6)]
-        cts = [SCHEME.encrypt(public, m)[0] for m in ms]
-        shuffled, _, _ = SCHEME.shuffle(public, cts, rng)
-        out = sorted(SCHEME.decrypt(secret, ct).value for ct in shuffled)
+        cts = [CiphertextVector((SCHEME.encrypt(public, m)[0],)) for m in ms]
+        shuffled, _, _ = shuffle_vectors(SCHEME, public, cts, rng)
+        out = sorted(SCHEME.decrypt(secret, vec.parts[0]).value for vec in shuffled)
         assert out == sorted(m.value for m in ms)
 
 

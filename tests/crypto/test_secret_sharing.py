@@ -12,7 +12,7 @@ from repro.crypto.secret_sharing import (
     shamir_reconstruct,
     shamir_share,
 )
-from repro.crypto.threshold import ThresholdElGamal, release_and_decrypt
+from repro.crypto.threshold import ThresholdElGamal
 
 
 class TestShamir:
@@ -115,13 +115,16 @@ class TestThresholdElGamal:
         m = toy_group.encode(b"thr")
         ct, _ = scheme.encrypt(thresh.public_key, m)
         for participants in ([0, 1, 2], [2, 3, 4], [0, 2, 4], [0, 1, 2, 3, 4]):
-            assert thresh.decrypt_with(participants, ct) == m
+            peeled = ct
+            for member in participants:
+                w = thresh.weighted_secret(member, participants)
+                peeled = scheme.reencrypt(w, None, peeled)
+            assert peeled.c == m
 
     def test_below_threshold_rejected(self, toy_group, scheme_and_threshold):
-        scheme, thresh = scheme_and_threshold
-        ct, _ = scheme.encrypt(thresh.public_key, toy_group.encode(b"x"))
+        _, thresh = scheme_and_threshold
         with pytest.raises(ValueError):
-            thresh.decrypt_with([0, 1], ct)
+            thresh.weighted_secret(0, [0, 1])
 
     def test_weighted_secrets_sum_to_group_secret(self, toy_group, scheme_and_threshold):
         _, thresh = scheme_and_threshold
@@ -150,32 +153,12 @@ class TestThresholdElGamal:
         m = toy_group.encode(b"rel")
         ct, _ = scheme.encrypt(thresh.public_key, m)
         released = {i: thresh.dvss.shares[i].value for i in (0, 1, 2)}
-        assert release_and_decrypt(toy_group, thresh, released, ct) == m
+        assert scheme.decrypt(thresh.reconstruct_secret(released), ct) == m
 
     def test_release_too_few_shares(self, toy_group, scheme_and_threshold):
-        scheme, thresh = scheme_and_threshold
-        ct, _ = scheme.encrypt(thresh.public_key, toy_group.encode(b"x"))
+        _, thresh = scheme_and_threshold
         with pytest.raises(ValueError):
-            release_and_decrypt(toy_group, thresh, {0: thresh.dvss.shares[0].value}, ct)
-
-    def test_partial_decryption_proof(self, toy_group, scheme_and_threshold):
-        scheme, thresh = scheme_and_threshold
-        ct, _ = scheme.encrypt(thresh.public_key, toy_group.encode(b"p"))
-        participants = [0, 1, 2]
-        partial = thresh.partial_decrypt(0, participants, ct)
-        proof = thresh.prove_partial(0, participants, ct, partial)
-        assert thresh.verify_partial(0, participants, ct, partial, proof)
-
-    def test_forged_partial_rejected(self, toy_group, scheme_and_threshold):
-        from repro.crypto.threshold import PartialDecryption
-
-        scheme, thresh = scheme_and_threshold
-        ct, _ = scheme.encrypt(thresh.public_key, toy_group.encode(b"p"))
-        participants = [0, 1, 2]
-        partial = thresh.partial_decrypt(0, participants, ct)
-        proof = thresh.prove_partial(0, participants, ct, partial)
-        forged = PartialDecryption(0, partial.value * toy_group.g)
-        assert not thresh.verify_partial(0, participants, ct, forged, proof)
+            thresh.reconstruct_secret({0: thresh.dvss.shares[0].value})
 
     def test_nonparticipant_weighted_secret_rejected(self, toy_group, scheme_and_threshold):
         _, thresh = scheme_and_threshold

@@ -1,4 +1,4 @@
-"""The two ways ``verify_(vector_)shuffle`` checks a proof's openings —
+"""The two ways ``verify_vector_shuffle`` checks a proof's openings —
 recompute every link, or fold them into one weighted identity — against
 the per-part oracle (``batched=False``).
 
@@ -18,9 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import shuffle_proof
-from repro.crypto.elgamal import AtomCiphertext, AtomElGamal, ElGamalKeyPair
+from repro.crypto.elgamal import AtomElGamal, ElGamalKeyPair
 from repro.crypto.groups import DeterministicRng, GroupElement, get_group
-from repro.crypto.shuffle_proof import prove_shuffle, verify_shuffle
 from repro.crypto.vector import (
     CiphertextVector,
     VectorShuffleProof,
@@ -259,7 +258,8 @@ def test_fold_uses_at_most_two_multiexps_and_recomputation_none():
 
 
 class TestScalarProofSharesTheRoutine:
-    """``verify_shuffle`` is the same loop over one-part items."""
+    """One-part vectors, the scalar proof's old inputs, go through the
+    same checks."""
 
     def _case(self, backend):
         group = get_group(backend)
@@ -267,29 +267,33 @@ class TestScalarProofSharesTheRoutine:
         rng = DeterministicRng(b"scalar-shuffle-checks")
         keys = ElGamalKeyPair.generate(group, rng)
         inputs = [
-            scheme.encrypt(keys.public, group.encode(bytes([i + 1])), rng)[0]
+            CiphertextVector(
+                (scheme.encrypt(keys.public, group.encode(bytes([i + 1])), rng)[0],)
+            )
             for i in range(4)
         ]
-        outputs, perm, rands = scheme.shuffle(keys.public, inputs, rng)
-        proof = prove_shuffle(
-            group, keys.public, inputs, outputs, perm, rands, rounds=ROUNDS, rng=rng
+        outputs, perm, rands = shuffle_vectors(scheme, keys.public, inputs, rng)
+        proof = prove_vector_shuffle(
+            scheme, keys.public, inputs, outputs, perm, rands, rounds=ROUNDS, rng=rng
         )
-        return group, keys.public, inputs, outputs, proof
+        return scheme, keys.public, inputs, outputs, proof
 
     @pytest.mark.parametrize("backend", ["TOY", "P256"])
     @pytest.mark.parametrize("fold", [False, True])
     def test_accepts_and_rejects_like_the_oracle(self, backend, fold):
-        group, pk, inputs, outputs, proof = self._case(backend)
+        scheme, pk, inputs, outputs, proof = self._case(backend)
         swapped = [outputs[1], outputs[0]] + outputs[2:]
-        bad_y = [AtomCiphertext(outputs[0].R, outputs[0].c, group.g)] + outputs[1:]
+        bad_y = [_with_part(outputs[0], 0, Y=scheme.group.g)] + outputs[1:]
         with mock.patch.object(shuffle_proof, "rlc_pays", lambda bits: fold):
-            assert verify_shuffle(group, pk, inputs, outputs, proof, rounds=ROUNDS)
+            assert verify_vector_shuffle(
+                scheme, pk, inputs, outputs, proof, rounds=ROUNDS
+            )
             for tampered in (swapped, bad_y, outputs[:-1]):
-                assert not verify_shuffle(
-                    group, pk, inputs, tampered, proof, rounds=ROUNDS
+                assert not verify_vector_shuffle(
+                    scheme, pk, inputs, tampered, proof, rounds=ROUNDS
                 )
-                assert not verify_shuffle(
-                    group, pk, inputs, tampered, proof, rounds=ROUNDS, batched=False
+                assert not verify_vector_shuffle(
+                    scheme, pk, inputs, tampered, proof, rounds=ROUNDS, batched=False
                 )
 
 

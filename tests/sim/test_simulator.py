@@ -40,13 +40,6 @@ class TestCostModel:
         assert double.enc == pytest.approx(2 * costs.enc)
         assert double.dvss_pair == costs.dvss_pair  # non-CPU knobs kept
 
-    def test_measure_costs_runs(self):
-        from repro.sim.costmodel import measure_costs
-
-        measured = measure_costs(group_name="TOY", batch=8, repeat=1)
-        assert measured.enc > 0
-        assert measured.shufproof_verify_per_msg > measured.shuffle_per_msg
-
 
 class TestMachines:
     def test_amdahl_limits(self):
@@ -224,50 +217,6 @@ class TestEndToEnd:
         """§1: fault tolerance adds 'less than two seconds of overhead'
         (the k=33 group setup)."""
         assert AtomSimulator(SimConfig(group_size=33)).setup_time() < 2.0
-
-
-class TestEventEngine:
-    def test_task_graph_chain(self):
-        from repro.sim.events import TaskGraph
-
-        graph = TaskGraph()
-        graph.add_task("a", duration=1.0, num_inputs=0)
-        graph.add_task("b", duration=2.0, num_inputs=1)
-        graph.add_edge("a", "b", delay=0.5)
-        graph.start("a")
-        finish = graph.run()
-        assert finish["a"] == pytest.approx(1.0)
-        assert finish["b"] == pytest.approx(3.5)
-
-    def test_task_graph_join(self):
-        from repro.sim.events import TaskGraph
-
-        graph = TaskGraph()
-        graph.add_task("a", 1.0, 0)
-        graph.add_task("b", 5.0, 0)
-        graph.add_task("join", 1.0, 2)
-        graph.add_edge("a", "join", 0.0)
-        graph.add_edge("b", "join", 0.0)
-        graph.start("a")
-        graph.start("b")
-        finish = graph.run()
-        assert finish["join"] == pytest.approx(6.0)
-
-    def test_cannot_schedule_in_past(self):
-        from repro.sim.events import EventQueue
-
-        queue = EventQueue()
-        queue.schedule(1.0, lambda: queue.schedule(0.5, lambda: None))
-        with pytest.raises(ValueError):
-            queue.run()
-
-    def test_duplicate_task_rejected(self):
-        from repro.sim.events import TaskGraph
-
-        graph = TaskGraph()
-        graph.add_task("a", 1.0, 0)
-        with pytest.raises(ValueError):
-            graph.add_task("a", 1.0, 0)
 
 
 class TestSizingMatchesTheLiveSpec:
