@@ -40,6 +40,8 @@ def estimate_server_cost(
     message_bytes: int = 32,
 ) -> ServerCostEstimate:
     """Reproduce §7's estimate for a ``cores``-core trap-variant server."""
+    if cores < 1:
+        raise ValueError("cores must be >= 1")
     costs = costs or PrimitiveCosts.paper_table3()
     scale = cores / 4  # §7 scales the 4-core figures linearly
     reenc_rate = (1.0 / costs.reenc) * scale

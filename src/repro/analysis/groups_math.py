@@ -36,8 +36,12 @@ def manytrust_failure_probability(
 ) -> float:
     """Probability that any group has fewer than ``h`` honest members
     (union bound), paper Appendix B."""
+    if not 0 <= f < 1:
+        raise ValueError("adversarial fraction must be in [0, 1)")
     if h < 1:
         raise ValueError("h must be >= 1")
+    if num_groups < 1:
+        raise ValueError("need at least one group")
     if k < h:
         return 1.0
     single = sum(

@@ -328,16 +328,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     """Run the calibrated performance simulator."""
     from repro.sim import AtomSimulator, SimConfig
 
-    sim = AtomSimulator(
-        SimConfig(
-            num_servers=args.servers,
-            num_groups=args.servers,
-            variant=args.variant,
-            application=args.application,
-            message_size=160 if args.application == "microblog" else 80,
+    try:
+        sim = AtomSimulator(
+            SimConfig(
+                num_servers=args.servers,
+                num_groups=args.servers,
+                variant=args.variant,
+                application=args.application,
+                message_size=160 if args.application == "microblog" else 80,
+            )
         )
-    )
-    result = sim.simulate_round(args.messages)
+        result = sim.simulate_round(args.messages)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{args.messages:,} messages on {args.servers} servers "
           f"({args.variant}, {args.application}):")
     print(f"  total latency: {result.total_minutes:.1f} min "
@@ -358,7 +362,11 @@ def cmd_group_size(args: argparse.Namespace) -> int:
         minimum_group_size,
     )
 
-    k = minimum_group_size(args.f, args.groups, args.h, args.security)
+    try:
+        k = minimum_group_size(args.f, args.groups, args.h, args.security)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     prob = manytrust_failure_probability(k, args.f, args.h, args.groups)
     print(f"f={args.f}, G={args.groups}, h={args.h}, target 2^-{args.security}:")
     print(f"  required group size k = {k} (failure probability {prob:.2e})")
@@ -404,7 +412,11 @@ def cmd_costs(args: argparse.Namespace) -> int:
     """§7 deployment cost estimate."""
     from repro.analysis.costs import estimate_server_cost
 
-    est = estimate_server_cost(args.cores)
+    try:
+        est = estimate_server_cost(args.cores)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{args.cores}-core trap-variant server (§7 estimates):")
     print(f"  reencryption: {est.reencrypt_msgs_per_s:,.0f} msgs/s")
     print(f"  shuffling:    {est.shuffle_msgs_per_s:,.0f} msgs/s")

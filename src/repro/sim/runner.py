@@ -228,6 +228,8 @@ class AtomSimulator:
     # -- top level -------------------------------------------------------------
 
     def simulate_round(self, num_messages: int) -> SimResult:
+        if num_messages < 0:
+            raise ValueError("message count must be >= 0")
         cfg = self.config
         per_iter = self.iteration_time(num_messages)
         entry = self.entry_time(num_messages)

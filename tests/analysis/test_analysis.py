@@ -52,6 +52,17 @@ class TestGroupSizeMath:
         with pytest.raises(ValueError):
             manytrust_failure_probability(32, 0.2, h=0)
 
+    @pytest.mark.parametrize("f", [-0.1, 1.0, 1.5])
+    def test_manytrust_rejects_a_fraction_outside_the_unit_interval(self, f):
+        with pytest.raises(ValueError):
+            manytrust_failure_probability(32, f, h=1)
+        with pytest.raises(ValueError):
+            minimum_group_size(f, 1024)
+
+    def test_manytrust_rejects_no_groups(self):
+        with pytest.raises(ValueError):
+            manytrust_failure_probability(32, 0.2, h=1, num_groups=0)
+
     def test_dummy_messages_paper_number(self):
         """§6.2: mu=13,000 with 32 servers -> ~410k dummies."""
         assert expected_dummy_messages(13_000, 32) == pytest.approx(416_000)
@@ -88,6 +99,11 @@ class TestDeploymentCosts:
         """§7: ~300 KB/s upper bound for a 4-core server."""
         est = estimate_server_cost(4)
         assert est.bandwidth_bytes_per_s == pytest.approx(300e3, rel=0.1)
+
+    @pytest.mark.parametrize("cores", [0, -2])
+    def test_rejects_fewer_than_one_core(self, cores):
+        with pytest.raises(ValueError):
+            estimate_server_cost(cores)
 
     def test_paper_dollar_figures(self):
         est4 = estimate_server_cost(4)

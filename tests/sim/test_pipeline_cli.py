@@ -64,6 +64,23 @@ class TestCli:
         assert code == 0
         assert "$146" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["group-size", "--f", "-0.1"],
+            ["group-size", "--f", "1.5"],
+            ["group-size", "--h", "0"],
+            ["simulate", "--servers", "0"],
+            ["simulate", "--messages", "-5"],
+            ["costs", "--cores", "-2"],
+        ],
+    )
+    def test_out_of_range_input_exits_2(self, capsys, argv):
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     def test_nizk_round(self, capsys):
         code = cli_main(
             [
