@@ -34,15 +34,17 @@ bench-smoke:
 		benchmarks/test_streaming_rss.py
 	$(PYTHON) scripts/merge_bench.py .bench_records.json BENCH_fastexp.json
 
-## Cross-backend parity plus the proof layers over it, the inner
-## envelope + payload framing, and the NIZK mix's pinned digests and op
-## budgets (quick confidence after touching crypto/ or
+## Cross-backend parity plus the proof layers over it, ElGamal (with
+## the pinned one-part shuffle) and the threshold key operations, the
+## inner envelope + payload framing, and the NIZK mix's pinned digests
+## and op budgets (quick confidence after touching crypto/ or
 ## core/messages.py).
 parity:
 	$(PYTEST) -q tests/crypto/test_backend_parity.py tests/crypto/test_ec.py \
 		tests/crypto/test_nizk.py tests/crypto/test_shuffle_proof.py \
 		tests/crypto/test_shuffle_checks.py tests/crypto/test_vector.py \
 		tests/crypto/test_fastexp.py tests/crypto/test_aead_kem.py \
+		tests/crypto/test_elgamal.py tests/crypto/test_secret_sharing.py \
 		tests/core/test_messages.py tests/core/test_nizk_mix.py
 
 ## End-to-end stream on the paper's curve with the demo fault schedule,
