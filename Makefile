@@ -24,8 +24,8 @@ test:
 ## Benchmark smoke: regenerates BENCH_*.json at the repo root (the
 ## fast-exponentiation engine, the MODP2048-vs-P256 backend dimension,
 ## the P-256 lockstep comb's crossover by chain count, and the
-## batch+spill round's own peak RSS (VmHWM), growth bound and
-## throughput record); CI uploads the JSON as artifacts.  Benchmarks
+## batch round's own peak RSS (VmHWM), growth bound and throughput
+## record); CI uploads the JSON as artifacts.  Benchmarks
 ## record into the untracked .bench_records.json; only the keys this
 ## run recorded are merged into the tracked BENCH_fastexp.json.
 bench-smoke:
@@ -47,12 +47,10 @@ parity:
 		tests/crypto/test_elgamal.py tests/crypto/test_secret_sharing.py \
 		tests/core/test_messages.py tests/core/test_nizk_mix.py
 
-## End-to-end stream on the paper's curve with the demo fault schedule,
-## then a short spilling stream proving --spill-threshold end to end.
+## End-to-end stream on the paper's curve with the demo fault schedule
+## (buddy recovery, a trap-caught tamper and a blamed user).
 stream-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli run-stream --rounds 6 --group p256
-	PYTHONPATH=src $(PYTHON) -m repro.cli run-stream --rounds 2 --group p256 \
-		--spill-threshold 8
 
 ## One full TCP-loopback round (every node behind a local socket) on
 ## the realistic Schnorr group and on the paper's curve.

@@ -1,6 +1,6 @@
 """Bounded-memory data plane (``"streaming_rss"`` in BENCH_fastexp.json).
 
-Runs one complete seeded batch+spill round in a **subprocess**
+Runs one complete seeded batch round in a **subprocess**
 (``scripts/stream_rss.py``, which reads its own ``VmHWM``) so the peak
 is the round's own RSS, not the pytest process's, and asserts it stays
 under a fixed memory bound — both as a peak and as growth over the
@@ -32,13 +32,12 @@ SCRIPT = REPO / "scripts" / "stream_rss.py"
 
 MESSAGES = int(os.environ.get("STREAM_RSS_MESSAGES", "5000"))
 GROUP = os.environ.get("STREAM_RSS_GROUP", "TOY").upper()
-SPILL_THRESHOLD = int(os.environ.get("STREAM_RSS_SPILL", "512"))
 DEFAULT_TIER = MESSAGES <= 5000 and GROUP == "TOY"
 # Fixed bounds for the default tier.  Measured on a 2-vCPU Linux VM:
-# 28.3-28.4 MiB peak over a 23.4-23.5 MiB interpreter baseline, i.e.
-# 4.9 MiB of growth in three of three runs (the removed object plane
-# grew 26.8 MiB on the same round).  Env-overridden tiers bring their
-# own peak bound and skip the growth bound.
+# 28.4-28.7 MiB peak over a 23.3 MiB interpreter baseline, i.e.
+# 5.1-5.4 MiB of growth in three of three runs (the removed object
+# plane grew 26.8 MiB on the same round).  Env-overridden tiers bring
+# their own peak bound and skip the growth bound.
 RSS_LIMIT_MIB = float(
     os.environ.get("STREAM_RSS_LIMIT_MIB", "160" if DEFAULT_TIER else "1024")
 )
@@ -47,7 +46,7 @@ RSS_GROWTH_LIMIT_MIB = 12.0
 
 
 
-def _run_round(messages: int, spill_threshold: int) -> dict:
+def _run_round(messages: int) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
     proc = subprocess.run(
@@ -56,7 +55,6 @@ def _run_round(messages: int, spill_threshold: int) -> dict:
             str(SCRIPT),
             "--messages", str(messages),
             "--group", GROUP,
-            "--spill-threshold", str(spill_threshold),
         ],
         capture_output=True,
         text=True,
@@ -73,7 +71,7 @@ def test_rss_is_the_rounds_own():
     process holding well over 100 MiB, the script must still report
     its own small baseline, and see the round grow past it."""
     ballast = b"\x01" * (128 << 20)  # written, so resident
-    report = _run_round(64, 0)
+    report = _run_round(64)
     assert len(ballast) == 128 << 20
     assert report["rss_baseline_mib"] < 64
     assert report["peak_rss_mib"] > report["rss_baseline_mib"]
@@ -81,14 +79,14 @@ def test_rss_is_the_rounds_own():
 
 @pytest.mark.slow
 def test_streaming_rss():
-    report = _run_round(MESSAGES, SPILL_THRESHOLD)
+    report = _run_round(MESSAGES)
     # Incremental RSS over the interpreter+imports baseline is the
     # plane's own footprint.
     growth = report["peak_rss_mib"] - report["rss_baseline_mib"]
 
     print_table(
-        f"Streaming RSS ({MESSAGES} msgs, {GROUP}, spill={SPILL_THRESHOLD})",
-        ["metric", "batch+spill"],
+        f"Streaming RSS ({MESSAGES} msgs, {GROUP})",
+        ["metric", "batch"],
         [
             ("peak RSS (MiB)", report["peak_rss_mib"]),
             ("RSS over baseline (MiB)", round(growth, 1)),
@@ -104,7 +102,6 @@ def test_streaming_rss():
             "streaming_rss": {
                 "crypto_group": GROUP,
                 "messages": MESSAGES,
-                "spill_threshold": SPILL_THRESHOLD,
                 "iterations": report["iterations"],
                 "rss_limit_mib": RSS_LIMIT_MIB,
                 "batch_peak_rss_mib": report["peak_rss_mib"],
@@ -116,11 +113,11 @@ def test_streaming_rss():
     )
 
     assert report["peak_rss_mib"] <= RSS_LIMIT_MIB, (
-        f"batch+spill round peaked at {report['peak_rss_mib']} MiB; "
+        f"batch round peaked at {report['peak_rss_mib']} MiB; "
         f"the bounded-memory data plane must stay under {RSS_LIMIT_MIB} MiB"
     )
     if DEFAULT_TIER:
         assert growth <= RSS_GROWTH_LIMIT_MIB, (
-            f"batch+spill round grew {growth:.1f} MiB over its baseline; "
+            f"batch round grew {growth:.1f} MiB over its baseline; "
             f"the default tier must stay under {RSS_GROWTH_LIMIT_MIB} MiB"
         )

@@ -13,7 +13,7 @@ pytest's peak and hide the round's own growth.
 
 Usage:
     PYTHONPATH=src python scripts/stream_rss.py \
-        --messages 2000 --group TOY --spill-threshold 256
+        --messages 2000 --group TOY
 """
 
 import argparse
@@ -35,7 +35,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--messages", type=int, default=2000)
     ap.add_argument("--group", type=str.upper, default="TOY")
-    ap.add_argument("--spill-threshold", type=int, default=0)
     ap.add_argument("--iterations", type=int, default=2)
     ap.add_argument("--num-groups", type=int, default=2)
     ap.add_argument("--message-size", type=int, default=8)
@@ -52,7 +51,6 @@ def main() -> int:
         iterations=args.iterations,
         message_size=args.message_size,
         crypto_group=args.group,
-        spill_threshold=args.spill_threshold,
     )
 
     rss_start = peak_rss_mib()
@@ -78,7 +76,6 @@ def main() -> int:
         "messages": args.messages,
         "dummies": dummies,
         "crypto_group": args.group,
-        "spill_threshold": args.spill_threshold,
         "iterations": args.iterations,
         "ok": result.ok,
         "delivered": len(result.messages),

@@ -29,7 +29,6 @@ def _deployment_config(args: argparse.Namespace, **extra):
         crypto_group=args.crypto_group,
         transport=args.transport,
         state_dir=args.state_dir,
-        spill_threshold=args.spill_threshold,
         net_faults=args.net_faults or None,
         rpc_timeout=args.rpc_timeout,
         heartbeat=args.heartbeat,
@@ -302,8 +301,8 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     overrides = {
         key: getattr(args, key)
         for key in ("transport", "state_dir", "crypto_group",
-                    "spill_threshold", "wal_segment_bytes",
-                    "wal_segment_records", "wal_retain_segments")
+                    "wal_segment_bytes", "wal_segment_records",
+                    "wal_retain_segments")
         if getattr(args, key) is not None
     }
     try:
@@ -403,8 +402,6 @@ def cmd_list_transports(args: argparse.Namespace) -> int:
     print("transports (--transport):")
     for name in TRANSPORTS + ("fleet",):
         print(f"  {name:8s}  {descriptions.get(name, '')}")
-    print("spilling (--spill-threshold N): intake overflows to scratch "
-          "disk segments every N ciphertexts")
     return 0
 
 
@@ -452,9 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # One parent parser for every deployment-shaped command, so
-    # --seed/--group/--transport/--state-dir/--spill-threshold are
-    # spelled, defaulted, and documented identically on `round` and
-    # `run-stream`.
+    # --seed/--group/--transport/--state-dir are spelled, defaulted,
+    # and documented identically on `round` and `run-stream`.
     deploy = argparse.ArgumentParser(add_help=False)
     deploy.add_argument(
         "--group",
@@ -475,15 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     deploy.add_argument("--state-dir", default=None, help=_STATE_DIR_HELP)
     deploy.add_argument("--seed", default=None, help=_SEED_HELP)
-    deploy.add_argument(
-        "--spill-threshold",
-        type=int,
-        default=0,
-        metavar="N",
-        help="spill intake holdings to scratch disk segments every N "
-        "ciphertexts (0: never) — bounds RSS "
-        "for very large rounds",
-    )
     deploy.add_argument(
         "--wal-segment-bytes",
         type=int,
@@ -669,10 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the spec's group backend",
     )
     p_scn.add_argument("--state-dir", default=None, help=_STATE_DIR_HELP)
-    p_scn.add_argument(
-        "--spill-threshold", type=int, default=None, metavar="N",
-        help="override the spec's spill threshold",
-    )
     p_scn.add_argument(
         "--wal-segment-bytes", type=int, default=None, metavar="BYTES",
         help="override the spec's WAL segment size threshold",

@@ -201,12 +201,11 @@ def tup(*types: Field) -> Field:
 
 
 def batch(label: str) -> Field:
-    """A :class:`CiphertextBatch` (or anything with ``as_batch()``): its
-    records are copied in as they are, and read back by a structural
-    scan, so element validation waits for the first decode."""
+    """A :class:`CiphertextBatch`: its records are copied in as they
+    are, and read back by a structural scan, so element validation
+    waits for the first decode."""
 
-    def enc_batch(w, holdings):
-        b = holdings.as_batch()
+    def enc_batch(w, b):
         w.buf += _u32(len(b))
         w.buf += b.raw_records()
 

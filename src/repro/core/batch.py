@@ -235,11 +235,6 @@ class CiphertextBatch:
         for j in range(i + 1, len(self._starts)):
             self._starts[j] += delta
 
-    def as_batch(self) -> "CiphertextBatch":
-        """Itself: the holdings-container call a spillable container
-        answers by splicing its segments together."""
-        return self
-
     def copy(self) -> "CiphertextBatch":
         return CiphertextBatch(self.group, bytearray(self._buf), list(self._starts))
 

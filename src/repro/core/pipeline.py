@@ -191,10 +191,6 @@ class StreamConfig:
     overlap_intake: bool = True
     #: rerun an aborted round (minus blamed users) once
     retry_aborted: bool = True
-    #: after blame reveals entry-group keys, form fresh groups before the
-    #: retry (the stream's keys are epoch-persistent, so revealed keys
-    #: would otherwise decrypt later rounds' submissions)
-    rekey_after_blame: bool = True
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
@@ -798,7 +794,7 @@ class StreamEngine:
         next_stats: Optional[RoundStats],
         next_plan: List[Tuple[str, object, int]],
     ) -> Tuple[RoundResult, Round, Optional[Round]]:
-        """Blame, optionally rekey, and retry an aborted round (§4.6).
+        """Blame, rekey, and retry an aborted round (§4.6).
 
         Returns the (possibly retried) result plus the current and next
         Round objects — both are rebuilt when blame forces a rekey, in
@@ -812,13 +808,13 @@ class StreamEngine:
             stats.blamed_users = self.deployment.blame(rnd).all_blamed
 
         r = rnd.round_id
-        if blame_ran and self.stream.rekey_after_blame:
+        if blame_ran:
             # Blame reveals this epoch's entry-group keys whether or not
             # it names a user (every entry group opens its keys, §4.6);
-            # the stream must not keep encrypting to them — even when
-            # the aborted round itself is not retried.  Form a fresh
-            # epoch and rebuild the (possibly partially-intaken) next
-            # round on it.
+            # the stream's keys are epoch-persistent, so it must not
+            # keep encrypting to them — even when the aborted round
+            # itself is not retried.  Form a fresh epoch and rebuild the
+            # (possibly partially-intaken) next round on it.
             rekey_rnd = self._establish_contexts(r)
             stats.rekeyed = True
             if next_rnd is not None:

@@ -16,7 +16,10 @@
    traps are routed to their committing entry groups and checked
    against commitments; inner ciphertexts are de-duplicated and
    counted; the trustees release the decryption key only if every
-   check passes, after which the inner ciphertexts are opened.
+   check passes, after which the inner ciphertexts are opened and the
+   cover dummies, which start with :data:`DUMMY_MAGIC`, are dropped
+   (so :meth:`AtomDeployment.submit_trap` refuses a user message that
+   starts with it).
 
 Since the message-driven redesign the deployment no longer touches
 group objects directly: every round gets a
@@ -86,9 +89,6 @@ class DeploymentConfig:
     #: buffers); kept only because the benchmark harness passes it —
     #: ROADMAP item 1 deletes it
     data_plane: str = "batch"
-    #: spill intake holdings to scratch disk segments every N vectors
-    #: (0: never spill)
-    spill_threshold: int = 0
     #: directory for the durable state store (None: in-memory only —
     #: the no-op store, so nothing below pays for durability)
     state_dir: Optional[str] = None
@@ -148,8 +148,13 @@ class DeploymentConfig:
             raise ValueError("data_plane must be 'batch'")
         if self.resilience is not True:
             raise ValueError("resilience must be True")
-        if self.spill_threshold < 0:
-            raise ValueError("spill_threshold must be >= 0")
+        if self.message_size < 1:
+            raise ValueError("message_size must be >= 1")
+        for knob in (
+            "wal_segment_bytes", "wal_segment_records", "wal_retain_segments"
+        ):
+            if getattr(self, knob) < 0:
+                raise ValueError(f"{knob} must be >= 0")
         if self.rpc_attempts < 1:
             raise ValueError("rpc_attempts must be >= 1")
         if self.rpc_timeout is not None and self.rpc_timeout <= 0:
@@ -299,31 +304,6 @@ class AtomDeployment:
         #: the fleet and chaos layers of that chain, when assembled
         self.fleet_transport = None
         self._chaos = None
-        #: lazily-created scratch directory for spill segments
-        self._spill_dir: Optional[str] = None
-        self._spill_tmp = False
-
-    def spill_dir(self) -> Optional[str]:
-        """Scratch directory for spill-to-disk intake segments; None
-        when spilling is off.  Under ``state_dir`` when one exists
-        (``<state_dir>/spill``), else a fresh temp directory.  Contents
-        are scratch either way — recovery replays intake from the
-        deployment WAL, never from spill files."""
-        if self.config.spill_threshold <= 0:
-            return None
-        if self._spill_dir is None:
-            if self.config.state_dir:
-                from pathlib import Path
-
-                path = Path(self.config.state_dir) / "spill"
-                path.mkdir(parents=True, exist_ok=True)
-                self._spill_dir = str(path)
-            else:
-                import tempfile
-
-                self._spill_dir = tempfile.mkdtemp(prefix="atom-spill-")
-                self._spill_tmp = True
-        return self._spill_dir
 
     def transport(self):
         """The deployment's :class:`~repro.net.transport.Transport`.
@@ -390,13 +370,6 @@ class AtomDeployment:
         if self._transport is not None:
             self._transport.close()
             self._transport = self.fleet_transport = self._chaos = None
-        if self._spill_dir is not None:
-            # Spill segments are scratch: recovery never reads them.
-            import shutil
-
-            shutil.rmtree(self._spill_dir, ignore_errors=True)
-            self._spill_dir = None
-            self._spill_tmp = False
         self.store.flush()
 
     def __enter__(self) -> "AtomDeployment":
@@ -514,9 +487,24 @@ class AtomDeployment:
     def submit_trap(
         self, rnd: Round, message: bytes, entry_gid: int, client: Optional[Client] = None
     ) -> int:
-        """Trap-variant submission (inner + trap + commitment)."""
+        """Trap-variant submission (inner + trap + commitment).  The
+        exit drops every message that starts with the cover-dummy
+        marker, so a user message that does is refused here."""
         if self.config.variant != "trap":
             raise ValueError("submit_trap requires the trap variant")
+        marker = DUMMY_MAGIC[: self.config.message_size]
+        if message.startswith(marker):
+            raise ValueError(
+                f"message starts with the cover-dummy prefix {marker!r}, "
+                "which the exit drops"
+            )
+        return self._submit_trap(rnd, message, entry_gid, client)
+
+    def _submit_trap(
+        self, rnd: Round, message: bytes, entry_gid: int, client: Optional[Client]
+    ) -> int:
+        """:meth:`submit_trap` without the marker check (cover dummies
+        carry the marker)."""
         client = client or Client(self.group)
         ctx = rnd.context(entry_gid)
         trap_sub, _ = client.prepare_trap_pair(
@@ -599,7 +587,7 @@ class AtomDeployment:
             for _ in range(count, target, per_user):
                 if cfg.variant == "trap":
                     filler = DUMMY_MAGIC + _secrets.token_bytes(4)
-                    self.submit_trap(rnd, filler[: cfg.message_size], gid, client)
+                    self._submit_trap(rnd, filler[: cfg.message_size], gid, client)
                 else:
                     nonce = (
                         rng.randbytes(fmt.DUMMY_NONCE_BYTES)

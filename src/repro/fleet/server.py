@@ -160,21 +160,7 @@ class FleetServer:
                 round_id,
                 self.config.variant,
                 store=self.store,
-                spill_threshold=self.config.spill_threshold,
-                spill_dir=self._spill_dir(),
             )
-
-    def _spill_dir(self) -> Optional[str]:
-        """Scratch spill directory for this process's nodes: under the
-        process state dir when one exists, else the deployment's temp
-        fallback (serve_config strips the coordinator's state_dir)."""
-        if self.config.spill_threshold <= 0:
-            return None
-        if self.spec.state_dir is not None:
-            path = Path(self.spec.state_dir) / "spill"
-            path.mkdir(parents=True, exist_ok=True)
-            return str(path)
-        return self.deployment.spill_dir()
 
     def _drop_round(self, round_id: int) -> None:
         for key in [k for k in self.nodes if k[0] == round_id]:

@@ -112,12 +112,9 @@ class Coordinator:
     # -- plumbing ------------------------------------------------------
 
     def _new_node(self, ctx) -> ServerNode:
-        deployment, cfg = self.deployment, self.deployment.config
         return ServerNode(
-            ctx, self.round_id, cfg.variant,
+            ctx, self.round_id, self.deployment.config.variant,
             store=self.store,
-            spill_threshold=cfg.spill_threshold,
-            spill_dir=deployment.spill_dir(),
         )
 
     def _send(self, payload, dest: int, req_id: int = 0) -> List[Envelope]:

@@ -11,6 +11,9 @@ behind any :class:`~repro.net.transport.Transport`.  The exception is
 a fleet-homed group's coordinator-side shadow, which is never
 addressed: the coordinator feeds it (:meth:`ServerNode.admit`,
 :meth:`ServerNode.adopt`) what the remote node accepted and committed.
+Holdings are one contiguous :class:`~repro.core.batch.CiphertextBatch`
+in memory: the mix kernels read it directly, and a committed layer
+replaces it.
 
 Layer atomicity: a ``MIX`` request computes outgoing batches but
 does **not** advance holdings;
@@ -73,8 +76,6 @@ class ServerNode:
         round_id: int,
         variant: str,
         store=None,
-        spill_threshold: int = 0,
-        spill_dir=None,
     ):
         from repro.store import NullStore
 
@@ -85,12 +86,9 @@ class ServerNode:
         #: node-side, so the write-ahead log holds exactly the wire
         #: bytes this node admitted — on either transport
         self.store = store if store is not None else NullStore()
-        #: holdings are contiguous CiphertextBatch buffers, spilling
-        #: intake to disk past spill_threshold vectors when set
-        self.spill_threshold = spill_threshold
-        self.spill_dir = spill_dir
-        #: vectors awaiting the next mixing layer
-        self.holdings = self._fresh_holdings()
+        #: vectors awaiting the next mixing layer, as one contiguous
+        #: CiphertextBatch buffer
+        self.holdings = CiphertextBatch(ctx.group)
         #: trap commitments registered at submission time
         self.commitments: List[bytes] = []
         #: duplicate-submission filter (exact-copy replay, §2.3)
@@ -107,32 +105,10 @@ class ServerNode:
     def gid(self) -> int:
         return self.ctx.gid
 
-    # -- holdings containers --------------------------------------------
-
-    def _fresh_holdings(self):
-        """A fresh, empty holdings container: a
-        :class:`CiphertextBatch`, or a :class:`SpillableHoldings` when
-        spilling is on."""
-        if self.spill_threshold > 0 and self.spill_dir is not None:
-            from repro.store.spill import SpillableHoldings
-
-            return SpillableHoldings(
-                self.ctx.group,
-                self.spill_threshold,
-                self.spill_dir,
-                tag=f"r{self.round_id}-g{self.gid}",
-            )
-        return CiphertextBatch(self.ctx.group)
-
-    def adopt(self, holdings) -> None:
+    def adopt(self, holdings: CiphertextBatch) -> None:
         """Make ``holdings`` current (a committed layer, or a recovered
-        snapshot); a spillable container being replaced drops its
-        scratch files."""
-        replaced = self.holdings
+        snapshot)."""
         self.holdings = holdings
-        release = getattr(replaced, "release", None)
-        if release is not None:
-            release()
 
     # -- dispatch ------------------------------------------------------
 
@@ -244,11 +220,11 @@ class ServerNode:
         try:
             if self.variant == "nizk":
                 batches, audit = self.ctx.mix_with_reenc_proofs(
-                    self.holdings.as_batch(), list(payload.next_keys), rng
+                    self.holdings, list(payload.next_keys), rng
                 )
             else:
                 batches, audit = self.ctx.mix_batch(
-                    self.holdings.as_batch(), list(payload.next_keys), rng
+                    self.holdings, list(payload.next_keys), rng
                 )
         except (ProtocolAbort, GroupStalled) as exc:
             return [self._reply(_fault_from(exc))]
@@ -273,7 +249,7 @@ class ServerNode:
         # reordering invisible to the committed state.  Adopted by
         # buffer splice: wire-decoded batches are never turned into
         # object graphs here.
-        holdings = self._fresh_holdings()
+        holdings = CiphertextBatch(self.ctx.group)
         for _, payload in sorted(self._pending, key=lambda p: p[0]):
             holdings.extend(payload.batch)
         self.adopt(holdings)

@@ -7,7 +7,7 @@ declarative, file-able unit:
 - a :class:`~repro.core.pipeline.FaultSchedule` (server/user faults),
 - a :class:`~repro.net.chaos.NetFaultPlan` (network chaos rules),
 - :class:`~repro.core.protocol.DeploymentConfig` knobs (group backend,
-  transport, spilling, state dir, ...).
+  transport, state dir, WAL segmenting, ...).
 
 Like ``NetFaultPlan``, the grammar round-trips: ``parse(describe())``
 is the identity on the canonical form, and every unknown key is an
@@ -46,7 +46,7 @@ class ScenarioError(ValueError):
 _DEPLOY_FIELDS = {
     "num_groups", "group_size", "variant", "mode", "h", "iterations",
     "message_size", "crypto_group", "transport", "fleet_plan",
-    "spill_threshold", "heartbeat", "rpc_timeout", "state_dir",
+    "heartbeat", "rpc_timeout", "state_dir",
     "wal_segment_bytes", "wal_segment_records", "wal_retain_segments",
 }
 #: retired spellings -> the field to use instead

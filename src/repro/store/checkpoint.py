@@ -178,7 +178,6 @@ META = Table(
     ("transport", TEXT),
     ("wal_fsync_every", U32),
     ("checkpoint_every", U32),
-    ("spill_threshold", U64),
     ("wal_segment_bytes", U64),
     ("wal_segment_records", U64),
     ("wal_retain_segments", U32),
@@ -202,7 +201,6 @@ STREAM_BEGIN = Table(
         ("seed", BYTES),
         ("overlap_intake", BOOL),
         ("retry_aborted", BOOL),
-        ("rekey_after_blame", BOOL),
     )),
     ("schedule", TEXT),
 )

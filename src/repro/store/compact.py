@@ -8,12 +8,10 @@ A record is *dead* once a later durable round boundary supersedes it.
 For a deployment log the boundary is the round's fsynced ROUND_DONE —
 after it, recovery never replays that round's intake, rng marks, layer
 commits, or checkpoints (and a CLEAN tail settles everything).  Every
-CLI run journals a stream, where ROUND_DONE is the only settlement.  A
-log without STREAM_BEGIN (an ``AtomDeployment`` with a ``state_dir``
-driven through ``run_round`` directly, which recovery refuses) has no
-ROUND_DONE, so there its ROUND_END is the boundary: retention still
-bounds it.  What stays live forever is deliberately tiny and O(state),
-not O(history):
+CLI run journals a stream, and ROUND_DONE is the only settlement; a
+log without STREAM_BEGIN, which recovery refuses, settles nothing.
+What stays live forever is deliberately tiny and O(state), not
+O(history):
 
 - META and STREAM_BEGIN (the run's identity),
 - every *fresh* ROUND_SETUP mark (epoch establishment: resume re-forms
@@ -94,15 +92,10 @@ def _fresh_setup(rec: WalRecord) -> bool:
 def deployment_liveness(records: Sequence[WalRecord]) -> List[bool]:
     """Keep-mask for a deployment log (see module docstring); reads
     frame round ids only, plus ROUND_SETUP's ``fresh`` flag."""
-    # In a stream only ROUND_DONE settles: the engine journals
-    # ROUND_END(r) *before* ROUND_DONE(r), so between the two the round
-    # is still live — compaction runs inside exactly that window.  A
-    # log without STREAM_BEGIN has no ROUND_DONE: ROUND_END settles.
-    is_stream = any(r.type == RecordType.STREAM_BEGIN for r in records)
-    settling = (RecordType.ROUND_DONE,)
-    if not is_stream:
-        settling += (RecordType.ROUND_END,)
-    settled = {r.round_id for r in records if r.type in settling}
+    # Only ROUND_DONE settles: the engine journals ROUND_END(r)
+    # *before* ROUND_DONE(r), so between the two the round is still
+    # live — compaction runs inside exactly that window.
+    settled = {r.round_id for r in records if r.type == RecordType.ROUND_DONE}
     keep: List[bool] = []
     for rec in records:
         t = rec.type
@@ -139,7 +132,7 @@ def fleet_liveness(records: Sequence[WalRecord]) -> List[bool]:
 @dataclass
 class CompactionStats:
     """What one compaction pass did (all byte counts manifest-accounted,
-    so ``.spill`` scratch files never enter the arithmetic)."""
+    so files the manifest does not name never enter the arithmetic)."""
 
     examined: int = 0  # sealed records considered for rewrite
     kept: int = 0

@@ -14,8 +14,8 @@ append stream across *segment files*::
 Rotation triggers on size (``segment_bytes``) or record count
 (``segment_records``); the *logical* log is the concatenation of the
 manifest's segments in manifest order — readers never glob the
-directory, so scratch files (``spill/*.spill``, backups) and orphans
-from interrupted rotations are invisible to replay.
+directory, so files the manifest does not name (backups, foreign
+files) and orphans from interrupted rotations are invisible to replay.
 
 Crash-safety invariants:
 
@@ -27,8 +27,8 @@ Crash-safety invariants:
 - A crash *between* creating a new segment file and swapping the
   manifest leaves an orphan ``wal-*.seg``; the next open-for-append
   garbage-collects any ``wal-*.seg`` not named by the manifest.  Only
-  that glob is eligible: ``.spill`` scratch segments and backups are
-  never touched.
+  that glob is eligible: other files the manifest does not name, and
+  backups, are never touched.
 - Only the **active** (last) segment may carry a torn tail; a damaged
   record in a *sealed* segment conservatively ends the scan (replay
   must not skip holes — later records can depend on earlier ones),
@@ -57,6 +57,7 @@ from repro.store.wal import (
     FRAME_OVERHEAD,
     MAGIC,
     NO_ROUND,
+    WalError,
     WalRecord,
     WriteAheadLog,
 )
@@ -203,9 +204,9 @@ class LogDir:
     def _collect_orphans(self) -> None:
         """Unlink ``wal-*.seg`` files the manifest does not name (and a
         stale manifest temp file): leftovers of a rotation/compaction
-        that died before its manifest swap.  Nothing else is eligible —
-        ``.spill`` scratch segments in particular are a different
-        subsystem's files and are never counted or collected."""
+        that died before its manifest swap.  Nothing else is eligible:
+        a file the manifest does not name and that glob does not match
+        is never counted or collected."""
         named = set(self.segments)
         for seg in self.root.glob(SEGMENT_GLOB):
             if seg.name not in named:
@@ -284,8 +285,9 @@ class LogDir:
         return self.segments[:-1]
 
     def disk_bytes(self) -> int:
-        """Manifest-accounted bytes (scratch ``.spill`` files and
-        orphans deliberately excluded from retention accounting)."""
+        """Manifest-accounted bytes (files the manifest does not name,
+        orphans included, are deliberately excluded from retention
+        accounting)."""
         total = 0
         for name in self.segments:
             path = self.root / name
@@ -351,17 +353,19 @@ class LogDir:
     def rotate_aside(root: Union[str, Path]) -> Optional[Path]:
         """Move a *resumable* log layout (segments + manifest) into a
         ``wal-bak``/``wal-bakN`` subdirectory instead of letting a
-        fresh run truncate the only copy of the journaled state.
-        Returns the backup dir (None when there was nothing worth
-        keeping)."""
+        fresh run truncate the only copy of the journaled state.  A
+        layout this build cannot read (another log version, a damaged
+        manifest) is moved aside too: it may be some other build's only
+        copy.  Returns the backup dir (None when there was nothing
+        worth keeping)."""
         root = Path(root)
         if not LogDir.present(root):
             return None
         try:
             scan = LogDir.scan_dir(root)
-        except Exception:
-            return None  # not a log at all; overwriting loses nothing
-        if not scan.records or scan.clean_shutdown:
+        except (LogDirError, WalError, OSError):
+            scan = None
+        if scan is not None and (not scan.records or scan.clean_shutdown):
             return None
         backup = root / "wal-bak"
         n = 1

@@ -7,19 +7,21 @@ envelopes (PR 4's versioned wire bytes, reused verbatim as the
 serialization substrate), store-local records (rng marks, layer
 commits, checkpoints, round boundaries), and lifecycle markers.
 
-Frame format (version 2)::
+Frame format (version 3)::
 
     file   := magic record*
     magic  := b"ATWL" u8(version)
     record := u8(type) u32(round_id) u32(length) payload u32(crc32)
 
 where the CRC covers ``type || round_id || length || payload``.  The
+frame layout is version 2's (which added the round slot); version 3
+marks the META and STREAM_BEGIN bodies that each lost a field.  The
 round slot names the round a record belongs to (:data:`NO_ROUND` for
-records of none: META, STREAM_BEGIN, RESUME, CLEAN, spill segments),
+records of none: META, STREAM_BEGIN, RESUME, CLEAN),
 so compaction, liveness and replay indexing never decode a body;
 bodies are :mod:`repro.codec` tables (:mod:`repro.store.checkpoint`).
 :func:`encode_frame` and :func:`_frames` are the only frame writer and
-parser: the appender, both readers and checkpoint bundles share them.
+parser: the appender, the reader and checkpoint bundles share them.
 A log of another version is refused by name, never parsed.  The reader is
 tolerant of a *torn tail*: a crash mid-append leaves a partial or
 bit-damaged final record, which is detected (length overrun or CRC
@@ -47,8 +49,9 @@ from pathlib import Path
 from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 MAGIC = b"ATWL"
-#: v2: a u32 round-id slot in every frame header
-WAL_VERSION = 2
+#: v2: a u32 round-id slot in every frame header; v3: META and
+#: STREAM_BEGIN bodies lost a field each
+WAL_VERSION = 3
 #: the round slot of a record that belongs to no round
 NO_ROUND = 0xFFFFFFFF
 
@@ -89,11 +92,6 @@ class RecordType(enum.IntEnum):
     RESUME = 11
     #: clean shutdown — nothing to replay on the next start
     CLEAN = 12
-    #: one spilled intake segment (a CiphertextBatch buffer).  Written
-    #: to per-group *scratch* spill logs under the spill directory,
-    #: never to the deployment WAL — crash recovery rebuilds intake
-    #: from the journaled ENVELOPE records instead.
-    SPILL_SEGMENT = 13
 
 
 @dataclass(frozen=True)
@@ -221,22 +219,6 @@ class WriteAheadLog:
             self._closed = True
 
     # -- reading -------------------------------------------------------
-
-    @staticmethod
-    def iter_records(path: Union[str, Path]):
-        """Stream a log's intact records one at a time.
-
-        Same framing and tail tolerance as :meth:`read`, but the file
-        is consumed incrementally — a multi-gigabyte spill log never
-        sits in memory whole.  Stops silently at the first damaged
-        frame (spill logs are scratch; the WAL proper uses
-        :meth:`read`, which also diagnoses the tear)."""
-        with open(path, "rb") as fh:
-            _check_magic(fh.read(len(MAGIC) + 1), path)
-            for rec, _ in _frames(fh.read, len(MAGIC) + 1):
-                if rec is None:
-                    return
-                yield rec
 
     @staticmethod
     def read(path: Union[str, Path]) -> WalScan:

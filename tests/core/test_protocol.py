@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core import AtomDeployment, Client, DeploymentConfig
+from repro.core import (
+    AtomDeployment,
+    Client,
+    DeploymentConfig,
+    StreamConfig,
+    StreamEngine,
+)
 from repro.core.client import TrapSubmission
 from repro.core.server import AtomServer, Behavior
 from repro.crypto.commit import commit
@@ -156,6 +162,27 @@ class TestSubmissionValidation:
         rnd2 = dep2.start_round(0)
         with pytest.raises(ValueError):
             dep2.submit_trap(rnd2, b"x", entry_gid=0)
+
+    def test_message_with_the_cover_prefix_is_refused_by_name(self):
+        """The exit drops every message that starts with the cover
+        marker, so an honest one that does is refused at submit."""
+        dep = AtomDeployment(small_config(variant="trap"))
+        rnd = dep.start_round(0)
+        with pytest.raises(ValueError, match=r"prefix b'\\x00__atom_'"):
+            dep.submit_trap(rnd, b"\x00__atom_", entry_gid=0)
+        assert not rnd.coordinator.nodes[0].holdings
+
+    def test_trap_stream_refuses_a_cover_prefixed_message(self):
+        def message_fn(round_id, user):
+            return b"\x00__atom_" if user == 0 else b"u%d" % user
+
+        engine = StreamEngine(
+            small_config(variant="trap"),
+            stream=StreamConfig(rounds=1, users_per_round=4, seed=b"cover"),
+            message_fn=message_fn,
+        )
+        with engine, pytest.raises(ValueError, match="cover-dummy prefix"):
+            engine.run()
 
     def test_required_user_multiple(self):
         dep = AtomDeployment(small_config(num_groups=2))

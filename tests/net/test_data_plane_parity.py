@@ -1,10 +1,10 @@
 """Data-plane parity: every production mix runs on batch buffers.
 
 The batch data plane moves serialized record buffers instead of vector
-object lists, and may spill intake to disk — but it replicates the
-object path's rng draw order exactly, so a seeded round produces a
-**byte-identical** :class:`~repro.core.protocol.RoundResult` over
-either transport, spilling or not.  The object plane itself is gone;
+object lists, but it replicates the object path's rng draw order
+exactly, so a seeded round produces a **byte-identical**
+:class:`~repro.core.protocol.RoundResult` over either transport.  The
+object plane itself is gone;
 the digests below are what it produced for the same seeded rounds,
 recorded before it was removed.  (Seed convention per
 ``tests/net/test_transport_parity.py``: pinned seeds, strict
@@ -113,26 +113,11 @@ def test_batch_plane_byte_identical_to_object_plane(variant):
     assert _digest(batch) == OBJECT_PLANE[variant]
 
 
-@pytest.mark.parametrize("transport", ["inproc", "tcp"])
-def test_spilled_round_byte_identical_to_unspilled(transport):
-    """A spilling round equals the in-memory round (and the object
-    plane's), on inproc and tcp (threshold 3 forces multiple segments
-    at 8+ vectors/group)."""
-    group = get_group("TOY")
-    _, spilled = _run_seeded_round(
-        _config(transport=transport, spill_threshold=3)
-    )
-    _, unspilled = _run_seeded_round(_config(transport=transport))
-    assert spilled.ok and unspilled.ok
-    assert _canonical(group, spilled) == _canonical(group, unspilled)
-    assert _digest(spilled) == OBJECT_PLANE["trap"]
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize("crypto_group", ["MODP2048", "P256"])
 def test_data_plane_parity_real_groups(crypto_group):
     messages, batch = _run_seeded_round(
-        _config(crypto_group, iterations=2, spill_threshold=2), num_users=2
+        _config(crypto_group, iterations=2), num_users=2
     )
     assert batch.ok
     assert sorted(batch.messages) == sorted(messages)
@@ -206,11 +191,11 @@ def test_replacement_over_tcp_is_caught_and_names_the_member():
 @pytest.mark.parametrize("transport", ["inproc", "tcp"])
 def test_production_rounds_never_call_the_object_mix(transport):
     """``GroupContext.mix`` is only the tests' Algorithm-1 oracle:
-    trap rounds with every behavior, a NIZK round and a spilling round
-    all mix through the batch kernels."""
+    trap rounds with every behavior, a NIZK round and a seeded honest
+    round all mix through the batch kernels."""
     runs = [(_config(transport=transport), b) for b in Behavior]
     runs.append((_config(variant="nizk", transport=transport), None))
-    runs.append((_config(transport=transport, spill_threshold=3), None))
+    runs.append((_config(transport=transport), None))
     with mock.patch.object(
         GroupContext, "mix", autospec=True, side_effect=GroupContext.mix
     ) as spy:

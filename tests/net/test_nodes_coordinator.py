@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 
 from repro.core import AtomDeployment, Client, DeploymentConfig
+from repro.core.batch import CiphertextBatch
 from repro.core.group import GroupStalled, ProtocolAbort
 from repro.core.server import Behavior
 from repro.crypto.groups import DeterministicRng, get_group
@@ -289,3 +290,43 @@ class TestLoudFailures:
         with mock.patch.object(rnd.coordinator, "_send", broken):
             with pytest.raises(KeyError):
                 rnd.coordinator._abort_layer(1)
+
+
+def _trap_intake(dep):
+    """A seeded, padded trap-round intake: 5 users over 2 groups."""
+    rng = DeterministicRng(b"one-copy")
+    rnd = dep.start_round(0, rng=rng)
+    client = Client(dep.group, rng)
+    for i in range(5):
+        dep.submit_trap(rnd, b"one-%d" % i, i % 2, client)
+    dep.pad_round(rnd, rng)
+    return rnd
+
+
+def _intake_config():
+    return DeploymentConfig(
+        num_servers=6, num_groups=2, group_size=2, variant="trap",
+        iterations=2, message_size=8, crypto_group="TOY",
+    )
+
+
+class TestIntakeKeepsOneCopy:
+    """An in-process round holds each accepted vector once: in its
+    entry node."""
+
+    def test_one_append_per_accepted_vector(self, monkeypatch):
+        appended = []
+        append = CiphertextBatch.append
+
+        def counted(self, vec):
+            appended.append(vec)
+            return append(self, vec)
+
+        monkeypatch.setattr(CiphertextBatch, "append", counted)
+        with AtomDeployment(_intake_config()) as dep:
+            rnd = _trap_intake(dep)
+            held = [
+                len(node.holdings) for node in rnd.coordinator.nodes.values()
+            ]
+        assert held == [6, 6]
+        assert len(appended) == sum(held)

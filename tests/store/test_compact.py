@@ -313,7 +313,11 @@ class TestLivenessRules:
         recs = [
             WalRecord(RecordType.ROUND_SETUP, garbage, 0),
             WalRecord(RecordType.ROUND_SETUP, _mark(fresh=False), 0),
-            WalRecord(RecordType.ROUND_END, ck.ROUND_END.encode(ck.RoundEnd(True)), 0),
+            WalRecord(
+                RecordType.ROUND_DONE,
+                ck.ROUND_DONE.encode(ck.RoundDone(RoundStats(0, ok=True), 9)),
+                0,
+            ),
             WalRecord(RecordType.ENVELOPE, garbage, 1),
             WalRecord(RecordType.CHECKPOINT, garbage, 1),
         ]
@@ -333,7 +337,8 @@ class TestLivenessRules:
             liveness = deployment_liveness
             body = (RecordType.ROUND_BEGIN, _mark(fresh=False))
             boundary = (
-                RecordType.ROUND_END, ck.ROUND_END.encode(ck.RoundEnd(True))
+                RecordType.ROUND_DONE,
+                ck.ROUND_DONE.encode(ck.RoundDone(RoundStats(0, ok=True), 9)),
             )
         else:
             liveness = fleet_liveness

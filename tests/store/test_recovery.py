@@ -130,18 +130,18 @@ def test_resume_is_byte_identical_after_every_layer_commit(
 
 @pytest.mark.parametrize("stop_after", [1, ITERATIONS])
 def test_resume_spilled_round_is_byte_identical(tmp_path, stop_after):
-    """Spill-restore equivalence: a round whose intake spilled to disk
-    crashes mid-mix and resumes byte-identical to an unspilled,
-    uncrashed baseline.  Spill segments are scratch — recovery replays
-    intake from the deployment WAL's ENVELOPE records, so losing every
-    .spill file with the 'process' is the expected case, not an edge."""
+    """A round that crashes mid-mix resumes byte-identical to an
+    uncrashed baseline with foreign garbage beside its log: recovery
+    replays intake from the deployment WAL's ENVELOPE records and reads
+    no file the manifest does not name.  The garbage imitates the torn
+    ``.spill`` scratch that spill-to-disk intake used to leave."""
     group = get_group("TOY")
     baseline = _drive_round(_config())
     _drive_round(
-        _config(tmp_path, spill_threshold=3), stop_after_layers=stop_after
+        _config(tmp_path), stop_after_layers=stop_after
     )
-    # A real kill -9 leaves torn spill segments behind; plant one and
-    # require recovery to ignore it (it must only read the round WAL).
+    # Plant a torn foreign file and require recovery to ignore it (it
+    # must only read the round WAL).
     spill_dir = tmp_path / "spill"
     spill_dir.mkdir(exist_ok=True)
     (spill_dir / "r0-g0-99.spill").write_bytes(b"torn garbage, not a WAL")
@@ -153,19 +153,18 @@ def test_resume_spilled_round_is_byte_identical(tmp_path, stop_after):
 
 
 def test_resume_ignores_scratch_and_orphan_segments(tmp_path):
-    """The spilled-round garbage contract, extended to segmented
-    layouts: torn ``.spill`` scratch (in the spill dir *and* strewn at
-    the top level) plus an orphan ``wal-*.seg`` from a rotation that
-    died before its manifest swap must not influence resume — readers
-    follow the manifest, never the directory glob — and stay out of
-    the retention accounting."""
+    """The garbage contract of segmented layouts: torn foreign files
+    (in a subdirectory *and* at the top level) plus an orphan
+    ``wal-*.seg`` from a rotation that died before its manifest swap
+    must not influence resume — readers follow the manifest, never the
+    directory glob — and stay out of the retention accounting."""
     from repro.store.segments import LogDir
     from repro.store.wal import WriteAheadLog
 
     group = get_group("TOY")
     baseline = _drive_round(_config())
     _drive_round(
-        _config(tmp_path, spill_threshold=3, wal_segment_records=4),
+        _config(tmp_path, wal_segment_records=4),
         stop_after_layers=2,
     )
     spill_dir = tmp_path / "spill"

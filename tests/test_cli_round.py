@@ -64,6 +64,19 @@ def test_bad_knob_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, knob", [
+    ("--message-size", "0", "message_size"),
+    ("--wal-segment-bytes", "-5", "wal_segment_bytes"),
+    ("--wal-segment-records", "-1", "wal_segment_records"),
+    ("--wal-retain-segments", "-1", "wal_retain_segments"),
+])
+def test_out_of_range_size_exits_2(capsys, flag, value, knob):
+    """A zero message size made the cover marker empty, so the exit
+    dropped every message; a negative WAL knob meant "never"."""
+    assert main(["round", "--seed", "s", flag, value]) == 2
+    assert f"error: {knob} must be >= " in capsys.readouterr().err
+
+
 class SimulatedCrash(Exception):
     """Stands in for the process dying (SIGKILL) mid-round."""
 
