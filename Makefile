@@ -7,7 +7,7 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test-fast test bench-smoke parity stream-smoke net-smoke net-strict persist-smoke chaos-smoke fleet-smoke scenario-smoke store-smoke bench bench-compare bench-harness clean
+.PHONY: test-fast test bench-smoke parity stream-smoke net-smoke net-strict persist-smoke chaos-smoke fleet-smoke scenario-smoke store-smoke bench bench-compare bench-harness reach clean
 
 ## where `make bench` writes its results
 OUT ?= bench-results.json
@@ -125,6 +125,14 @@ bench-harness:
 	$(PYTHON) -m bench.run --workload nizk_p256_inproc --seconds 6 --trace 1
 	$(PYTHON) -m bench.run --workload trap_p256_inproc --seconds 6 --trace 1
 	$(PYTHON) -m bench.run --workload trap_p256_fleet2 --seconds 6 --trace 1
+
+## Reach pass: run every CLI subcommand, the examples, the smokes and
+## the four bench workloads (--seconds 8) one process at a time under
+## a function-entry hook, then list the functions in src/ that none of
+## them ran, largest first, with totals per package (~8 min; not in
+## tier-1).  Leaves no file and no process behind.
+reach:
+	$(PYTHON) scripts/reach.py
 
 clean:
 	rm -rf src/repro_atom.egg-info build .pytest_cache

@@ -19,10 +19,11 @@ import json
 import pytest
 
 from conftest import BENCH_RECORDS, print_table, record_bench
-from repro.baselines.alpenhorn import alpenhorn_dial_latency_minutes
-from repro.baselines.riposte import riposte_latency_minutes
-from repro.baselines.vuvuzela import (
+from repro.baselines import (
     PAPER_VUVUZELA_SERVER_BANDWIDTH_MB_S,
+    SUGGESTED_ROUND_INTERVAL_HOURS,
+    alpenhorn_dial_latency_minutes,
+    riposte_latency_minutes,
     vuvuzela_dial_latency_minutes,
 )
 from repro.scenarios import ScenarioRunner, load_scenario
@@ -90,6 +91,8 @@ def test_table12(benchmark):
     # Who wins dialing: Vuvuzela, by roughly 56x at 1,024 servers.
     slowdown = dial[1024] / vuvuzela
     assert 35 < slowdown < 80
+    # §6.2: Atom still dials at Alpenhorn's suggested cadence.
+    assert dial[1024] <= SUGGESTED_ROUND_INTERVAL_HOURS * 60
     # Bandwidth: Atom under 1 MB/s per server vs Vuvuzela's 166 MB/s.
     result = AtomSimulator(
         SimConfig(num_servers=1024, num_groups=1024)

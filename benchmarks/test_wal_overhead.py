@@ -14,8 +14,7 @@ import time
 import pytest
 
 from conftest import print_table, record_bench
-from repro.core import AtomDeployment, Client, DeploymentConfig
-from repro.crypto.groups import DeterministicRng
+from repro.core import DeploymentConfig, StreamConfig, StreamEngine
 from repro.store.segments import LogDir
 from repro.store.wal import WriteAheadLog
 
@@ -32,19 +31,17 @@ def _build_config(state_dir=None):
 
 
 def _run_round(state_dir=None) -> float:
-    """The envelope-overhead benchmark's seeded round, trap variant
-    (the store's worst case: trap pairs double the intake envelopes
-    and the commitments ride along); returns its wall clock."""
+    """A seeded one-round trap stream, what ``repro round`` runs (the
+    store's worst case: trap pairs double the intake envelopes and the
+    commitments ride along); returns its wall clock."""
     start = time.perf_counter()
-    with AtomDeployment(_build_config(state_dir)) as dep:
-        rng = DeterministicRng(b"wal-round")
-        rnd = dep.start_round(0, rng=rng)
-        client = Client(dep.group, DeterministicRng(b"wal-client"))
-        for i in range(8):
-            dep.submit_trap(rnd, b"m%d" % i, i % 2, client)
-        dep.pad_round(rnd, DeterministicRng(b"wal-pad"))
-        result = dep.run_round(rnd, DeterministicRng(b"wal-mix"))
-        assert result.ok and len(result.messages) == 8
+    engine = StreamEngine(
+        _build_config(state_dir),
+        stream=StreamConfig(rounds=1, users_per_round=8, seed=b"wal-round"),
+    )
+    with engine:
+        (stats,) = engine.run().rounds
+    assert stats.ok and len(stats.messages) == 8
     return time.perf_counter() - start
 
 

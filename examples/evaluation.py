@@ -6,8 +6,10 @@ Table 12 without running the full benchmark suite.
 Run:  python examples/evaluation.py
 """
 
-from repro.baselines.riposte import riposte_latency_minutes
-from repro.baselines.vuvuzela import vuvuzela_dial_latency_minutes
+from repro.baselines import (
+    riposte_latency_minutes,
+    vuvuzela_dial_latency_minutes,
+)
 from repro.sim import AtomSimulator, SimConfig
 
 MILLION = 2 ** 20

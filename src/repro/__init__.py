@@ -12,8 +12,8 @@ Package map:
 - :mod:`repro.sim` — the calibrated performance simulator behind the
   paper's evaluation figures.
 - :mod:`repro.apps` — microblogging and dialing.
-- :mod:`repro.baselines` — Riposte (with real DPFs), Vuvuzela,
-  Alpenhorn.
+- :mod:`repro.baselines` — the Table 12 latency models of Riposte,
+  Vuvuzela and Alpenhorn.
 - :mod:`repro.analysis` — group-size math and cost estimates.
 
 Quickstart::

@@ -3,16 +3,14 @@
 - :mod:`repro.apps.microblog` — anonymous microblogging: short
   broadcast messages published to a public bulletin board.
 - :mod:`repro.apps.dialing` — the dialing protocol: establish shared
-  secrets via per-recipient mailboxes, with Vuvuzela-style differential
-  privacy dummy traffic.
+  secrets via per-recipient mailboxes.
 """
 
 from repro.apps.microblog import BulletinBoard
-from repro.apps.dialing import DialingService, Mailbox, DialRequest
+from repro.apps.dialing import Mailbox, DialRequest
 
 __all__ = [
     "BulletinBoard",
-    "DialingService",
     "Mailbox",
     "DialRequest",
 ]

@@ -444,14 +444,6 @@ class AtomDeployment:
         rnd.coordinator = Coordinator(self, rnd, self.transport())
         return rnd
 
-    def messages_per_group(self, num_users: int) -> int:
-        """Entry-load per group, counting trap doubling."""
-        per_user = 2 if self.config.variant == "trap" else 1
-        total = num_users * per_user
-        if total % self.config.num_groups:
-            raise ValueError("users must spread evenly over entry groups")
-        return total // self.config.num_groups
-
     def required_user_multiple(self) -> int:
         """Smallest user count unit keeping every division exact.
 

@@ -74,9 +74,6 @@ class TrusteeGroup:
             raise RuntimeError("round already aborted; shares deleted")
         self._reports[report.gid] = report
 
-    def reports_received(self) -> int:
-        return len(self._reports)
-
     # -- release decision ----------------------------------------------------
 
     def evaluate(self, expected_groups: int) -> List[int]:

@@ -1,4 +1,4 @@
-"""Multi-process fleet deployments (ROADMAP item 1).
+"""Multi-process fleet deployments: groups hosted by ``repro serve`` processes.
 
 The paper's headline claim is *horizontal* scaling: throughput grows
 with the number of real servers.  This package turns the single-process

@@ -1,7 +1,7 @@
 """Scenario engine: declarative workloads driving the real apps.
 
-The subsystem behind ``repro scenario run|describe|list`` (ROADMAP
-item 4): seed-deterministic :mod:`traffic <repro.scenarios.traffic>`
+The subsystem behind ``repro scenario run|describe|list``:
+seed-deterministic :mod:`traffic <repro.scenarios.traffic>`
 models, a declarative :mod:`spec <repro.scenarios.spec>` composing
 traffic x faults x network chaos x deployment, a
 :mod:`runner <repro.scenarios.runner>` that drives the microblogging

@@ -6,9 +6,8 @@ intake for a :class:`~repro.core.pipeline.StreamEngine` (batch data
 plane, any transport including fleet), microblog arrivals are published
 to an :class:`~repro.apps.microblog.BulletinBoard`, dialing arrivals are
 sealed with :func:`~repro.apps.dialing.seal_dial` and land in mailboxes
-via :func:`~repro.apps.dialing.fill_mailboxes` — the same delivery code
-paths the standalone services use — and every round's ledger is checked
-for conservation (arrivals == delivered + dropped + trapped).
+via :func:`~repro.apps.dialing.fill_mailboxes`, and every round's ledger
+is checked for conservation (arrivals == delivered + dropped + trapped).
 
 Determinism: the scenario seed derives every random choice — the
 traffic model's churn and sampling, per-user dialing keys, dial
@@ -250,6 +249,8 @@ class ScenarioRunner:
                 opened.append(
                     open_dial(self.engine.deployment.group, self.user_key(user), sealed)
                 )
-            except Exception:
-                continue  # someone else's call sharing the mailbox
+            except ValueError:
+                # every way open_dial fails on an entry that is not ours
+                # (someone else's call, a truncated entry) is a ValueError
+                continue
         return opened

@@ -1,4 +1,4 @@
-"""Seed-deterministic traffic models (ROADMAP item 4).
+"""Seed-deterministic traffic models: who sends, through which app, per round.
 
 A :class:`TrafficModel` turns ``(seed, round_id)`` into an
 :class:`ArrivalBatch`: which users of a fixed population want to send

@@ -35,6 +35,15 @@ from repro.store.segments import DEFAULT_SEGMENT_BYTES, LogDir
 from repro.store.wal import NO_ROUND, RecordType
 
 
+class StreamNotBegun(RuntimeError):
+    """A durable round was set up before its stream's STREAM_BEGIN.
+
+    Recovery resumes only streams, and compaction settles a round only
+    by its ROUND_DONE, so such a log could be neither resumed nor
+    compacted: each round boundary would re-read its whole sealed
+    backlog and drop nothing."""
+
+
 class Store:
     """No-op store: the in-memory default."""
 
@@ -113,6 +122,8 @@ class DurableStore(Store):
         self.retain_segments = max(0, retain_segments)
         self.replaying = False
         self._closed = False
+        # a reopened log (recovery) already holds its STREAM_BEGIN
+        self._stream_begun = not fresh
         if fresh:
             # Never destroy a resumable log: re-running with a crashed
             # run's --state-dir (the natural retry, instead of
@@ -154,6 +165,11 @@ class DurableStore(Store):
             self._append(RecordType.ENVELOPE, env.to_bytes(group), env.round_id)
 
     def round_setup(self, round_id: int, rng, fresh: bool) -> None:
+        if not self._stream_begun:
+            raise StreamNotBegun(
+                f"round {round_id} set up before STREAM_BEGIN: a durable "
+                "deployment runs only inside a StreamEngine"
+            )
         mark = ck.RngMark(round_id, fresh, *ck.rng_state(rng))
         self._journal(RecordType.ROUND_SETUP, round_id, ck.RNG_MARK, mark)
 
@@ -181,6 +197,7 @@ class DurableStore(Store):
     def stream_begin(self, stream, schedule_spec: str) -> None:
         begin = ck.StreamBegin(stream, schedule_spec)
         self._journal(RecordType.STREAM_BEGIN, NO_ROUND, ck.STREAM_BEGIN, begin)
+        self._stream_begun = True
 
     def honest_intake(self, round_id: int, gid: int, message: bytes) -> None:
         honest = ck.Honest(gid, message)

@@ -8,10 +8,8 @@ hook), and the delivered messages go to the board and the mailboxes.
 import pytest
 
 from repro.apps.dialing import (
-    DialingService,
     DialRequest,
     fill_mailboxes,
-    laplace_noise_count,
     open_dial,
     seal_dial,
 )
@@ -23,7 +21,7 @@ from repro.core import (
     StreamEngine,
 )
 from repro.crypto.elgamal import ElGamalKeyPair
-from repro.crypto.groups import DeterministicRng, get_group
+from repro.crypto.groups import get_group
 
 
 def tiny_config(**overrides):
@@ -129,28 +127,18 @@ class TestDialSealing:
             DialRequest.from_bytes(b"abc")
 
 
-class TestLaplaceNoise:
-    def test_nonnegative(self):
-        rng = DeterministicRng(b"noise")
-        for _ in range(100):
-            assert laplace_noise_count(5.0, 2.0, rng) >= 0
-
-    def test_mean_near_mu(self):
-        rng = DeterministicRng(b"mean")
-        samples = [laplace_noise_count(50.0, 3.0, rng) for _ in range(300)]
-        assert 45 < sum(samples) / len(samples) < 55
-
-    def test_deterministic(self):
-        a = laplace_noise_count(10.0, 2.0, DeterministicRng(b"s"))
-        b = laplace_noise_count(10.0, 2.0, DeterministicRng(b"s"))
-        assert a == b
-
-
 class TestDialing:
-    def _service(self, **kwargs):
-        return DialingService(get_group("TOY"), **kwargs)
+    """A caller seals with ``seal_dial``, a round delivers the requests,
+    the exit places them with ``fill_mailboxes``, and a recipient tries
+    ``open_dial`` on every entry of their mailbox."""
 
-    def _route(self, service, requests):
+    num_mailboxes = 4
+
+    def _request(self, sender, recipient_id, recipient_key):
+        sealed = seal_dial(get_group("TOY"), sender, recipient_key)
+        return DialRequest(recipient_id=recipient_id, sealed=sealed)
+
+    def _route(self, requests):
         """One round of dial requests; the exit fills the mailboxes."""
         # message_size must cover 8B recipient id + the sealed box
         # (group element + AEAD nonce/tag) — 96 bytes is ample for TOY.
@@ -158,65 +146,49 @@ class TestDialing:
             tiny_config(message_size=96), [r.to_bytes() for r in requests]
         )
         assert stats.ok
-        service.mailboxes[0] = fill_mailboxes(
-            stats.messages, service.num_mailboxes
-        )
+        return fill_mailboxes(stats.messages, self.num_mailboxes)
+
+    def _receive(self, boxes, recipient_id, recipient_key):
+        opened = []
+        for sealed in boxes[recipient_id % self.num_mailboxes].entries:
+            try:
+                opened.append(open_dial(get_group("TOY"), recipient_key, sealed))
+            except ValueError:
+                continue  # someone else's call
+        return opened
 
     def test_dial_end_to_end(self):
-        service = self._service(num_mailboxes=4)
-        group = service.group
+        group = get_group("TOY")
         bob = ElGamalKeyPair.generate(group)
         alice_pub = b"alice-pk"
-        requests = [
-            service.make_request(alice_pub, recipient_id=1, recipient_key=bob)
-        ]
+        requests = [self._request(alice_pub, recipient_id=1, recipient_key=bob)]
         # pad round with unrelated calls
         carol = ElGamalKeyPair.generate(group)
         for i in range(3):
-            requests.append(
-                service.make_request(b"dave-pk%d" % i, 2, carol)
-            )
-        self._route(service, requests)
-        received = service.receive(0, 1, bob)
-        assert received == [alice_pub]
+            requests.append(self._request(b"dave-pk%d" % i, 2, carol))
+        boxes = self._route(requests)
+        assert self._receive(boxes, 1, bob) == [alice_pub]
 
     def test_mailbox_separation(self):
-        service = self._service(num_mailboxes=4)
-        group = service.group
+        group = get_group("TOY")
         bob = ElGamalKeyPair.generate(group)
         carol = ElGamalKeyPair.generate(group)
         requests = [
-            service.make_request(b"to-bob", 1, bob),
-            service.make_request(b"to-carol", 2, carol),
-            service.make_request(b"to-bob-2", 1, bob),
-            service.make_request(b"to-carol-2", 2, carol),
+            self._request(b"to-bob", 1, bob),
+            self._request(b"to-carol", 2, carol),
+            self._request(b"to-bob-2", 1, bob),
+            self._request(b"to-carol-2", 2, carol),
         ]
-        self._route(service, requests)
-        assert sorted(service.receive(0, 1, bob)) == [b"to-bob", b"to-bob-2"]
-        assert sorted(service.receive(0, 2, carol)) == [b"to-carol", b"to-carol-2"]
+        boxes = self._route(requests)
+        assert sorted(self._receive(boxes, 1, bob)) == [b"to-bob", b"to-bob-2"]
+        assert sorted(self._receive(boxes, 2, carol)) == [
+            b"to-carol", b"to-carol-2",
+        ]
 
     def test_recipient_cannot_open_others_calls(self):
-        service = self._service(num_mailboxes=4)
-        group = service.group
+        group = get_group("TOY")
         bob = ElGamalKeyPair.generate(group)
         eve = ElGamalKeyPair.generate(group)
-        requests = [service.make_request(b"secret", 1, bob) for _ in range(4)]
-        self._route(service, requests)
-        assert service.receive(0, 1, eve) == []
-
-    def test_dummy_traffic_hides_call_volume(self):
-        service = self._service(num_mailboxes=2, dummy_mu=2.0, dummy_scale=1.0)
-        group = service.group
-        bob = ElGamalKeyPair.generate(group)
-        requests = [service.make_request(b"hi-bob", 0, bob)]
-        self._route(service, requests + service.dummy_requests(0))
-        # Bob's mailbox download contains dummies beyond the real call...
-        downloaded = service.download(0, 0)
-        assert len(downloaded) >= 1
-        # ...but only the real call opens.
-        assert service.receive(0, 0, bob) == [b"hi-bob"]
-
-    def test_missing_round_raises(self):
-        service = self._service(num_mailboxes=4)
-        with pytest.raises(KeyError):
-            service.download(5, 0)
+        requests = [self._request(b"secret", 1, bob) for _ in range(4)]
+        boxes = self._route(requests)
+        assert self._receive(boxes, 1, eve) == []

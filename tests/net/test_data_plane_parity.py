@@ -191,11 +191,10 @@ def test_replacement_over_tcp_is_caught_and_names_the_member():
 @pytest.mark.parametrize("transport", ["inproc", "tcp"])
 def test_production_rounds_never_call_the_object_mix(transport):
     """``GroupContext.mix`` is only the tests' Algorithm-1 oracle:
-    trap rounds with every behavior, a NIZK round and a seeded honest
-    round all mix through the batch kernels."""
+    trap rounds with every behavior (``HONEST``, the servers' default,
+    included) and a NIZK round all mix through the batch kernels."""
     runs = [(_config(transport=transport), b) for b in Behavior]
     runs.append((_config(variant="nizk", transport=transport), None))
-    runs.append((_config(transport=transport), None))
     with mock.patch.object(
         GroupContext, "mix", autospec=True, side_effect=GroupContext.mix
     ) as spy:

@@ -1,4 +1,4 @@
-"""Batch-aware per-message accounting (ROADMAP item 2's leftover).
+"""Batch-aware per-message accounting: senders, not ciphertexts.
 
 ``RoundStats.submitted`` must count *senders*, not ciphertexts — the
 trap variant holds two ciphertexts per sender and the batch plane

@@ -63,8 +63,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("key", ["dummy_mu", "dummy_scale"])
     def test_retired_dialing_noise_knob_is_refused(self, key):
-        """The runner never read these: dummy dial traffic lives in
-        ``DialingService.dummy_requests``, not in the scenario grammar."""
+        """The runner never read these: §5's Laplace dialing dummies are
+        not implemented, so no knob may claim to tune them."""
         with pytest.raises(ScenarioError, match=f"unknown dialing keys.*{key}"):
             ScenarioSpec.parse(sample_dict(dialing={"mailboxes": 4, key: 1.0}))
 

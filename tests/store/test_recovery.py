@@ -18,7 +18,6 @@ import pytest
 from repro.cli import main
 from repro.core import (
     AtomDeployment,
-    Client,
     DeploymentConfig,
     StreamConfig,
     StreamEngine,
@@ -28,7 +27,9 @@ from repro.net.coordinator import Coordinator
 from repro.net.envelopes import WireFormatError
 from repro.store import checkpoint as ck
 from repro.store.recovery import RecoveryError, RecoveryManager
-from repro.store.store import DurableStore
+from repro.store.segments import LogDir
+from repro.store.store import DurableStore, StreamNotBegun
+from repro.store.wal import RecordType, WriteAheadLog
 from tests.net.test_transport_parity import _canonical
 
 ITERATIONS = 3
@@ -128,39 +129,12 @@ def test_resume_is_byte_identical_after_every_layer_commit(
     assert _canonical(group, resumed) == _canonical(group, baseline)
 
 
-@pytest.mark.parametrize("stop_after", [1, ITERATIONS])
-def test_resume_spilled_round_is_byte_identical(tmp_path, stop_after):
-    """A round that crashes mid-mix resumes byte-identical to an
-    uncrashed baseline with foreign garbage beside its log: recovery
-    replays intake from the deployment WAL's ENVELOPE records and reads
-    no file the manifest does not name.  The garbage imitates the torn
-    ``.spill`` scratch that spill-to-disk intake used to leave."""
-    group = get_group("TOY")
-    baseline = _drive_round(_config())
-    _drive_round(
-        _config(tmp_path), stop_after_layers=stop_after
-    )
-    # Plant a torn foreign file and require recovery to ignore it (it
-    # must only read the round WAL).
-    spill_dir = tmp_path / "spill"
-    spill_dir.mkdir(exist_ok=True)
-    (spill_dir / "r0-g0-99.spill").write_bytes(b"torn garbage, not a WAL")
-
-    manager = RecoveryManager(tmp_path)
-    assert manager.needs_recovery()
-    resumed = _resume(manager)
-    assert _canonical(group, resumed) == _canonical(group, baseline)
-
-
 def test_resume_ignores_scratch_and_orphan_segments(tmp_path):
     """The garbage contract of segmented layouts: torn foreign files
     (in a subdirectory *and* at the top level) plus an orphan
     ``wal-*.seg`` from a rotation that died before its manifest swap
     must not influence resume — readers follow the manifest, never the
     directory glob — and stay out of the retention accounting."""
-    from repro.store.segments import LogDir
-    from repro.store.wal import WriteAheadLog
-
     group = get_group("TOY")
     baseline = _drive_round(_config())
     _drive_round(
@@ -261,18 +235,20 @@ def test_clean_shutdown_never_replays(tmp_path):
 
 
 def test_log_without_stream_begin_is_refused(tmp_path, capsys):
-    """``AtomDeployment.run_round`` with a ``state_dir`` journals a round
-    but no STREAM_BEGIN: resume refuses it by naming the record, and
-    ``repro resume`` exits 2 with that message."""
-    dep = AtomDeployment(_config(tmp_path))
-    rng = DeterministicRng(b"parity-setup")
-    rnd = dep.start_round(0, rng=rng)
-    client = Client(dep.group, rng)
-    for i in range(4):
-        dep.submit_trap(rnd, b"x%d" % i, i % 2, client)
-    dep.pad_round(rnd, rng)
-    assert dep.run_round(rnd, DeterministicRng(b"parity-round")).ok
-    dep.close()  # flushed, but no clean marker
+    """A durable deployment refuses to set up a round outside a stream,
+    so no run writes a log without STREAM_BEGIN; given one anyway,
+    resume refuses it by naming the record, and ``repro resume`` exits
+    2 with that message."""
+    with AtomDeployment(_config(tmp_path / "refused")) as dep:
+        with pytest.raises(StreamNotBegun, match="before STREAM_BEGIN"):
+            dep.start_round(0, rng=DeterministicRng(b"parity-setup"))
+
+    group = get_group("TOY")
+    log = LogDir(tmp_path, fsync_every=0)
+    log.append(RecordType.META, ck.META.encode(_config(tmp_path), group))
+    mark = ck.RngMark(0, True, *ck.rng_state(DeterministicRng(b"parity-setup")))
+    log.append(RecordType.ROUND_SETUP, ck.RNG_MARK.encode(mark, group), 0)
+    log.close()  # flushed, but no clean marker
 
     manager = RecoveryManager(tmp_path)
     assert manager.needs_recovery() and not manager.is_stream
@@ -319,7 +295,8 @@ def test_journal_of_version_2_envelopes_is_refused(tmp_path):
     """Wire version 3 changed the routed payload layout, which the
     envelope codec cannot see; a state dir journaled by a version-2
     build must fail on resume, not replay payloads it would misparse at
-    the exit (no migration path: ROADMAP 2c, "dirs nobody has")."""
+    the exit (there is no migration path: no deployed state dir holds
+    version-2 envelopes)."""
     journal = DurableStore.envelope_accepted
 
     def journal_as_v2(self, env, group):

@@ -12,11 +12,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: (file under src/, enclosing function) -> its ``except Exception`` handlers
 ALLOWED = {
-    # a sealed box that is a dummy or someone else's call fails to open
-    ("repro/apps/dialing.py", "DialingService.receive"): 1,
-    ("repro/scenarios/runner.py", "ScenarioRunner.receive"): 1,
-    # the baseline drops malformed onions (noise from earlier hops)
-    ("repro/baselines/vuvuzela.py", "VuvuzelaChain.run_round"): 1,
     # CLI boundaries: report and exit non-zero
     ("repro/fleet/server.py", "FleetServer.serve_forever"): 1,
     # both clean up the failed layer and re-raise
@@ -55,7 +50,7 @@ def test_broad_except_sites_are_the_pinned_allowlist():
         if handler.type is not None and _catches(handler, "Exception")
     )
     assert dict(sites) == ALLOWED
-    assert sum(ALLOWED.values()) == 7
+    assert sum(ALLOWED.values()) == 4
 
 
 def test_no_bare_except_and_base_exception_reraises():
