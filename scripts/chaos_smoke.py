@@ -37,8 +37,6 @@ def main() -> int:
         transport="tcp",
         net_faults=CHAOS_PLAN,
         heartbeat=True,
-        heartbeat_grace_s=0.01,
-        heartbeat_timeout_s=0.25,
     )
     print(f"[chaos-smoke] tcp stream, 3 rounds, plan: {CHAOS_PLAN}")
     engine = StreamEngine(

@@ -59,9 +59,6 @@ def cmd_round(args: argparse.Namespace) -> int:
             stream=StreamConfig(
                 rounds=1, users_per_round=args.users, seed=seed.encode()
             ),
-            message_fn=lambda r, i: (
-                f"user {i} says hi".encode()[: args.message_size]
-            ),
         )
     except ValueError as exc:  # bad knob values, --net-faults grammar
         print(f"error: {exc}", file=sys.stderr)

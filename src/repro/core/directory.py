@@ -4,68 +4,41 @@ The directory knows the set of participating servers and their keys
 (the paper assumes a fault-tolerant cluster of directory authorities,
 as in Tor).  Each round it:
 
-1. derives the required group size ``k`` from the adversarial fraction
-   ``f``, the group count ``G``, the fault parameter ``h``, and the
-   2^-64 security target (:mod:`repro.analysis.groups_math`);
-2. samples ``G`` groups of ``k`` servers from the public randomness
-   beacon;
-3. *staggers* member positions across groups (§4.7): server ``s``
+1. samples ``G`` groups of ``k`` servers (the deployment's
+   ``group_size``; :mod:`repro.analysis.groups_math` gives the §4.1
+   size for a malicious fraction ``f``) from the public randomness
+   beacon, seeded by the deployment seed;
+2. *staggers* member positions across groups (§4.7): server ``s``
    appearing in several groups occupies a different position in each,
    so that pipelined groups keep every server busy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.analysis.groups_math import minimum_group_size
 from repro.core.group import GroupContext
 from repro.core.server import AtomServer
 from repro.crypto.beacon import RandomnessBeacon
 from repro.crypto.groups import DeterministicRng, Group
 
 
-@dataclass
-class DirectoryConfig:
-    """Group-formation parameters."""
-
-    adversarial_fraction: float = 0.2
-    security_exponent: int = 64
-    h: int = 1  # required honest servers per group (h=1: anytrust)
-    mode: str = "anytrust"
-    #: override the computed group size (tests use tiny groups)
-    group_size: Optional[int] = None
-    nizk_rounds: int = 8
-
-
 class Directory:
-    """Registry of servers plus per-round group formation."""
+    """Registry of servers plus per-round group formation.
 
-    def __init__(
-        self,
-        servers: Sequence[AtomServer],
-        group: Group,
-        beacon: Optional[RandomnessBeacon] = None,
-        config: Optional[DirectoryConfig] = None,
-    ):
+    ``config`` is the deployment's
+    :class:`~repro.core.protocol.DeploymentConfig`: groups take its
+    ``group_size``, ``mode``, ``h`` and ``nizk_rounds``, and the beacon
+    its ``seed``.
+    """
+
+    def __init__(self, servers: Sequence[AtomServer], group: Group, config):
         if not servers:
             raise ValueError("directory needs at least one server")
         self.servers = list(servers)
         self.group = group
-        self.beacon = beacon or RandomnessBeacon()
-        self.config = config or DirectoryConfig()
-
-    def required_group_size(self, num_groups: int) -> int:
-        """Group size meeting the security target (or the override)."""
-        if self.config.group_size is not None:
-            return self.config.group_size
-        return minimum_group_size(
-            self.config.adversarial_fraction,
-            num_groups,
-            self.config.h,
-            self.config.security_exponent,
-        )
+        self.config = config
+        self.beacon = RandomnessBeacon(config.seed)
 
     def form_groups(
         self,
@@ -79,7 +52,8 @@ class Directory:
         ``g`` so a server serving in many groups holds a different rank
         in each (§4.7 "Ensuring maximal server utilization").
         """
-        k = self.required_group_size(num_groups)
+        cfg = self.config
+        k = cfg.group_size
         memberships = self.beacon.sample_groups(
             round_id, len(self.servers), num_groups, k
         )
@@ -93,10 +67,10 @@ class Directory:
                     gid=gid,
                     servers=members,
                     group=self.group,
-                    mode=self.config.mode,
-                    h=self.config.h if self.config.mode == "manytrust" else 1,
+                    mode=cfg.mode,
+                    h=cfg.h,
                     rng=rng,
-                    nizk_rounds=self.config.nizk_rounds,
+                    nizk_rounds=cfg.nizk_rounds,
                 )
             )
         return contexts

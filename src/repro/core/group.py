@@ -112,7 +112,8 @@ class GroupContext:
         mode: str = "anytrust",
         h: int = 1,
         rng: Optional[DeterministicRng] = None,
-        nizk_rounds: int = 8,
+        *,
+        nizk_rounds: int,
     ):
         if mode not in ("anytrust", "manytrust"):
             raise ValueError(f"unknown group mode {mode!r}")

@@ -185,12 +185,6 @@ class StreamConfig:
     rounds: int = 5
     users_per_round: int = 4
     seed: bytes = b"repro.stream"
-    #: interleave next-round intake with mixing (the §4.7 pipeline);
-    #: False drains each round's intake strictly between rounds — the
-    #: serial baseline for the sim/pipeline.py reconciliation
-    overlap_intake: bool = True
-    #: rerun an aborted round (minus blamed users) once
-    retry_aborted: bool = True
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
@@ -399,7 +393,6 @@ class StreamEngine:
                     )
             if (
                 ev.action == "tamper-group"
-                and config.group_size is not None
                 and not 0 <= ev.position < config.group_size
             ):
                 raise FaultScheduleError(
@@ -582,15 +575,7 @@ class StreamEngine:
                 if ev.action == "tamper":
                     server = self._server_by_id(ev)
                 else:
-                    ctx = rnd.context(ev.target)
-                    if not 0 <= ev.position < len(ctx.servers):
-                        # auto-sized groups: only checkable once live
-                        raise FaultScheduleError(
-                            f"{ev.describe()} targets member position "
-                            f"{ev.position}; group {ev.target} has "
-                            f"{len(ctx.servers)} members"
-                        )
-                    server = ctx.servers[ev.position]
+                    server = rnd.context(ev.target).servers[ev.position]
                 server.behavior = ev.behavior
                 server.tamper_budget = 1
 
@@ -769,7 +754,7 @@ class StreamEngine:
             except ProtocolAbort as failure:
                 stats.mix_wall_s += time.monotonic() - mix_started
                 return run.abort(failure)
-            if next_plan and self.stream.overlap_intake:
+            if next_plan:
                 # Spread the remaining intake over the remaining layers
                 # (none after the last: its successors are exit work).
                 budget = -(-len(next_plan) // max(1, run.remaining_layers))
@@ -796,8 +781,8 @@ class StreamEngine:
     ) -> Tuple[RoundResult, Round, Optional[Round]]:
         """Blame, rekey, and retry an aborted round (§4.6).
 
-        Returns the (possibly retried) result plus the current and next
-        Round objects — both are rebuilt when blame forces a rekey, in
+        Returns the retry's result plus the retry and next Round
+        objects — the next is rebuilt when blame forces a rekey, in
         which case ``next_plan`` (intake queued for the discarded next
         round) is cleared after being replayed onto the fresh epoch.
         """
@@ -812,10 +797,10 @@ class StreamEngine:
             # Blame reveals this epoch's entry-group keys whether or not
             # it names a user (every entry group opens its keys, §4.6);
             # the stream's keys are epoch-persistent, so it must not
-            # keep encrypting to them — even when the aborted round
-            # itself is not retried.  Form a fresh epoch and rebuild the
-            # (possibly partially-intaken) next round on it.
-            rekey_rnd = self._establish_contexts(r)
+            # keep encrypting to them.  Form a fresh epoch (its Round
+            # for r is the retry's) and rebuild the (possibly
+            # partially-intaken) next round on it.
+            retry_rnd = self._establish_contexts(r)
             stats.rekeyed = True
             if next_rnd is not None:
                 next_id = next_rnd.round_id
@@ -829,13 +814,7 @@ class StreamEngine:
                 next_plan.clear()  # queued for the discarded epoch
                 self._drain_intake(next_rnd, next_stats, self._plan_intake(next_id))
         else:
-            rekey_rnd = None
-        if not self.stream.retry_aborted:
-            return result, rnd, next_rnd
-
-        # The rekey already produced a fresh Round for r (trustees and
-        # forger included); reuse it rather than paying setup twice.
-        retry_rnd = rekey_rnd if rekey_rnd is not None else self._new_round(r)
+            retry_rnd = self._new_round(r)
 
         replay_started = time.monotonic()
         for message, gid in self._honest.get(r, []):

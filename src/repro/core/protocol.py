@@ -42,11 +42,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core import messages as fmt
 from repro.core.blame import BlameReport, identify_malicious_users
 from repro.core.client import Client, Submission, TrapSubmission
-from repro.core.directory import Directory, DirectoryConfig, make_fleet
+from repro.core.directory import Directory, make_fleet
 from repro.core.group import GroupContext, GroupStalled, MixAudit, ProtocolAbort
 from repro.core.server import AtomServer
 from repro.core.trustees import TrusteeGroup
-from repro.crypto.beacon import RandomnessBeacon
 from repro.crypto.groups import DeterministicRng, GroupBackend as Group, get_group
 from repro.topology import IteratedButterflyNetwork, PermutationNetwork, SquareNetwork
 
@@ -66,17 +65,18 @@ class DeploymentConfig:
 
     num_servers: int = 8
     num_groups: int = 2
-    group_size: Optional[int] = 3  # None -> derive from f/G/h (k=32 at scale)
+    #: servers per group; ``repro group-size`` gives the §4.1 size
+    #: for a fraction f of malicious servers (k=32 at scale)
+    group_size: int = 3
     variant: str = "trap"
     mode: str = "anytrust"  # or "manytrust"
     h: int = 1
-    adversarial_fraction: float = 0.2
     iterations: int = 4  # paper uses T=10 at scale
     message_size: int = 32
     crypto_group: str = "TOY"
     topology: str = "square"
+    #: shuffle-proof rounds (soundness 2^-rounds per shuffle)
     nizk_rounds: int = 6
-    num_trustees: int = 3
     seed: bytes = b"repro.deployment"
     #: how envelopes move between nodes: "inproc" (zero-copy direct
     #: dispatch), "tcp" (every node behind one loopback socket) or
@@ -92,12 +92,6 @@ class DeploymentConfig:
     #: directory for the durable state store (None: in-memory only —
     #: the no-op store, so nothing below pays for durability)
     state_dir: Optional[str] = None
-    #: fsync the write-ahead log every N appends (0: only at commit
-    #: points, which always sync regardless of this knob)
-    wal_fsync_every: int = 8
-    #: snapshot node holdings every N committed layers (1: every
-    #: commit, so recovery re-mixes nothing)
-    checkpoint_every: int = 1
     #: rotate the write-ahead log into a new segment file once the
     #: active one exceeds this many bytes (0: never by size)
     wal_segment_bytes: int = 8 * 1024 * 1024
@@ -113,29 +107,28 @@ class DeploymentConfig:
     #: ``resilience=True`` — ROADMAP item 1 deletes it
     resilience: bool = True
     #: base RPC deadline in seconds (None: the stock 30 s; mixing RPCs
-    #: get 4x, heartbeats get `heartbeat_timeout_s`)
+    #: get 4x, heartbeats get ``resilience.HEARTBEAT_TIMEOUT_S``)
     rpc_timeout: Optional[float] = None
-    #: retry budget per RPC (1 = no retries)
-    rpc_attempts: int = 4
     #: network fault plan spec (see repro.net.chaos), None = calm net
     net_faults: Optional[str] = None
     #: probe every group with PING before each mixing layer and surface
     #: sustained silence as GroupStalled (-> §4.5 buddy recovery)
     heartbeat: bool = False
-    #: consecutive missed PONGs before a group is declared dead
-    heartbeat_misses: int = 3
-    #: pause between heartbeat re-probes of a silent group (seconds)
-    heartbeat_grace_s: float = 0.02
-    #: per-PING deadline (seconds) — deliberately tight
-    heartbeat_timeout_s: float = 0.25
 
     def __post_init__(self) -> None:
         from repro.net.transport import TRANSPORTS
 
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
+        for knob in ("num_groups", "group_size", "iterations", "message_size"):
+            if getattr(self, knob) < 1:
+                raise ValueError(f"{knob} must be >= 1")
         if self.mode == "anytrust" and self.h != 1:
             raise ValueError("anytrust deployments have h = 1")
+        if not 1 <= self.h <= self.group_size:
+            raise ValueError(
+                f"h must be in 1..group_size ({self.group_size}), got {self.h}"
+            )
         if self.transport not in TRANSPORTS + ("fleet",):
             raise ValueError(
                 f"transport must be one of {TRANSPORTS + ('fleet',)}"
@@ -148,19 +141,13 @@ class DeploymentConfig:
             raise ValueError("data_plane must be 'batch'")
         if self.resilience is not True:
             raise ValueError("resilience must be True")
-        if self.message_size < 1:
-            raise ValueError("message_size must be >= 1")
         for knob in (
             "wal_segment_bytes", "wal_segment_records", "wal_retain_segments"
         ):
             if getattr(self, knob) < 0:
                 raise ValueError(f"{knob} must be >= 0")
-        if self.rpc_attempts < 1:
-            raise ValueError("rpc_attempts must be >= 1")
         if self.rpc_timeout is not None and self.rpc_timeout <= 0:
             raise ValueError("rpc_timeout must be > 0 seconds")
-        if self.heartbeat_misses < 1:
-            raise ValueError("heartbeat_misses must be >= 1")
         if self.net_faults is not None:
             # Parse eagerly so a bad spec fails at config time (the CLI
             # surfaces it before any round state exists), and cache the
@@ -268,8 +255,6 @@ class AtomDeployment:
                 config.state_dir,
                 self.group,
                 config=config,
-                fsync_every=config.wal_fsync_every,
-                checkpoint_every=config.checkpoint_every,
                 segment_bytes=config.wal_segment_bytes,
                 segment_records=config.wal_segment_records,
                 retain_segments=config.wal_retain_segments,
@@ -283,18 +268,7 @@ class AtomDeployment:
             if servers is not None
             else make_fleet(config.num_servers, self.group)
         )
-        self.directory = Directory(
-            self.servers,
-            self.group,
-            beacon=RandomnessBeacon(config.seed),
-            config=DirectoryConfig(
-                adversarial_fraction=config.adversarial_fraction,
-                h=config.h,
-                mode=config.mode,
-                group_size=config.group_size,
-                nizk_rounds=config.nizk_rounds,
-            ),
-        )
+        self.directory = Directory(self.servers, self.group, config)
         self.spec = fmt.PayloadSpec.for_deployment(
             self.group, config.message_size, trap_variant=(config.variant == "trap")
         )
@@ -341,11 +315,7 @@ class AtomDeployment:
 
             self._transport = ResilientTransport(
                 transport,
-                RpcPolicy.default(
-                    base_timeout=cfg.rpc_timeout,
-                    max_attempts=cfg.rpc_attempts,
-                    ping_timeout=cfg.heartbeat_timeout_s,
-                ),
+                RpcPolicy.default(base_timeout=cfg.rpc_timeout),
                 cfg.seed + b"/rpc",
             )
         return self._transport
@@ -423,7 +393,7 @@ class AtomDeployment:
         else:
             raise ValueError(f"unknown topology {cfg.topology!r}")
         trustees = (
-            TrusteeGroup(self.group, cfg.num_trustees, rng=rng)
+            TrusteeGroup(self.group, rng=rng)
             if cfg.variant == "trap"
             else None
         )

@@ -22,6 +22,9 @@ from repro.crypto.groups import DeterministicRng, Group, GroupElement
 from repro.crypto.secret_sharing import DvssProtocol
 from repro.crypto.threshold import ThresholdElGamal
 
+#: trustees per deployment (every deployment uses three)
+NUM_TRUSTEES = 3
+
 
 @dataclass(frozen=True)
 class GroupReport:
@@ -49,7 +52,7 @@ class TrusteeGroup:
     def __init__(
         self,
         group: Group,
-        num_trustees: int = 3,
+        num_trustees: int = NUM_TRUSTEES,
         threshold: Optional[int] = None,
         rng: Optional[DeterministicRng] = None,
     ):

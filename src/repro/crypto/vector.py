@@ -247,7 +247,7 @@ def prove_vector_shuffle(
     outputs: Sequence[CiphertextVector],
     perm: Sequence[int],
     rands: Sequence[Sequence[int]],
-    rounds: int = 16,
+    rounds: int,
     rng: Optional[DeterministicRng] = None,
 ) -> VectorShuffleProof:
     """Prove ``outputs`` is a vector shuffle of ``inputs``."""
@@ -303,7 +303,7 @@ def verify_vector_shuffle(
     inputs: Sequence[CiphertextVector],
     outputs: Sequence[CiphertextVector],
     proof: VectorShuffleProof,
-    rounds: int = 16,
+    rounds: int,
     batched: bool = True,
     weight_rng: Optional[DeterministicRng] = None,
 ) -> bool:

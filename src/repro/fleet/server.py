@@ -181,7 +181,6 @@ class FleetServer:
             self._replay_records(LogDir.scan_dir(root).records)
         self.wal = self.store.wal = LogDir(
             root,
-            fsync_every=self.config.wal_fsync_every,
             fresh=fresh,
             segment_bytes=self.config.wal_segment_bytes,
             segment_records=self.config.wal_segment_records,

@@ -54,8 +54,17 @@ from repro.crypto.kem import cca2_decrypt
 from repro.net import envelopes as ev
 from repro.net.envelopes import Envelope, Kind
 from repro.net.nodes import ServerNode, TrusteeNode, raise_fault
-from repro.net.resilience import RpcExhausted, SuspicionTracker
+from repro.net.resilience import (
+    HEARTBEAT_TIMEOUT_S,
+    RpcExhausted,
+    SuspicionTracker,
+)
 from repro.net.transport import Transport, TransportError
+
+#: consecutive missed PONGs before a heartbeat declares a group dead
+HEARTBEAT_MISSES = 3
+#: pause between heartbeat re-probes of a silent group (seconds)
+HEARTBEAT_GRACE_S = 0.02
 
 logger = logging.getLogger(__name__)
 
@@ -104,7 +113,7 @@ class Coordinator:
             transport.register(rnd.round_id, ev.TRUSTEE, self.trustee_node)
         #: heartbeat failure detector (None when cfg.heartbeat is off)
         self.suspicion: Optional[SuspicionTracker] = (
-            SuspicionTracker(deployment.config.heartbeat_misses)
+            SuspicionTracker(HEARTBEAT_MISSES)
             if deployment.config.heartbeat
             else None
         )
@@ -195,13 +204,12 @@ class Coordinator:
         routed through the retry machinery (the policy gives PING one
         attempt): each miss must reach the SuspicionTracker — retries
         hiding misses would defeat the detector."""
-        cfg = self.deployment.config
         tracker = self.suspicion
         while True:
             try:
                 replies = self.transport.request(
                     ev.wrap(ev.Ping(), self.round_id, ev.COORDINATOR, gid),
-                    timeout=cfg.heartbeat_timeout_s,
+                    timeout=HEARTBEAT_TIMEOUT_S,
                 )
             except TransportError:
                 if tracker.record_miss(gid) >= tracker.miss_threshold:
@@ -209,7 +217,7 @@ class Coordinator:
                     raise GroupStalled(
                         gid, 0, self.rnd.context(gid).threshold
                     ) from None
-                time.sleep(cfg.heartbeat_grace_s)
+                time.sleep(HEARTBEAT_GRACE_S)
                 continue
             tracker.record_pong(gid)
             pong = replies[0].payload

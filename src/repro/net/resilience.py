@@ -69,6 +69,11 @@ class RpcExhausted(TransportError):
 #: jitter in [0.5, 1.5) drawn from the policy's dedicated rng.
 _BACKOFF_BASE_S = 0.02
 _BACKOFF_CAP_S = 2.0
+#: delivery attempts per RPC in the stock policy (1 = no retries)
+RPC_ATTEMPTS = 4
+#: per-PING deadline in seconds: deliberately tight, since a PING that
+#: needs 30 s is indistinguishable from a dead peer
+HEARTBEAT_TIMEOUT_S = 0.25
 
 
 @dataclass
@@ -76,24 +81,27 @@ class RpcPolicy:
     """Deadlines and retry budget, resolved per envelope kind."""
 
     base_timeout: float = 30.0
-    max_attempts: int = 4
+    max_attempts: int = RPC_ATTEMPTS
     kind_timeouts: Dict[Kind, float] = field(default_factory=dict)
 
     @classmethod
     def default(
         cls,
         base_timeout: Optional[float] = None,
-        max_attempts: int = 4,
-        ping_timeout: float = 0.25,
+        max_attempts: Optional[int] = None,
+        ping_timeout: float = HEARTBEAT_TIMEOUT_S,
     ) -> "RpcPolicy":
         """The stock policy: mixing RPCs (a node re-encrypting and
         shuffling a whole batch, possibly on a 2048-bit group) get 4x
-        the base deadline; liveness probes get a tight one — a PING
-        that needs 30 s is indistinguishable from a dead peer."""
+        the base deadline; liveness probes get
+        :data:`HEARTBEAT_TIMEOUT_S`.  ``max_attempts`` defaults to
+        :data:`RPC_ATTEMPTS`, read at call time."""
         base = base_timeout if base_timeout is not None else 30.0
         return cls(
             base_timeout=base,
-            max_attempts=max_attempts,
+            max_attempts=(
+                max_attempts if max_attempts is not None else RPC_ATTEMPTS
+            ),
             kind_timeouts={
                 Kind.MIX: base * 4,
                 Kind.PING: ping_timeout,
@@ -238,7 +246,7 @@ class SuspicionTracker:
     sustained silence does.
     """
 
-    def __init__(self, miss_threshold: int = 3):
+    def __init__(self, miss_threshold: int):
         if miss_threshold < 1:
             raise ValueError("miss_threshold must be >= 1")
         self.miss_threshold = miss_threshold

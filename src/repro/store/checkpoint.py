@@ -10,8 +10,9 @@ decoded with ``round_id=rec.round_id``.
 
 Replay cost model: intake envelopes replay in O(submissions), and the
 latest CHECKPOINT pins the mixing state, so recovery is
-O(since-last-checkpoint) mixing work — with the default cadence of one
-checkpoint per committed layer, zero re-mixing.
+O(since-last-checkpoint) mixing work.  Every layer commit is followed
+by a checkpoint, so only a crash between those two appends leaves a
+layer to re-mix.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from repro.codec import (
     U64,
     Table,
     batch,
-    opt,
     seq,
     tup,
 )
@@ -164,20 +164,16 @@ META = Table(
     "META", DeploymentConfig,
     ("num_servers", U32),
     ("num_groups", U32),
-    ("group_size", opt(U32)),
+    ("group_size", U32),
     ("variant", TEXT),
     ("mode", TEXT),
     ("h", U32),
-    ("adversarial_fraction", F64),
     ("iterations", U32),
     ("message_size", U32),
     ("crypto_group", TEXT),
     ("topology", TEXT),
     ("nizk_rounds", U32),
-    ("num_trustees", U32),
     ("transport", TEXT),
-    ("wal_fsync_every", U32),
-    ("checkpoint_every", U32),
     ("wal_segment_bytes", U64),
     ("wal_segment_records", U64),
     ("wal_retain_segments", U32),
@@ -199,8 +195,6 @@ STREAM_BEGIN = Table(
         ("rounds", U32),
         ("users_per_round", U32),
         ("seed", BYTES),
-        ("overlap_intake", BOOL),
-        ("retry_aborted", BOOL),
     )),
     ("schedule", TEXT),
 )

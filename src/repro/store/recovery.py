@@ -198,8 +198,6 @@ class RecoveryManager:
             self.state_dir,
             self.group,
             fresh=False,
-            fsync_every=self.config.wal_fsync_every,
-            checkpoint_every=self.config.checkpoint_every,
             segment_bytes=self.config.wal_segment_bytes,
             segment_records=self.config.wal_segment_records,
             retain_segments=self.config.wal_retain_segments,

@@ -55,6 +55,7 @@ from typing import Callable, List, Optional, Tuple, Union
 
 from repro.store.wal import (
     FRAME_OVERHEAD,
+    FSYNC_EVERY,
     MAGIC,
     NO_ROUND,
     WalError,
@@ -158,7 +159,7 @@ class LogDir:
     def __init__(
         self,
         root: Union[str, Path],
-        fsync_every: int = 8,
+        fsync_every: int = FSYNC_EVERY,
         fresh: bool = True,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         segment_records: int = 0,

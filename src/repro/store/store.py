@@ -108,8 +108,6 @@ class DurableStore(Store):
         state_dir: Union[str, Path],
         group: Group,
         config=None,
-        fsync_every: int = 8,
-        checkpoint_every: int = 1,
         fresh: bool = True,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         segment_records: int = 0,
@@ -118,7 +116,6 @@ class DurableStore(Store):
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.group = group
-        self.checkpoint_every = max(1, checkpoint_every)
         self.retain_segments = max(0, retain_segments)
         self.replaying = False
         self._closed = False
@@ -133,7 +130,6 @@ class DurableStore(Store):
             LogDir.rotate_aside(self.state_dir)
         self.wal = LogDir(
             self.state_dir,
-            fsync_every=fsync_every,
             fresh=fresh,
             segment_bytes=segment_bytes,
             segment_records=segment_records,
@@ -180,12 +176,11 @@ class DurableStore(Store):
     def layer_commit(self, round_id, layer, rng, audits, holdings) -> None:
         commit = ck.LayerCommit(round_id, layer, *ck.rng_state(rng), audits)
         self._journal(RecordType.LAYER_COMMIT, round_id, ck.LAYER_COMMIT, commit)
-        if layer % self.checkpoint_every == 0:
-            snap = ck.Snapshot(round_id, layer, sorted(holdings.items()))
-            self._journal(RecordType.CHECKPOINT, round_id, ck.CHECKPOINT, snap)
+        snap = ck.Snapshot(round_id, layer, sorted(holdings.items()))
+        self._journal(RecordType.CHECKPOINT, round_id, ck.CHECKPOINT, snap)
         if not self.replaying:
-            # A commit is a durability point: fsync regardless of the
-            # batching knob, so "committed" always means "on disk".
+            # A commit is a durability point: fsync whatever the
+            # append batching, so "committed" always means "on disk".
             self.wal.sync()
 
     def round_end(self, round_id: int, ok: bool) -> None:

@@ -7,15 +7,15 @@ envelopes (PR 4's versioned wire bytes, reused verbatim as the
 serialization substrate), store-local records (rng marks, layer
 commits, checkpoints, round boundaries), and lifecycle markers.
 
-Frame format (version 3)::
+Frame format (version 4)::
 
     file   := magic record*
     magic  := b"ATWL" u8(version)
     record := u8(type) u32(round_id) u32(length) payload u32(crc32)
 
 where the CRC covers ``type || round_id || length || payload``.  The
-frame layout is version 2's (which added the round slot); version 3
-marks the META and STREAM_BEGIN bodies that each lost a field.  The
+frame layout is version 2's (which added the round slot); versions 3
+and 4 mark META and STREAM_BEGIN bodies that lost fields.  The
 round slot names the round a record belongs to (:data:`NO_ROUND` for
 records of none: META, STREAM_BEGIN, RESUME, CLEAN),
 so compaction, liveness and replay indexing never decode a body;
@@ -30,11 +30,11 @@ corrupted record mid-file conservatively drops the rest of the log too
 (replay must not skip over a hole: later records can depend on earlier
 ones).
 
-Durability knob: ``fsync_every`` batches fsyncs — every append flushes
-the OS buffer, but the file is fsynced only every N appends (0: never,
-except on :meth:`sync`/:meth:`close`).  Commit points call
-:meth:`sync` explicitly, so a committed layer is always on disk
-regardless of the batching setting.
+Durability: every append flushes the OS buffer, but the file is
+fsynced only every :data:`FSYNC_EVERY` appends (``fsync_every=0``:
+never, except on :meth:`sync`/:meth:`close` — for offline tools that
+sync once at the end).  Commit points call :meth:`sync` explicitly, so
+a committed layer is always on disk whatever the batching.
 """
 
 from __future__ import annotations
@@ -50,8 +50,11 @@ from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 MAGIC = b"ATWL"
 #: v2: a u32 round-id slot in every frame header; v3: META and
-#: STREAM_BEGIN bodies lost a field each
-WAL_VERSION = 3
+#: STREAM_BEGIN bodies lost a field each; v4: META lost four retired
+#: knobs and its group size's presence byte, STREAM_BEGIN two flags
+WAL_VERSION = 4
+#: appends between batched fsyncs of a live log
+FSYNC_EVERY = 8
 #: the round slot of a record that belongs to no round
 NO_ROUND = 0xFFFFFFFF
 
@@ -169,7 +172,7 @@ class WriteAheadLog:
     def __init__(
         self,
         path: Union[str, Path],
-        fsync_every: int = 8,
+        fsync_every: int = FSYNC_EVERY,
         fresh: bool = True,
     ):
         self.path = Path(path)
@@ -196,7 +199,7 @@ class WriteAheadLog:
         self, rtype: int, payload: bytes, round_id: int = NO_ROUND
     ) -> None:
         """Frame and append one record; flushes the user-space buffer
-        always, fsyncs per the batching knob."""
+        always, fsyncs every ``fsync_every`` appends."""
         if self._closed:
             raise WalError(f"log {self.path} is closed")
         self._fh.write(encode_frame(rtype, payload, round_id))

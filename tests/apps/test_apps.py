@@ -16,10 +16,10 @@ from repro.apps.dialing import (
 from repro.apps.microblog import BulletinBoard, check_post
 from repro.core import (
     DeploymentConfig,
-    FaultSchedule,
     StreamConfig,
     StreamEngine,
 )
+from repro.core.server import Behavior
 from repro.crypto.elgamal import ElGamalKeyPair
 from repro.crypto.groups import get_group
 
@@ -38,14 +38,13 @@ def tiny_config(**overrides):
     return DeploymentConfig(**base)
 
 
-def one_round(config, payloads, faults="", retry_aborted=True):
+def one_round(config, payloads):
     """Route ``payloads`` round-robin over the entry groups through a
     one-round stream; returns its RoundStats."""
     arrivals = [(p, i % config.num_groups) for i, p in enumerate(payloads)]
     engine = StreamEngine(
         config,
-        FaultSchedule.parse(faults),
-        StreamConfig(rounds=1, seed=b"apps", retry_aborted=retry_aborted),
+        stream=StreamConfig(rounds=1, seed=b"apps"),
         arrivals_fn=lambda r: arrivals,
     )
     with engine:
@@ -53,12 +52,12 @@ def one_round(config, payloads, faults="", retry_aborted=True):
     return stats
 
 
-def publish_round(config, posts, board, **kwargs):
+def publish_round(config, posts, board):
     """The microblog client check, a round, and the board's publish of
     a delivered round."""
     for post in posts:
         check_post(post, config.message_size)
-    stats = one_round(config, posts, **kwargs)
+    stats = one_round(config, posts)
     if stats.ok:
         board.publish(0, stats.messages)
     return stats
@@ -91,14 +90,18 @@ class TestMicroblog:
         assert publish_round(tiny_config(variant="basic"), posts, board).ok
         assert sorted(board.read(0)) == sorted(posts)
 
-    def test_aborted_round_publishes_nothing(self):
-        # an always-detected disruption: a server duplicates a ciphertext
+    def test_aborted_round_publishes_nothing(self, monkeypatch):
+        # an always-detected disruption: every server duplicates a
+        # ciphertext, in the round and in its retry
+        def arm_every_server(engine):
+            for server in engine._registry.values():
+                server.behavior = Behavior.DUPLICATE_ONE
+                server.tamper_budget = 1
+
+        monkeypatch.setattr(StreamEngine, "_reset_behaviors", arm_every_server)
         board = BulletinBoard()
         posts = [f"post {i}".encode() for i in range(4)]
-        stats = publish_round(
-            tiny_config(), posts, board,
-            faults="r0:tamper-group:0:0:duplicate_one", retry_aborted=False,
-        )
+        stats = publish_round(tiny_config(), posts, board)
         assert not stats.ok and stats.abort_reasons
         assert board.read(0) == []
 

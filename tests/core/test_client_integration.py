@@ -13,7 +13,7 @@ from repro.crypto.commit import verify_commitment
 @pytest.fixture()
 def entry_setup(toy_group):
     servers = [AtomServer(server_id=i, group=toy_group) for i in range(3)]
-    ctx = GroupContext(gid=0, servers=servers, group=toy_group)
+    ctx = GroupContext(gid=0, servers=servers, group=toy_group, nizk_rounds=8)
     client = Client(toy_group)
     return ctx, client
 

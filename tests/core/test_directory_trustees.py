@@ -3,10 +3,10 @@ trustee group's release logic."""
 
 import pytest
 
-from repro.core.directory import Directory, DirectoryConfig, make_fleet
+from repro.core.directory import Directory, make_fleet
+from repro.core.protocol import DeploymentConfig
 from repro.core.server import AtomServer
 from repro.core.trustees import GroupReport, KeyWithheld, TrusteeGroup
-from repro.crypto.beacon import RandomnessBeacon
 from repro.crypto.elgamal import AtomElGamal
 
 
@@ -14,10 +14,7 @@ from repro.crypto.elgamal import AtomElGamal
 def directory(toy_group):
     servers = [AtomServer(server_id=i, group=toy_group) for i in range(12)]
     return Directory(
-        servers,
-        toy_group,
-        beacon=RandomnessBeacon(b"dir-test"),
-        config=DirectoryConfig(group_size=3),
+        servers, toy_group, DeploymentConfig(group_size=3, seed=b"dir-test")
     )
 
 
@@ -53,16 +50,9 @@ class TestDirectory:
         assert multi, "expected servers serving in several groups"
         assert any(len(set(p)) > 1 for p in multi)
 
-    def test_required_group_size_security_derivation(self, toy_group):
-        servers = [AtomServer(server_id=i, group=toy_group) for i in range(40)]
-        directory = Directory(
-            servers, toy_group, config=DirectoryConfig(group_size=None)
-        )
-        assert directory.required_group_size(1024) == 32  # §4.1
-
     def test_empty_directory_rejected(self, toy_group):
         with pytest.raises(ValueError):
-            Directory([], toy_group)
+            Directory([], toy_group, DeploymentConfig())
 
     def test_make_fleet_mix(self, toy_group):
         fleet = make_fleet(100, toy_group)

@@ -10,7 +10,9 @@ from repro.crypto.secret_sharing import Share
 
 def manytrust_group(toy_group, gid, size=4, h=2):
     servers = [AtomServer(server_id=gid * 100 + i, group=toy_group) for i in range(size)]
-    return GroupContext(gid, servers, toy_group, mode="manytrust", h=h)
+    return GroupContext(
+        gid, servers, toy_group, mode="manytrust", h=h, nizk_rounds=8
+    )
 
 
 @pytest.fixture()
@@ -31,7 +33,9 @@ class TestEscrow:
 
     def test_anytrust_group_cannot_escrow(self, toy_group):
         servers = [AtomServer(server_id=i, group=toy_group) for i in range(3)]
-        anytrust = GroupContext(0, servers, toy_group, mode="anytrust")
+        anytrust = GroupContext(
+            0, servers, toy_group, mode="anytrust", nizk_rounds=8
+        )
         buddy = manytrust_group(toy_group, 1)
         with pytest.raises(ValueError):
             BuddySystem(toy_group).escrow(anytrust, buddy)

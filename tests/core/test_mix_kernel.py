@@ -24,7 +24,9 @@ BACKENDS = ["TOY", "MODP2048", "P256"]
 def _context(backend, members=3, seed=b"mix-kernel"):
     group = get_group(backend)
     servers = [AtomServer(server_id=i, group=group) for i in range(members)]
-    return GroupContext(0, servers, group, rng=DeterministicRng(seed))
+    return GroupContext(
+        0, servers, group, rng=DeterministicRng(seed), nizk_rounds=8
+    )
 
 
 def _inputs(ctx, count, parts=2, seed=b"mix-kernel-inputs"):

@@ -147,17 +147,6 @@ class TestHonestStream:
             assert stats.overlap_s > 0, f"round {stats.round_id} never overlapped"
             assert stats.overlap_s <= stats.intake_s + 1e-9
 
-    def test_overlap_can_be_disabled(self):
-        engine = StreamEngine(
-            stream_config(),
-            stream=StreamConfig(
-                rounds=3, users_per_round=4, seed=b"serial", overlap_intake=False
-            ),
-        )
-        report = engine.run()
-        assert report.ok
-        assert all(stats.overlap_s == 0 for stats in report.rounds)
-
     def test_basic_variant_stream(self):
         engine = StreamEngine(
             stream_config(variant="basic"),
@@ -317,21 +306,18 @@ class TestAdversarialStream:
         assert stats.blamed_users == tuple(engine._malicious_uids[1])
         expected_messages(report)
 
-    def test_blame_rekeys_even_without_retry(self):
-        """Blame reveals the epoch's entry-group keys; the stream must
-        move to a fresh epoch whether or not the round is retried."""
+    def test_blame_rekeys_before_the_retry(self):
+        """Blame reveals the epoch's entry-group keys; the stream moves
+        to a fresh epoch, retries the round on it and continues."""
         engine = StreamEngine(
             stream_config(),
             FaultSchedule.parse("r1:user:duplicate_inner@1"),
-            StreamConfig(
-                rounds=4, users_per_round=4, seed=b"norekey-retry",
-                retry_aborted=False,
-            ),
+            StreamConfig(rounds=4, users_per_round=4, seed=b"norekey-retry"),
         )
         report = engine.run()
-        aborted = report.rounds[1]
-        assert not aborted.ok and aborted.blamed_users
-        assert aborted.rekeyed, "revealed keys must force a fresh epoch"
+        blamed = report.rounds[1]
+        assert blamed.ok and blamed.attempts == 2 and blamed.blamed_users
+        assert blamed.rekeyed, "revealed keys must force a fresh epoch"
         assert all(s.ok for s in report.rounds[2:]), (
             "the stream continues on the new epoch"
         )

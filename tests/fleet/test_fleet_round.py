@@ -152,11 +152,8 @@ class TestStreamOperations:
         stalled, buddy recovery (§4.5) restores them inside the
         coordinator, and the stream completes with the same per-round
         payload as the failure-free run."""
-        heartbeat = dict(
-            heartbeat=True, heartbeat_grace_s=0.01, heartbeat_timeout_s=0.25
-        )
-        baseline = _run_stream(_stream_config(**heartbeat))
-        plan = _fleet_plan(_stream_config(**heartbeat), 2, tmp_path)
+        baseline = _run_stream(_stream_config(heartbeat=True))
+        plan = _fleet_plan(_stream_config(heartbeat=True), 2, tmp_path)
         controller = FleetController(plan, runtime_dir=str(tmp_path / "run"))
 
         def kill_p1(r):

@@ -434,7 +434,9 @@ class TestWireErrors:
         decoded = Envelope.from_bytes(bytes(raw), group)
         with pytest.raises(WireFormatError, match="invalid element"):
             decoded.payload.vectors
-        ctx = GroupContext(0, [AtomServer(server_id=0, group=group)], group)
+        ctx = GroupContext(
+            0, [AtomServer(server_id=0, group=group)], group, nizk_rounds=8
+        )
         with pytest.raises(BatchFormatError, match="invalid element"):
             ctx.mix_batch(decoded.payload.batch, [None])
 

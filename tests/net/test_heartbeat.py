@@ -31,9 +31,6 @@ def _round_config(**overrides):
         crypto_group="TOY",
         nizk_rounds=4,
         heartbeat=True,
-        heartbeat_misses=3,
-        heartbeat_grace_s=0.001,
-        heartbeat_timeout_s=0.25,
     )
     base.update(overrides)
     return DeploymentConfig(**base)
@@ -110,8 +107,6 @@ def _stream(net_faults=None, heartbeat=False):
         transport="tcp",
         net_faults=net_faults,
         heartbeat=heartbeat,
-        heartbeat_grace_s=0.01,
-        heartbeat_timeout_s=0.25,
     )
     engine = StreamEngine(
         config,

@@ -14,6 +14,7 @@ loosen the comparison.
 import pytest
 
 from repro.crypto.groups import get_group
+from repro.net import resilience
 
 from tests.net.test_transport_parity import (
     _canonical,
@@ -31,14 +32,15 @@ RETRY_PLAN = (
 )
 
 
+@pytest.fixture(autouse=True)
+def _deep_retry_budget(monkeypatch):
+    """RETRY_PLAN drops 40 % of replies: give every RPC 8 attempts so
+    no request exhausts its budget."""
+    monkeypatch.setattr(resilience, "RPC_ATTEMPTS", 8)
+
+
 def _run(transport, variant, net_faults):
-    config = _config(
-        transport,
-        "TOY",
-        variant,
-        net_faults=net_faults,
-        rpc_attempts=8,
-    )
+    config = _config(transport, "TOY", variant, net_faults=net_faults)
     return _run_seeded_round(config)
 
 

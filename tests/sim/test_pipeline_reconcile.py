@@ -7,7 +7,7 @@ from repro.core import DeploymentConfig, StreamConfig, StreamEngine
 from repro.sim import reconcile_with_engine
 
 
-def run_stream(overlap: bool, rounds: int = 4):
+def run_stream():
     engine = StreamEngine(
         DeploymentConfig(
             num_servers=6,
@@ -19,10 +19,9 @@ def run_stream(overlap: bool, rounds: int = 4):
             crypto_group="TOY",
         ),
         stream=StreamConfig(
-            rounds=rounds,
+            rounds=4,
             users_per_round=8,
             seed=b"reconcile",
-            overlap_intake=overlap,
         ),
     )
     report = engine.run()
@@ -32,7 +31,7 @@ def run_stream(overlap: bool, rounds: int = 4):
 
 class TestReconciliation:
     def test_model_vs_engine(self):
-        report = run_stream(overlap=True)
+        report = run_stream()
         numbers = reconcile_with_engine(report)
 
         # The two-stage model: serial = intake + mix, ideal = max of the
@@ -55,11 +54,6 @@ class TestReconciliation:
         # so it also cannot beat the serial stage sum.
         assert numbers["measured_period_s"] >= numbers["analytic_period_s"]
         assert numbers["measured_speedup"] <= numbers["analytic_speedup"]
-
-    def test_serial_baseline_shows_no_overlap(self):
-        numbers = reconcile_with_engine(run_stream(overlap=False))
-        assert numbers["mean_overlap_s"] == 0.0
-        assert numbers["overlap_utilization"] == 0.0
 
     def test_empty_report_rejected(self):
         from repro.core.pipeline import StreamReport

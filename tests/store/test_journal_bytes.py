@@ -15,10 +15,11 @@ from repro.store.segments import LogDir
 from repro.store.wal import NO_ROUND
 
 #: payload bytes passed to ``LogDir.append`` per frame round id
-#: (``NO_ROUND``: META, STREAM_BEGIN and the CLEAN marker; 164 since
-#: journal version 3 dropped META's u64 spill threshold and
-#: STREAM_BEGIN's rekey-after-blame bool, 173 - 8 - 1)
-BUDGET = {0: 7052, 1: 7052, 2: 7052, NO_ROUND: 164}
+#: (``NO_ROUND``: META, STREAM_BEGIN and the CLEAN marker; 141 since
+#: journal version 4 dropped META's f64 adversarial fraction, three u32
+#: knobs and its group size's presence byte, and STREAM_BEGIN's two
+#: bools, 164 - 8 - 12 - 1 - 2)
+BUDGET = {0: 7052, 1: 7052, 2: 7052, NO_ROUND: 141}
 
 
 def _journaled_bytes(state_dir) -> dict:

@@ -1,22 +1,26 @@
 """State written by an older journal is refused by name, never parsed.
 
-Journal version 2 added the frame's round-id slot, and version 3 dropped
-a field from the META and STREAM_BEGIN bodies; there is no legacy
-parser.  Every entry point that opens a log — resume, ``repro store
-info``, a restarting serve process, and a shipped bundle — must refuse
-a version-1 or version-2 segment with a :class:`WalError` that names
-both versions, and a fresh run over such a state dir moves the old log
-aside instead of truncating it.  The fixtures are byte literals, so
-they do not depend on any writer in this tree.
+Journal version 2 added the frame's round-id slot, and versions 3 and 4
+dropped fields from the META and STREAM_BEGIN bodies; there is no
+legacy parser.  Every entry point that opens a log — resume, ``repro
+store info``, a restarting serve process, and a shipped bundle — must
+refuse an older segment with a :class:`WalError` that names both
+versions, and a fresh run over such a state dir moves the old log aside
+instead of truncating it.  The fixtures are byte literals, so they do
+not depend on any writer in this tree.  A fleet plan or a scenario that
+still names a retired config knob is refused by the knob's name.
 """
+
+import json
 
 import pytest
 
 from repro.cli import main
 from repro.core import DeploymentConfig
 from repro.crypto.groups import get_group
-from repro.fleet.plan import DeploymentPlan
+from repro.fleet.plan import DeploymentPlan, PlanError
 from repro.fleet.server import FleetServer, fleet_log_root
+from repro.scenarios import ScenarioError, ScenarioSpec
 from repro.store import DurableStore
 from repro.store.recovery import RecoveryManager
 from repro.store.segments import LogDir, write_manifest
@@ -29,14 +33,20 @@ V1_SEGMENT = (
     b"ATWL\x01"
     b'\n\x00\x00\x00\x18{"round": 0, "ok": true}\x1c~\x0ed'
 )
-REFUSAL = "log version 1, expected 3"
+REFUSAL = "log version 1, expected 4"
 #: a version-2 segment: magic, then one ``u8 type | u32 round_id |
 #: u32 length | payload | u32 crc`` frame holding a ROUND_END body
 V2_SEGMENT = (
     b"ATWL\x02"
     b"\n\x00\x00\x00\x00\x00\x00\x00\x01\x01\x9a\xb4\xf9h"
 )
-V2_REFUSAL = "log version 2, expected 3"
+V2_REFUSAL = "log version 2, expected 4"
+#: a version-3 segment: version 2's frame layout, one ROUND_END frame
+V3_SEGMENT = (
+    b"ATWL\x03"
+    b"\n\x00\x00\x00\x00\x00\x00\x00\x01\x01\x9a\xb4\xf9h"
+)
+V3_REFUSAL = "log version 3, expected 4"
 
 
 def _old_state_dir(root, segment=V1_SEGMENT):
@@ -129,7 +139,17 @@ def test_every_entry_point_refuses_a_version_2_segment(tmp_path, capsys):
         Bundle.from_bytes(_bundle(V2_SEGMENT))
 
 
-@pytest.mark.parametrize("segment", [V1_SEGMENT, V2_SEGMENT], ids=["v1", "v2"])
+def test_resume_refuses_a_version_3_segment(tmp_path, capsys):
+    with pytest.raises(WalError, match=V3_REFUSAL):
+        RecoveryManager(_old_state_dir(tmp_path / "lib", V3_SEGMENT))
+    cli = _old_state_dir(tmp_path / "cli", V3_SEGMENT)
+    assert main(["resume", "--state-dir", str(cli)]) == 2
+    assert V3_REFUSAL in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "segment", [V1_SEGMENT, V2_SEGMENT, V3_SEGMENT], ids=["v1", "v2", "v3"]
+)
 def test_fresh_store_moves_an_old_log_aside(tmp_path, segment):
     """A fresh run over a log this build cannot read keeps the old
     bytes under ``wal-bak/`` instead of truncating them."""
@@ -137,3 +157,21 @@ def test_fresh_store_moves_an_old_log_aside(tmp_path, segment):
     DurableStore(tmp_path, get_group("TOY"), fresh=True).close()
     assert _layout(tmp_path / "wal-bak") == old
     assert LogDir.scan_dir(tmp_path).records == []
+
+
+def test_plan_naming_a_retired_knob_is_refused():
+    plan = DeploymentPlan.build(DeploymentConfig(), 2, ports=[1, 2])
+    obj = json.loads(plan.to_json())
+    obj["config"]["wal_fsync_every"] = 8
+    with pytest.raises(PlanError, match="'wal_fsync_every'"):
+        DeploymentPlan.from_json(json.dumps(obj))
+
+
+def test_scenario_naming_a_retired_knob_is_refused():
+    spec = {
+        "name": "retired",
+        "traffic": {"model": "constant", "users": 4, "rate": 1.0},
+        "deployment": {"wal_fsync_every": 8},
+    }
+    with pytest.raises(ScenarioError, match="wal_fsync_every"):
+        ScenarioSpec.parse(spec)

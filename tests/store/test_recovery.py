@@ -278,16 +278,27 @@ def test_missing_state_dir_raises(tmp_path):
         RecoveryManager(tmp_path / "nope")
 
 
-def test_checkpoint_cadence_re_mixes_missing_layers(tmp_path):
-    """checkpoint_every=2 snapshots only even layers; a crash after an
-    odd commit resumes from the last snapshot and re-mixes the gap —
-    still byte-identical, just O(gap) extra work."""
+def test_cut_off_checkpoint_re_mixes_the_layer(tmp_path):
+    """A SIGKILL between a LAYER_COMMIT and its CHECKPOINT leaves a log
+    whose last commit has no snapshot: resume starts from the previous
+    snapshot and re-mixes the gap — still byte-identical, just O(gap)
+    extra work."""
     group = get_group("TOY")
     baseline = _drive_round(_config())
-    _drive_round(
-        _config(tmp_path, checkpoint_every=2), stop_after_layers=3
-    )
-    resumed = _resume(RecoveryManager(tmp_path))
+    journal = DurableStore._journal
+
+    def die_before_checkpoint(self, rtype, round_id, table, record):
+        if rtype == RecordType.CHECKPOINT and record.layer == ITERATIONS:
+            raise SimulatedCrash
+        journal(self, rtype, round_id, table, record)
+
+    with mock.patch.object(DurableStore, "_journal", die_before_checkpoint):
+        with pytest.raises(SimulatedCrash):
+            _engine(_config(tmp_path)).run()
+    manager = RecoveryManager(tmp_path)
+    assert max(c.layer for c in manager._commits[0]) == ITERATIONS
+    assert manager._checkpoints[0].layer == ITERATIONS - 1
+    resumed = _resume(manager)
     assert _canonical(group, resumed) == _canonical(group, baseline)
 
 

@@ -31,7 +31,7 @@ def test_round_prints_every_message(capsys, variant):
     assert code == 0
     assert out.startswith("round: ok (inproc transport) payload=")
     assert "messages out: 4" in out
-    assert _messages(out) == [b"user %d says hi" % i for i in range(4)]
+    assert _messages(out) == [b"r0u%d" % i for i in range(4)]
 
 
 def test_every_user_is_delivered_without_user_padding(capsys):
@@ -40,7 +40,7 @@ def test_every_user_is_delivered_without_user_padding(capsys):
     code, out = _round(capsys, "--users", "5")
     assert code == 0
     assert "messages out: 5" in out
-    assert _messages(out) == [b"user %d says hi" % i for i in range(5)]
+    assert _messages(out) == [b"r0u%d" % i for i in range(5)]
 
 
 def test_aborted_round_exits_1(capsys, monkeypatch):
@@ -69,12 +69,27 @@ def test_bad_knob_exits_2(capsys):
     ("--wal-segment-bytes", "-5", "wal_segment_bytes"),
     ("--wal-segment-records", "-1", "wal_segment_records"),
     ("--wal-retain-segments", "-1", "wal_retain_segments"),
+    ("--groups", "0", "num_groups"),
+    ("--group-size", "0", "group_size"),
+    ("--iterations", "0", "iterations"),
 ])
 def test_out_of_range_size_exits_2(capsys, flag, value, knob):
     """A zero message size made the cover marker empty, so the exit
     dropped every message; a negative WAL knob meant "never"."""
     assert main(["round", "--seed", "s", flag, value]) == 2
     assert f"error: {knob} must be >= " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--h", "0"],
+    ["--h", "5", "--group-size", "4"],
+])
+def test_out_of_range_h_exits_2(capsys, flags):
+    """A many-trust ``h`` outside 1..group_size used to surface as a
+    traceback from the group's secret sharing, mid-run."""
+    argv = ["run-stream", "--rounds", "1", "--mode", "manytrust", *flags]
+    assert main(argv) == 2
+    assert "error: h must be in 1..group_size" in capsys.readouterr().err
 
 
 class SimulatedCrash(Exception):
@@ -113,6 +128,29 @@ def test_crashed_durable_round_resumes_with_every_message(
     report = manager.resume_stream()
     assert report.ok
     assert sorted(report.rounds[0].messages) == uncrashed
+
+
+def test_round_killed_before_its_first_commit_resumes_the_same_messages(
+    tmp_path, monkeypatch, capsys
+):
+    """A crash before the first LAYER_COMMIT redoes the round from its
+    seed: `resume` delivers the uninterrupted run's messages."""
+    code, out = _round(capsys, "--users", "4")
+    assert code == 0
+    uninterrupted = _messages(out)
+
+    def bomb(self, round_id, rng):
+        raise SimulatedCrash
+
+    with monkeypatch.context() as patch, pytest.raises(SimulatedCrash):
+        patch.setattr(DurableStore, "mixing_begin", bomb)
+        _round(capsys, "--users", "4", "--state-dir", str(tmp_path))
+    capsys.readouterr()
+    manager = RecoveryManager(tmp_path)
+    assert "committed layers {}" in manager.describe()
+    report = manager.resume_stream()
+    assert report.ok
+    assert sorted(report.rounds[0].messages) == uninterrupted
 
 
 def test_cli_resume_finishes_a_crashed_round(tmp_path, monkeypatch, capsys):
