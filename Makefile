@@ -22,8 +22,8 @@ test:
 	$(PYTEST) -x -q
 
 ## Benchmark smoke: regenerates BENCH_*.json at the repo root (the
-## fast-exponentiation engine, the MODP2048-vs-P256 backend dimension,
-## the P-256 lockstep comb's crossover by chain count, and the
+## fast-exponentiation engine and primitive costs on P-256, the P-256
+## lockstep comb's crossover by chain count, and the
 ## batch round's own peak RSS (VmHWM), growth bound and throughput
 ## record); CI uploads the JSON as artifacts.  Benchmarks
 ## record into the untracked .bench_records.json; only the keys this
@@ -53,14 +53,12 @@ stream-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli run-stream --rounds 6 --group p256
 
 ## One full TCP-loopback round (every node behind a local socket) on
-## the realistic Schnorr group and on the paper's curve.
+## the paper's curve.
 net-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.cli round --transport tcp --group modp2048 \
-		--users 2 --groups 2 --group-size 2 --iterations 2
 	PYTHONPATH=src $(PYTHON) -m repro.cli round --transport tcp --group p256 \
 		--users 4 --groups 2 --iterations 3
 
-## Durability end to end: run a 3-round MODP2048 stream with a state
+## Durability end to end: run a 3-round P-256 stream with a state
 ## dir, SIGKILL it mid-round-2, resume from the write-ahead log, and
 ## require the final StreamReport to be fully ok.  Then a durable
 ## `round` on P-256 (a one-round stream journal) must leave a state dir

@@ -1,11 +1,10 @@
 """Table 3: latency of the cryptographic primitives.
 
-Times our pure-Python substrate across the backend dimension — the
-256-bit Schnorr group (``P256ISH``) and the real NIST P-256 curve
-(``P256``, what the paper actually measures) — and prints each next to
-the paper's P-256/Go numbers.  Absolute values differ (pure Python vs
-Go native crypto); the *ordering* and ratios — ReEnc > Enc, ShufProof
-≫ Shuffle, verify > prove for shuffles — must match on every backend.
+Times our pure-Python substrate on the NIST P-256 curve (``P256``,
+what the paper measures) and prints it next to the paper's P-256/Go
+numbers.  Absolute values differ (pure Python vs Go native crypto); the
+*ordering* and ratios — ReEnc > Enc, ShufProof ≫ Shuffle, verify >
+prove for shuffles — must match.
 """
 
 import pytest
@@ -33,7 +32,7 @@ BATCH = 64  # shuffle batch (scaled to the paper's per-1,024 figures)
 # message, the paper's 32-byte row.
 
 
-@pytest.fixture(scope="module", params=["P256ISH", "P256"])
+@pytest.fixture(scope="module", params=["P256"])
 def setup(request):
     group = get_group(request.param)
     scheme = AtomElGamal(group)
@@ -116,9 +115,8 @@ def test_shufproof_verify_and_report(benchmark, setup):
         scheme, kp.public, cts, shuffled, perm, rands, rounds=8
     )
     # batched=False: Table 3's paper numbers are element-wise per-member
-    # verification costs (Neff); the batched fast path is tracked
-    # separately in BENCH_fastexp.json and would shift this comparison
-    # by ~14x.
+    # verification costs (Neff); the batched path (one kernel call) is
+    # tracked separately in BENCH_fastexp.json.
     assert benchmark.pedantic(
         lambda: verify_vector_shuffle(
             scheme, kp.public, cts, shuffled, proof, rounds=8, batched=False

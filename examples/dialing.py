@@ -29,7 +29,7 @@ def main() -> None:
                 "variant": "trap",
                 "iterations": 3,
                 "message_size": 96,
-                "crypto_group": "TEST",
+                "crypto_group": "P256",
             },
             "dialing": {"mailboxes": 4},
         }

@@ -21,7 +21,7 @@ def main() -> None:
         h=2,                      # tolerate h-1 = 1 failure per group
         iterations=3,
         message_size=24,
-        crypto_group="TEST",
+        crypto_group="P256",
     )
     deployment = AtomDeployment(config)
     messages = [f"msg {i}".encode() for i in range(4)]

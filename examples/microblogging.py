@@ -25,7 +25,7 @@ def main() -> None:
                 "variant": "trap",
                 "iterations": 3,
                 "message_size": 40,
-                "crypto_group": "TEST",
+                "crypto_group": "P256",
             },
         }
     )

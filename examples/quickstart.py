@@ -28,7 +28,7 @@ def main() -> None:
         variant="trap",       # trap-based active-attack defense (§4.4)
         iterations=4,         # mixing iterations T (paper uses 10 at scale)
         message_size=24,
-        crypto_group="TEST",  # 128-bit Schnorr group
+        crypto_group="P256",  # the paper's NIST curve
     )
     with AtomDeployment(config) as deployment:
         print(f"deployment: {config.num_groups} groups of {config.group_size} "
@@ -86,7 +86,7 @@ def kill_and_resume() -> None:
     state_dir = tempfile.mkdtemp(prefix="atom-quickstart-")
     config = DeploymentConfig(
         num_servers=8, num_groups=2, group_size=3, variant="trap",
-        iterations=4, message_size=24, crypto_group="TEST",
+        iterations=4, message_size=24, crypto_group="P256",
         state_dir=state_dir,
         wal_segment_records=8,   # rotate every 8 records (default: 8 MiB)
     )
@@ -150,7 +150,7 @@ def chaos_round() -> None:
     def run(net_faults=None):
         config = DeploymentConfig(
             num_servers=8, num_groups=2, group_size=3, variant="trap",
-            iterations=4, message_size=24, crypto_group="TEST",
+            iterations=4, message_size=24, crypto_group="P256",
             net_faults=net_faults,
         )
         with AtomDeployment(config) as deployment:

@@ -2,15 +2,18 @@
 """persist-smoke: SIGKILL a durable run-stream mid-round-2, resume it.
 
 The end-to-end durability proof with a *real* process death (not a
-simulated one): start a 3-round MODP2048 stream with ``--state-dir``,
+simulated one): start a 3-round P-256 stream with ``--state-dir``,
 poll its write-ahead log until round 2 (index 1) commits a mixing
-layer, ``kill -9`` the process, then ``repro resume`` and require the
-final ``StreamReport.ok``.
+layer, ``kill -9`` the process, check that round 2 had not settled,
+then ``repro resume`` and require the final ``StreamReport.ok``.  The
+shape (24 users, 4 layers) makes a layer take several poll intervals,
+so the kill lands mid-round.
 
 Run via ``make persist-smoke`` (needs PYTHONPATH=src, like every other
 target).
 """
 
+import shutil
 import signal
 import subprocess
 import sys
@@ -27,24 +30,21 @@ TIMEOUT_S = 900
 
 STREAM_ARGS = [
     sys.executable, "-m", "repro.cli", "run-stream",
-    "--rounds", "3", "--users", "2", "--groups", "2", "--group-size", "2",
-    "--mode", "anytrust", "--h", "1", "--iterations", "2",
-    "--group", "modp2048", "--fault-schedule", "", "--seed", "atom-persist",
+    "--rounds", "3", "--users", "24", "--groups", "2", "--group-size", "2",
+    "--mode", "anytrust", "--h", "1", "--iterations", "4",
+    "--group", "p256", "--fault-schedule", "", "--seed", "atom-persist",
 ]
 
 
-def committed_rounds(state_dir: Path) -> set:
-    """Round ids with at least one committed mixing layer on disk."""
+def rounds_with(state_dir: Path, rtype: RecordType) -> set:
+    """Round ids with at least one ``rtype`` record on disk."""
     if not LogDir.present(state_dir):
         return set()
     try:
         scan = LogDir.scan_dir(state_dir)
     except Exception:
         return set()
-    return {
-        rec.round_id for rec in scan.records
-        if rec.type == RecordType.LAYER_COMMIT
-    }
+    return {rec.round_id for rec in scan.records if rec.type == rtype}
 
 
 def main() -> int:
@@ -63,7 +63,7 @@ def main() -> int:
                     f"committed a layer — nothing to kill"
                 )
                 return 1
-            if KILL_ROUND in committed_rounds(state_dir):
+            if KILL_ROUND in rounds_with(state_dir, RecordType.LAYER_COMMIT):
                 break
             if time.monotonic() > deadline:
                 print("[persist-smoke] FAIL: timed out waiting for commit")
@@ -78,6 +78,10 @@ def main() -> int:
     finally:
         if proc.poll() is None:
             proc.kill()
+    if KILL_ROUND in rounds_with(state_dir, RecordType.ROUND_DONE):
+        print(f"[persist-smoke] FAIL: round {KILL_ROUND + 1} settled before "
+              f"the kill landed")
+        return 1
 
     print("[persist-smoke] resuming from", state_dir)
     resume = subprocess.run(
@@ -93,6 +97,7 @@ def main() -> int:
     if "3 rounds" not in resume.stdout or "ABORT" in resume.stdout:
         print("[persist-smoke] FAIL: resumed report is not a clean 3 rounds")
         return 1
+    shutil.rmtree(state_dir)
     print("[persist-smoke] PASS: killed mid-round-2, resumed, StreamReport.ok")
     return 0
 

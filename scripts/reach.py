@@ -119,13 +119,13 @@ def steps() -> List[Step]:
             "--variant", "nizk"),
         cli("simulate basic", "simulate", "--variant", "basic"),
         cli("round basic", "round", "--variant", "basic"),
-        cli("round nizk", "round", "--variant", "nizk", "--group", "TEST"),
+        cli("round nizk", "round", "--variant", "nizk", "--group", "p256",
+            "--users", "4", "--iterations", "2"),
         cli("round trap", "round", "--variant", "trap", "--seed", "reach"),
         cli("round p256", "round", "--group", "p256", "--users", "4",
             "--iterations", "2"),
-        cli("round tcp modp2048", "round", "--transport", "tcp", "--group",
-            "modp2048", "--users", "2", "--groups", "2", "--group-size", "2",
-            "--iterations", "2"),
+        cli("round tcp p256", "round", "--transport", "tcp", "--group",
+            "p256", "--users", "4", "--groups", "2", "--iterations", "3"),
         cli("round tcp chaos heartbeat", "round", "--transport", "tcp",
             "--net-faults", net, "--heartbeat", "--rpc-timeout", "10"),
         cli("round durable", "round", "--group", "p256", "--users", "4",

@@ -69,12 +69,18 @@ def cmd_round(args: argparse.Namespace) -> int:
     status = "ok" if stats.ok else "ABORTED: " + stats.abort_reasons[-1]
     print(f"round: {status} ({args.transport} transport) "
           f"payload={spec.payload_size}B x {spec.elements_per_message} elements")
-    print(f"messages out: {len(stats.messages)}")
-    for message in stats.messages[:10]:
-        print(" ", message)
-    if len(stats.messages) > 10:
-        print(f"  ... and {len(stats.messages) - 10} more")
+    _print_messages(stats.messages)
     return 0 if stats.ok else 1
+
+
+def _print_messages(messages) -> None:
+    """A round's delivered plaintexts as `round` and `resume` print
+    them: the count, the first ten, then how many more."""
+    print(f"messages out: {len(messages)}")
+    for message in messages[:10]:
+        print(" ", message)
+    if len(messages) > 10:
+        print(f"  ... and {len(messages) - 10} more")
 
 
 #: demo schedule exercising the full robustness surface: a
@@ -153,11 +159,15 @@ def cmd_resume(args: argparse.Namespace) -> int:
     if manager.clean_shutdown:
         print("nothing to resume (clean shutdown marker present)")
         return 0
+    settled = manager.settled_rounds
     try:
         report = manager.resume_stream()
     except RecoveryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for stats in report.rounds[settled:]:
+        print(f"round {stats.round_id}:")
+        _print_messages(stats.messages)
     print(report.format_table())
     return 0 if report.ok else 1
 
@@ -371,7 +381,7 @@ def cmd_group_size(args: argparse.Namespace) -> int:
 
 
 def cmd_list_groups(args: argparse.Namespace) -> int:
-    """List the registered group backends and their element sizes."""
+    """List the groups and their element sizes."""
     from repro.crypto.groups import available_groups, get_group
 
     print(f"{'name':10s}  {'element':>7s}  {'scalar':>6s}  {'payload':>7s}")
@@ -456,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=str.upper,
         choices=available_groups(),
         default="TOY",
-        help="group backend from the registry (see `repro list-groups`)",
+        help="crypto group (see `repro list-groups`)",
     )
     deploy.add_argument(
         "--transport",
@@ -681,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_groups = sub.add_parser(
-        "list-groups", help="list registered group backends and sizes"
+        "list-groups", help="list the crypto groups and their sizes"
     )
     p_groups.set_defaults(func=cmd_list_groups)
 

@@ -46,7 +46,12 @@ from repro.core.directory import Directory, make_fleet
 from repro.core.group import GroupContext, GroupStalled, MixAudit, ProtocolAbort
 from repro.core.server import AtomServer
 from repro.core.trustees import TrusteeGroup
-from repro.crypto.groups import DeterministicRng, GroupBackend as Group, get_group
+from repro.crypto.groups import (
+    DeterministicRng,
+    GroupBackend as Group,
+    available_groups,
+    get_group,
+)
 from repro.topology import IteratedButterflyNetwork, PermutationNetwork, SquareNetwork
 
 VARIANTS = ("basic", "nizk", "trap")
@@ -123,6 +128,11 @@ class DeploymentConfig:
         for knob in ("num_groups", "group_size", "iterations", "message_size"):
             if getattr(self, knob) < 1:
                 raise ValueError(f"{knob} must be >= 1")
+        if str(self.crypto_group).upper() not in available_groups():
+            raise ValueError(
+                f"crypto_group must be one of {available_groups()}, "
+                f"got {self.crypto_group!r}"
+            )
         if self.mode == "anytrust" and self.h != 1:
             raise ValueError("anytrust deployments have h = 1")
         if not 1 <= self.h <= self.group_size:

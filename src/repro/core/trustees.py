@@ -15,7 +15,7 @@ a highly-available buddy group — §4.5) group that:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.crypto.groups import DeterministicRng, Group, GroupElement

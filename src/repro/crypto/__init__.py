@@ -4,11 +4,11 @@ This package implements, from scratch, every primitive Atom depends on
 (paper §2.3 and Appendix A):
 
 - :mod:`repro.crypto.groups` — the abstract prime-order group interface
-  (:class:`~repro.crypto.groups.GroupBackend`), its backend registry, and
-  Schnorr groups over safe primes with message encoding into the
-  quadratic-residue subgroup.
-- :mod:`repro.crypto.ec` — the NIST P-256 elliptic-curve backend (registry
-  name ``P256``) the paper's evaluation actually runs on.
+  (:class:`~repro.crypto.groups.GroupBackend`), :func:`get_group`, and
+  the ``TOY`` unit-test group: a Schnorr group over a 64-bit safe prime
+  with message encoding into the quadratic-residue subgroup.
+- :mod:`repro.crypto.ec` — the NIST P-256 elliptic-curve backend (name
+  ``P256``) the paper's evaluation runs on, and every deployment's group.
 - :mod:`repro.crypto.elgamal` — Atom's rerandomizable ElGamal variant with
   the extra ``Y`` component enabling *out-of-order* decrypt-and-reencrypt.
 - :mod:`repro.crypto.sigma` — a generalized Schnorr sigma-protocol framework
@@ -36,7 +36,6 @@ from repro.crypto.groups import (
     GroupParams,
     available_groups,
     get_group,
-    register_backend,
 )
 from repro.crypto.elgamal import AtomCiphertext, ElGamalKeyPair, AtomElGamal
 from repro.crypto.nizk import EncProof, ReEncProof
@@ -51,7 +50,6 @@ __all__ = [
     "GroupParams",
     "available_groups",
     "get_group",
-    "register_backend",
     "AtomCiphertext",
     "ElGamalKeyPair",
     "AtomElGamal",

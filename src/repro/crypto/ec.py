@@ -1,4 +1,4 @@
-"""NIST P-256 elliptic-curve group backend (registry name ``P256``).
+"""NIST P-256 elliptic-curve group backend (name ``P256``).
 
 The paper's evaluation runs the entire protocol over NIST P-256; this
 backend implements that group in pure Python behind the
@@ -7,10 +7,11 @@ ElGamal, the sigma protocols, the shuffle proof, DVSS, the stream
 engine — runs unchanged on the curve via ``get_group("P256")`` (CLI:
 ``--group p256``).
 
-Why it is fast enough: a MODP2048 exponentiation multiplies 2048-bit
-residues ~2048 times, while a P-256 scalar multiplication performs a
-few hundred field operations on 256-bit integers — roughly an order of
-magnitude cheaper in pure Python even before precomputation.  The
+Why it is fast enough: a P-256 scalar multiplication performs a few
+hundred field operations on 256-bit integers, with 256-bit scalars —
+an order of magnitude cheaper in pure Python than a Schnorr group of
+comparable security, whose 2048-bit residues are multiplied ~2048
+times per exponentiation.  The
 fixed-base comb and Straus multi-exponentiation are the *same*
 algorithms as the Schnorr backend, instantiated through the
 ops-abstraction of :mod:`repro.crypto.fastexp` with Jacobian point
@@ -668,8 +669,8 @@ class EcGroup(GroupBackend):
         prime-order membership — but an ``EcPoint`` built directly from
         raw coordinates (tamper instrumentation does this on the
         Schnorr backend) could lie on the *twist*, whose small-order
-        subgroups are exactly what the batched shuffle verifier's
-        subgroup gate exists to reject.  Deserialization paths
+        subgroups are exactly what the proof verifiers' subgroup
+        gates exist to reject.  Deserialization paths
         (``element`` / ``element_from_affine``) already validate."""
         if not isinstance(element, EcPoint):
             return False

@@ -53,9 +53,9 @@ Algorithms (see DESIGN.md, "Fast-exponentiation layer"):
   (:func:`odd_multiples`) a quarter the size.  :func:`multiexp_ints`
   is the integer wrapper; each backend's ``multiexp`` method is the
   group-element front end.
-- :func:`rlc_pays` / :func:`batch_weights` — when folding many
-  equations into one random-linear-combination identity is cheaper than
-  recomputing them, and the verifier's weights for it.
+- :func:`batch_weights` — the verifier's weights for folding many
+  equations into one random-linear-combination identity (the batched
+  ReEnc-proof check in :mod:`repro.crypto.nizk`).
 """
 
 from __future__ import annotations
@@ -71,29 +71,7 @@ WEIGHT_BITS = 128
 
 def auto_window(exponent_bits: int) -> int:
     """Window width minimizing table-build plus per-exp multiply cost."""
-    if exponent_bits <= 96:
-        return 3
-    if exponent_bits <= 512:
-        return 4
-    return 5
-
-
-def rlc_pays(exponent_bits: int) -> bool:
-    """Whether checking ``base^r * A == B`` equations (``base`` with a
-    comb table) as one random-linear-combination identity beats
-    recomputing each left side.
-
-    Recomputing costs one fixed-base exponentiation per equation:
-    ``exponent_bits / w`` multiplications, no squarings.  Folding costs
-    two *variable-base* ``WEIGHT_BITS``-bit terms per equation in a
-    Straus chain — a digit table each plus ``WEIGHT_BITS / w``
-    multiplications — so it wins only when exponents are several times
-    longer than the weights.  Measured per ``verify_vector_shuffle``
-    (6 rounds, n = 4 / 32; DESIGN.md has the table): MODP2048 (2047
-    bits) folds 3.4x / 3.6x faster than it recomputes; P-256 (256)
-    recomputes 1.2x / 1.05x and TOY (63) 2.5x faster than they fold.
-    """
-    return exponent_bits > 4 * WEIGHT_BITS
+    return 3 if exponent_bits <= 96 else 4
 
 
 def batch_weights(count: int, order: int, rng=None) -> List[int]:
@@ -284,7 +262,7 @@ def multiexp_ops(
     maxbits = max((e.bit_length() for e in exps), default=0)
     if maxbits == 0:
         return one
-    w = window or (4 if maxbits <= 512 else 5)
+    w = window or 4
     mul = ops.mul
     sqr = getattr(ops, "sqr", None) or (lambda a: mul(a, a))
     neg = getattr(ops, "neg", None)

@@ -1,26 +1,21 @@
 """Prime-order cyclic groups for Atom's cryptography.
 
 The protocol layer is written against one abstract group interface,
-:class:`GroupBackend`, with two interchangeable implementations behind
-the :func:`get_group` registry:
+:class:`GroupBackend`, with two implementations behind
+:func:`get_group`:
 
-- **Schnorr groups** (:class:`Group`): the subgroup of quadratic
-  residues of Z_p^* for a safe prime p = 2q + 1.  The subgroup has
-  prime order q, the Decision Diffie-Hellman assumption is standard
-  there, and Python's native big-integer ``pow`` makes it fast enough
-  to run the full protocol in-process.  Parameter sets: ``TOY``
-  (64-bit, unit tests), ``TEST`` (128-bit, integration tests),
-  ``P256ISH`` (256-bit), ``MODP2048`` (RFC 3526 group 14, realistic
-  cost microbenchmarks).
+- **NIST P-256** (``repro.crypto.ec.EcGroup``, name ``P256``): the
+  elliptic curve the paper's evaluation runs on, and the one group a
+  deployment uses.
 
-- **NIST P-256** (``repro.crypto.ec.EcGroup``, registry name
-  ``P256``): the elliptic curve the paper's evaluation actually runs
-  on, with constant-size 256-bit scalars — roughly an order of
-  magnitude faster per exponentiation than MODP2048 in pure Python.
+- **TOY** (:class:`Group`): the unit-test group, the subgroup of
+  quadratic residues of Z_p^* for a 64-bit safe prime p = 2q + 1.  It
+  has prime order q and Python's native big-integer ``pow`` makes it
+  cheap, so tests and smokes that exercise protocol logic rather than
+  curve arithmetic run on it.
 
-Backends are registered by name via :func:`register_backend`;
-``P256`` is registered lazily so importing this module never pays for
-the curve arithmetic module unless it is used.
+``P256`` is built on first use, so importing this module never pays
+for the curve arithmetic module unless it is used.
 
 Messages are encoded into the QR subgroup with the classic safe-prime
 trick: m in [1, q] maps to m if m is a QR mod p, else to p - m; both
@@ -32,10 +27,9 @@ the x-coordinate; see ``repro.crypto.ec``.)
 from __future__ import annotations
 
 import hashlib
-import importlib
 import secrets
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.crypto.fastexp import FixedBaseExp, jacobi, multiexp_ints
 
@@ -67,39 +61,10 @@ class GroupParams:
         return max(1, (self.q.bit_length() - 1) // 8 - 1)
 
 
-# Safe primes found deterministically (seeded search, see DESIGN.md).
+# A safe prime found deterministically (seeded search, see DESIGN.md);
+# 4 = 2^2 is a QR other than 1, so it generates the order-q subgroup.
 _TOY_P = 0xA1C71AA2E828476B
-_TEST_P = 0xEB93F78CC415E2B0BA5B209EF18B20E7
-_P256ISH_P = 0x9F9B41D4CD3CC3DB42914B1DF5F84DA30C82ED1E4728E754FDA103B8924619F3
-
-# RFC 3526, 2048-bit MODP group (group 14); p is a safe prime.
-_MODP2048_P = int(
-    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
-    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
-    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
-    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05"
-    "98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB"
-    "9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"
-    "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718"
-    "3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF",
-    16,
-)
-
-
-def _find_qr_generator(p: int) -> int:
-    """Return a generator of the QR subgroup (any QR != 1 works, q prime)."""
-    for candidate in (4, 9, 16, 25):
-        if candidate % p not in (0, 1):
-            return candidate % p
-    raise AssertionError("no generator found (p too small)")
-
-
-_PARAM_SETS = {
-    "TOY": GroupParams("TOY", _TOY_P, _find_qr_generator(_TOY_P)),
-    "TEST": GroupParams("TEST", _TEST_P, _find_qr_generator(_TEST_P)),
-    "P256ISH": GroupParams("P256ISH", _P256ISH_P, _find_qr_generator(_P256ISH_P)),
-    "MODP2048": GroupParams("MODP2048", _MODP2048_P, 4),
-}
+_TOY_PARAMS = GroupParams("TOY", _TOY_P, 4)
 
 
 @dataclass(frozen=True)
@@ -195,9 +160,10 @@ class GroupBackend:
     square root per decode).
     """
 
-    #: fixed-base tables kept at most this many per group (a MODP2048
-    #: table is ~3.5 MB, so the worst case stays a few hundred MB even
-    #: in a long-running deployment churning per-round keys)
+    #: fixed-base tables kept at most this many per group (a P-256
+    #: table is ~0.27 MB, measured with tracemalloc, so the worst case
+    #: stays under 20 MB even in a long-running deployment churning
+    #: per-round keys)
     FIXED_CACHE_LIMIT = 64
     #: plain-pow uses of a base before it is promoted to a table
     FIXED_PROMOTE_AFTER = 2
@@ -414,7 +380,8 @@ class GroupBackend:
 
     def is_prime_order(self, element) -> bool:
         """Whether ``element`` lies in the prime-order subgroup (the
-        batched shuffle verifier rejects order-2 stowaways with this)."""
+        EncProof and batched ReEnc-proof verifiers reject order-2
+        stowaways with this)."""
         raise NotImplementedError
 
     def multiexp(self, bases, exponents, window: int = 0):
@@ -448,10 +415,10 @@ class Group(GroupBackend):
         self.identity = GroupElement(1, self)
 
     def __reduce__(self):
-        # Registry groups deserialize back through get_group, restoring
-        # singleton identity: a copy shares the process's one warm
-        # fixed-base cache instead of carrying (and rebuilding) tables.
-        if _PARAM_SETS.get(self.params.name) == self.params:
+        # TOY deserializes back through get_group, restoring singleton
+        # identity: a copy shares the process's one warm fixed-base
+        # cache instead of carrying (and rebuilding) tables.
+        if self.params == _TOY_PARAMS:
             return (get_group, (self.params.name,))
         return (Group, (self.params,))
 
@@ -608,60 +575,32 @@ class DeterministicRng:
         return items[self.randint(0, len(items) - 1)]
 
 
-# -- the backend registry ---------------------------------------------------
+# -- the two groups ---------------------------------------------------------
 
 _GROUP_CACHE: Dict[str, GroupBackend] = {}
 
-#: name -> zero-arg factory, for backends registered at runtime
-_BACKEND_FACTORIES: Dict[str, Callable[[], GroupBackend]] = {}
-
-#: built-in backends resolved on first use ("pay for what you touch":
-#: importing the crypto package never loads the curve arithmetic)
-_LAZY_BACKENDS = {
-    "P256": ("repro.crypto.ec", "make_p256_group"),
-}
-
-
-def register_backend(name: str, factory: Callable[[], GroupBackend]) -> None:
-    """Register a group backend under ``name`` (case-insensitive).
-
-    ``factory`` takes no arguments and returns a fresh
-    :class:`GroupBackend`; the instance is cached by :func:`get_group`,
-    so one warm fixed-base cache is shared process-wide per name.
-    """
-    key = name.upper()
-    if key in _PARAM_SETS or key in _LAZY_BACKENDS:
-        raise ValueError(f"{name!r} is a reserved built-in backend name")
-    _BACKEND_FACTORIES[key] = factory
-    _GROUP_CACHE.pop(key, None)
-
 
 def available_groups() -> List[str]:
-    """All registry names accepted by :func:`get_group` (and the CLI's
-    ``--group``)."""
-    return sorted(set(_PARAM_SETS) | set(_BACKEND_FACTORIES) | set(_LAZY_BACKENDS))
+    """The names :func:`get_group` (and the CLI's ``--group``) accept."""
+    return ["P256", "TOY"]
 
 
-def get_group(name: str = "TEST") -> GroupBackend:
-    """Return (and cache) a named group backend.
-
-    Built-ins: the Schnorr sets ``TOY``, ``TEST``, ``P256ISH``,
-    ``MODP2048`` and the elliptic-curve backend ``P256``.
-    """
+def get_group(name: str) -> GroupBackend:
+    """Return (and cache) the named group: ``P256`` or ``TOY``
+    (case-insensitive), one instance per process, so every caller
+    shares one warm fixed-base cache."""
     key = name.upper()
-    if key in _GROUP_CACHE:
-        return _GROUP_CACHE[key]
-    if key in _PARAM_SETS:
-        group: GroupBackend = Group(_PARAM_SETS[key])
-    else:
-        factory = _BACKEND_FACTORIES.get(key)
-        if factory is None and key in _LAZY_BACKENDS:
-            module, attr = _LAZY_BACKENDS[key]
-            factory = getattr(importlib.import_module(module), attr)
-        if factory is None:
+    group = _GROUP_CACHE.get(key)
+    if group is None:
+        if key == "TOY":
+            group = Group(_TOY_PARAMS)
+        elif key == "P256":
+            from repro.crypto.ec import make_p256_group
+
+            group = make_p256_group()
+        else:
             raise KeyError(
                 f"unknown group {name!r}; choose from {available_groups()}"
             )
-        group = factory()
-    _GROUP_CACHE[key] = group
+        _GROUP_CACHE[key] = group
     return group

@@ -28,7 +28,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.elgamal import AtomCiphertext, AtomElGamal
 from repro.crypto.groups import DeterministicRng, GroupBackend as Group, GroupElement
-from repro.crypto.shuffle_proof import Link, check_links
+from repro.crypto.shuffle_proof import Link, recompute_links
 
 
 @dataclass(frozen=True)
@@ -305,15 +305,15 @@ def verify_vector_shuffle(
     proof: VectorShuffleProof,
     rounds: int,
     batched: bool = True,
-    weight_rng: Optional[DeterministicRng] = None,
 ) -> bool:
     """Verify a :class:`VectorShuffleProof`.
 
     Checks the shape, the round count and the Fiat-Shamir bits, reduces
     every round's opening to per-part links, and checks all ``rounds *
     n * parts`` of them in one go
-    (:func:`~repro.crypto.shuffle_proof.check_links`).  ``batched=False``
-    is the per-part reference path: one ``rerandomize`` per link.
+    (:func:`~repro.crypto.shuffle_proof.recompute_links`).
+    ``batched=False`` is the per-part reference path: one
+    ``rerandomize`` per link.
     """
     n = len(inputs)
     if len(outputs) != n:
@@ -340,7 +340,7 @@ def verify_vector_shuffle(
                 return False
             links.extend(zip(src, tgt, rands))
     if batched:
-        return check_links(scheme, public_key, links, weight_rng)
+        return recompute_links(scheme, public_key, links)
     return all(
         src.Y is None
         and scheme.rerandomize(public_key, src, randomness=rho) == tgt

@@ -92,7 +92,7 @@ class RpcPolicy:
         ping_timeout: float = HEARTBEAT_TIMEOUT_S,
     ) -> "RpcPolicy":
         """The stock policy: mixing RPCs (a node re-encrypting and
-        shuffling a whole batch, possibly on a 2048-bit group) get 4x
+        shuffling a whole batch, with proofs in the NIZK variant) get 4x
         the base deadline; liveness probes get
         :data:`HEARTBEAT_TIMEOUT_S`.  ``max_attempts`` defaults to
         :data:`RPC_ATTEMPTS`, read at call time."""

@@ -1,8 +1,8 @@
 """Journal record bodies: one :mod:`repro.codec` table per record type.
 
 The envelope layer and the journal share one codec, so a checkpoint
-taken on P-256 serializes compressed points and one on MODP2048
-fixed-width residues through the same tables the wire uses (layer
+taken on P-256 serializes compressed points and one on TOY fixed-width
+residues through the same tables the wire uses (layer
 commits carry the envelope layer's :data:`~repro.net.envelopes.AUDIT`
 table verbatim).  The round a record belongs to lives in its frame
 (:mod:`repro.store.wal`), never in its body: per-round tables are

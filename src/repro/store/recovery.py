@@ -169,6 +169,11 @@ class RecoveryManager:
         :meth:`resume_stream` accepts)."""
         return self._stream is not None
 
+    @property
+    def settled_rounds(self) -> int:
+        """Stream rounds the log settled (ROUND_DONE) before the crash."""
+        return len(self._done)
+
     def needs_recovery(self) -> bool:
         return bool(self._setups) and not self.clean_shutdown
 
@@ -180,7 +185,7 @@ class RecoveryManager:
         tail = " (torn tail dropped)" if self.scan.truncated else ""
         if self.clean_shutdown:
             return f"{kind} run, clean shutdown{tail}"
-        settled = len(self._done)
+        settled = self.settled_rounds
         committed = {
             rid: max((c.layer for c in commits), default=0)
             for rid, commits in self._commits.items()

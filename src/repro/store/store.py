@@ -26,7 +26,7 @@ the fleet intake journal shares.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from repro.crypto.groups import GroupBackend as Group
 from repro.store import checkpoint as ck

@@ -13,8 +13,9 @@ def toy_group():
 
 @pytest.fixture(scope="session")
 def test_group():
-    """128-bit Schnorr group for integration tests."""
-    return get_group("TEST")
+    """The group integration-style unit tests run on: TOY as well
+    (cases that need realistic payload sizes name P256 themselves)."""
+    return get_group("TOY")
 
 
 @pytest.fixture()

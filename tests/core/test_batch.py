@@ -6,7 +6,7 @@ splice batches onto the wire and checkpoints snapshot them without
 re-encoding), and every structural operation (slice/split/concat/
 extend) must agree with the same operation on a plain Python list of
 vectors.  Hypothesis drives vector shapes across the Schnorr toy
-group, the full 2048-bit MODP group, and the P-256 curve backend.
+group and the P-256 curve backend.
 """
 
 import pytest
@@ -25,7 +25,7 @@ from repro.crypto.vector import CiphertextVector
 from repro.codec import Writer, seq
 from repro.net.envelopes import VECTOR
 
-BACKENDS = ["TOY", "MODP2048", "P256"]
+BACKENDS = ["TOY", "P256"]
 
 _ELEMENTS = {}
 
@@ -261,7 +261,7 @@ class TestStructure:
         """Parsing is structural; a non-member element only fails on
         decode of that record (the wire path validates lazily).  Uses
         P-256, the backend whose element() actually rejects non-members
-        (modp merely reduces mod p)."""
+        (TOY merely reduces mod p)."""
         group = get_group("P256")
         g = group.g_pow
         vectors = [

@@ -1,5 +1,5 @@
-"""Client-side submission tests plus larger integration rounds on the
-128-bit TEST group (closer to deployment parameters)."""
+"""Client-side submission tests plus larger integration rounds, one of
+them on P-256 with realistic payloads."""
 
 import pytest
 
@@ -100,7 +100,8 @@ class TestClientTrapPair:
 
 
 class TestIntegration128Bit:
-    """Rounds on the TEST (128-bit) group with realistic payloads."""
+    """Whole rounds; the realistic-payload one runs on P-256, the
+    paper's 128-bit-security curve."""
 
     def test_trap_round_with_32_byte_messages(self):
         config = DeploymentConfig(
@@ -110,7 +111,7 @@ class TestIntegration128Bit:
             variant="trap",
             iterations=3,
             message_size=32,
-            crypto_group="TEST",
+            crypto_group="P256",
         )
         dep = AtomDeployment(config)
         rnd = dep.start_round(0)

@@ -13,7 +13,7 @@ from repro.crypto.elgamal import AtomElGamal
 from repro.crypto.groups import DeterministicRng, get_group
 from repro.crypto.kem import Cca2Ciphertext, cca2_decrypt, cca2_encrypt
 
-GROUPS = ("TOY", "MODP2048", "P256")
+GROUPS = ("TOY", "P256")
 #: message sizes around every threshold of the sizing rules: empty, the
 #: dummy-nonce floor (12 | 13), one P-256 element of plain payload
 #: (26 | 27), and the paper's 32 / 80 / 160-byte applications

@@ -32,10 +32,6 @@ PINNED = {
         "1a2801ea1c37e9fe6ce42be0e22ab5682a9d5700b1f713df32636d273a70cb57",
         251, (24, 48, 6),
     ),
-    "MODP2048": (
-        "1ee67038028287692379287d512e78825de4a3e922d3cf425a4c9fb80bdd21f1",
-        677, (16, 16, 2),
-    ),
     "P256": (
         "63dd61c300d31836cc6ffd977c5ae30c3db9f2ea054bc01b1bd19ed392f9d4fd",
         182, (24, 48, 6),
@@ -45,10 +41,9 @@ PINNED = {
 
 def _seeded_mix(backend, group=None):
     """A non-final layer with beta = 2: four two-part vectors through a
-    3-member group (2 on MODP2048) toward two successor keys."""
+    3-member group toward two successor keys."""
     group = group or get_group(backend)
-    members = 2 if backend == "MODP2048" else 3
-    servers = [AtomServer(server_id=i, group=group) for i in range(members)]
+    servers = [AtomServer(server_id=i, group=group) for i in range(3)]
     ctx = GroupContext(
         0, servers, group, rng=DeterministicRng(b"nizk-mix-pin"), nizk_rounds=3
     )
@@ -75,7 +70,7 @@ def _run(ctx, vectors, next_keys):
     return digest.hexdigest(), rng.counter, counters
 
 
-@pytest.mark.parametrize("backend", ["TOY", "MODP2048", "P256"])
+@pytest.mark.parametrize("backend", ["TOY", "P256"])
 def test_seeded_mix_is_reproducible_and_equals_the_per_part_loop(backend):
     # Regression: ReEncryptor drew r' from ``secrets`` whatever rng it
     # was given, so the mix carried its own copy of the ReEnc loop.
@@ -233,15 +228,6 @@ def test_p256_shuffle_proof_is_one_kernel_call():
     assert counts.rerandomize_many == 1
     assert (counts.multiexp, counts.variable_base) == (0, 0)
     assert verify_vector_shuffle(scheme, pk, inputs, outputs, proof, rounds=6)
-
-
-def test_modp2048_shuffle_verification_is_at_most_two_multiexps():
-    scheme, pk, inputs, outputs, proof = _shuffle_proof("MODP2048", 2, rounds=3)
-    with _counting() as counts:
-        assert verify_vector_shuffle(scheme, pk, inputs, outputs, proof, rounds=3)
-    assert 1 <= counts.multiexp <= 2
-    assert counts.rerandomize_many == 0
-    assert counts.table_builds == 0
 
 
 def _warm_step(parts_per_batch=2):

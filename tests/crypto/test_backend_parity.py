@@ -1,17 +1,16 @@
-"""Cross-backend parity: MODP2048 and P-256 behave identically.
+"""Cross-backend parity: TOY and P-256 behave identically.
 
-The group-backend registry promises that every layer above
+``GroupBackend`` promises that every layer above
 ``repro.crypto.groups`` is backend-blind.  These Hypothesis property
-tests drive the *same* inputs through both registered backends —
-the realistic Schnorr group (MODP2048) and the paper's NIST P-256
-curve — and assert the protocol-level results round-trip identically:
-message encoding, element serialization, ElGamal
-encrypt/rerandomize/reencrypt, the fixed-base/multiexp engine, and the
-shuffle/encryption NIZKs.
+tests drive the *same* inputs through both groups — the Schnorr
+unit-test group (TOY) and the paper's NIST P-256 curve — and assert
+the protocol-level results round-trip identically: message encoding,
+element serialization, ElGamal encrypt/rerandomize/reencrypt, the
+fixed-base/multiexp engine, and the shuffle/encryption NIZKs.
 
 Scalars are kept short (64-bit) where a reference computation walks an
-O(bits) multiply ladder, so the MODP2048 cases stay fast; the
-properties themselves are bit-length independent.
+O(bits) multiply ladder; the properties themselves are bit-length
+independent.
 """
 
 import pickle
@@ -35,9 +34,9 @@ from repro.crypto.vector import (
     verify_vector_shuffle,
 )
 
-BACKENDS = ["MODP2048", "P256"]
+BACKENDS = ["TOY", "P256"]
 
-#: both backends can embed at least this much per element (P-256: 29)
+#: both backends can embed at least this much per element (TOY: 6)
 SHARED_CAPACITY = min(
     get_group(name).params.message_bytes for name in BACKENDS
 )
@@ -176,7 +175,7 @@ class TestProofParity:
         scheme = AtomElGamal(group)
         rng = DeterministicRng(b"parity-encproof")
         kp = scheme.keygen(rng)
-        ct, r = scheme.encrypt(kp.public, group.encode(b"proof me"), rng)
+        ct, r = scheme.encrypt(kp.public, group.encode(b"prove"), rng)
         proof = prove_encryption(group, ct, r, kp.public, gid=3)
         assert verify_encryption(group, ct, proof, kp.public, gid=3)
         assert not verify_encryption(group, ct, proof, kp.public, gid=4)

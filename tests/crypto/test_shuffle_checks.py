@@ -1,12 +1,7 @@
-"""The two ways ``verify_vector_shuffle`` checks a proof's openings —
-recompute every link, or fold them into one weighted identity — against
-the per-part oracle (``batched=False``).
-
-The cost rule (``fastexp.rlc_pays``) picks one per group, so each is
-forced here by patching the rule: otherwise the fold would never run on
-TOY or P-256, nor the recomputation on MODP2048.  Everything is
-deterministic: seeds are drawn by a derandomized Hypothesis, verifier
-weights come from a fixed ``weight_rng``.
+"""``verify_vector_shuffle``'s batched check of a proof's openings
+(recompute every link in one kernel call) against the per-part oracle
+(``batched=False``).  Everything is deterministic: seeds are drawn by a
+derandomized Hypothesis.
 """
 
 import hashlib
@@ -17,7 +12,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import shuffle_proof
 from repro.crypto.elgamal import AtomElGamal, ElGamalKeyPair
 from repro.crypto.groups import DeterministicRng, GroupElement, get_group
 from repro.crypto.vector import (
@@ -62,19 +56,14 @@ def _proof(backend, seed, flip_input=False):
 
 
 def _verdicts(scheme, public_key, inputs, outputs, proof, rounds=ROUNDS):
-    """(recompute, fold, oracle) verdicts on one proof."""
-
-    def forced(fold):
-        with mock.patch.object(shuffle_proof, "rlc_pays", lambda bits: fold):
-            return verify_vector_shuffle(
-                scheme, public_key, inputs, outputs, proof, rounds=rounds,
-                weight_rng=DeterministicRng(b"fixed-weights"),
-            )
-
-    oracle = verify_vector_shuffle(
-        scheme, public_key, inputs, outputs, proof, rounds=rounds, batched=False
+    """(batched, oracle) verdicts on one proof."""
+    return tuple(
+        verify_vector_shuffle(
+            scheme, public_key, inputs, outputs, proof, rounds=rounds,
+            batched=batched,
+        )
+        for batched in (True, False)
     )
-    return forced(False), forced(True), oracle
 
 
 def _with_part(vector, index, **changes):
@@ -193,17 +182,17 @@ CASES = [
 
 
 @pytest.mark.parametrize("backend", list(EXAMPLES))
-def test_honest_proof_is_accepted_by_all_three(backend):
+def test_honest_proof_is_accepted_by_both(backend):
     @given(st.integers(0, 10**6))
     @_settings(backend)
     def run(seed):
-        assert _verdicts(*_proof(backend, seed)) == (True, True, True)
+        assert _verdicts(*_proof(backend, seed)) == (True, True)
 
     run()
 
 
 @pytest.mark.parametrize("backend,name", CASES)
-def test_single_fault_is_rejected_by_all_three(backend, name):
+def test_single_fault_is_rejected_by_both(backend, name):
     mutate = _mutations(backend)[name]
     applied = []
 
@@ -215,46 +204,42 @@ def test_single_fault_is_rejected_by_all_three(backend, name):
         if mutated is None:
             return
         applied.append(seed)
-        assert _verdicts(scheme, pk, *mutated) == (False, False, False)
+        assert _verdicts(scheme, pk, *mutated) == (False, False)
 
     run()
     assert applied, "no drawn proof had a round this mutation applies to"
 
 
 @pytest.mark.parametrize("backend", list(EXAMPLES))
-def test_wrong_round_count_is_rejected_by_all_three(backend):
+def test_wrong_round_count_is_rejected_by_both(backend):
     scheme, pk, inputs, outputs, proof = _proof(backend, 7)
     short = VectorShuffleProof(proof.rounds[:-1], proof.challenge_bits[:-1])
-    assert _verdicts(scheme, pk, inputs, outputs, short) == (False,) * 3
+    assert _verdicts(scheme, pk, inputs, outputs, short) == (False,) * 2
     assert _verdicts(scheme, pk, inputs, outputs, proof, rounds=ROUNDS + 1) == (
-        (False,) * 3
+        (False,) * 2
     )
 
 
-def test_fold_defers_to_recomputation_outside_the_prime_order_subgroup():
+def test_honest_shuffle_of_an_input_outside_the_prime_order_subgroup():
     # An input that already carries an order-2 factor (a user can submit
-    # one) makes an *honest* shuffle's links hold only in Z_p^*: the
-    # oracle accepts, so the fold — whose weights bind only in the
-    # prime-order subgroup — must hand over rather than blame the mixer.
+    # one) makes an *honest* shuffle's links hold only in Z_p^*: both
+    # verifiers accept rather than blame the mixer.
     case = _proof("TOY", 3, flip_input=True)
     group = case[0].group
     assert not group.is_prime_order(case[2][0].parts[0].R)
-    assert _verdicts(*case) == (True, True, True)
+    assert _verdicts(*case) == (True, True)
 
 
-def test_fold_uses_at_most_two_multiexps_and_recomputation_none():
+def test_recomputation_uses_no_multiexp():
     scheme, pk, inputs, outputs, proof = _proof("TOY", 1)
     group = scheme.group
-    for fold, budget in ((True, 2), (False, 0)):
-        with mock.patch.object(shuffle_proof, "rlc_pays", lambda bits: fold), \
-                mock.patch.object(
-                    type(group), "multiexp", wraps=group.multiexp
-                ) as multiexp:
-            assert verify_vector_shuffle(
-                scheme, pk, inputs, outputs, proof, rounds=ROUNDS
-            )
-        assert multiexp.call_count <= budget
-        assert (multiexp.call_count > 0) == fold
+    with mock.patch.object(
+        type(group), "multiexp", wraps=group.multiexp
+    ) as multiexp:
+        assert verify_vector_shuffle(
+            scheme, pk, inputs, outputs, proof, rounds=ROUNDS
+        )
+    assert multiexp.call_count == 0
 
 
 class TestScalarProofSharesTheRoutine:
@@ -279,22 +264,20 @@ class TestScalarProofSharesTheRoutine:
         return scheme, keys.public, inputs, outputs, proof
 
     @pytest.mark.parametrize("backend", ["TOY", "P256"])
-    @pytest.mark.parametrize("fold", [False, True])
-    def test_accepts_and_rejects_like_the_oracle(self, backend, fold):
+    def test_accepts_and_rejects_like_the_oracle(self, backend):
         scheme, pk, inputs, outputs, proof = self._case(backend)
         swapped = [outputs[1], outputs[0]] + outputs[2:]
         bad_y = [_with_part(outputs[0], 0, Y=scheme.group.g)] + outputs[1:]
-        with mock.patch.object(shuffle_proof, "rlc_pays", lambda bits: fold):
-            assert verify_vector_shuffle(
-                scheme, pk, inputs, outputs, proof, rounds=ROUNDS
+        assert verify_vector_shuffle(
+            scheme, pk, inputs, outputs, proof, rounds=ROUNDS
+        )
+        for tampered in (swapped, bad_y, outputs[:-1]):
+            assert not verify_vector_shuffle(
+                scheme, pk, inputs, tampered, proof, rounds=ROUNDS
             )
-            for tampered in (swapped, bad_y, outputs[:-1]):
-                assert not verify_vector_shuffle(
-                    scheme, pk, inputs, tampered, proof, rounds=ROUNDS
-                )
-                assert not verify_vector_shuffle(
-                    scheme, pk, inputs, tampered, proof, rounds=ROUNDS, batched=False
-                )
+            assert not verify_vector_shuffle(
+                scheme, pk, inputs, tampered, proof, rounds=ROUNDS, batched=False
+            )
 
 
 def test_p256_proof_made_at_the_parent_commit_still_verifies():
@@ -322,4 +305,4 @@ def test_p256_proof_made_at_the_parent_commit_still_verifies():
     assert digest.hexdigest() == (
         "f2615a6612254375f481712b077d418b2aed5af5ff22a4b53a33f37a7e204ef4"
     )
-    assert _verdicts(scheme, keys.public, inputs, outputs, proof) == (True,) * 3
+    assert _verdicts(scheme, keys.public, inputs, outputs, proof) == (True,) * 2

@@ -132,6 +132,21 @@ class TestJson:
         with pytest.raises(PlanError, match="'parallelism'"):
             DeploymentPlan.from_json(text)
 
+    def test_retired_group_rejected(self, tmp_path, capsys):
+        """A plan naming a group that is gone is refused on load: the
+        CLI exits 2 naming the choices."""
+        from repro.cli import main
+
+        text = DeploymentPlan.build(_config(), 1).to_json().replace(
+            '"TOY"', '"MODP2048"', 1
+        )
+        with pytest.raises(PlanError, match="crypto_group must be one of"):
+            DeploymentPlan.from_json(text)
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        assert main(["fleet", "status", "--plan", str(path)]) == 2
+        assert "['P256', 'TOY'], got 'MODP2048'" in capsys.readouterr().err
+
     def test_garbage_rejected(self):
         with pytest.raises(PlanError, match="not valid JSON"):
             DeploymentPlan.from_json("{nope")

@@ -27,7 +27,6 @@ OBJECT_PLANE = {
     "basic": "e499ea2ab4fc54b41eb66b4c7ca4bc940c38d4cd90b6b5efcbe9131d14102b36",
     "nizk": "bd23ab535a78629d8a1e8ce2917be0e9fb7252500ff3bb5592f6b81acc526e22",
     "trap": "2b10d9d2e0ca985efdc2ee877fc087d031dd43d7dd6a62d7170c77e26a185722",
-    "MODP2048": "97016b43c8d48d5eb622d31f55c8d111a2657038c650f964d511c025bb15a340",
     "P256": "fca45f95169711d73b0cec41b9b6380b3ebe0817524dce8784c20bbae5818d66",
 }
 
@@ -114,7 +113,7 @@ def test_batch_plane_byte_identical_to_object_plane(variant):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("crypto_group", ["MODP2048", "P256"])
+@pytest.mark.parametrize("crypto_group", ["P256"])
 def test_data_plane_parity_real_groups(crypto_group):
     messages, batch = _run_seeded_round(
         _config(crypto_group, iterations=2), num_users=2

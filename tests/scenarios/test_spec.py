@@ -136,6 +136,19 @@ class TestDeploymentConfig:
         spec = ScenarioSpec.parse(sample_dict(seed="alpha"))
         assert spec.deployment_config().seed == b"alpha/deploy"
 
+    def test_retired_group_refused_with_exit_2(self, tmp_path, capsys):
+        """A scenario naming a group that is gone exits 2 naming the
+        choices, like any other bad deployment value."""
+        from repro.cli import main
+
+        deployment = dict(sample_dict()["deployment"], crypto_group="MODP2048")
+        path = tmp_path / "retired.json"
+        path.write_text(json.dumps(sample_dict(deployment=deployment)))
+        assert main(["scenario", "run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad deployment section: crypto_group must be one of" in err
+        assert "['P256', 'TOY'], got 'MODP2048'" in err
+
     def test_net_faults_forwarded(self):
         spec = ScenarioSpec.parse(sample_dict(net_faults="*:drop:2%"))
         assert spec.deployment_config().net_faults == "*:drop:2%"

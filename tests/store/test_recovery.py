@@ -341,6 +341,21 @@ def test_meta_not_matching_the_table_is_refused(tmp_path, mangle, why):
         RecoveryManager(tmp_path)
 
 
+def test_meta_naming_a_retired_group_is_refused(tmp_path, capsys):
+    """A state dir journaled on a group that is gone fails with a
+    RecoveryError naming the choices, so ``repro resume`` exits 2
+    instead of a KeyError traceback."""
+    config = _config(tmp_path)
+    config.crypto_group = "MODP2048"  # as an older build journaled it
+    log = LogDir(tmp_path, fsync_every=0)
+    log.append(RecordType.META, ck.META.encode(config, get_group("TOY")))
+    log.close()
+    with pytest.raises(RecoveryError, match="crypto_group must be one of"):
+        RecoveryManager(tmp_path)
+    assert main(["resume", "--state-dir", str(tmp_path)]) == 2
+    assert "['P256', 'TOY'], got 'MODP2048'" in capsys.readouterr().err
+
+
 def test_cli_resume_names_an_undecodable_layer_commit(tmp_path, capsys):
     """A LAYER_COMMIT body that passes its CRC but not its table makes
     ``repro resume`` exit 2 naming the record type, not a traceback."""

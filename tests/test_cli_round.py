@@ -64,6 +64,19 @@ def test_bad_knob_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_list_groups_prints_p256_and_toy(capsys):
+    assert main(["list-groups"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["P256", "TOY"]
+
+
+def test_retired_group_exits_2_naming_the_choices(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["round", "--group", "modp2048"])
+    assert exited.value.code == 2
+    assert "(choose from 'P256', 'TOY')" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value, knob", [
     ("--message-size", "0", "message_size"),
     ("--wal-segment-bytes", "-5", "wal_segment_bytes"),
@@ -134,7 +147,8 @@ def test_round_killed_before_its_first_commit_resumes_the_same_messages(
     tmp_path, monkeypatch, capsys
 ):
     """A crash before the first LAYER_COMMIT redoes the round from its
-    seed: `resume` delivers the uninterrupted run's messages."""
+    seed: `resume` delivers the uninterrupted run's messages, and the
+    CLI prints them as `round` does."""
     code, out = _round(capsys, "--users", "4")
     assert code == 0
     uninterrupted = _messages(out)
@@ -142,15 +156,21 @@ def test_round_killed_before_its_first_commit_resumes_the_same_messages(
     def bomb(self, round_id, rng):
         raise SimulatedCrash
 
-    with monkeypatch.context() as patch, pytest.raises(SimulatedCrash):
-        patch.setattr(DurableStore, "mixing_begin", bomb)
-        _round(capsys, "--users", "4", "--state-dir", str(tmp_path))
-    capsys.readouterr()
-    manager = RecoveryManager(tmp_path)
+    for state_dir in (tmp_path / "api", tmp_path / "cli"):
+        with monkeypatch.context() as patch, pytest.raises(SimulatedCrash):
+            patch.setattr(DurableStore, "mixing_begin", bomb)
+            _round(capsys, "--users", "4", "--state-dir", str(state_dir))
+        capsys.readouterr()
+    manager = RecoveryManager(tmp_path / "api")
     assert "committed layers {}" in manager.describe()
     report = manager.resume_stream()
     assert report.ok
     assert sorted(report.rounds[0].messages) == uninterrupted
+
+    assert main(["resume", "--state-dir", str(tmp_path / "cli")]) == 0
+    resumed = capsys.readouterr().out
+    assert "round 0:\nmessages out: 4\n" in resumed
+    assert _messages(resumed) == uninterrupted
 
 
 def test_cli_resume_finishes_a_crashed_round(tmp_path, monkeypatch, capsys):
